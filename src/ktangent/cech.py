@@ -47,7 +47,7 @@ class TruncationPolicy:
 
     def __init__(self, D=2, delta=2):
         if D < 1 or delta < 1:
-            raise ValueError("truncation policy needs D >= 1 and delta >= 1")
+            raise Unsupported("truncation policy needs D >= 1 and delta >= 1")
         self.D = D
         self.delta = delta
 
@@ -162,8 +162,13 @@ def cover_plane_curve(F, tower):
 
     F is a homogeneous cubic MPoly in three variables (X, Y, Z) whose
     dehomogenization at Z has the shape y^2 = g(x) with g monic of degree 3
-    and g(0) != 0 (translate x if needed).  Smoothness is checked exactly
-    via gcd(g, g').
+    and g(0) != 0 (translate x if needed).
+
+    The exact certificate gcd(g, g') = 1 is the cover's smoothness check: it
+    proves the affine part smooth, and the point at infinity of a
+    Weierstrass cubic is always smooth.  The chart rings are therefore built
+    without FunctionRing's sampled probe, which applies only to user-built
+    rings.
     """
     if F.tower != tower or F.nvars != 3:
         raise Unsupported("curve equation must be a 3-variable polynomial over the tower")
@@ -198,8 +203,10 @@ def cover_plane_curve(F, tower):
     if g0.is_zero():
         raise Unsupported("need g(0) != 0 for the second chart; translate x first")
 
-    ra = FunctionRing(tower, ("x", "y"), _chart_a_relation(tower, g0, g1, g2))
-    rb = FunctionRing(tower, ("xb", "zb"), _chart_b_relation(tower, g0, g1, g2))
+    ra = FunctionRing(tower, ("x", "y"), _chart_a_relation(tower, g0, g1, g2),
+                      smooth_check=False)
+    rb = FunctionRing(tower, ("xb", "zb"), _chart_b_relation(tower, g0, g1, g2),
+                      smooth_check=False)
     x, y = ra.var("x"), ra.var("y")
     cover = Cover("curve", tower, [ra, rb], {}, gcoeffs=(g0, g1, g2))
     cover.intersections[(0,)] = _Model(ra, [], {0: [x, y]})
@@ -315,7 +322,9 @@ class CechEngine:
         self._labels = {}
         self._pos = {}
         self._total = {}
-        self._ranks = {}
+        self._offs = {}
+        self._spans = {}
+        self._reps = {}
         self._pf_memo = {}
         for j, r in self.rows.items():
             for q in range(cover.qmax + 1):
@@ -522,13 +531,15 @@ class CechEngine:
         return hit
 
     def _offsets(self, k):
-        offs = {}
-        at = 0
-        for j in self.rows:
-            q = k - j
-            if 0 <= q <= self.cover.qmax:
-                offs[(q, j)] = at
-                at += len(self._labels[(q, j)])
+        offs = self._offs.get(k)
+        if offs is None:
+            offs = self._offs[k] = {}
+            at = 0
+            for j in self.rows:
+                q = k - j
+                if 0 <= q <= self.cover.qmax:
+                    offs[(q, j)] = at
+                    at += len(self._labels[(q, j)])
         return offs
 
     def column(self, k, q, j, S, lab):
@@ -565,15 +576,17 @@ class CechEngine:
     def columns(self, k):
         return [self.column(k, q, j, S, lab) for q, j, S, lab in self.total_basis(k)]
 
-    def rank(self, k):
-        hit = self._ranks.get(k)
-        if hit is None:
-            span = RowSpan()
+    def _span(self, k):
+        """Untracked echelon form of d_k's columns, eliminated once per degree."""
+        span = self._spans.get(k)
+        if span is None:
+            span = self._spans[k] = RowSpan()
             for col in self.columns(k):
-                span.add(col, None)
-            hit = span.rank
-            self._ranks[k] = hit
-        return hit
+                span.add(col)
+        return span
+
+    def rank(self, k):
+        return self._span(k).rank
 
     def degree_range(self):
         js = list(self.rows)
@@ -583,39 +596,30 @@ class CechEngine:
         nk = len(self.total_basis(k))
         if nk == 0:
             return 0
-        below = self.rank(k - 1) if self.total_basis(k - 1) else 0
-        return nk - self.rank(k) - below
+        return nk - self.rank(k) - self.rank(k - 1)
 
     def representatives(self, k):
         """A basis of cocycles at total degree k, independent mod coboundaries."""
-        span = RowSpan()
-        if self.total_basis(k - 1):
-            for col in self.columns(k - 1):
-                span.add(col, None)
-        reps = []
-        for vec in kernel_basis(self.columns(k), self._sc(1)):
-            res, _ = span.reduce(vec, None)
-            if res:
-                span.add(res, None)
-                reps.append(vec)
-        return reps
+        return self.express_span(k)[1]
 
     def express_span(self, k):
-        """Tracked span of coboundaries plus chosen representatives.
+        """Tracked span of coboundaries plus chosen representatives, cached.
 
-        solve() against it writes a cocycle as (image part) + (combination
-        of representatives); the ("rep", i) tags carry the class coordinates.
+        The coboundary rows are those of ``_span(k - 1)`` and carry no tag,
+        so solve() against the span writes a cocycle as (image part) +
+        (combination of representatives) and returns only the ("rep", i)
+        coordinates, which are the class coordinates.
         """
-        span = RowSpan(track=True)
-        if self.total_basis(k - 1):
-            for i, col in enumerate(self.columns(k - 1)):
-                span.add(col, ("im", i))
-        reps = []
-        for vec in kernel_basis(self.columns(k), self._sc(1)):
-            tag = ("rep", len(reps))
-            if span.add(dict(vec), tag) is not None:
-                reps.append(vec)
-        return span, reps
+        hit = self._reps.get(k)
+        if hit is None:
+            span = RowSpan(track=True)
+            span.rows.update(self._span(k - 1).rows)
+            reps = []
+            for vec in kernel_basis(self.columns(k), self._sc(1)):
+                if span.add(vec, ("rep", len(reps))) is not None:
+                    reps.append(vec)
+            hit = self._reps[k] = (span, reps)
+        return hit
 
     # -- rendering
 

@@ -333,6 +333,8 @@ def main(argv=None):
     body = _COMMANDS[args.command]
     command = args.command if args.command != "verify" else f"verify {args.what}"
     try:
+        if args.p is not None and args.p < 1:
+            raise Unsupported(f"weight p must be at least 1, got {args.p}")
         cfg, checks = body(args)
     except KTangentError as exc:
         print(f"error: {exc}", file=sys.stderr)

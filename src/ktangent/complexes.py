@@ -35,14 +35,6 @@ class Complex:
             return None
         return self.diff[i](val)
 
-    def check_value(self, i, val):
-        want = self.terms[i]
-        if len(val) != len(want):
-            raise Mismatch(f"value at degree {i} has {len(val)} components, wants {len(want)}")
-        for w, q in zip(val, want):
-            if w.degree != q:
-                raise Mismatch(f"component of form-degree {w.degree} where {q} expected")
-
 
 def tangent_deligne(p, ring):
     """O -> Omega^1 -> .. -> Omega^(p-1), placed in degrees 1..p, with d

@@ -59,24 +59,6 @@ def formal_tangent_chow(cover, p, policy, require_stable=True):
     return sheaf_cohomology(cover, sheaf, policy, require_stable=require_stable)
 
 
-def _express_columns(tgt_report, k, vectors):
-    """Coordinates of each vector in the chosen representative basis."""
-    engine = tgt_report.engine
-    span, reps = engine.express_span(k)
-    if len(reps) != tgt_report.dim(k):
-        raise Mismatch("target basis bookkeeping disagrees with its dimension")
-    cols = []
-    for vec in vectors:
-        if not vec:
-            cols.append([0] * len(reps))
-            continue
-        sol = span.solve(vec)
-        if sol is None:
-            raise Mismatch("a mapped class left the span of the target window")
-        cols.append([sol.get(("rep", i), 0) for i in range(len(reps))])
-    return cols
-
-
 def _verdict(matrix, ncols):
     if ncols == 0:
         return 0, "vacuous"
@@ -85,6 +67,41 @@ def _verdict(matrix, ncols):
         span.add({i: row[j] for i, row in enumerate(matrix) if row[j]}, None)
     kernel_dim = ncols - span.rank
     return kernel_dim, ("injective" if kernel_dim == 0 else "not injective")
+
+
+def _induced_map(name, src, tgt, p, image, letters):
+    """The map on degree-p classes induced by a coefficient map on labels.
+
+    Each source representative is carried label by label into the target
+    window, with ``image(lab, c)`` as its new coefficient (None drops the
+    label).  Its column holds its coordinates in the target's representative
+    basis, solved for against the target's coboundaries plus representatives.
+    """
+    span, reps = tgt.engine.express_span(p)
+    if len(reps) != tgt.dim(p):
+        raise Mismatch("target basis bookkeeping disagrees with its dimension")
+    basis = src.engine.total_basis(p)
+    pos = tgt.engine._pos.get((p, 0), {})
+    cols = []
+    for vec in src.reps.get(p, []):
+        img = {}
+        for idx, c in vec.items():
+            _, _, s, lab = basis[idx]
+            val = image(lab, c)
+            if val is None:
+                continue
+            tidx = pos.get((s, lab))
+            if tidx is None:
+                raise Mismatch(f"label {lab} missing from the target window")
+            img[tidx] = val
+        sol = span.solve(img)
+        if sol is None:
+            raise Mismatch("a mapped class left the span of the target window")
+        cols.append([sol.get(("rep", i), 0) for i in range(len(reps))])
+    matrix = [[col[i] for col in cols] for i in range(len(reps))]
+    kernel_dim, verdict = _verdict(matrix, len(cols))
+    return TangentMapReport(name, src, tgt, matrix, kernel_dim, verdict,
+                            not cols, letters)
 
 
 def delta_r(cover, p, policy):
@@ -99,25 +116,12 @@ def delta_r(cover, p, policy):
                            require_stable=True)
     letters = base_change_kernel_letters(cover.charts[0], base_q(),
                                          base_top(cover.tower))
-    pos = tgt.engine._pos.get((p, 0), {})
-    mapped = []
-    for vec in src.reps.get(p, []):
-        basis = src.engine.total_basis(p)
-        img = {}
-        for idx, c in vec.items():
-            _, _, s, lab = basis[idx]
-            if cover.kind == "pn" and lab[2]:
-                continue  # a base-parameter letter: killed by the change of base
-            tidx = pos.get((s, lab))
-            if tidx is None:
-                raise Mismatch(f"label {lab} missing from the target window")
-            img[tidx] = c
-        mapped.append(img)
-    cols = _express_columns(tgt, p, mapped)
-    matrix = [[col[i] for col in cols] for i in range(tgt.dim(p))]
-    kernel_dim, verdict = _verdict(matrix, len(mapped))
-    return TangentMapReport("delta_r", src, tgt, matrix, kernel_dim, verdict,
-                            not mapped, letters)
+
+    def image(lab, c):
+        # a base-parameter letter is killed by the change of base
+        return None if cover.kind == "pn" and lab[2] else c
+
+    return _induced_map("delta_r", src, tgt, p, image, letters)
 
 
 def complex_model(tower, count=2):
@@ -162,28 +166,14 @@ def composed_infinitesimal(cover, p, policy, cmodel=None):
     big = extend_cover(cover, cmodel)
     tgt = sheaf_cohomology(big, Sheaf.forms(p - 1), policy,
                            require_stable=True)
-    pos = tgt.engine._pos.get((p, 0), {})
-    plain = tower.num_levels == 0
-    mapped = []
-    for vec in src.reps.get(p, []):
-        basis = src.engine.total_basis(p)
-        img = {}
-        for idx, c in vec.items():
-            _, _, s, lab = basis[idx]
-            tidx = pos.get((s, lab))
-            if tidx is None:
-                raise Mismatch(f"label {lab} missing from the extended window")
-            img[tidx] = cmodel.from_fraction(c) if plain else cmodel.embed(c)
-        mapped.append(img)
-    cols = _express_columns(tgt, p, mapped)
-    matrix = [[col[i] for col in cols] for i in range(tgt.dim(p))]
-    kernel_dim, verdict = _verdict(matrix, len(mapped))
+    lift = cmodel.from_fraction if tower.num_levels == 0 else cmodel.embed
+    report = _induced_map("composed_infinitesimal", src, tgt, p,
+                          lambda lab, c: lift(c), [])
     # an empty source is injectivity in its trivial form; the flag keeps
     # the distinction visible without weakening the verdict
-    if verdict == "vacuous":
-        verdict = "injective"
-    return TangentMapReport("composed_infinitesimal", src, tgt, matrix,
-                            kernel_dim, verdict, not mapped, [])
+    if report.verdict == "vacuous":
+        report.verdict = "injective"
+    return report
 
 
 # ---------------------------------------------------------------------------

@@ -95,12 +95,6 @@ class FunctionRing:
     def gens(self):
         return {nm: self.var(nm) for nm in self.varnames}
 
-    def from_mpoly(self, num, den=None):
-        return RingElem(self, num, den)
-
-    def mpoly_var(self, i):
-        return MPoly.variable(self.tower, len(self.varnames), i)
-
     def _invert_reduced(self, den):
         """Invert a relation-ring element with den containing the eliminated var.
 

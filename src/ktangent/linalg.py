@@ -10,10 +10,6 @@ what cohomology representatives and induced-map matrices are read from.
 from __future__ import annotations
 
 
-def vec_is_zero(v):
-    return not v
-
-
 def vec_sub_scaled(v, c, w):
     """v - c*w, in place on a copy of v."""
     out = dict(v)
@@ -41,8 +37,12 @@ class RowSpan:
     def rank(self):
         return len(self.rows)
 
-    def reduce(self, vec, tag=None):
-        """Return (residual, expansion): vec = residual + sum expansion[t]*original_t."""
+    def reduce(self, vec):
+        """Return (residual, expansion): vec = residual + sum expansion[t]*original_t.
+
+        A stored row without a combination (one copied in untracked)
+        contributes nothing to the expansion.
+        """
         v = dict(vec)
         expansion = {}
         while v:
@@ -54,7 +54,7 @@ class RowSpan:
             v = vec_sub_scaled(v, c, self.rows[p])
             v.pop(p, None)
             if self.track:
-                for t, a in self.combos[p].items():
+                for t, a in self.combos.get(p, {}).items():
                     prev = expansion.get(t)
                     val = (prev + c * a) if prev is not None else c * a
                     if val:
@@ -65,13 +65,16 @@ class RowSpan:
 
     def add(self, vec, tag=None):
         """Insert vec; returns the new pivot index or None if dependent."""
-        res, expansion = self.reduce(vec, tag)
+        res, expansion = self.reduce(vec)
         if not res:
             return None
+        return self._insert(res, expansion, tag)
+
+    def _insert(self, res, expansion, tag):
+        """Store a nonzero residual that ``reduce`` returned with ``expansion``."""
         p = min(res)
         c = res[p]
-        row = {k: a / c for k, a in res.items()}
-        self.rows[p] = row
+        self.rows[p] = {k: a / c for k, a in res.items()}
         if self.track:
             combo = {t: -(a / c) for t, a in expansion.items()}
             prev = combo.get(tag)
@@ -103,9 +106,9 @@ def kernel_basis(cols, one=1):
     span = RowSpan(track=True)
     out = []
     for j, col in enumerate(cols):
-        res, expansion = span.reduce(col, j)
+        res, expansion = span.reduce(col)
         if res:
-            span.add(col, j)
+            span._insert(res, expansion, j)
             continue
         ker = {t: -a for t, a in expansion.items()}
         ker[j] = one if j not in ker else ker[j] + one

@@ -634,6 +634,8 @@ def _build_config(spec):
     ln, pv = _take(ktab, "p", 1)
     ln2, seedv = _take(ktab, "seed", 20260401)
     p = _int(pv, ln)
+    if p < 1:
+        raise InstanceSyntaxError(f"weight p must be at least 1, got {p}", ln, 1)
     seed = _int(seedv, ln2)
     for key, v in ktab.items():
         checks[key] = v[1] if isinstance(v, tuple) else v

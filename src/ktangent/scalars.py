@@ -127,7 +127,6 @@ def _mul(tw, lv, a, b):
         return a * b
     if a[0] == "q":
         return _mkq(tw, lv, _pmul(tw, lv - 1, a[1], b[1]), _pmul(tw, lv - 1, a[2], b[2]))
-    m = tw.steps[lv - 1][2]
     prod = _pmul(tw, lv - 1, a[1], b[1])
     return ("a", _amod(tw, lv, prod))
 

@@ -19,8 +19,9 @@ from ktangent.cech import (
     weierstrass_cubic,
 )
 from ktangent.complexes import tangent_deligne
-from ktangent.differentials import BaseTag
+from ktangent.differentials import BaseTag, base_top
 from ktangent.errors import Mismatch, NotStabilized, SingularRelation, Unsupported
+from ktangent.linalg import vec_sub_scaled
 from ktangent.mpoly import MPoly
 from ktangent.scalars import QQ, Algebraic, Transcendental, make_tower
 
@@ -60,6 +61,17 @@ def test_curve_cover_rejects_singular_cubics():
         cover_plane_curve(weierstrass_cubic(QQ, 0, 0, 0), QQ)  # cusp
     with pytest.raises(SingularRelation):
         cover_plane_curve(weierstrass_cubic(QQ, 1, 0, 0), QQ)  # node
+
+
+def test_curve_cover_rejects_a_cubic_singular_off_the_rationals():
+    # y^2 = x^3 - 6x + 4*r2 = (x - r2)^2 (x + 2*r2), singular at (r2, 0): no
+    # rational point is singular, so only the exact gcd(g, g') check sees it
+    tw = make_tower([Algebraic("r2", [-2, 0, 1])])
+    X, Y, Z = (MPoly.variable(tw, 3, i) for i in range(3))
+    c = lambda v: MPoly.const(tw, 3, v)
+    F = Y * Y * Z - X ** 3 + c(6) * X * Z * Z - c(4 * tw.gen("r2")) * Z ** 3
+    with pytest.raises(SingularRelation):
+        cover_plane_curve(F, tw)
 
 
 def test_curve_cover_rejects_root_at_origin():
@@ -337,3 +349,19 @@ def test_representative_count_matches_reported_dimension():
         rep = sheaf_cohomology(c, Sheaf.forms(r), POL)
         for k, dim in rep.dims.items():
             assert len(rep.reps.get(k, ())) == dim
+
+
+@pytest.mark.parametrize("tower", [QQ, make_tower([Algebraic("r2", [-2, 0, 1])])])
+def test_solve_reads_class_coordinates_modulo_coboundaries(tower):
+    # H^1(O(-4)) on the line has dimension 3, and d_0 is injective
+    eng = CechEngine(cover_pn(1, tower), {0: 0}, base_top(tower), -4, 4)
+    span, reps = eng.express_span(1)
+    assert len(reps) == 3
+    cob = {}
+    for i, col in enumerate(eng.columns(0)):
+        cob = vec_sub_scaled(cob, eng._sc(-(i + 1)), col)
+    assert cob
+    for i, r in enumerate(reps):
+        assert span.solve(vec_sub_scaled(cob, eng._sc(-1), r)) == {("rep", i): eng._sc(1)}
+    mix = vec_sub_scaled(vec_sub_scaled(cob, eng._sc(-2), reps[0]), eng._sc(1), reps[2])
+    assert span.solve(mix) == {("rep", 0): eng._sc(2), ("rep", 2): eng._sc(-1)}

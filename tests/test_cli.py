@@ -150,6 +150,32 @@ def test_transcendental_refusal_is_structured(tmp_path):
     assert "ds" in check["witnesses"][0]
 
 
+_POLICY_D0 = "[cover]\nkind = projective-line\n\n[policy]\nD = 0\n"
+_CHECKS_P0 = "[cover]\nkind = projective-line\n\n[checks]\np = 0\n"
+
+
+@pytest.mark.parametrize("argv, instance", [
+    pytest.param(["cech", "--D", "0"], None, id="cech-D0"),
+    pytest.param(["cech", "--delta", "0"], None, id="cech-delta0"),
+    pytest.param(["cech"], _POLICY_D0, id="cech-file-D0"),
+    pytest.param(["hypercoh", "--instance", "p2", "--p", "0"], None, id="hypercoh-p0"),
+    pytest.param(["verify", "lemma2.6", "--p", "0"], None, id="lemma2.6-p0"),
+    pytest.param(["verify", "lemma2.6", "--p", "-2"], None, id="lemma2.6-p-2"),
+    pytest.param(["tangent-chow", "--p", "0"], None, id="tangent-chow-p0"),
+    pytest.param(["delta-r", "--p", "0"], None, id="delta-r-p0"),
+    pytest.param(["composed", "--p", "0"], None, id="composed-p0"),
+    pytest.param(["verify", "lemma2.4"], _CHECKS_P0, id="lemma2.4-file-p0"),
+])
+def test_bad_window_or_weight_is_usage_error(tmp_path, capsys, argv, instance):
+    if instance is not None:
+        inst = tmp_path / "bad.inst"
+        inst.write_text(instance)
+        argv = argv + ["--instance", str(inst)]
+    assert main(argv + ["--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_usage_error_from_argparse():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "no-such-suite"])

@@ -1,10 +1,12 @@
 """Formal tangent spaces, the two comparison maps, and symbol cochains."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from ktangent import cech
 from ktangent.cech import TruncationPolicy, cover_pn, cover_plane_curve, weierstrass_cubic
 from ktangent.cycletangent import (
     complex_model,
@@ -75,6 +77,46 @@ def test_comparison_names_the_killed_letters():
     rep2 = delta_r(curve(tw), 1, POL)
     assert rep2.kernel_letters == ["ds"]
     assert rep2.verdict == "injective"  # functions carry no ds component
+
+
+@pytest.mark.parametrize("induced", [delta_r, composed_infinitesimal])
+@pytest.mark.parametrize("build, p", [
+    pytest.param(lambda: cover_pn(1, QQ), 1, id="line"),
+    pytest.param(lambda: cover_pn(2, QQ), 1, id="plane-p1"),
+    pytest.param(lambda: cover_pn(2, QQ), 2, id="plane-p2"),
+    pytest.param(curve, 1, id="curve")])
+def test_each_degree_is_eliminated_once(monkeypatch, induced, build, p):
+    built = {}      # id of a column list -> (engine, degree, the list)
+    columns = Counter()
+    kernels = Counter()
+    real_columns = cech.CechEngine.columns
+    real_kernel = cech.kernel_basis
+
+    def counted_columns(self, k):
+        cols = real_columns(self, k)
+        columns[(self, k)] += 1
+        built[id(cols)] = (self, k, cols)
+        return cols
+
+    def counted_kernel(cols, one=1):
+        engine, k, _ = built[id(cols)]
+        kernels[(engine, k)] += 1
+        return real_kernel(cols, one)
+
+    monkeypatch.setattr(cech.CechEngine, "columns", counted_columns)
+    monkeypatch.setattr(cech, "kernel_basis", counted_kernel)
+    rep = induced(build(), p, POL)
+    assert kernels
+    # one untracked elimination for the rank, one tracked one for the kernel
+    assert max(columns.values()) <= 2
+    for report in (rep.source, rep.target):
+        engine = report.engine
+        for k in engine.degree_range():
+            reps = engine.representatives(k)
+            assert reps is engine.express_span(k)[1]
+            if k in report.reps:
+                assert report.reps[k] is reps
+    assert max(kernels.values()) == 1
 
 
 # -- scalar extension ----------------------------------------------------------
