@@ -70,6 +70,8 @@ class Sheaf:
 
     @classmethod
     def forms(cls, r, base=None):
+        if r < 0:
+            raise Unsupported(f"form degree r must be at least 0, got {r}")
         return cls(r, 0, base)
 
     @classmethod

@@ -219,6 +219,8 @@ def _cmd_composed(args):
 
 
 def _cmd_relations(args):
+    if args.p is not None:
+        raise Unsupported("relations draws its own weights p in {2, 3}; --p does not apply")
     seed = args.seed if args.seed is not None else suites.DEFAULT_SEED
     return None, _guard("relations", lambda: suites.relations_suite(seed))
 

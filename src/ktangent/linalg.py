@@ -73,12 +73,12 @@ class RowSpan:
     def _insert(self, res, expansion, tag):
         """Store a nonzero residual that ``reduce`` returned with ``expansion``."""
         p = min(res)
-        c = res[p]
-        self.rows[p] = {k: a / c for k, a in res.items()}
+        ic = 1 / res[p]
+        self.rows[p] = {k: a * ic for k, a in res.items()}
         if self.track:
-            combo = {t: -(a / c) for t, a in expansion.items()}
+            combo = {t: -(a * ic) for t, a in expansion.items()}
             prev = combo.get(tag)
-            combo[tag] = (prev + 1 / c) if prev is not None else 1 / c
+            combo[tag] = (prev + ic) if prev is not None else ic
             self.combos[p] = combo
         return p
 

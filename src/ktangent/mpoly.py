@@ -345,10 +345,37 @@ def _flatten_gcd(f, g):
     tw = f.tower
     la = max((i for i, s in enumerate(tw.steps) if s[0] == "alg"), default=-1)
     m = len(tw.steps) - la - 1
+    k = min(_constant_levels(c.val, m) for p in (f, g) for c in p.terms.values())
+    if k:
+        # the gcd over K(t) of polynomials over K is their gcd over K, and
+        # the monic normalisation is the same in both
+        low = Tower(tw.steps[:-k], tw.names[:-k])
+        G = mp_gcd(_descend(f, low, k), _descend(g, low, k))
+        return MPoly(tw, f.nvars, {e: tw.embed(c) for e, c in G.terms.items()})
     base = Tower(tw.steps[: la + 1], tw.names[: la + 1])
     n = f.nvars
     G = mp_gcd(_flatten_poly(f, base, m), _flatten_poly(g, base, m))
     return _normalize_lead(_unflatten(G, tw, n, m))
+
+
+def _constant_levels(v, m):
+    """How many of the top m (transcendental) levels the value v is constant in."""
+    k = 0
+    while k < m and len(v[1]) == 1 and len(v[2]) == 1:
+        v = v[1][0]
+        k += 1
+    return k
+
+
+def _descend(f, low, k):
+    """f, whose coefficients are constant in the top k levels, over the tower low."""
+    terms = {}
+    for e, c in f.terms.items():
+        v = c.val
+        for _ in range(k):
+            v = v[1][0]
+        terms[e] = Scalar(low, v)
+    return MPoly(low, f.nvars, terms)
 
 
 def _conv_scalar(val, k, base, m):

@@ -52,25 +52,11 @@ class Algebraic:
 
 
 def _zero(tw, lv):
-    if lv == 0:
-        return Fraction(0)
-    kind = tw.steps[lv - 1][0]
-    if kind == "tr":
-        return ("q", (), (_one(tw, lv - 1),))
-    d = len(tw.steps[lv - 1][2]) - 1
-    return ("a", (_zero(tw, lv - 1),) * d)
+    return tw._zeros[lv]
 
 
 def _one(tw, lv):
-    if lv == 0:
-        return Fraction(1)
-    kind = tw.steps[lv - 1][0]
-    if kind == "tr":
-        one = _one(tw, lv - 1)
-        return ("q", (one,), (one,))
-    d = len(tw.steps[lv - 1][2]) - 1
-    coeffs = [_one(tw, lv - 1)] + [_zero(tw, lv - 1)] * (d - 1)
-    return ("a", tuple(coeffs))
+    return tw._ones[lv]
 
 
 def _from_fraction(tw, lv, fr):
@@ -105,6 +91,10 @@ def _add(tw, lv, a, b):
     if a[0] == "q":
         n1, d1 = a[1], a[2]
         n2, d2 = b[1], b[2]
+        if len(d1) == 1 and len(d2) == 1:
+            # both polynomials (a monic constant denominator is one): the
+            # sum is already canonical
+            return ("q", tuple(_padd(tw, lv - 1, n1, n2)), d1)
         num = _padd(tw, lv - 1, _pmul(tw, lv - 1, n1, d2), _pmul(tw, lv - 1, n2, d1))
         return _mkq(tw, lv, num, _pmul(tw, lv - 1, d1, d2))
     return ("a", tuple(_add(tw, lv - 1, x, y) for x, y in zip(a[1], b[1])))
@@ -126,6 +116,8 @@ def _mul(tw, lv, a, b):
     if lv == 0:
         return a * b
     if a[0] == "q":
+        if len(a[2]) == 1 and len(b[2]) == 1:
+            return ("q", tuple(_pmul(tw, lv - 1, a[1], b[1])), a[2])
         return _mkq(tw, lv, _pmul(tw, lv - 1, a[1], b[1]), _pmul(tw, lv - 1, a[2], b[2]))
     prod = _pmul(tw, lv - 1, a[1], b[1])
     return ("a", _amod(tw, lv, prod))
@@ -140,6 +132,8 @@ def _inv(tw, lv, a):
         num, den = a[1], a[2]
         lead = num[-1]
         c = _inv(tw, lv - 1, lead)
+        if len(num) == 1:  # the inverse is the polynomial den / lead
+            return ("q", tuple(_mul(tw, lv - 1, c, x) for x in den), (_one(tw, lv - 1),))
         return ("q", tuple(_mul(tw, lv - 1, c, x) for x in den),
                 tuple(_mul(tw, lv - 1, c, x) for x in num))
     m = tw.steps[lv - 1][2]
@@ -297,10 +291,11 @@ def _mkq(tw, lv, num, den):
         raise DivisionByZero("zero denominator in tower element")
     if not num:
         return ("q", (), (_one(tw, lv - 1),))
-    g = _pgcd(tw, lv - 1, num, den)
-    if len(g) > 1 or (g and not _is_zero(tw, lv - 1, _sub(tw, lv - 1, g[0], _one(tw, lv - 1)))):
-        num, _ = _pdivmod(tw, lv - 1, num, g)
-        den, _ = _pdivmod(tw, lv - 1, den, g)
+    if len(num) > 1 and len(den) > 1:  # a nonzero constant is coprime to anything
+        g = _pgcd(tw, lv - 1, num, den)
+        if len(g) > 1:
+            num, _ = _pdivmod(tw, lv - 1, num, g)
+            den, _ = _pdivmod(tw, lv - 1, den, g)
     c = _inv(tw, lv - 1, den[-1])
     num = [_mul(tw, lv - 1, c, x) for x in num]
     den = [_mul(tw, lv - 1, c, x) for x in den]
@@ -405,11 +400,24 @@ def _render(tw, lv, v):
 class Tower:
     """An iterated extension of Q; construct with :func:`make_tower`."""
 
-    __slots__ = ("steps", "names")
+    __slots__ = ("steps", "names", "_zeros", "_ones")
 
     def __init__(self, steps, names):
         self.steps = steps
         self.names = names
+        # canonical 0 and 1 at every level, indexed by level
+        zeros, ones = [Fraction(0)], [Fraction(1)]
+        for step in steps:
+            z, o = zeros[-1], ones[-1]
+            if step[0] == "tr":
+                zeros.append(("q", (), (o,)))
+                ones.append(("q", (o,), (o,)))
+            else:
+                d = len(step[2]) - 1
+                zeros.append(("a", (z,) * d))
+                ones.append(("a", (o,) + (z,) * (d - 1)))
+        self._zeros = tuple(zeros)
+        self._ones = tuple(ones)
 
     @property
     def num_levels(self):
@@ -470,7 +478,7 @@ class Tower:
         return "Q(" + ", ".join(self.names) + ")"
 
     def __eq__(self, other):
-        return isinstance(other, Tower) and self.steps == other.steps
+        return self is other or (isinstance(other, Tower) and self.steps == other.steps)
 
     def __hash__(self):
         return hash(("Tower", self.names))
@@ -643,15 +651,15 @@ class Scalar:
     def __pow__(self, n):
         if not isinstance(n, int):
             return NotImplemented
-        tw = self.tower
-        if n < 0:
-            base = Scalar(tw, _inv(tw, tw.num_levels, self.val))
-            n = -n
-        else:
-            base = self
-        out = tw.one()
-        for _ in range(n):
-            out = out * base
+        base = self.inv() if n < 0 else self
+        n = abs(n)
+        out = self.tower.one()
+        while n:
+            if n & 1:
+                out = out * base
+            n >>= 1
+            if n:
+                base = base * base
         return out
 
     def inv(self):

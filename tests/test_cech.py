@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from ktangent import scalars
 from ktangent.cech import (
     CechEngine,
     Sheaf,
@@ -365,3 +366,19 @@ def test_solve_reads_class_coordinates_modulo_coboundaries(tower):
         assert span.solve(vec_sub_scaled(cob, eng._sc(-1), r)) == {("rep", i): eng._sc(1)}
     mix = vec_sub_scaled(vec_sub_scaled(cob, eng._sc(-2), reps[0]), eng._sc(1), reps[2])
     assert span.solve(mix) == {("rep", 0): eng._sc(2), ("rep", 2): eng._sc(-1)}
+
+
+def test_t_constant_values_skip_rational_function_reduction(monkeypatch):
+    # every scalar of H(O) on P^2 over Q(r2)(t1)(t2) is constant in t1, t2,
+    # so no rational-function reduction should run
+    tw = make_tower([Algebraic("r2", [-2, 0, 1]), Transcendental("t1"),
+                     Transcendental("t2")])
+    cover = cover_pn(2, tw)
+    calls = []
+    for name in ("_pgcd", "_mkq"):
+        real = getattr(scalars, name)
+        monkeypatch.setattr(scalars, name,
+                            lambda *a, name=name, real=real: calls.append(name) or real(*a))
+    rep = sheaf_cohomology(cover, Sheaf.forms(0), POL, require_stable=True)
+    assert rep.dims == {0: 1, 1: 0, 2: 0}
+    assert calls == []

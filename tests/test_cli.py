@@ -152,6 +152,7 @@ def test_transcendental_refusal_is_structured(tmp_path):
 
 _POLICY_D0 = "[cover]\nkind = projective-line\n\n[policy]\nD = 0\n"
 _CHECKS_P0 = "[cover]\nkind = projective-line\n\n[checks]\np = 0\n"
+_CHECKS_OMEGA_NEG = "[cover]\nkind = projective-line\n\n[checks]\nsheaf = omega-1\n"
 
 
 @pytest.mark.parametrize("argv, instance", [
@@ -165,6 +166,10 @@ _CHECKS_P0 = "[cover]\nkind = projective-line\n\n[checks]\np = 0\n"
     pytest.param(["delta-r", "--p", "0"], None, id="delta-r-p0"),
     pytest.param(["composed", "--p", "0"], None, id="composed-p0"),
     pytest.param(["verify", "lemma2.4"], _CHECKS_P0, id="lemma2.4-file-p0"),
+    pytest.param(["cech", "--instance", "p1", "--sheaf", "omega-1"], None,
+                 id="cech-omega-1"),
+    pytest.param(["cech"], _CHECKS_OMEGA_NEG, id="cech-file-omega-1"),
+    pytest.param(["relations", "--p", "5"], None, id="relations-p5"),
 ])
 def test_bad_window_or_weight_is_usage_error(tmp_path, capsys, argv, instance):
     if instance is not None:
@@ -174,6 +179,12 @@ def test_bad_window_or_weight_is_usage_error(tmp_path, capsys, argv, instance):
     assert main(argv + ["--quiet"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_forms_above_the_dimension_are_zero(tmp_path):
+    code, rep = run_json(tmp_path, ["cech", "--instance", "p1", "--sheaf", "omega3"])
+    assert code == 0
+    assert rep["checks"][0]["dims"] == [0, 0]
 
 
 def test_usage_error_from_argparse():

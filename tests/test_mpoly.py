@@ -1,12 +1,16 @@
 """Sparse multivariate polynomial layer: gcd, exact division, reduction."""
 
 import random
+from collections import Counter
 
 import pytest
 
+from ktangent import mpoly
+from ktangent.cech import TruncationPolicy, cover_plane_curve, weierstrass_cubic
+from ktangent.cycletangent import composed_infinitesimal
 from ktangent.errors import DivisionByZero
 from ktangent.mpoly import MPoly, div_exact, mp_gcd, reduce_mod
-from ktangent.scalars import QQ, Algebraic, make_tower
+from ktangent.scalars import QQ, Algebraic, Transcendental, make_tower
 
 
 def xy(tower=QQ):
@@ -78,3 +82,50 @@ def test_eval():
     f = x**2 * y - 3
     assert f.eval_scalars([QQ.from_fraction(2), QQ.from_fraction(5)]) == QQ.from_fraction(17)
     assert f.render(["x", "y"]) == "x^2*y - 3"
+
+
+def _count_flattens(monkeypatch):
+    calls = Counter()
+    real = mpoly._flatten_poly
+    monkeypatch.setattr(mpoly, "_flatten_poly",
+                        lambda *a: calls.update(["flatten"]) or real(*a))
+    return calls
+
+
+def test_gcd_of_t_constant_inputs_descends_to_the_number_field(monkeypatch):
+    base = make_tower([Algebraic("r2", [-2, 0, 1])])
+    deep = make_tower([Algebraic("r2", [-2, 0, 1]), Transcendental("t1"),
+                       Transcendental("t2")])
+    r2 = base.gen("r2")
+    x, y = xy(base)
+    rng = random.Random(5)
+    mons = [x - r2, y + r2, x + y, x * y - 1, 2 * x - r2 * y + 3, y * y - 2]
+    cases = []
+    for _ in range(12):
+        h = rng.choice(mons) * rng.choice(mons)
+        cases.append((h * rng.choice(mons), h * rng.choice(mons) * (r2 + 3)))
+    calls = _count_flattens(monkeypatch)
+    for a, b in cases:
+        lift = lambda p: MPoly(deep, p.nvars, {e: deep.embed(c) for e, c in p.terms.items()})
+        assert mp_gcd(lift(a), lift(b)) == lift(mp_gcd(a, b))
+    assert calls["flatten"] == 0
+
+
+def test_gcd_of_t_dependent_inputs_still_flattens(monkeypatch):
+    tw = make_tower([Transcendental("t")])
+    t = tw.gen("t")
+    x, y = xy(tw)
+    calls = _count_flattens(monkeypatch)
+    f = (x - t) * (x * y + 1) * (t + 1)
+    g = (x - t) * (y + t) * t.inv()
+    assert mp_gcd(f, g) == x - t
+    assert mp_gcd((x - t) * (y - 1), (y - 1) * (x + t)) == y - 1
+    assert calls["flatten"] == 4
+
+
+def test_composed_on_the_elliptic_curve_never_flattens(monkeypatch):
+    calls = _count_flattens(monkeypatch)
+    cover = cover_plane_curve(weierstrass_cubic(QQ, 0, -1, 1), QQ)
+    rep = composed_infinitesimal(cover, 1, TruncationPolicy(2, 2))
+    assert rep.verdict == "injective"
+    assert calls["flatten"] == 0

@@ -12,6 +12,7 @@ from ktangent.errors import (
     ReducibleMinpoly,
     TowerMismatch,
 )
+from ktangent import scalars
 from ktangent.scalars import QQ, Algebraic, Transcendental, make_tower
 
 
@@ -160,3 +161,46 @@ def test_derivation_leibniz_property():
         b = _random_scalar(rng, tw, gens)
         assert (a * b).d(1) == a.d(1) * b + a * b.d(1)
         assert (a + b).d(1) == a.d(1) + b.d(1)
+
+
+def test_power_by_squaring_matches_repeated_multiplication():
+    tw = make_tower([Algebraic("r2", [-2, 0, 1]), Transcendental("t")])
+    x = (tw.gen("r2") + 1) / (tw.gen("t") - 2) + tw.gen("t")
+    assert x**0 == 1
+    acc = tw.one()
+    for _ in range(5):
+        acc = acc * x
+    assert x**5 == acc
+    inv = x.inv()
+    assert x**-3 == inv * inv * inv
+
+
+def _check_fast_paths(tw, lv, a, b):
+    (n1, d1), (n2, d2) = a[1:], b[1:]
+    pm = lambda p, q: scalars._pmul(tw, lv - 1, p, q)
+    want_add = scalars._mkq(tw, lv, scalars._padd(tw, lv - 1, pm(n1, d2), pm(n2, d1)),
+                            pm(d1, d2))
+    assert scalars._add(tw, lv, a, b) == want_add
+    assert scalars._mul(tw, lv, a, b) == scalars._mkq(tw, lv, pm(n1, n2), pm(d1, d2))
+
+
+def test_fast_paths_agree_with_the_reducing_path():
+    # _add and _mul skip _mkq when both operands are polynomials; the
+    # shortcut must give exactly the canonical form _mkq gives on the
+    # unreduced numerator and denominator, at both transcendental levels
+    tw = make_tower([Algebraic("r2", [-2, 0, 1]), Transcendental("t1"),
+                     Transcendental("t2")])
+    lv = tw.num_levels
+    r2, t1, t2 = (tw.gen(n) for n in tw.names)
+    rng = random.Random(31)
+    consts = [_random_scalar(rng, tw, [r2]) for _ in range(6)]
+    polys = [_random_scalar(rng, tw, [r2, t1, t2]) for _ in range(6)]
+    values = consts + polys
+    values += [p / (t1 + r2 + k) for k, p in enumerate(consts + polys)]
+    values += [p / (t1 - t2 + k) for k, p in enumerate(consts + polys)]
+    assert sum(1 for v in values if len(v.val[2]) == 1) >= 24
+    for a in values:
+        for b in rng.sample(values, 8):
+            _check_fast_paths(tw, lv, a.val, b.val)
+            if len(a.val[1]) == len(b.val[1]) == len(a.val[2]) == len(b.val[2]) == 1:
+                _check_fast_paths(tw, lv - 1, a.val[1][0], b.val[1][0])
