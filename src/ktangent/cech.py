@@ -35,7 +35,7 @@ from .errors import (
     Unsupported,
     WindowOverflow,
 )
-from .funcrings import FunctionRing, transport
+from .funcrings import FunctionRing, RingElem, transport
 from .linalg import RowSpan, kernel_basis
 from .mpoly import MPoly, mp_gcd
 
@@ -261,26 +261,41 @@ def verify_cover(cover):
 
 
 def extend_cover(cover, tower):
-    """The same cover with scalars embedded into a larger tower."""
-    if cover.kind == "pn":
-        return cover_pn(cover.n, tower)
-    g0, g1, g2 = (tower.embed(c) for c in cover.gcoeffs)
-    return cover_plane_curve(_weierstrass(tower, g0, g1, g2), tower)
+    """The same cover with its scalars embedded into a tower that extends its own.
 
+    Embedding scalars is an injective ring map, so every identity that
+    ``verify_cover``, the chart-transition check and gcd(g, g') = 1 proved
+    over ``cover.tower`` still holds over ``tower``: the cover is carried
+    over, not rebuilt or checked again.  A tower that does not extend the
+    cover's raises TowerMismatch.
+    """
+    def poly(f):
+        return MPoly(tower, f.nvars, {e: tower.embed(c) for e, c in f.terms.items()})
 
-def _weierstrass(tower, g0, g1, g2):
-    """The homogeneous cubic Y^2 Z - X^3 - g2 X^2 Z - g1 X Z^2 - g0 Z^3."""
-    X = MPoly.variable(tower, 3, 0)
-    Y = MPoly.variable(tower, 3, 1)
-    Z = MPoly.variable(tower, 3, 2)
-    c = lambda v: MPoly.const(tower, 3, v)
-    return Y * Y * Z - X ** 3 - c(g2) * X * X * Z - c(g1) * X * Z * Z - c(g0) * Z ** 3
+    def elem(e, ring):
+        return RingElem(ring, poly(e.num), poly(e.den))
+
+    charts = [FunctionRing(tower, r.varnames,
+                           None if r.relation is None else poly(r.relation),
+                           smooth_check=False) for r in cover.charts]
+    gcoeffs = cover.gcoeffs and tuple(tower.embed(c) for c in cover.gcoeffs)
+    big = Cover(cover.kind, tower, charts, {}, n=cover.n, gcoeffs=gcoeffs)
+    for S, mdl in cover.intersections.items():
+        ring = charts[min(S)]
+        big.intersections[S] = _Model(
+            ring, [elem(e, ring) for e in mdl.inverted],
+            {i: [elem(e, ring) for e in imgs] for i, imgs in mdl.subs.items()})
+    return big
 
 
 def weierstrass_cubic(tower, a, b, c):
-    """Convenience: the cubic for y^2 = x^3 + a x^2 + b x + c."""
-    fr = tower.from_fraction
-    return _weierstrass(tower, fr(Fraction(c)), fr(Fraction(b)), fr(Fraction(a)))
+    """The homogeneous cubic Y^2 Z - X^3 - a X^2 Z - b X Z^2 - c Z^3 of
+    y^2 = x^3 + a x^2 + b x + c."""
+    X = MPoly.variable(tower, 3, 0)
+    Y = MPoly.variable(tower, 3, 1)
+    Z = MPoly.variable(tower, 3, 2)
+    k = lambda v: MPoly.const(tower, 3, Fraction(v))
+    return Y * Y * Z - X ** 3 - k(a) * X * X * Z - k(b) * X * Z * Z - k(c) * Z ** 3
 
 
 # ---------------------------------------------------------------------------

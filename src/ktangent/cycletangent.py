@@ -13,7 +13,7 @@ from .cech import CechEngine, Sheaf, cover_pn, extend_cover, sheaf_cohomology
 from .complexes import tangent_deligne
 from .differentials import base_change_kernel_letters, base_q, base_top
 from .errors import Mismatch, NotNumberField, Unsupported, WindowOverflow
-from .linalg import RowSpan
+from .linalg import rank_of
 from .milnor import EpsSymbol, beta
 from .scalars import Scalar, Transcendental
 
@@ -62,10 +62,8 @@ def formal_tangent_chow(cover, p, policy, require_stable=True):
 def _verdict(matrix, ncols):
     if ncols == 0:
         return 0, "vacuous"
-    span = RowSpan()
-    for j in range(ncols):
-        span.add({i: row[j] for i, row in enumerate(matrix) if row[j]}, None)
-    kernel_dim = ncols - span.rank
+    kernel_dim = ncols - rank_of({i: row[j] for i, row in enumerate(matrix) if row[j]}
+                                 for j in range(ncols))
     return kernel_dim, ("injective" if kernel_dim == 0 else "not injective")
 
 

@@ -16,6 +16,7 @@ equality is semantic equality.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import BaseIncompatible, Mismatch, NoDualBase, NotAnEnlargement, RingMismatch
 from .funcrings import DualElem, RingElem, transport
@@ -75,14 +76,8 @@ def dual_relative(tower):
 
 # letters: ("v", var_index) | ("t", tower_level) | ("e",)
 
-_letters_cache = {}
-
-
+@lru_cache(maxsize=256)
 def letters_of(ring, base):
-    key = (ring, base)
-    got = _letters_cache.get(key)
-    if got is not None:
-        return got
     letters = []
     for i in range(len(ring.varnames)):
         if i != ring.elim:
@@ -92,7 +87,6 @@ def letters_of(ring, base):
             letters.append(("t", lv))
     if base.eps == "free":
         letters.append(("e",))
-    _letters_cache[key] = letters
     return letters
 
 
@@ -262,15 +256,9 @@ def wedge(a, b):
 
 # -- exterior derivative ----------------------------------------------------
 
-_delim_cache = {}
-
-
+@lru_cache(maxsize=256)
 def _delim_parts(ring, base):
     """Expansion of d(eliminated var) as {letter: RingElem} via implicit diff."""
-    key = (ring, base)
-    got = _delim_cache.get(key)
-    if got is not None:
-        return got
     rel, v = ring.relation, ring.elim
     f_v = RingElem(ring, rel.deriv(v))
     parts = {}
@@ -284,7 +272,6 @@ def _delim_parts(ring, base):
         if p.is_zero():
             continue
         parts[letter] = -(p / f_v)
-    _delim_cache[key] = parts
     return parts
 
 

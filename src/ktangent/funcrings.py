@@ -22,6 +22,7 @@ from .errors import (
     RingMismatch,
     SingularRelation,
 )
+from .linalg import RowSpan
 from .mpoly import MPoly, div_exact, mp_gcd, reduce_mod
 from .scalars import Scalar
 
@@ -99,26 +100,26 @@ class FunctionRing:
         """Invert a relation-ring element with den containing the eliminated var.
 
         Returns (P, q): P basis-reduced, q free of the eliminated variable,
-        with den * P = q in the quotient ring.
+        with den * P = q in the quotient ring.  The coordinates of 1/den in
+        the basis 1, v, .., v^(d-1) solve a linear system over the fraction
+        field of the relation-free ring; if den * P = 1 then den is a unit,
+        so a solvable system is nonsingular and its solution unique.
         """
         rel, v = self.relation, self.elim
-        d = rel.degree_in(v)
-        cols = []
-        for i in range(d):
+        free = FunctionRing(self.tower, self.varnames)
+        span = RowSpan(track=True)
+        for i in range(rel.degree_in(v)):
             img = reduce_mod(den.shift(v, i), rel, v)
-            cols.append([img.coeff_of(v, j) for j in range(d)])
-        mat = [[_MF(cols[i][j]) for i in range(d)] for j in range(d)]
-        rhs = [_MF(MPoly.const(self.tower, len(self.varnames), 1 if j == 0 else 0))
-               for j in range(d)]
-        sol = _solve_mf(mat, rhs)
+            span.add({j: RingElem(free, c) for j, c in img.split_by(v).items()}, i)
+        sol = span.solve({0: free.one()})
         if sol is None:
             raise DivisionByZero("denominator is not invertible modulo the relation")
-        q = sol[0].den
-        for s in sol[1:]:
+        q = MPoly.const(self.tower, len(self.varnames), 1)
+        for s in sol.values():
             q = div_exact(q * s.den, mp_gcd(q, s.den))
         P = MPoly.const(self.tower, len(self.varnames), 0)
-        for j, s in enumerate(sol):
-            P = P + (s.num * div_exact(q, s.den)).shift(v, j)
+        for i, s in sol.items():
+            P = P + (s.num * div_exact(q, s.den)).shift(v, i)
         return P, q
 
     def __eq__(self, other):
@@ -133,61 +134,6 @@ class FunctionRing:
         if self.relation is None:
             return base
         return f"{base}/({self.relation.render(self.varnames)})"
-
-
-class _MF:
-    """Fraction of MPolys; just enough for small linear solves."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=None):
-        if den is None:
-            den = MPoly.const(num.tower, num.nvars, 1)
-        if den.is_zero():
-            raise DivisionByZero("zero denominator")
-        if num.is_zero():
-            den = MPoly.const(num.tower, num.nvars, 1)
-        else:
-            g = mp_gcd(num, den)
-            if not (g.is_constant() and g.constant_value() == 1):
-                num, den = div_exact(num, g), div_exact(den, g)
-        self.num = num
-        self.den = den
-
-    def add(self, o):
-        return _MF(self.num * o.den + o.num * self.den, self.den * o.den)
-
-    def sub(self, o):
-        return _MF(self.num * o.den - o.num * self.den, self.den * o.den)
-
-    def mul(self, o):
-        return _MF(self.num * o.num, self.den * o.den)
-
-    def div(self, o):
-        if o.num.is_zero():
-            raise DivisionByZero("division by zero fraction")
-        return _MF(self.num * o.den, self.den * o.num)
-
-    def is_zero(self):
-        return self.num.is_zero()
-
-
-def _solve_mf(mat, rhs):
-    """Gaussian elimination over _MF; returns solution list or None if singular."""
-    n = len(mat)
-    m = [row[:] + [rhs[i]] for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if not m[r][col].is_zero()), None)
-        if piv is None:
-            return None
-        m[col], m[piv] = m[piv], m[col]
-        pv = m[col][col]
-        for r in range(n):
-            if r == col or m[r][col].is_zero():
-                continue
-            f = m[r][col].div(pv)
-            m[r] = [a.sub(f.mul(b)) for a, b in zip(m[r], m[col])]
-    return [m[i][n].div(m[i][i]) for i in range(n)]
 
 
 class RingElem:

@@ -117,9 +117,6 @@ class MPoly:
 
     # -- structure
 
-    def total_degree(self):
-        return max((sum(e) for e in self.terms), default=-1)
-
     def degree_in(self, v):
         return max((e[v] for e in self.terms), default=-1)
 

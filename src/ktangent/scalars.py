@@ -469,8 +469,54 @@ class Tower:
             v = _lift_one(self, k, v)
         return Scalar(self, v)
 
-    def extend(self, steps):
-        return make_tower(list(_spec_of(s) for s in self.steps) + list(steps))
+    def extend(self, specs):
+        """This tower followed by Transcendental/Algebraic steps.
+
+        The existing steps were validated when this tower was built and are
+        kept as they are; each new step is checked in full (name, monic
+        minimal polynomial, root candidates, separability).
+        """
+        steps = list(self.steps)
+        names = list(self.names)
+        for spec in specs:
+            if not isinstance(spec, (Transcendental, Algebraic)):
+                raise TypeError(f"unknown tower step descriptor: {spec!r}")
+            name = spec.name
+            _check_name(name, names)
+            if isinstance(spec, Transcendental):
+                steps.append(("tr", name))
+                names.append(name)
+                continue
+            tw = Tower(tuple(steps), tuple(names))
+            lv = len(steps)
+            coeffs = []
+            for c in spec.minpoly:
+                if isinstance(c, Scalar):
+                    if c.tower.num_levels > lv or not c.tower.is_prefix_of(tw):
+                        raise TowerMismatch(
+                            f"minpoly coefficient for {name} lives outside the lower tower")
+                    v = c.val
+                    for k in range(c.tower.num_levels + 1, lv + 1):
+                        v = _lift_one(tw, k, v)
+                    coeffs.append(v)
+                else:
+                    coeffs.append(_from_fraction(tw, lv, Fraction(c)))
+            coeffs = _pstrip(tw, lv, coeffs)
+            if len(coeffs) < 3:
+                raise NonMonic(f"minimal polynomial of {name} must have degree >= 2")
+            if not _is_zero(tw, lv, _sub(tw, lv, coeffs[-1], _one(tw, lv))):
+                raise NonMonic(f"minimal polynomial of {name} is not monic")
+            for cand in _root_candidates(tw, lv):
+                if _is_zero(tw, lv, _peval(tw, lv, coeffs, cand)):
+                    raise ReducibleMinpoly(
+                        f"minimal polynomial of {name} vanishes at {_render(tw, lv, cand)}")
+            steps.append(("alg", name, tuple(coeffs)))
+            names.append(name)
+            # separability probe: m'(g) must be invertible in the new tower
+            tw2 = Tower(tuple(steps), tuple(names))
+            mprime = _pformal_deriv(tw2, lv, list(coeffs))
+            _inv(tw2, lv + 1, ("a", _amod(tw2, lv + 1, mprime)))
+        return Tower(tuple(steps), tuple(names))
 
     def __repr__(self):
         if not self.steps:
@@ -482,20 +528,6 @@ class Tower:
 
     def __hash__(self):
         return hash(("Tower", self.names))
-
-
-def _spec_of(step):
-    if step[0] == "tr":
-        return Transcendental(step[1])
-    return _RawAlgebraic(step[1], step[2])
-
-
-class _RawAlgebraic:
-    __slots__ = ("name", "minpoly_values")
-
-    def __init__(self, name, values):
-        self.name = name
-        self.minpoly_values = values
 
 
 def _root_candidates(tw, lv):
@@ -522,55 +554,7 @@ def _root_candidates(tw, lv):
 
 def make_tower(specs):
     """Build a Tower from Transcendental/Algebraic step descriptors."""
-    steps = []
-    names = []
-    for spec in specs:
-        tw = Tower(tuple(steps), tuple(names))
-        lv = len(steps)
-        if isinstance(spec, Transcendental):
-            name = spec.name
-            _check_name(name, names)
-            steps.append(("tr", name))
-            names.append(name)
-            continue
-        if isinstance(spec, _RawAlgebraic):
-            name = spec.name
-            _check_name(name, names)
-            coeffs = list(spec.minpoly_values)
-        elif isinstance(spec, Algebraic):
-            name = spec.name
-            _check_name(name, names)
-            coeffs = []
-            for c in spec.minpoly:
-                if isinstance(c, Scalar):
-                    if c.tower.num_levels > lv or not c.tower.is_prefix_of(tw):
-                        raise TowerMismatch(
-                            f"minpoly coefficient for {name} lives outside the lower tower")
-                    v = c.val
-                    for k in range(c.tower.num_levels + 1, lv + 1):
-                        v = _lift_one(tw, k, v)
-                    coeffs.append(v)
-                else:
-                    coeffs.append(_from_fraction(tw, lv, Fraction(c)))
-        else:
-            raise TypeError(f"unknown tower step descriptor: {spec!r}")
-        coeffs = _pstrip(tw, lv, coeffs)
-        if len(coeffs) < 3:
-            raise NonMonic(f"minimal polynomial of {name} must have degree >= 2")
-        if not _is_zero(tw, lv, _sub(tw, lv, coeffs[-1], _one(tw, lv))):
-            raise NonMonic(f"minimal polynomial of {name} is not monic")
-        for cand in _root_candidates(tw, lv):
-            if _is_zero(tw, lv, _peval(tw, lv, coeffs, cand)):
-                raise ReducibleMinpoly(
-                    f"minimal polynomial of {name} vanishes at {_render(tw, lv, cand)}")
-        steps.append(("alg", name, tuple(coeffs)))
-        names.append(name)
-        # separability probe: m'(g) must be invertible in the new tower
-        tw2 = Tower(tuple(steps), tuple(names))
-        mprime = _pformal_deriv(tw2, lv, list(coeffs))
-        val = ("a", _amod(tw2, lv + 1, mprime))
-        _inv(tw2, lv + 1, val)
-    return Tower(tuple(steps), tuple(names))
+    return Tower((), ()).extend(specs)
 
 
 def _check_name(name, names):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from ktangent import scalars
+from ktangent import cech, scalars
 from ktangent.cech import (
     CechEngine,
     Sheaf,
@@ -16,12 +16,20 @@ from ktangent.cech import (
     extend_cover,
     hypercohomology,
     sheaf_cohomology,
+    verify_cover,
     verify_splitting,
     weierstrass_cubic,
 )
 from ktangent.complexes import tangent_deligne
+from ktangent.cycletangent import complex_model, composed_infinitesimal
 from ktangent.differentials import BaseTag, base_top
-from ktangent.errors import Mismatch, NotStabilized, SingularRelation, Unsupported
+from ktangent.errors import (
+    Mismatch,
+    NotStabilized,
+    SingularRelation,
+    TowerMismatch,
+    Unsupported,
+)
 from ktangent.linalg import vec_sub_scaled
 from ktangent.mpoly import MPoly
 from ktangent.scalars import QQ, Algebraic, Transcendental, make_tower
@@ -94,6 +102,70 @@ def test_extend_cover_keeps_kind():
     big = extend_cover(elliptic(), tw)
     assert big.kind == "curve"
     assert big.tower is tw
+
+
+def test_extend_cover_refuses_a_tower_that_does_not_extend_it():
+    r2 = make_tower([Algebraic("r2", [-2, 0, 1])])
+    r3 = make_tower([Algebraic("r3", [-3, 0, 1])])
+    with pytest.raises(TowerMismatch):
+        extend_cover(cover_pn(1, r2), r3)
+
+
+def _cubic_over_sqrt2():
+    # y^2 = x^3 + r2*x + 1: a coefficient outside Q, discriminant -8*r2 - 27
+    tw = make_tower([Algebraic("r2", [-2, 0, 1])])
+    X, Y, Z = (MPoly.variable(tw, 3, i) for i in range(3))
+    F = Y * Y * Z - X ** 3 - MPoly.const(tw, 3, tw.gen("r2")) * X * Z * Z - Z ** 3
+    return cover_plane_curve(F, tw)
+
+
+def _rebuilt(cover, tower):
+    """The cover built again from scratch over ``tower``."""
+    if cover.kind == "pn":
+        return cover_pn(cover.n, tower)
+    g0, g1, g2 = (tower.embed(c) for c in cover.gcoeffs)
+    X, Y, Z = (MPoly.variable(tower, 3, i) for i in range(3))
+    c = lambda v: MPoly.const(tower, 3, v)
+    F = Y * Y * Z - X ** 3 - c(g2) * X * X * Z - c(g1) * X * Z * Z - c(g0) * Z ** 3
+    return cover_plane_curve(F, tower)
+
+
+@pytest.mark.parametrize("build", [lambda: cover_pn(1, QQ), lambda: cover_pn(2, QQ),
+                                   elliptic, _cubic_over_sqrt2],
+                         ids=["p1", "p2", "elliptic", "cubic-sqrt2"])
+def test_embedded_cover_equals_the_rebuilt_cover(build):
+    cover = build()
+    tw = complex_model(cover.tower)
+    big = extend_cover(cover, tw)
+    ref = _rebuilt(cover, tw)
+    assert (big.kind, big.n, big.tower) == (ref.kind, ref.n, ref.tower)
+    assert big.charts == ref.charts
+    assert big.gcoeffs == ref.gcoeffs
+    assert big.intersections.keys() == ref.intersections.keys()
+    for S, mdl in big.intersections.items():
+        want = ref.intersections[S]
+        assert mdl.ring == want.ring
+        assert mdl.inverted == want.inverted
+        assert mdl.subs == want.subs
+    verify_cover(big)
+
+
+@pytest.mark.parametrize("build", [lambda: cover_pn(1, make_tower([Algebraic("r2", [-2, 0, 1])])),
+                                   elliptic], ids=["p1-sqrt2", "elliptic"])
+def test_scalar_extension_builds_and_verifies_no_cover(monkeypatch, build):
+    cover = build()
+    calls = []
+    for name in ("verify_cover", "cover_pn", "cover_plane_curve"):
+        real = getattr(cech, name)
+
+        def counted(*args, _name=name, _real=real):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(cech, name, counted)
+    rep = composed_infinitesimal(cover, 1, POL)
+    assert rep.verdict == "injective"
+    assert calls == []
 
 
 # -- line bundles on the projective line --------------------------------------

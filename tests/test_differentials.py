@@ -17,6 +17,7 @@ from ktangent.differentials import (
     dlog,
     dual_relative,
     eps_part,
+    letters_of,
     pullback,
     specialize_eps,
     wedge,
@@ -219,3 +220,9 @@ def test_pullback_chain_rule_on_curve():
     x, y = ra.var("x"), ra.var("y")
     f = (x + y * y) / (x - 2)
     assert pullback(d(f, base_q()), subst, rb) == d(transport(f, subst, rb), base_q())
+
+
+def test_letter_cache_is_bounded():
+    for i in range(300):
+        letters_of(FunctionRing(QQ, (f"x{i}",)), base_q())
+    assert letters_of.cache_info().currsize <= 256

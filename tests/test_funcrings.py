@@ -63,20 +63,45 @@ def test_relation_reduction():
     assert inv_y.den.degree_in(1) == 0
 
 
+def cubic_second_chart():
+    # zb^3 - xb*zb^2 - zb + xb^3: the y != 0 chart of y^2 = x^3 - x + 1
+    xv = MPoly.variable(QQ, 2, 0)
+    yv = MPoly.variable(QQ, 2, 1)
+    return FunctionRing(QQ, ("x", "y"), yv**3 - xv * yv**2 - yv + xv**3)
+
+
+def sqrt2_chart():
+    # y^2 = x^3 + r2*x + 1 over Q(sqrt 2)
+    tw = make_tower([Algebraic("r2", [-2, 0, 1])])
+    xv = MPoly.variable(tw, 2, 0)
+    yv = MPoly.variable(tw, 2, 1)
+    r2 = MPoly.const(tw, 2, tw.gen("r2"))
+    return FunctionRing(tw, ("x", "y"), yv * yv - xv**3 - r2 * xv - 1)
+
+
 def test_relation_uniqueness_random():
-    r = elliptic_chart()
-    x, y = r.var("x"), r.var("y")
-    rng = random.Random(5)
-    pool = [x, y, x + 1, y - x, x * y + 2, (x + y) / (x - 3)]
-    for _ in range(30):
-        a = rng.choice(pool) + rng.choice(pool) * rng.choice(pool)
-        b = rng.choice(pool)
-        if b.is_zero():
-            continue
-        c = a / b
-        assert c * b == a
-        if not c.is_zero():
-            assert c * c.inv() == 1
+    for r in (elliptic_chart(), cubic_second_chart(), sqrt2_chart()):
+        x, y = r.var("x"), r.var("y")
+        rng = random.Random(5)
+        pool = [x, y, x + 1, y - x, x * y + 2, (x + y) / (x - 3)]
+        for _ in range(30):
+            a = rng.choice(pool) + rng.choice(pool) * rng.choice(pool)
+            b = rng.choice(pool)
+            if b.is_zero():
+                continue
+            c = a / b
+            assert c * b == a
+            if not c.is_zero():
+                assert c * c.inv() == 1
+
+
+def test_zero_divisor_has_no_inverse():
+    # y^2 - x^2 = (y - x)(y + x): not a domain, and y - x is a zero divisor
+    xv = MPoly.variable(QQ, 2, 0)
+    yv = MPoly.variable(QQ, 2, 1)
+    r = FunctionRing(QQ, ("x", "y"), yv * yv - xv * xv, smooth_check=False)
+    with pytest.raises(DivisionByZero):
+        (r.var("y") - r.var("x")).inv()
 
 
 def test_monic_relation_required():

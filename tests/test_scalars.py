@@ -92,6 +92,26 @@ def test_bad_steps_rejected():
         make_tower([Algebraic("x", [3, 1])])  # degree 1
 
 
+def test_extend_checks_only_the_new_steps(monkeypatch):
+    tw = tower_sqrt2()
+    calls = []
+    real = scalars._root_candidates
+
+    def counted(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(scalars, "_root_candidates", counted)
+    big = tw.extend([Transcendental("t1")])
+    assert calls == []
+    assert big.names == ("r2", "t1") and big.steps[0] is tw.steps[0]
+    with pytest.raises(ReducibleMinpoly):
+        tw.extend([Algebraic("u", [-4, 0, 1])])  # u^2 - 4 = (u-2)(u+2)
+    assert calls == [1]
+    with pytest.raises(DuplicateName):
+        tw.extend([Transcendental("r2")])
+
+
 def test_derivative_rational():
     tw = tower_qt()
     t = tw.gen("t")
