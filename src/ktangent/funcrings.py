@@ -193,8 +193,20 @@ class RingElem:
 
     __radd__ = __add__
 
+    @classmethod
+    def _canonical(cls, ring, num, den):
+        """Wrap a pair that is already in canonical form, reducing nothing."""
+        e = object.__new__(cls)
+        e.ring = ring
+        e.num = num
+        e.den = den
+        return e
+
     def __neg__(self):
-        return RingElem(self.ring, -self.num, self.den)
+        # the numerator keeps its leading coefficient 1; only den changes sign
+        if self.num.is_zero():
+            return self
+        return RingElem._canonical(self.ring, self.num, -self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -228,7 +240,15 @@ class RingElem:
     def inv(self):
         if self.num.is_zero():
             raise DivisionByZero("inverse of zero")
-        return RingElem(self.ring, self.den, self.num)
+        ring = self.ring
+        if ring.relation is not None and self.num.degree_in(ring.elim) > 0:
+            # the new denominator must be rationalized modulo the relation
+            return RingElem(ring, self.den, self.num)
+        # (den, num) is already reduced, coprime and free of the eliminated
+        # variable in its denominator; only the leading coefficient moves
+        _, lc = self.den.lead_term()
+        c = lc.inv()
+        return RingElem._canonical(ring, self.den * c, self.num * c)
 
     def __pow__(self, n):
         if not isinstance(n, int):

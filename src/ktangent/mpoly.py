@@ -28,7 +28,7 @@ class MPoly:
     @classmethod
     def const(cls, tower, nvars, c):
         if not isinstance(c, Scalar):
-            c = tower.from_fraction(Fraction(c))
+            c = tower.from_fraction(c)
         if c.is_zero():
             return cls(tower, nvars, {})
         return cls(tower, nvars, {(0,) * nvars: c})
@@ -295,7 +295,10 @@ def _normalize_lead(f):
     if f.is_zero():
         return f
     _, c = f.lead_term()
-    return MPoly(f.tower, f.nvars, {e: cf * c.inv() for e, cf in f.terms.items()})
+    if c.val == f.tower._ones[-1]:
+        return f
+    c = c.inv()
+    return MPoly(f.tower, f.nvars, {e: cf * c for e, cf in f.terms.items()})
 
 
 def mp_gcd(f, g):
@@ -306,11 +309,27 @@ def mp_gcd(f, g):
         return _normalize_lead(f)
     if f.is_constant() or g.is_constant():
         return MPoly.const(f.tower, f.nvars, 1)
-    if f.tower.steps and f.tower.steps[-1][0] == "tr":
-        # rational-function coefficients swell badly in the remainder
-        # sequence; move the transcendental generators into the polynomial
-        # and do the work over the number-field part instead
-        return _flatten_gcd(f, g)
+    tw = f.tower
+    if tw.steps:
+        # a unit of K does not change the monic gcd, and dividing by the
+        # leading coefficient often leaves coefficients in a subfield
+        f, g = _normalize_lead(f), _normalize_lead(g)
+        k = len(tw.steps)
+        for c in [*f.terms.values(), *g.terms.values()]:
+            k = _constant_levels(tw, c.val, k)
+            if not k:
+                break
+        if k:
+            # the gcd over K of polynomials over a subfield is their gcd
+            # over the subfield, with the same monic normalisation
+            low = Tower(tw.steps[:-k], tw.names[:-k])
+            G = mp_gcd(_descend(f, low, k), _descend(g, low, k))
+            return MPoly(tw, f.nvars, {e: tw.embed(c) for e, c in G.terms.items()})
+        if tw.steps[-1][0] == "tr":
+            # rational-function coefficients swell badly in the remainder
+            # sequence; move the transcendental generators into the
+            # polynomial and do the work over the number-field part instead
+            return _flatten_gcd(f, g)
     vs = f.vars_used() | g.vars_used()
     v = max(vs)
     if len(vs) == 1:
@@ -342,24 +361,33 @@ def _flatten_gcd(f, g):
     tw = f.tower
     la = max((i for i, s in enumerate(tw.steps) if s[0] == "alg"), default=-1)
     m = len(tw.steps) - la - 1
-    k = min(_constant_levels(c.val, m) for p in (f, g) for c in p.terms.values())
-    if k:
-        # the gcd over K(t) of polynomials over K is their gcd over K, and
-        # the monic normalisation is the same in both
-        low = Tower(tw.steps[:-k], tw.names[:-k])
-        G = mp_gcd(_descend(f, low, k), _descend(g, low, k))
-        return MPoly(tw, f.nvars, {e: tw.embed(c) for e, c in G.terms.items()})
     base = Tower(tw.steps[: la + 1], tw.names[: la + 1])
     n = f.nvars
     G = mp_gcd(_flatten_poly(f, base, m), _flatten_poly(g, base, m))
     return _normalize_lead(_unflatten(G, tw, n, m))
 
 
-def _constant_levels(v, m):
-    """How many of the top m (transcendental) levels the value v is constant in."""
+def _constant_levels(tw, v, m):
+    """How many of the top m levels of tw the nonzero value v is constant in.
+
+    A transcendental level holds a constant when its numerator and
+    denominator both have length 1, an algebraic level when every
+    coefficient but the first is zero; in both cases v[1][0] is the value
+    one level down.
+    """
     k = 0
-    while k < m and len(v[1]) == 1 and len(v[2]) == 1:
+    lv = len(tw.steps)
+    while k < m:
+        step = tw.steps[lv - 1]
+        if step[0] == "tr":
+            if len(v[1]) != 1 or len(v[2]) != 1:
+                break
+        else:
+            z = tw._zeros[lv - 1]
+            if any(c != z for c in v[1][1:]):
+                break
         v = v[1][0]
+        lv -= 1
         k += 1
     return k
 

@@ -15,6 +15,7 @@ equality:
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import DivisionByZero, DuplicateName, NonMonic, ReducibleMinpoly, TowerMismatch
@@ -136,6 +137,9 @@ def _inv(tw, lv, a):
             return ("q", tuple(_mul(tw, lv - 1, c, x) for x in den), (_one(tw, lv - 1),))
         return ("q", tuple(_mul(tw, lv - 1, c, x) for x in den),
                 tuple(_mul(tw, lv - 1, c, x) for x in num))
+    z = _zero(tw, lv - 1)
+    if all(c == z for c in a[1][1:]):  # a constant of the level below
+        return ("a", _apad(tw, lv, [_inv(tw, lv - 1, a[1][0])]))
     m = tw.steps[lv - 1][2]
     g, s = _pxgcd_first(tw, lv - 1, _pstrip(tw, lv - 1, list(a[1])), list(m))
     if len(g) != 1:
@@ -436,6 +440,10 @@ class Tower:
         return Scalar(self, _one(self, self.num_levels))
 
     def from_fraction(self, fr):
+        if fr == 1:
+            return Scalar(self, self._ones[-1])
+        if fr == 0:
+            return Scalar(self, self._zeros[-1])
         return Scalar(self, _from_fraction(self, self.num_levels, Fraction(fr)))
 
     def gen(self, name):
@@ -510,6 +518,15 @@ class Tower:
                 if _is_zero(tw, lv, _peval(tw, lv, coeffs, cand)):
                     raise ReducibleMinpoly(
                         f"minimal polynomial of {name} vanishes at {_render(tw, lv, cand)}")
+            if lv == 0 and len(coeffs) == 3:
+                # a quadratic over Q splits exactly when its discriminant is a
+                # rational square, so this certifies what the sample missed
+                disc = coeffs[1] * coeffs[1] - 4 * coeffs[0]
+                if disc >= 0 and all(math.isqrt(n) ** 2 == n
+                                     for n in (disc.numerator, disc.denominator)):
+                    raise ReducibleMinpoly(
+                        f"minimal polynomial of {name} has rational roots "
+                        f"(its discriminant {disc} is a square)")
             steps.append(("alg", name, tuple(coeffs)))
             names.append(name)
             # separability probe: m'(g) must be invertible in the new tower

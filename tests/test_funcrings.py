@@ -13,7 +13,8 @@ from ktangent.errors import (
     RingMismatch,
     SingularRelation,
 )
-from ktangent.funcrings import DualElem, FunctionRing, transport
+from ktangent import funcrings
+from ktangent.funcrings import DualElem, FunctionRing, RingElem, transport
 from ktangent.mpoly import MPoly
 from ktangent.scalars import QQ, Algebraic, Transcendental, make_tower
 
@@ -102,6 +103,42 @@ def test_zero_divisor_has_no_inverse():
     r = FunctionRing(QQ, ("x", "y"), yv * yv - xv * xv, smooth_check=False)
     with pytest.raises(DivisionByZero):
         (r.var("y") - r.var("x")).inv()
+
+
+def test_negation_and_inverse_reduce_nothing(monkeypatch):
+    tq = make_tower([Transcendental("t")])
+    cases = []
+    for tw, c in ((QQ, Fraction(2, 3)), (tq, tq.gen("t") + 1)):
+        r = FunctionRing(tw, ("x", "y"))
+        x, y = r.var("x"), r.var("y")
+        k = r.const(c)
+        cases += [(r, e) for e in (x, (x + 1) / (3 * y), (x * y - 2) / (k * x + 1), k,
+                                   r.const(-5), (x - y) ** 2 / (x + k), x / k)]
+    calls = []
+    real = funcrings.mp_gcd
+    monkeypatch.setattr(funcrings, "mp_gcd", lambda f, g: calls.append(1) or real(f, g))
+    results = [(-e, e.inv()) for _, e in cases]
+    zero = cases[0][0].zero()
+    assert -zero == zero
+    assert calls == []
+    monkeypatch.undo()
+    for (r, e), (neg, inv) in zip(cases, results):
+        assert neg == RingElem(r, -e.num, e.den)
+        assert inv == RingElem(r, e.den, e.num)
+
+
+def test_inverse_of_a_numerator_in_the_eliminated_variable_is_rationalized(monkeypatch):
+    r = cubic_second_chart()
+    x, y = r.var("x"), r.var("y")
+    e = (y * y + x) / (x + 2)
+    calls = []
+    real = FunctionRing._invert_reduced
+    monkeypatch.setattr(FunctionRing, "_invert_reduced",
+                        lambda self, den: calls.append(den) or real(self, den))
+    inv = e.inv()
+    assert calls
+    assert inv * e == 1
+    assert inv.den.degree_in(r.elim) == 0
 
 
 def test_monic_relation_required():

@@ -28,6 +28,7 @@ from ktangent.milnor import (
     tilde_dlog,
 )
 from ktangent.scalars import QQ, Algebraic, Transcendental, make_tower
+from ktangent.suites import symbol_ring
 
 
 def ring_plain():
@@ -174,3 +175,17 @@ def _random_eps(rng, r, p, pool):
         part = EpsSymbol.of(h, tails, rng.choice([-2, -1, 1, 2]))
         s = part if s is None else s * part
     return s
+
+
+def test_codifferential_of_a_function_field_symbol_with_heavy_gcds():
+    # its heavy gcds have the form (1/(t + 1)) * (a polynomial over Q), which
+    # must run over Q: flattening t into the polynomial ring takes minutes
+    tw = make_tower([Transcendental("t")])
+    r = symbol_ring(tw)
+    x, y, z = r.var("x"), r.var("y"), r.var("z")
+    t = r.const(tw.gen("t"))
+    s = (EpsSymbol.of(t + 1, (x, y - 2, z + 3), -2)
+         * EpsSymbol.of(x + t + 1, (x * y + 1, x + t, z), 2))
+    assert str(s) == ("{1 + eps*(1/(1/(t + 1))), x, y - 2, z + 3}^-2"
+                      " * {1 + eps*(x + t + 1), x*y + 1, x + t, z}^2")
+    assert check_codifferential(s)["status"] == "pass"

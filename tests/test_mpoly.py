@@ -122,6 +122,49 @@ def test_gcd_of_t_dependent_inputs_still_flattens(monkeypatch):
     assert calls["flatten"] == 4
 
 
+def _lift(tower, p):
+    return MPoly(tower, p.nvars, {e: tower.embed(c) for e, c in p.terms.items()})
+
+
+def _rational_pairs(seed, count):
+    rng = random.Random(seed)
+    x, y = xy()
+    mons = [x, y, x + 1, y - 2, x + y, x * y - 1, x - y + 3, 3 * x - 2 * y]
+    out = []
+    for _ in range(count):
+        h = rng.choice(mons) * rng.choice(mons)
+        out.append((h * rng.choice(mons), h * rng.choice(mons)))
+    return out + [(x + 1, y - 2)]
+
+
+def test_gcd_of_unit_multiples_of_rational_inputs_never_flattens(monkeypatch):
+    tw = make_tower([Transcendental("t")])
+    t = tw.gen("t")
+    u1, u2 = (t + 1).inv(), ((t + 1) ** 2).inv()
+    cases = _rational_pairs(11, 10)
+    calls = _count_flattens(monkeypatch)
+    for a, b in cases:
+        want = _lift(tw, mp_gcd(a, b))
+        assert mp_gcd(_lift(tw, a) * u1, _lift(tw, b) * u2) == want
+        assert mp_gcd(_lift(tw, a) * u2, _lift(tw, b) * (t - 3)) == want
+    assert calls["flatten"] == 0
+
+
+def test_gcd_of_rational_inputs_over_a_number_field_runs_over_q(monkeypatch):
+    tw = make_tower([Algebraic("r2", [-2, 0, 1])])
+    r2 = tw.gen("r2")
+    cases = _rational_pairs(12, 10)
+    towers = []
+    for name in ("_prem", "_gcd_univar"):
+        real = getattr(mpoly, name)
+        monkeypatch.setattr(mpoly, name,
+                            lambda f, g, v, real=real: towers.append(f.tower) or real(f, g, v))
+    for a, b in cases:
+        got = mp_gcd(_lift(tw, a) * (r2 + 3), _lift(tw, b) * ((r2 - 1) / 5))
+        assert got == _lift(tw, mp_gcd(a, b))
+    assert towers and all(w == QQ for w in towers)
+
+
 def test_composed_on_the_elliptic_curve_never_flattens(monkeypatch):
     calls = _count_flattens(monkeypatch)
     cover = cover_plane_curve(weierstrass_cubic(QQ, 0, -1, 1), QQ)

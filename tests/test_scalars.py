@@ -83,6 +83,32 @@ def test_reducible_minpoly_rejected():
         make_tower([Algebraic("r2", [-2, 0, 1]), Algebraic("s2", [-2, 0, 1])])
 
 
+def test_quadratic_with_a_square_discriminant_is_refused():
+    # roots outside the sampled candidates (n/d with |n| <= 8, d <= 4)
+    for c in (-81, -100, Fraction(-81, 16)):
+        with pytest.raises(ReducibleMinpoly):
+            make_tower([Algebraic("a", [c, 0, 1])])
+    with pytest.raises(ReducibleMinpoly):
+        make_tower([Algebraic("a", [-2, Fraction(-49, 5), 1])])  # (a - 10)(a + 1/5)
+    for mp in ([-2, 0, 1], [1, 0, 1], [1, 1, 1], [-3, 0, 1]):
+        assert make_tower([Algebraic("a", mp)]).num_levels == 1
+
+
+def test_constant_inverse_at_an_algebraic_level_skips_euclid(monkeypatch):
+    tw = make_tower([Algebraic("r2", [-2, 0, 1]), Transcendental("t1")])
+    r2, t1 = tw.gen("r2"), tw.gen("t1")
+    vals = [tw.from_fraction(c) for c in (3, Fraction(-2, 7), Fraction(5, 4))]
+    vals += [t1 + 2, 3 * t1**2 - Fraction(1, 2), (t1 - 1) / (t1 + 5)]
+    calls = []
+    real = scalars._pxgcd_first
+    monkeypatch.setattr(scalars, "_pxgcd_first", lambda *a: calls.append(1) or real(*a))
+    invs = [v.inv() for v in vals]
+    assert calls == []
+    # the same inverses through Euclid: r2 * v is no constant of Q
+    assert invs == [(r2 * v).inv() * r2 for v in vals]
+    assert calls
+
+
 def test_bad_steps_rejected():
     with pytest.raises(DuplicateName):
         make_tower([Transcendental("t"), Transcendental("t")])
