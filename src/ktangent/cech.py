@@ -35,9 +35,9 @@ from .errors import (
     Unsupported,
     WindowOverflow,
 )
-from .funcrings import FunctionRing, RingElem, transport
+from .funcrings import FunctionRing, RingElem, eval_fraction, transport
 from .linalg import RowSpan, kernel_basis
-from .mpoly import MPoly, mp_gcd
+from .mpoly import MPoly, mp_gcd, reduce_mod
 
 
 class TruncationPolicy:
@@ -216,8 +216,8 @@ def cover_plane_curve(F, tower):
     cover.intersections[(0, 1)] = _Model(ra, [y], {0: [x, y], 1: [x / y, y.inv()]})
     # the second chart's relation must vanish under the transition map
     imgs = cover.intersections[(0, 1)].subs[1]
-    pulled = _chart_b_relation(tower, g0, g1, g2).eval_generic(imgs, ra.one())
-    if not pulled.is_zero():
+    pulled, _ = eval_fraction(_chart_b_relation(tower, g0, g1, g2), imgs, ra)
+    if not reduce_mod(pulled, ra.relation, ra.elim).is_zero():
         raise Mismatch("chart transition does not carry the relation to zero")
     verify_cover(cover)
     return cover

@@ -254,9 +254,18 @@ class RingElem:
         if not isinstance(n, int):
             return NotImplemented
         b = self if n >= 0 else self.inv()
+        n = abs(n)
+        if self.ring.relation is None:
+            # powers of a coprime pair stay coprime, and the graded-lex
+            # leading coefficient of num^n is 1^n
+            return RingElem._canonical(self.ring, b.num ** n, b.den ** n)
         out = self.ring.one()
-        for _ in range(abs(n)):
-            out = out * b
+        while n:
+            if n & 1:
+                out = out * b
+            n >>= 1
+            if n:
+                b = b * b
         return out
 
     def is_zero(self):
@@ -408,7 +417,50 @@ class DualElem:
 
 
 def transport(elem, vals, target):
-    """Substitute ring variables by target-ring elements (chart transition map)."""
-    num = elem.num.eval_generic(vals, target.one())
-    den = elem.den.eval_generic(vals, target.one())
-    return num / den
+    """Substitute ring variables by target-ring elements (chart transition map).
+
+    num(vals) = N1/D1 and den(vals) = N2/D2 are evaluated with polynomial
+    arithmetic, and the result is canonicalised once as (N1 D2)/(D1 N2); a
+    zero image of the denominator raises DivisionByZero.
+    """
+    n1, d1 = eval_fraction(elem.num, vals, target)
+    n2, d2 = eval_fraction(elem.den, vals, target)
+    return RingElem(target, n1 * d2, d1 * n2)
+
+
+def eval_fraction(f, vals, target):
+    """f at target-ring elements vals, as polynomials (N, D) with f(vals) = N/D.
+
+    With vals[i] = a_i/b_i and k_i = deg_{x_i} f,
+    f(a/b) = sum_e c_e prod a_i^e_i b_i^(k_i - e_i) / prod b_i^k_i.
+    The powers of each a_i (reduced modulo the target's relation) and b_i
+    are computed once; N is not reduced and N/D is not in lowest terms.
+    """
+    tower, n = target.tower, len(target.varnames)
+    rel, v = target.relation, target.elim
+    one = MPoly.const(tower, n, 1)
+    ks = [max(f.degree_in(i), 0) for i in range(f.nvars)]
+    apow, bpow = [], []  # bpow[i] is None when b_i = 1
+    for val, k in zip(vals, ks):
+        pa, pb = [one], None if val.den == one else [one]
+        for _ in range(k):
+            a = pa[-1] * val.num
+            pa.append(a if rel is None else reduce_mod(a, rel, v))
+            if pb:
+                pb.append(pb[-1] * val.den)
+        apow.append(pa)
+        bpow.append(pb)
+    N = MPoly(tower, n, {})
+    for e, c in f.terms.items():
+        t = MPoly.const(tower, n, c)
+        for i, ei in enumerate(e):
+            if ei:
+                t = t * apow[i][ei]
+            if bpow[i] and ei < ks[i]:
+                t = t * bpow[i][ks[i] - ei]
+        N = N + t
+    D = one
+    for k, pb in zip(ks, bpow):
+        if pb and k:
+            D = D * pb[k]
+    return N, D

@@ -96,8 +96,13 @@ class MPoly:
         if not isinstance(n, int) or n < 0:
             return NotImplemented
         out = MPoly.const(self.tower, self.nvars, 1)
-        for _ in range(n):
-            out = out * self
+        base = self
+        while n:
+            if n & 1:
+                out = out * base
+            n >>= 1
+            if n:
+                base = base * base
         return out
 
     def __eq__(self, other):
@@ -157,17 +162,6 @@ class MPoly:
             for i, k in enumerate(e):
                 for _ in range(k):
                     term = term * vals[i]
-            acc = acc + term
-        return acc
-
-    def eval_generic(self, vals, one):
-        """Evaluate with values from any commutative ring containing the tower."""
-        acc = one * 0
-        for e, c in self.terms.items():
-            term = one * c
-            for i, k in enumerate(e):
-                if k:
-                    term = term * vals[i] ** k
             acc = acc + term
         return acc
 

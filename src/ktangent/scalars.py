@@ -527,6 +527,12 @@ class Tower:
                     raise ReducibleMinpoly(
                         f"minimal polynomial of {name} has rational roots "
                         f"(its discriminant {disc} is a square)")
+            if lv == 0 and len(coeffs) == 4:
+                # a cubic over Q splits exactly when it has a rational root
+                root = _cubic_rational_root(coeffs)
+                if root is not None:
+                    raise ReducibleMinpoly(
+                        f"minimal polynomial of {name} vanishes at {root}")
             steps.append(("alg", name, tuple(coeffs)))
             names.append(name)
             # separability probe: m'(g) must be invertible in the new tower
@@ -567,6 +573,55 @@ def _root_candidates(tw, lv):
             cands.append(_add(tw, lv, g, shift))
             cands.append(_add(tw, lv, _neg(tw, lv, g), shift))
     return cands
+
+
+def _cubic_rational_root(coeffs):
+    """A rational root of the monic cubic c0 + c1 T + c2 T^2 + T^3 over Q, or None.
+
+    T = y/L with L the lcm of the denominators turns it into the monic
+    integer cubic y^3 + a y^2 + b y + c (a = c2 L, b = c1 L^2, c = c0 L^3),
+    whose rational roots are integers in [-B, B], B = 1 + max(|a|, |b|, |c|).
+    The cubic is monotone between its critical points
+    (-a -+ sqrt(a^2 - 3b))/3; the integers next to them are tried directly
+    and each monotone piece is bisected, so no divisor is enumerated.
+    """
+    L = math.lcm(*(c.denominator for c in coeffs[:3]))
+    a, b, c = (int(coeffs[k] * L ** (3 - k)) for k in (2, 1, 0))
+
+    def f(y):
+        return ((y + a) * y + b) * y + c
+
+    B = 1 + max(abs(a), abs(b), abs(c))
+    disc = a * a - 3 * b
+    if disc < 0:
+        pieces, near = [(-B, B)], []
+    else:
+        # the critical points c1 <= c2 lie in (m1, m1 + 2) and [m2, m2 + 2)
+        s = math.isqrt(disc)
+        m1, m2 = (-a - s - 1) // 3, (-a + s) // 3
+        pieces = [(-B, m1), (m1 + 2, m2), (m2 + 2, B)]
+        near = [m1 + 1, m2 + 1]
+    for y in near:
+        if f(y) == 0:
+            return Fraction(y, L)
+    for lo, hi in pieces:
+        if lo > hi:
+            continue
+        flo, fhi = f(lo), f(hi)
+        if flo == 0 or fhi == 0:
+            return Fraction(lo if flo == 0 else hi, L)
+        if (flo > 0) == (fhi > 0):
+            continue
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            fm = f(mid)
+            if fm == 0:
+                return Fraction(mid, L)
+            if (fm > 0) == (flo > 0):
+                lo = mid
+            else:
+                hi = mid
+    return None
 
 
 def make_tower(specs):

@@ -104,6 +104,16 @@ def test_extend_cover_keeps_kind():
     assert big.tower is tw
 
 
+@pytest.mark.parametrize("S, i, k", [((0, 1), 1, 0), ((0, 2), 2, 1), ((0, 1, 2), 2, 0)])
+def test_verify_cover_catches_a_corrupted_substitution(S, i, k):
+    cover = cover_pn(2, QQ)
+    verify_cover(cover)
+    imgs = cover.intersections[S].subs[i]
+    imgs[k] = imgs[k] + 1
+    with pytest.raises(Mismatch):
+        verify_cover(cover)
+
+
 def test_extend_cover_refuses_a_tower_that_does_not_extend_it():
     r2 = make_tower([Algebraic("r2", [-2, 0, 1])])
     r3 = make_tower([Algebraic("r3", [-3, 0, 1])])

@@ -1,5 +1,6 @@
 """Command line: dispatch, report shape, exit codes, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -271,3 +272,58 @@ def test_console_script_runs():
          "--p", "2", "--quiet"],
         capture_output=True, text=True)
     assert proc.returncode == 0
+
+
+# -- report bytes --------------------------------------------------------------
+
+# sha256 of the ``--json -`` output of every cover command on the built-in
+# instances at p = 1, 2, with its exit code.  A change to the arithmetic that
+# keeps every value canonical leaves these bytes as they are.
+_REPORT_SHA256 = [
+    ("verify lemma2.4", "p1", 1, 0, "6a4c1f806a2958e000dbad6c1a65602305a2ccdc6d981175b8860337615f56b1"),
+    ("verify lemma2.4", "p1", 2, 0, "3c50634d327a72b7a8ab5ab0828813d96a75f03a5aba694ff15e9ca2096a9d7c"),
+    ("cech", "p1", 1, 0, "fe67fa7ae4196caf318ba06d851d6f1041cb8889feea8fcabeb38ac0b247afe2"),
+    ("cech", "p1", 2, 0, "45d62b3ee813f491882940aef54a15f97758f181e67f6d8279ebdea32e58b060"),
+    ("hypercoh", "p1", 1, 0, "b55e20ddad461c4e48c04466bf120b340dbe1c75da58271ad9ecf124256164b1"),
+    ("hypercoh", "p1", 2, 0, "8a03e682565493e654c7e38d2c64a9e9c1cc283ea42abbe5b2eaa4935cc7490a"),
+    ("tangent-chow", "p1", 1, 0, "3bdc4b2b0a1d8af23d0f9032e527930f3586fe988f8ecb6a4e35bf3de3825b18"),
+    ("tangent-chow", "p1", 2, 0, "71d18c74ea12c0e859e239ec0894367bbdc7320288b4c5c99878b7b27f6dc1eb"),
+    ("delta-r", "p1", 1, 0, "635adcd684a8fb63b37eb20cbc18150c40bf3abeb25b475f18d3eceb26c7f110"),
+    ("delta-r", "p1", 2, 0, "f5a2119de543f68815fab27e1627f944c3d11abc51833badf363aab02f3fd876"),
+    ("composed", "p1", 1, 0, "bdeb275dfdb284edbf6b6b2cc1f087030ee592d94dd8e65fc02e33dae2ee1c0a"),
+    ("composed", "p1", 2, 0, "cfd457993f232b4ba117f2890cf2ab642d247191e371593693d0628b92d50282"),
+    ("verify lemma2.4", "p2", 1, 0, "407d2aa312b3aa9ea42e7ee7845c8dbc7e2b50d3d159ab6567897f22eb5f819d"),
+    ("verify lemma2.4", "p2", 2, 0, "b8ffbcb1d978ffe12a41c3459e17cc9b77db132778c8532354e6eedd6ed5942a"),
+    ("cech", "p2", 1, 0, "febcfae6d2d8daf035a3536fcac54e0d9c83f51504e4739928c7c883e89b3826"),
+    ("cech", "p2", 2, 0, "f73d25956a04c1c9c9cb2a1ce56c73fc68d53054313b96bdfb65ea5b0a75881e"),
+    ("hypercoh", "p2", 1, 0, "36b823581b741c26dc261ac2bc4e428548659c97d20cf13ef296419763cf2e80"),
+    ("hypercoh", "p2", 2, 0, "9b0e24fb2c6e61f5c32a35372998b1329eea7e92131b52ed5d17f87e33a4b00e"),
+    ("tangent-chow", "p2", 1, 0, "d70c251460fea4fe0b2abfa8b732a55fc3a3f37b0178a8bd3f8c36409361c8f1"),
+    ("tangent-chow", "p2", 2, 0, "9cd58dbf35eb59c9404a9c45ad16a3d19c8051bcdf84698b204d2f2bd22e65e6"),
+    ("delta-r", "p2", 1, 0, "6365183fd82c1763d3118baa8dbea32445d5dfd8d28e2a3734f4b3b58c9cc93c"),
+    ("delta-r", "p2", 2, 0, "586cdcc7923f76768ccf246727dcdafd4f4962664da89241ec0c2e5b38fc723e"),
+    ("composed", "p2", 1, 0, "c11a69efde417cd0c9411ef347e6fdf0f6c5920d57a976417e71a6b3678c4d0b"),
+    ("composed", "p2", 2, 0, "80484d8f9fc43fa56ba0c47168fdeeadb08d8fb355ea72c58b26edfecd70cd6d"),
+    ("verify lemma2.4", "elliptic", 1, 0, "1b2a6580cf5e349fc3edcb45747257dc3b6a930fe797a8c1631ec06db37d0ca9"),
+    ("verify lemma2.4", "elliptic", 2, 1, "7b2b7877c28571f90776cfa21d9ce3143bc84c0d6cb076a038ca308dfd15922d"),
+    ("cech", "elliptic", 1, 0, "6f7abc54f6c0e094c80482036817b1e2d6c0341d94a17f02d7e5e15a1734a185"),
+    ("cech", "elliptic", 2, 0, "3f9bf5328bbab48f573edc498cafcd9d2a8c34c55201f43797f3cb29f5ae6b7d"),
+    ("hypercoh", "elliptic", 1, 0, "9d3c6bb1060b3851fec8fc9bf6730c725f118d256e03762f8e20d9bee3c79f01"),
+    ("hypercoh", "elliptic", 2, 1, "eee98efe3fe81c232d2ff09dab54d48c217725e64a241d6c2e90dbffb4027856"),
+    ("tangent-chow", "elliptic", 1, 0, "19a65f9bd2e172ebf6c6b71d10511083e499b188c249bd98a1549044507b62b2"),
+    ("tangent-chow", "elliptic", 2, 1, "4437d565c3a1eddc0187d9a2f2b0c1bd2111fe4d8d8a437407959c8e468cfb2c"),
+    ("delta-r", "elliptic", 1, 0, "1df09e7ac0315812c964f274c62b164877f0f23558e7b919bf9cabfa4b83b8ce"),
+    ("delta-r", "elliptic", 2, 1, "39a9d62d838eab2f321e68158132dc520d58fdefd50997bae45ac4deda13ba38"),
+    ("composed", "elliptic", 1, 0, "78f820406581f48e2f0699a9317a84feab73b34ae417bfc42ac45fc12ace6a58"),
+    ("composed", "elliptic", 2, 1, "222dda35bddd20628d868fa3dbc05a10ec01c022f15df61bb8476cc1c07333f5"),
+]
+
+
+@pytest.mark.parametrize("cmd, instance, p, code, digest", _REPORT_SHA256,
+                         ids=[f"{c.replace(' ', '-')}-{i}-p{p}"
+                              for c, i, p, _, _ in _REPORT_SHA256])
+def test_builtin_report_bytes(capsys, cmd, instance, p, code, digest):
+    argv = cmd.split() + ["--instance", instance, "--p", str(p), "--json", "-", "--quiet"]
+    assert main(argv) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

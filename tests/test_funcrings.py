@@ -13,7 +13,9 @@ from ktangent.errors import (
     RingMismatch,
     SingularRelation,
 )
-from ktangent import funcrings
+from ktangent import differentials, funcrings
+from ktangent.cech import cover_pn
+from ktangent.differentials import DiffForm, absolute_on_dual, d, pullback, wedge
 from ktangent.funcrings import DualElem, FunctionRing, RingElem, transport
 from ktangent.mpoly import MPoly
 from ktangent.scalars import QQ, Algebraic, Transcendental, make_tower
@@ -229,3 +231,140 @@ def test_transport_respects_relation():
     relA = y * y - x**3 + x - 1
     img = transport(relA, [xb / zb, zb.inv()], rb)
     assert img.is_zero()
+
+
+# -- transport as one fraction --------------------------------------------------
+
+
+def reference_transport(elem, vals, target):
+    """elem at vals, term by term in RingElem arithmetic: what transport means."""
+    def at(f):
+        acc = target.zero()
+        for e, c in f.terms.items():
+            term = target.const(c)
+            for val, k in zip(vals, e):
+                for _ in range(k):
+                    term = term * val
+            acc = acc + term
+        return acc
+
+    return at(elem.num) / at(elem.den)
+
+
+def random_elements(ring, rng, count, consts):
+    gens = list(ring.gens().values())
+    pool = gens + [g + rng.choice(consts) for g in gens] + [ring.const(c) for c in consts]
+    out = []
+    while len(out) < count:
+        num = rng.choice(pool) * rng.choice(pool) + rng.choice(pool) ** rng.randint(0, 3)
+        den = rng.choice(pool) + rng.choice(pool)
+        if not den.is_zero():
+            out.append(num / den)
+    return out
+
+
+def _p2_transitions():
+    cover = cover_pn(2, QQ)
+    for S, mdl in cover.intersections.items():
+        for i, imgs in mdl.subs.items():
+            yield cover.charts[i], imgs, mdl.ring
+
+
+def _cubic_transition():
+    ra, rb = elliptic_chart(), cubic_second_chart()
+    x, y = ra.var("x"), ra.var("y")
+    yield rb, [x / y, y.inv()], ra
+
+
+def _sqrt2_t_chart():
+    tw = make_tower([Algebraic("r2", [-2, 0, 1]), Transcendental("t")])
+    r2, t = tw.gen("r2"), tw.gen("t")
+    src, dst = FunctionRing(tw, ("u", "w")), FunctionRing(tw, ("x", "y"))
+    x, y = dst.var("x"), dst.var("y")
+    yield src, [(x * t + r2) / (y - t), (x * y - r2 * t) / (x + 1)], dst
+
+
+@pytest.mark.parametrize("transitions", [_p2_transitions, _cubic_transition, _sqrt2_t_chart],
+                         ids=["p2-charts", "cubic-transition", "sqrt2-t-chart"])
+def test_transport_equals_term_by_term_evaluation(transitions):
+    rng = random.Random(17)
+    for src, vals, dst in transitions():
+        consts = (1, -2, Fraction(1, 3)) + tuple(src.tower.gen(n) for n in src.tower.names)
+        for e in random_elements(src, rng, 6, consts):
+            assert transport(e, vals, dst) == reference_transport(e, vals, dst)
+
+
+def test_pullback_of_dual_coefficients_uses_the_same_transport(monkeypatch):
+    ra, rb = elliptic_chart(), cubic_second_chart()
+    x, y = ra.var("x"), ra.var("y")
+    xb, zb = rb.var("x"), rb.var("y")
+    base = absolute_on_dual()
+    u = DualElem(rb, (xb + zb * zb) / (xb - 2), xb * zb + 1)
+    w = wedge(d(u, base), d(DualElem(rb, xb), base)) + DiffForm(
+        rb, base, 2, {(("v", 0), ("e",)): DualElem(rb, zb / (xb + 3), xb)})
+    subst = [x / y, y.inv()]
+    got = pullback(w, subst, ra)
+    monkeypatch.setattr(differentials, "transport", reference_transport)
+    assert got == pullback(w, subst, ra)
+    assert not got.is_zero()
+
+
+def test_transport_canonicalises_once_without_a_relation(monkeypatch):
+    tw = make_tower([Algebraic("r2", [-2, 0, 1])])
+    r2 = tw.gen("r2")
+    src, dst = FunctionRing(tw, ("u", "w")), FunctionRing(tw, ("v",))
+    u, w = src.var("u"), src.var("w")
+    v = dst.var("v")
+    e = (u ** 3 + r2 * u * w + 1) / (u * w - 2 * w + r2)
+    vals = [(v + 1) / (v - r2), (r2 * v * v - 1) / v]
+    want = reference_transport(e, vals, dst)
+    calls = []
+    real = funcrings.mp_gcd
+    monkeypatch.setattr(funcrings, "mp_gcd", lambda f, g: calls.append(1) or real(f, g))
+    assert transport(e, vals, dst) == want
+    assert len(calls) <= 1
+
+
+def test_transport_to_a_zero_denominator_raises():
+    src, dst = FunctionRing(QQ, ("u",)), FunctionRing(QQ, ("v",))
+    u = src.var("u")
+    with pytest.raises(DivisionByZero):
+        transport(1 / (u - 1), [dst.one()], dst)
+    # into a ring with a relation: y^2 - x^3 + x = 1 there
+    ra = elliptic_chart()
+    x, y = ra.var("x"), ra.var("y")
+    with pytest.raises(DivisionByZero):
+        transport(1 / (u * u - 1), [y * y - x ** 3 + x], ra)
+
+
+# -- powers ---------------------------------------------------------------------
+
+
+def _power_cases():
+    tq = make_tower([Transcendental("t")])
+    out = []
+    for r, k in ((FunctionRing(QQ, ("x", "y")), Fraction(-2, 3)),
+                 (FunctionRing(tq, ("x", "y")), tq.gen("t")), (elliptic_chart(), 2)):
+        x, y = r.var("x"), r.var("y")
+        out += [(r, e) for e in ((x + k) / (y - 1), k * x * y - 1, r.const(k), (y * y + x) / k)]
+    return out
+
+
+def test_power_equals_repeated_multiplication():
+    for r, e in _power_cases():
+        for n in range(-3, 6):
+            b = e if n >= 0 else e.inv()
+            want = r.one()
+            for _ in range(abs(n)):
+                want = want * b
+            assert e ** n == want, (r, e, n)
+
+
+def test_relation_free_power_computes_no_gcd(monkeypatch):
+    cases = [(r, e) for r, e in _power_cases() if r.relation is None]
+    calls = []
+    real = funcrings.mp_gcd
+    monkeypatch.setattr(funcrings, "mp_gcd", lambda f, g: calls.append(1) or real(f, g))
+    powers = [e ** n for _, e in cases for n in range(-3, 6)]
+    assert calls == []
+    assert len(powers) == 9 * len(cases)

@@ -94,6 +94,18 @@ def test_quadratic_with_a_square_discriminant_is_refused():
         assert make_tower([Algebraic("a", mp)]).num_levels == 1
 
 
+def test_cubic_with_a_rational_root_is_refused():
+    # roots outside the sampled candidates (n/d with |n| <= 8, d <= 4)
+    for c in (-1000, -729, Fraction(-1, 125)):
+        with pytest.raises(ReducibleMinpoly):
+            make_tower([Algebraic("a", [c, 0, 0, 1])])
+    with pytest.raises(ReducibleMinpoly):
+        # (a - 12)(a^2 + a/7 + 1)
+        make_tower([Algebraic("a", [-12, Fraction(-5, 7), Fraction(-83, 7), 1])])
+    for mp in ([-2, 0, 0, 1], [-1, -1, 0, 1], [Fraction(1, 3), 5, 0, 1], [-999, 0, 0, 1]):
+        assert make_tower([Algebraic("a", mp)]).num_levels == 1
+
+
 def test_constant_inverse_at_an_algebraic_level_skips_euclid(monkeypatch):
     tw = make_tower([Algebraic("r2", [-2, 0, 1]), Transcendental("t1")])
     r2, t1 = tw.gen("r2"), tw.gen("t1")
