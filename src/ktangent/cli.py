@@ -9,8 +9,10 @@ instance-file errors.
 """
 
 import argparse
+import functools
 import json
 import sys
+import time
 
 from .errors import KTangentError
 from .parser import load_instance
@@ -274,7 +276,7 @@ def render_json(report):
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
-def _print_human(report, out):
+def _print_human(report, out, seconds):
     for c in report["checks"]:
         line = f"[{c['status']}] {c['name']}"
         if c.get("count") is not None:
@@ -290,7 +292,7 @@ def _print_human(report, out):
             print(f"    witness: {w}", file=out)
     n = len(report["checks"])
     good = sum(1 for c in report["checks"] if c["status"] == "pass")
-    print(f"{good}/{n} checks passed", file=out)
+    print(f"{good}/{n} checks passed in {seconds:.3f} s", file=out)
 
 
 # -- entry point -------------------------------------------------------------
@@ -329,9 +331,15 @@ def build_arg_parser():
     return ap
 
 
+@functools.lru_cache(maxsize=1)
+def _arg_parser():
+    # parse_args leaves the parser unchanged, so one parser serves every call
+    return build_arg_parser()
+
+
 def main(argv=None):
-    ap = build_arg_parser()
-    args = ap.parse_args(argv)
+    start = time.perf_counter()
+    args = _arg_parser().parse_args(argv)
     body = _COMMANDS[args.command]
     command = args.command if args.command != "verify" else f"verify {args.what}"
     try:
@@ -349,7 +357,7 @@ def main(argv=None):
         with open(args.json, "w", encoding="utf-8") as fh:
             fh.write(payload)
     if not args.quiet and args.json != "-":
-        _print_human(report, sys.stdout)
+        _print_human(report, sys.stdout, time.perf_counter() - start)
     return 0 if all(c["status"] == "pass" for c in report["checks"]) else 1
 
 

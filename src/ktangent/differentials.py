@@ -18,8 +18,17 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import BaseIncompatible, Mismatch, NoDualBase, NotAnEnlargement, RingMismatch
+from .errors import (
+    BaseIncompatible,
+    DivisionByZero,
+    Mismatch,
+    NoDualBase,
+    NonUnitBody,
+    NotAnEnlargement,
+    RingMismatch,
+)
 from .funcrings import DualElem, RingElem, transport
+from .mpoly import MPoly
 from .scalars import Scalar
 
 
@@ -276,37 +285,75 @@ def _delim_parts(ring, base):
 
 
 def _d_mpoly(ring, base, P):
-    """d of a polynomial as {letter: RingElem}, including the chain rule
-    through the eliminated variable."""
+    """d of a polynomial as {letter: (num, den)}, plain polynomials with
+    nothing reduced; the chain rule through the eliminated variable folds
+    into the pair."""
     out = {}
+    one = MPoly.const(ring.tower, len(ring.varnames), 1)
     delim = _delim_parts(ring, base) if ring.relation is not None else None
     p_elim = P.deriv(ring.elim) if ring.elim is not None else None
     for letter in letters_of(ring, base):
         if letter[0] == "v":
-            c = RingElem(ring, P.deriv(letter[1]))
+            c = P.deriv(letter[1])
         elif letter[0] == "t":
-            c = RingElem(ring, P.coeff_deriv(letter[1]))
+            c = P.coeff_deriv(letter[1])
         else:
             continue
+        den = one
         if delim is not None and letter in delim and not p_elim.is_zero():
-            c = c + RingElem(ring, p_elim) * delim[letter]
+            e = delim[letter]
+            c, den = c * e.den + p_elim * e.num, e.den
+        if not c.is_zero():
+            out[letter] = (c, den)
+    return out
+
+
+def _quotient_terms(f, base):
+    """d(N/D) as {letter: (top, pd)} with d(f)[letter] = top / (pd * D^2):
+    top = N'D - ND' with the partial denominators of N' and D' multiplied
+    in, pd their product; nothing is reduced."""
+    ring, N, D = f.ring, f.num, f.den
+    dn = _d_mpoly(ring, base, N)
+    dd = _d_mpoly(ring, base, D)
+    out = {}
+    for letter in letters_of(ring, base):
+        a, b = dn.get(letter), dd.get(letter)
+        if b is None:
+            if a is not None:
+                out[letter] = (a[0] * D, a[1])
+        elif a is None:
+            out[letter] = (-(N * b[0]), b[1])
+        else:
+            (n1, d1), (n2, d2) = a, b
+            out[letter] = (n1 * D * d2 - N * n2 * d1, d1 * d2)
+    return out
+
+
+def _d_ringelem(f, base):
+    """Quotient rule; returns {letter: RingElem}, each canonicalised once."""
+    ring = f.ring
+    DD = f.den * f.den
+    out = {}
+    for letter, (top, pd) in _quotient_terms(f, base).items():
+        c = RingElem(ring, top, pd * DD)
         if not c.is_zero():
             out[letter] = c
     return out
 
 
-def _d_ringelem(f, base):
-    """Quotient rule; returns {letter: RingElem}."""
-    ring = f.ring
-    dn = _d_mpoly(ring, base, f.num)
-    dd = _d_mpoly(ring, base, f.den)
-    den = RingElem(ring, f.den)
-    num = RingElem(ring, f.num)
+def _dlog_ringelem(f, base):
+    """dlog of a unit N/D as {letter: RingElem}: (N'D - ND')/(DN), each
+    coefficient canonicalised once."""
+    ring, N, D = f.ring, f.num, f.den
+    if ring.relation is not None and N.degree_in(ring.elim) > 0:
+        # 1/N must be rationalized modulo the relation: once, through inv
+        g = f.inv()
+        scale, den = g.num, D * D * g.den
+    else:
+        scale, den = MPoly.const(ring.tower, len(ring.varnames), 1), D * N
     out = {}
-    for letter in set(dn) | set(dd):
-        a = dn.get(letter, ring.zero())
-        b = dd.get(letter, ring.zero())
-        c = (a * den - num * b) / (den * den)
+    for letter, (top, pd) in _quotient_terms(f, base).items():
+        c = RingElem(ring, top * scale, pd * den)
         if not c.is_zero():
             out[letter] = c
     return out
@@ -331,14 +378,18 @@ def d(obj, base=None):
         raise TypeError(f"cannot differentiate {obj!r}")
     if not base.is_dual():
         raise NoDualBase("dual element differentiated over a plain base")
-    da = _d_ringelem(obj.body, base)
-    db = _d_ringelem(obj.slope, base)
-    terms = {}
-    for letter in set(da) | set(db):
-        terms[(letter,)] = DualElem(ring, da.get(letter, ring.zero()),
-                                    db.get(letter, ring.zero()))
-    if base.eps == "free" and not obj.slope.is_zero():
-        terms[(("e",),)] = DualElem(ring, obj.slope)
+    return _dual_form(ring, base, _d_ringelem(obj.body, base),
+                      _d_ringelem(obj.slope, base), obj.slope)
+
+
+def _dual_form(ring, base, body, slope, deps):
+    """The 1-form sum of (body[l] + eps*slope[l]) dl, plus deps d(eps) when
+    eps is free."""
+    zero = ring.zero()
+    terms = {(letter,): DualElem(ring, body.get(letter, zero), slope.get(letter, zero))
+             for letter in body.keys() | slope.keys()}
+    if base.eps == "free" and not deps.is_zero():
+        terms[(("e",),)] = DualElem(ring, deps)
     return DiffForm(ring, base, 1, terms)
 
 
@@ -361,8 +412,27 @@ def _d_form(w):
 
 
 def dlog(f, base):
-    """d(f)/f for a unit f (ring or dual element)."""
-    return d(f, base) * f.inv()
+    """d(f)/f for a unit f (ring or dual element).
+
+    For a dual f = b + eps*s, dlog(f) = dlog(b) + eps*d(s/b); with eps free
+    the d(eps) letter carries s/b (eps*d(eps) = 0).
+    """
+    ring = f.ring
+    if isinstance(f, RingElem):
+        if f.is_zero():
+            raise DivisionByZero("inverse of zero")
+        if not base.is_dual():
+            return DiffForm(ring, base, 1,
+                            {(letter,): c for letter, c in _dlog_ringelem(f, base).items()})
+        f = DualElem(ring, f)
+    if not isinstance(f, DualElem):
+        raise TypeError(f"cannot take dlog of {f!r}")
+    if not base.is_dual():
+        raise NoDualBase("dual element differentiated over a plain base")
+    if f.body.is_zero():
+        raise NonUnitBody("dual number with zero body has no inverse")
+    q = f.slope if f.slope.is_zero() else f.slope / f.body
+    return _dual_form(ring, base, _dlog_ringelem(f.body, base), _d_ringelem(q, base), q)
 
 
 def contract_deps(w):

@@ -217,11 +217,25 @@ class RingElem:
     def __rsub__(self, other):
         return (-self) + other
 
+    def is_constant(self):
+        """True for a constant of K (stored as 1/(1/c), or 0)."""
+        return self.num.is_constant() and self.den.is_constant()
+
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RingElem(self.ring, self.num * o.num, self.den * o.den)
+        if o.is_constant():
+            a, c = self, o
+        elif self.is_constant():
+            a, c = o, self
+        else:
+            return RingElem(self.ring, self.num * o.num, self.den * o.den)
+        # scaling by a nonzero constant moves only the denominator: the pair
+        # stays coprime and num keeps its leading coefficient 1, so no gcd
+        if a.num.is_zero() or c.num.is_zero():
+            return c if c.num.is_zero() else a
+        return RingElem._canonical(self.ring, a.num, a.den * c.den)
 
     __rmul__ = __mul__
 
@@ -379,9 +393,14 @@ class DualElem:
         if not isinstance(n, int):
             return NotImplemented
         b = self if n >= 0 else self.inv()
+        n = abs(n)
         out = DualElem(self.ring, self.ring.one())
-        for _ in range(abs(n)):
-            out = out * b
+        while n:
+            if n & 1:
+                out = out * b
+            n >>= 1
+            if n:
+                b = b * b
         return out
 
     def specialize(self):

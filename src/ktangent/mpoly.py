@@ -81,6 +81,10 @@ class MPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if o._is_one():
+            return self
+        if self._is_one():
+            return o
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in o.terms.items():
@@ -131,6 +135,12 @@ class MPoly:
             return None
         e = max(self.terms, key=lambda t: (sum(t), t))
         return e, self.terms[e]
+
+    def _is_one(self):
+        if len(self.terms) != 1:
+            return False
+        (e, c), = self.terms.items()
+        return not any(e) and c == 1
 
     def is_constant(self):
         return all(sum(e) == 0 for e in self.terms)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 import subprocess
 import sys
 
@@ -255,7 +256,27 @@ def test_human_summary(capsys):
     code = main(["cech", "--instance", "p1"])
     assert code == 0
     out = capsys.readouterr().out
-    assert "[pass]" in out and "1/1 checks passed" in out
+    assert "[pass]" in out
+    assert re.fullmatch(r"1/1 checks passed in \d+\.\d{3} s", out.splitlines()[-1])
+    # the timing is console-only: the quiet and JSON paths print none of it
+    assert main(["cech", "--instance", "p1", "--quiet"]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(["cech", "--instance", "p1", "--json", "-"]) == 0
+    out = capsys.readouterr().out
+    assert "checks passed" not in out and json.loads(out)["runtime_ms"] == 0
+
+
+def test_successive_calls_parse_independently(tmp_path, capsys):
+    assert main(["cech", "--instance", "p1", "--quiet"]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(["cech", "--instance", "p1"]) == 0
+    assert "checks passed" in capsys.readouterr().out
+    _, rep = run_json(tmp_path, ["cech", "--instance", "p1", "--sheaf", "omega1"])
+    assert rep["config"]["sheaf"] == "omega1"
+    assert rep["checks"][0]["name"] == "cech Omega^1"
+    _, rep = run_json(tmp_path, ["cech", "--instance", "p1"])
+    assert "sheaf" not in rep["config"]
+    assert rep["checks"][0]["name"] == "cech Omega^0"
 
 
 def test_byte_identical_reports(tmp_path):

@@ -22,10 +22,17 @@ from ktangent.differentials import (
     specialize_eps,
     wedge,
 )
-from ktangent.errors import BaseIncompatible, Mismatch, NoDualBase, NotAnEnlargement
-from ktangent.funcrings import DualElem, FunctionRing, transport
+from ktangent.errors import (
+    BaseIncompatible,
+    DivisionByZero,
+    Mismatch,
+    NoDualBase,
+    NonUnitBody,
+    NotAnEnlargement,
+)
+from ktangent.funcrings import DualElem, FunctionRing, RingElem, transport
 from ktangent.mpoly import MPoly
-from ktangent.scalars import QQ, Transcendental, make_tower
+from ktangent.scalars import QQ, Algebraic, Transcendental, make_tower
 
 
 def ring_xy():
@@ -226,3 +233,126 @@ def test_letter_cache_is_bounded():
     for i in range(300):
         letters_of(FunctionRing(QQ, (f"x{i}",)), base_q())
     assert letters_of.cache_info().currsize <= 256
+
+
+# -- the fused quotient rule and dlog against a reference composition ---------
+
+def _ref_partials(ring, base, P):
+    """d of a polynomial letter by letter, through RingElem arithmetic, with
+    the chain rule through the eliminated variable by implicit
+    differentiation."""
+    rel, v = ring.relation, ring.elim
+    out = {}
+    for kind, *i in letters_of(ring, base):
+        if kind == "e":
+            continue
+        part = (lambda Q: Q.deriv(i[0])) if kind == "v" else (lambda Q: Q.coeff_deriv(i[0]))
+        c = RingElem(ring, part(P))
+        if rel is not None:
+            c = c - (RingElem(ring, P.deriv(v)) * RingElem(ring, part(rel))
+                     / RingElem(ring, rel.deriv(v)))
+        out[(kind, *i)] = c
+    return out
+
+
+def _ref_d_coeffs(f, base):
+    ring = f.ring
+    dn, dd = _ref_partials(ring, base, f.num), _ref_partials(ring, base, f.den)
+    num, den = RingElem(ring, f.num), RingElem(ring, f.den)
+    return {l: (dn[l] * den - num * dd[l]) / (den * den) for l in dn}
+
+
+def reference_d(f, base):
+    """d through the quotient rule in RingElem arithmetic, one letter at a time."""
+    ring = f.ring
+    if not base.is_dual():
+        terms = {(l,): c for l, c in _ref_d_coeffs(f, base).items()}
+        return DiffForm(ring, base, 1, terms)
+    if isinstance(f, RingElem):
+        f = DualElem(ring, f)
+    db, ds = _ref_d_coeffs(f.body, base), _ref_d_coeffs(f.slope, base)
+    terms = {(l,): DualElem(ring, db[l], ds[l]) for l in db}
+    if base.eps == "free":
+        terms[(("e",),)] = DualElem(ring, f.slope)
+    return DiffForm(ring, base, 1, terms)
+
+
+def reference_dlog(f, base):
+    return reference_d(f, base) * f.inv()
+
+
+def ring_sqrt2():
+    return FunctionRing(make_tower([Algebraic("r2", [-2, 0, 1])]), ("x", "y"))
+
+
+def _samples(r, rng, n):
+    """Random fractions over r, with tower generators among the constants."""
+    gens = list(r.gens().values())
+    gens += [r.const(r.tower.gen(nm)) for nm in r.tower.names]
+    out = []
+    while len(out) < n:
+        f = rng.choice(gens) * rng.choice(gens) + rng.choice(gens) * rng.randint(-2, 2)
+        g = rng.choice(gens) + rng.randint(1, 3)
+        if not g.is_zero() and not f.is_zero():
+            out.append(f / g)
+    return out
+
+
+@pytest.mark.parametrize("make", [ring_xy, ring_sqrt2, ring_qt, ring_elliptic])
+def test_fused_d_and_dlog_match_the_reference(make):
+    r = make()
+    rng = random.Random(808)
+    for base in (base_q(), base_top(r.tower)):
+        for f in _samples(r, rng, 6) + [r.var("x"), r.one() * 3]:
+            assert d(f, base) == reference_d(f, base)
+            assert dlog(f, base) == reference_dlog(f, base)
+
+
+@pytest.mark.parametrize("make", [ring_xy, ring_sqrt2, ring_qt, ring_elliptic])
+def test_fused_dual_d_and_dlog_match_the_reference(make):
+    r = make()
+    rng = random.Random(909)
+    fs = _samples(r, rng, 3)
+    for base in (absolute_on_dual(), absolute_on_dual(r.tower.num_levels),
+                 dual_relative(r.tower)):
+        for body, slope in zip(fs, fs[1:] + [r.zero()]):
+            u = DualElem(r, body, slope)
+            assert d(u, base) == reference_d(u, base)
+            assert dlog(u, base) == reference_dlog(u, base)
+        assert dlog(fs[0], base) == reference_dlog(fs[0], base)
+
+
+def test_dlog_of_a_zero_argument_raises():
+    r = ring_elliptic()
+    x = r.var("x")
+    with pytest.raises(DivisionByZero):
+        dlog(r.zero(), base_q())
+    with pytest.raises(DivisionByZero):
+        dlog(r.zero(), absolute_on_dual())
+    with pytest.raises(NonUnitBody):
+        dlog(DualElem(r, r.zero(), x), absolute_on_dual())
+    with pytest.raises(NonUnitBody):
+        dlog(DualElem(r, r.zero(), x), dual_relative(QQ))
+    with pytest.raises(NoDualBase):
+        dlog(DualElem(r, x, x), base_q())
+
+
+def test_dlog_canonicalises_each_coefficient_once(monkeypatch):
+    r = ring_qt()
+    x, y = r.var("x"), r.var("y")
+    t = r.const(r.tower.gen("t"))
+    f = (x * y + t) / (x - t * y + 1)
+    base = base_q()
+    want = reference_dlog(f, base)
+    calls = []
+    real = RingElem.__init__
+
+    def counted(self, *args):
+        calls.append(1)
+        real(self, *args)
+
+    monkeypatch.setattr(RingElem, "__init__", counted)
+    got = dlog(f, base)
+    monkeypatch.undo()
+    assert got == want
+    assert len(calls) <= len(letters_of(r, base))

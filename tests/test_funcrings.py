@@ -368,3 +368,51 @@ def test_relation_free_power_computes_no_gcd(monkeypatch):
     powers = [e ** n for _, e in cases for n in range(-3, 6)]
     assert calls == []
     assert len(powers) == 9 * len(cases)
+
+
+def test_dual_power_equals_repeated_multiplication():
+    for r, e in _power_cases():
+        x = r.var("x")
+        for u in (DualElem(r, e, x), DualElem(r, e)):
+            for n in range(-3, 6):
+                b = u if n >= 0 else u.inv()
+                want = DualElem(r, r.one())
+                for _ in range(abs(n)):
+                    want = want * b
+                assert u ** n == want, (r, u, n)
+
+
+# -- scaling by a constant --------------------------------------------------------
+
+
+def _scaling_cases():
+    tq = make_tower([Transcendental("t")])
+    t2 = make_tower([Algebraic("r2", [-2, 0, 1])])
+    out = []
+    for r, ks in ((FunctionRing(QQ, ("x", "y")), (Fraction(-2, 3), 5)),
+                  (FunctionRing(tq, ("x", "y")), (tq.gen("t") + 1, (tq.gen("t") - 2).inv())),
+                  (FunctionRing(t2, ("x", "y")), (t2.gen("r2") + 1,)),
+                  (elliptic_chart(), (Fraction(3, 4),))):
+        x, y = r.var("x"), r.var("y")
+        elems = [x, (x + ks[0]) / (y - 1), (y * y + x) / (x + 2), r.zero(), r.const(ks[-1])]
+        consts = [r.const(k) for k in ks] + [-r.const(ks[0]), r.one(), r.zero()]
+        out += [(r, a, c) for a in elems for c in consts]
+    return out
+
+
+def test_constant_scaling_equals_the_general_product():
+    for r, a, c in _scaling_cases():
+        want = RingElem(r, a.num * c.num, a.den * c.den)
+        assert a * c == want and c * a == want, (r, a, c)
+        assert a * 3 == RingElem(r, a.num * 3, a.den)
+        assert (-2) * a == RingElem(r, a.num * -2, a.den)
+
+
+def test_constant_scaling_computes_no_gcd(monkeypatch):
+    cases = _scaling_cases()
+    calls = []
+    real = funcrings.mp_gcd
+    monkeypatch.setattr(funcrings, "mp_gcd", lambda f, g: calls.append(1) or real(f, g))
+    products = [(a * c, c * a, a * 3, Fraction(1, 7) * a) for _, a, c in cases]
+    assert calls == []
+    assert len(products) == len(cases)

@@ -26,6 +26,16 @@ def test_arith_and_degrees():
     assert (f - f).is_zero()
 
 
+def test_multiplying_by_one_returns_the_other_factor():
+    tq = make_tower([Transcendental("t")])
+    for tw in (QQ, tq):
+        x, y = xy(tw)
+        f = (x + y) ** 2 - 3 * x
+        one = MPoly.const(tw, 2, 1)
+        assert f * one is f and one * f is f and f * 1 is f
+        assert f * 2 == 2 * x**2 + 4 * x * y + 2 * y**2 - 6 * x
+
+
 def test_reduce_mod_relation():
     x, y = xy()
     rel = y**2 - x**3 + x - 1  # monic degree 2 in y
