@@ -36,8 +36,9 @@ from .errors import (
     WindowOverflow,
 )
 from .funcrings import FunctionRing, RingElem, eval_fraction, transport
-from .linalg import RowSpan, kernel_basis
+from .linalg import RowSpan, accumulate, kernel_basis
 from .mpoly import MPoly, mp_gcd, reduce_mod
+from .scalars import Scalar
 
 
 class TruncationPolicy:
@@ -336,28 +337,31 @@ class CechEngine:
             if twist or any(r != 0 for r in self.rows.values()):
                 raise Unsupported("the curve cover exposes only sections of "
                                   "regular functions (0-forms)")
-        self._labels = {}
-        self._pos = {}
         self._total = {}
-        self._offs = {}
+        for j, r in self.rows.items():
+            for q in range(cover.qmax + 1):
+                self._total.setdefault(q + j, []).extend(
+                    (q, j, S, lab) for S in cover.subsets(q + 1)
+                    for lab in self._subset_labels(S, r))
+        self._index = {}
         self._spans = {}
         self._reps = {}
         self._pf_memo = {}
-        for j, r in self.rows.items():
-            for q in range(cover.qmax + 1):
-                labs = []
-                for S in cover.subsets(q + 1):
-                    for lab in self._subset_labels(S, r):
-                        labs.append((S, lab))
-                self._labels[(q, j)] = labs
-                self._pos[(q, j)] = {sl: i for i, sl in enumerate(labs)}
 
-    # -- scalars
+    # -- coefficients
 
-    def _sc(self, v):
-        if self._plain:
-            return Fraction(v)
-        return self.cover.tower.from_fraction(Fraction(v))
+    def coeff(self, v):
+        """``v`` in this engine's coefficient type, the one place that decides it.
+
+        Over Q that is a Fraction, so Q engines do no Scalar arithmetic; over a
+        tower it is a Scalar.  Accepts ints, Fractions and Scalars of any
+        prefix tower of the cover's.
+        """
+        tower = self.cover.tower
+        if isinstance(v, Scalar):
+            v = tower.embed(v)
+            return v.val if self._plain else v
+        return Fraction(v) if self._plain else tower.from_fraction(Fraction(v))
 
     # -- label enumeration
     #
@@ -424,16 +428,16 @@ class CechEngine:
 
     # -- restriction of one basis element along S -> T (one new chart)
 
-    def _restrict(self, S, T, lab, r):
+    def _restrict(self, S, T, lab):
         if self.cover.kind == "curve":
             return self._curve_restrict(S, lab)
         m, m2 = min(S), min(T)
         if m2 == m:
-            return {lab: self._sc(1)}
+            return {lab: self.coeff(1)}
         a, J, Tset = lab
         out = {}
         self._pn_expand(a, J, m, m2, 0, tuple(), 1, out)
-        return {(av, jv, Tset): self._sc(c) for (av, jv), c in out.items()}
+        return {(av, jv, Tset): self.coeff(c) for (av, jv), c in out.items()}
 
     def _pn_expand(self, a, J, m, m2, k, seq, sgn, out):
         # rewrite dy_J (chart-m coordinates) in chart-m2 coordinates,
@@ -471,7 +475,7 @@ class CechEngine:
         return tuple(v)
 
     def _curve_restrict(self, S, lab):
-        one = self._sc(1)
+        one = self.coeff(1)
         if S == (0,):
             i, dl, _ = lab
             return {(i, dl, 0): one}
@@ -494,11 +498,9 @@ class CechEngine:
         if hit is not None:
             return hit
         if e == 0 or i <= 2:
-            res = {(i, e): self._sc(1)}
+            res = {(i, e): self.coeff(1)}
         else:
-            g0, g1, g2 = self.cover.gcoeffs
-            if self._plain:
-                g0, g1, g2 = g0.val, g1.val, g2.val
+            g0, g1, g2 = map(self.coeff, self.cover.gcoeffs)
             res = {}
             # x^i g^-e = x^(i-3) g^-(e-1) - g2 x^(i-1) g^-e - g1 x^(i-2) g^-e
             #            - g0 x^(i-3) g^-e
@@ -507,10 +509,7 @@ class CechEngine:
                             (self._pf(i - 2, e), -g1),
                             (self._pf(i - 3, e), -g0)):
                 for k2, v in part.items():
-                    add = v if c is None else c * v
-                    cur = res.get(k2)
-                    res[k2] = add if cur is None else cur + add
-            res = {k2: v for k2, v in res.items() if v}
+                    accumulate(res, k2, v if c is None else c * v)
         self._pf_memo[key] = res
         return res
 
@@ -531,79 +530,71 @@ class CechEngine:
             sign = (-1) ** sum(1 for jj in J if jj < j)
             a2 = self._shift(a, {j: -1, m: 1})
             J2 = tuple(sorted(J + (j,)))
-            out[(a2, J2, Tset)] = self._sc(sign * a[j])
+            out[(a2, J2, Tset)] = self.coeff(sign * a[j])
         return out
 
     # -- total-degree bases and differential columns
 
     def total_basis(self, k):
-        hit = self._total.get(k)
-        if hit is None:
-            hit = []
-            for j in self.rows:
-                q = k - j
-                if 0 <= q <= self.cover.qmax:
-                    hit.extend((q, j, S, lab) for S, lab in self._labels[(q, j)])
-            self._total[k] = hit
-        return hit
+        """The labels (q, j, S, lab) of total degree k, in column order."""
+        return self._total.get(k, [])
 
-    def _offsets(self, k):
-        offs = self._offs.get(k)
-        if offs is None:
-            offs = self._offs[k] = {}
-            at = 0
-            for j in self.rows:
-                q = k - j
-                if 0 <= q <= self.cover.qmax:
-                    offs[(q, j)] = at
-                    at += len(self._labels[(q, j)])
-        return offs
+    def index(self, k):
+        """Position of each label in ``total_basis(k)``."""
+        hit = self._index.get(k)
+        if hit is None:
+            hit = self._index[k] = {b: i for i, b in enumerate(self.total_basis(k))}
+        return hit
 
     def column(self, k, q, j, S, lab):
         """The total differential of one basis element, as a sparse vector."""
-        offs = self._offsets(k + 1)
+        index = self.index(k + 1)
         col = {}
-        r = self.rows[j]
-        if q + 1 <= self.cover.qmax:
-            base_off = offs[(q + 1, j)]
-            pos = self._pos[(q + 1, j)]
-            for knew in range(len(self.cover.charts)):
-                if knew in S:
-                    continue
-                T = tuple(sorted(S + (knew,)))
-                sgn = (-1) ** T.index(knew)
-                for lab2, c in self._restrict(S, T, lab, r).items():
-                    idx = pos.get((T, lab2))
-                    if idx is None:
-                        raise WindowOverflow(
-                            f"restriction image {lab2} missed the window of {T}")
-                    _acc(col, base_off + idx, c if sgn > 0 else -c)
-        if j + 1 in self.rows and (q, j + 1) in offs:
-            base_off = offs[(q, j + 1)]
-            pos = self._pos[(q, j + 1)]
+        for knew in range(len(self.cover.charts)):
+            if knew in S:
+                continue
+            T = tuple(sorted(S + (knew,)))
+            sgn = (-1) ** T.index(knew)
+            for lab2, c in self._restrict(S, T, lab).items():
+                idx = index.get((q + 1, j, T, lab2))
+                if idx is None:
+                    raise WindowOverflow(
+                        f"restriction image {lab2} missed the window of {T}")
+                accumulate(col, idx, c if sgn > 0 else -c)
+        if j + 1 in self.rows:
             dsgn = (-1) ** q
             for lab2, c in self._d_label(S, lab).items():
-                idx = pos.get((S, lab2))
+                idx = index.get((q, j + 1, S, lab2))
                 if idx is None:
                     raise WindowOverflow(
                         f"derivative image {lab2} missed the window of {S}")
-                _acc(col, base_off + idx, c if dsgn > 0 else -c)
+                accumulate(col, idx, c if dsgn > 0 else -c)
         return col
 
     def columns(self, k):
-        return [self.column(k, q, j, S, lab) for q, j, S, lab in self.total_basis(k)]
+        return [self.column(k, *b) for b in self.total_basis(k)]
+
+    def apply(self, k, vec):
+        """d_k of a sparse cochain of total degree k."""
+        basis = self.total_basis(k)
+        out = {}
+        for idx, c in vec.items():
+            for tgt, cf in self.column(k, *basis[idx]).items():
+                accumulate(out, tgt, c * cf)
+        return out
 
     def _span(self, k):
-        """Untracked echelon form of d_k's columns, eliminated once per degree."""
+        """Echelon form of d_k's columns, eliminated once per degree.
+
+        ``express_span(k)`` keeps the tracked span of its kernel computation
+        here; a degree it has not reached is eliminated untracked.
+        """
         span = self._spans.get(k)
         if span is None:
             span = self._spans[k] = RowSpan()
             for col in self.columns(k):
                 span.add(col)
         return span
-
-    def rank(self, k):
-        return self._span(k).rank
 
     def degree_range(self):
         js = list(self.rows)
@@ -613,7 +604,7 @@ class CechEngine:
         nk = len(self.total_basis(k))
         if nk == 0:
             return 0
-        return nk - self.rank(k) - self.rank(k - 1)
+        return nk - self._span(k).rank - self._span(k - 1).rank
 
     def representatives(self, k):
         """A basis of cocycles at total degree k, independent mod coboundaries."""
@@ -625,16 +616,20 @@ class CechEngine:
         The coboundary rows are those of ``_span(k - 1)`` and carry no tag,
         so solve() against the span writes a cocycle as (image part) +
         (combination of representatives) and returns only the ("rep", i)
-        coordinates, which are the class coordinates.
+        coordinates, which are the class coordinates.  Called in ascending
+        degree before any rank, the one elimination of d_k's columns that
+        finds the kernel also becomes ``_span(k)``.
         """
         hit = self._reps.get(k)
         if hit is None:
             span = RowSpan(track=True)
             span.rows.update(self._span(k - 1).rows)
             reps = []
-            for vec in kernel_basis(self.columns(k), self._sc(1)):
+            echelon = RowSpan(track=True)
+            for vec in kernel_basis(self.columns(k), self.coeff(1), echelon):
                 if span.add(vec, ("rep", len(reps))) is not None:
                     reps.append(vec)
+            self._spans.setdefault(k, echelon)
             hit = self._reps[k] = (span, reps)
         return hit
 
@@ -685,18 +680,6 @@ class CechEngine:
         return " + ".join(bits) if bits else "0"
 
 
-def _acc(dct, key, val):
-    cur = dct.get(key)
-    if cur is None:
-        dct[key] = val
-    else:
-        s = cur + val
-        if s:
-            dct[key] = s
-        else:
-            del dct[key]
-
-
 # ---------------------------------------------------------------------------
 # reports
 
@@ -734,18 +717,16 @@ class CohomologyReport:
 def _run(cover, rows, base, twist, policy, require_stable, with_reps, kind):
     lo = CechEngine(cover, rows, base, twist, policy.D)
     hi = CechEngine(cover, rows, base, twist, policy.D + policy.delta)
+    # in ascending degree, so each of lo's degrees is eliminated once
+    found = {k: lo.representatives(k) for k in lo.degree_range()} if with_reps else {}
     dims = {k: lo.dim_at(k) for k in lo.degree_range()}
     dims_again = {k: hi.dim_at(k) for k in hi.degree_range()}
-    reps, rendered = {}, {}
-    if with_reps:
-        for k, dk in dims.items():
-            if dk > 0:
-                vecs = lo.representatives(k)
-                if len(vecs) != dk:
-                    raise Mismatch(f"rank bookkeeping disagrees at degree {k}: "
-                                   f"{len(vecs)} representatives for dimension {dk}")
-                reps[k] = vecs
-                rendered[k] = [lo.render_vector(k, v) for v in vecs]
+    for k, vecs in found.items():
+        if len(vecs) != dims[k]:
+            raise Mismatch(f"rank bookkeeping disagrees at degree {k}: "
+                           f"{len(vecs)} representatives for dimension {dims[k]}")
+    reps = {k: vecs for k, vecs in found.items() if vecs}
+    rendered = {k: [lo.render_vector(k, v) for v in vecs] for k, vecs in reps.items()}
     report = CohomologyReport(kind, dims, dims_again, policy, reps, rendered, lo)
     if require_stable and not report.stabilized:
         raise NotStabilized(f"dimensions moved: {dims} at D={policy.D} vs "

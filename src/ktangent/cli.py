@@ -19,8 +19,7 @@ from .parser import load_instance
 from .cech import (Sheaf, TruncationPolicy, sheaf_cohomology,
                    hypercohomology, verify_splitting)
 from .complexes import tangent_deligne
-from .cycletangent import (formal_tangent_chow, delta_r,
-                           composed_infinitesimal, lambda_factorization_check)
+from .cycletangent import formal_tangent_chow, delta_r, composed_infinitesimal
 from . import suites
 from .errors import Unsupported
 

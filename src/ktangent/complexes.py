@@ -106,7 +106,7 @@ def unique_preimage(pair, p):
     return b * sign
 
 
-def sample_forms(ring, base, q, letters_pool=None):
+def sample_forms(ring, base, q):
     """The fixed test family: coefficients {1, x, y, 1/x, x*y} on each
     q-subset of letters."""
     from .differentials import letters_of

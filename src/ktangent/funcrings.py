@@ -24,7 +24,7 @@ from .errors import (
 )
 from .linalg import RowSpan
 from .mpoly import MPoly, div_exact, mp_gcd, reduce_mod
-from .scalars import Scalar
+from .scalars import Scalar, power
 
 _PROBE = [Fraction(v) for v in (0, 1, -1, 2, -2, 3)] + [Fraction(1, 2), Fraction(-1, 2)]
 
@@ -267,20 +267,13 @@ class RingElem:
     def __pow__(self, n):
         if not isinstance(n, int):
             return NotImplemented
+        if self.ring.relation is not None:
+            return power(self, n, self.ring.one())
         b = self if n >= 0 else self.inv()
         n = abs(n)
-        if self.ring.relation is None:
-            # powers of a coprime pair stay coprime, and the graded-lex
-            # leading coefficient of num^n is 1^n
-            return RingElem._canonical(self.ring, b.num ** n, b.den ** n)
-        out = self.ring.one()
-        while n:
-            if n & 1:
-                out = out * b
-            n >>= 1
-            if n:
-                b = b * b
-        return out
+        # powers of a coprime pair stay coprime, and the graded-lex
+        # leading coefficient of num^n is 1^n
+        return RingElem._canonical(self.ring, b.num ** n, b.den ** n)
 
     def is_zero(self):
         return self.num.is_zero()
@@ -392,16 +385,7 @@ class DualElem:
     def __pow__(self, n):
         if not isinstance(n, int):
             return NotImplemented
-        b = self if n >= 0 else self.inv()
-        n = abs(n)
-        out = DualElem(self.ring, self.ring.one())
-        while n:
-            if n & 1:
-                out = out * b
-            n >>= 1
-            if n:
-                b = b * b
-        return out
+        return power(self, n, DualElem(self.ring, self.ring.one()))
 
     def specialize(self):
         """Set eps to 0."""

@@ -10,6 +10,16 @@ what cohomology representatives and induced-map matrices are read from.
 from __future__ import annotations
 
 
+def accumulate(vec, key, val):
+    """vec[key] += val in place, keeping vec free of zero entries."""
+    cur = vec.get(key)
+    s = val if cur is None else cur + val
+    if s:
+        vec[key] = s
+    else:
+        vec.pop(key, None)
+
+
 def vec_sub_scaled(v, c, w):
     """v - c*w, in place on a copy of v."""
     out = dict(v)
@@ -55,12 +65,7 @@ class RowSpan:
             v.pop(p, None)
             if self.track:
                 for t, a in self.combos.get(p, {}).items():
-                    prev = expansion.get(t)
-                    val = (prev + c * a) if prev is not None else c * a
-                    if val:
-                        expansion[t] = val
-                    else:
-                        expansion.pop(t, None)
+                    accumulate(expansion, t, c * a)
         return v, expansion
 
     def add(self, vec, tag=None):
@@ -97,13 +102,16 @@ def rank_of(vectors):
     return span.rank
 
 
-def kernel_basis(cols, one=1):
+def kernel_basis(cols, one=1, span=None):
     """Kernel of the map e_j -> cols[j]; vectors are dicts over column index.
 
     ``one`` is the multiplicative unit of the coefficient type, so that the
-    free coordinate of each kernel vector matches the rest exactly.
+    free coordinate of each kernel vector matches the rest exactly.  The
+    columns are eliminated into ``span`` (an empty tracked RowSpan, made
+    here when not given), which afterwards holds their echelon form.
     """
-    span = RowSpan(track=True)
+    if span is None:
+        span = RowSpan(track=True)
     out = []
     for j, col in enumerate(cols):
         res, expansion = span.reduce(col)
@@ -111,6 +119,6 @@ def kernel_basis(cols, one=1):
             span._insert(res, expansion, j)
             continue
         ker = {t: -a for t, a in expansion.items()}
-        ker[j] = one if j not in ker else ker[j] + one
-        out.append({k: v for k, v in ker.items() if v})
+        ker[j] = one
+        out.append(ker)
     return out

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DivisionByZero, TowerMismatch
-from .scalars import Scalar, Tower
+from .scalars import Scalar, Tower, power
 
 
 class MPoly:
@@ -99,15 +99,7 @@ class MPoly:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             return NotImplemented
-        out = MPoly.const(self.tower, self.nvars, 1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
+        return power(self, n, MPoly.const(self.tower, self.nvars, 1))
 
     def __eq__(self, other):
         o = self._coerce(other)

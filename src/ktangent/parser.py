@@ -449,6 +449,7 @@ from .cech import (TruncationPolicy, cover_pn, cover_plane_curve,
                    weierstrass_cubic)
 
 _COVER_KINDS = ("projective-line", "projective-plane", "plane-curve")
+_SECTIONS = ("tower", "cover", "ring", "policy", "checks")
 
 
 class SuiteConfig:
@@ -514,7 +515,7 @@ def _read_sections(text):
             if not line.endswith("]"):
                 raise InstanceSyntaxError("unterminated section header", ln, 1)
             current = line[1:-1].strip()
-            if current not in ("tower", "cover", "ring", "policy", "checks"):
+            if current not in _SECTIONS:
                 raise InstanceSyntaxError(f"unknown section [{current}]", ln, 1)
             sections.setdefault(current, [])
             continue
@@ -554,6 +555,51 @@ def _spec_from_text(text):
     return spec
 
 
+def _spec_from_json(obj):
+    """Check a JSON instance's shape once, reading its rationals as Fractions.
+
+    The result is what ``_build_config`` reads; a malformed object raises
+    InstanceSyntaxError, as a malformed text instance does.
+    """
+    def bad(msg):
+        return InstanceSyntaxError(f"JSON instance: {msg}", 1, 1)
+
+    def rats(v, what):
+        if isinstance(v, list) and all(isinstance(c, (int, float, str))
+                                       and not isinstance(c, bool) for c in v):
+            try:
+                return [Fraction(c) for c in v]
+            except (ValueError, ZeroDivisionError, OverflowError):
+                pass
+        raise bad(f"{what} must be a list of rationals, got {v!r}")
+
+    for key, val in obj.items():
+        if key not in _SECTIONS:
+            raise bad(f"unknown key {key!r}")
+        if not isinstance(val, list if key == "tower" else dict):
+            raise bad(f"{key} must be {'a list' if key == 'tower' else 'an object'}")
+    spec = {key: dict(obj.get(key, {})) for key in _SECTIONS[1:]}
+    spec["tower"] = []
+    for step in obj.get("tower", []):
+        if (not isinstance(step, dict) or not isinstance(step.get("name"), str)
+                or set(step) - {"name", "kind", "minpoly"}):
+            raise bad(f"a tower step is {{name, kind, minpoly}} with a string name, "
+                      f"got {step!r}")
+        if "minpoly" in step:
+            step = {**step, "minpoly": rats(step["minpoly"], "minpoly")}
+        spec["tower"].append(step)
+    w = spec["cover"].get("weierstrass")
+    if w is not None and not isinstance(w, str):
+        spec["cover"]["weierstrass"] = rats(w, "weierstrass")
+    names = spec["ring"].get("vars", "")
+    if not (names is None or isinstance(names, str) or isinstance(names, list)
+            and all(isinstance(v, str) for v in names)):
+        raise bad(f"ring vars must be a list of names, got {names!r}")
+    if not isinstance(spec["checks"].get("sheaf", ""), str):
+        raise bad(f"checks sheaf must be a string, got {spec['checks']['sheaf']!r}")
+    return spec
+
+
 def _take(table, key, default=None):
     v = table.pop(key, None)
     if v is None:
@@ -577,8 +623,7 @@ def _build_config(spec):
         if kind == "transcendental":
             steps.append(Transcendental(nm))
         elif kind == "algebraic":
-            coeffs = [Fraction(c) for c in entry.get("minpoly", ())]
-            steps.append(Algebraic(nm, coeffs))
+            steps.append(Algebraic(nm, entry.get("minpoly", ())))
         else:
             raise Unsupported(f"unknown tower step kind {kind!r}")
     tower = make_tower(steps)
@@ -600,7 +645,7 @@ def _build_config(spec):
             if isinstance(wtext, str):
                 abc = [_rat(w, wln) for w in wtext.split(",")]
             else:
-                abc = [Fraction(w) for w in wtext]
+                abc = wtext
             if len(abc) != 3:
                 raise InstanceSyntaxError("weierstrass takes exactly three values",
                                           wln, 1)
@@ -651,5 +696,5 @@ def load_instance(text):
             obj = _json.loads(text)
         except ValueError as exc:
             raise InstanceSyntaxError(f"bad JSON instance: {exc}", 1, 1)
-        return _build_config(obj)
+        return _build_config(_spec_from_json(obj))
     return _build_config(_spec_from_text(text))

@@ -636,6 +636,24 @@ def _check_name(name, names):
         raise DuplicateName(f"generator {name!r} declared twice")
 
 
+def power(x, n, one):
+    """x**n for an int n by square-and-multiply (x.inv() first when n < 0).
+
+    Each step multiplies as ``out * base`` with ``out`` starting at ``one``,
+    so the accumulated power is always the left operand.
+    """
+    if n < 0:
+        x, n = x.inv(), -n
+    out = one
+    while n:
+        if n & 1:
+            out = out * x
+        n >>= 1
+        if n:
+            x = x * x
+    return out
+
+
 class Scalar:
     """An element of a tower field, in canonical form."""
 
@@ -707,16 +725,7 @@ class Scalar:
     def __pow__(self, n):
         if not isinstance(n, int):
             return NotImplemented
-        base = self.inv() if n < 0 else self
-        n = abs(n)
-        out = self.tower.one()
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
+        return power(self, n, self.tower.one())
 
     def inv(self):
         tw = self.tower

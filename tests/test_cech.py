@@ -1,6 +1,7 @@
 """Open covers, truncated cochain complexes, and cohomology reports."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -36,6 +37,7 @@ from ktangent.scalars import QQ, Algebraic, Transcendental, make_tower
 
 POL = TruncationPolicy(2, 2)
 ABS0 = BaseTag(0, "none")
+R2 = make_tower([Algebraic("r2", [-2, 0, 1])])
 
 
 def elliptic(tower=QQ):
@@ -319,6 +321,95 @@ def test_curve_total_differential_squares_to_zero():
     assert _square_is_zero(CechEngine(cover, {1: 0}, ABS0, 0, 2))
 
 
+def _seeded_cubic(seed=20261018):
+    # a smooth y^2 = x^3 + b x + c with c != 0, drawn from a fixed seed
+    rng = random.Random(seed)
+    while True:
+        b, c = rng.randint(-5, 5), rng.randint(-5, 5)
+        if c and 4 * b ** 3 + 27 * c ** 2:
+            return cover_plane_curve(weierstrass_cubic(QQ, 0, b, c), QQ)
+
+
+def _deligne_rows(p, cover):
+    cx = tangent_deligne(p, cover.model((0,)).ring)
+    return CechEngine(cover, {i: cx.terms[i][0] for i in cx.degrees()}, cx.base, 0, 2)
+
+
+_ENGINES = [
+    pytest.param(lambda: CechEngine(cover_pn(1, QQ), {0: 1}, base_top(QQ), 0, 2),
+                 id="line-omega1"),
+    pytest.param(lambda: CechEngine(cover_pn(1, R2), {0: 0}, base_top(R2), -3, 4),
+                 id="line-sqrt2-O(-3)"),
+    pytest.param(lambda: CechEngine(cover_pn(2, QQ), {0: 1}, base_top(QQ), 0, 2),
+                 id="plane-omega1"),
+    pytest.param(lambda: CechEngine(_seeded_cubic(), {0: 0}, ABS0, 0, 2), id="cubic"),
+    pytest.param(lambda: _deligne_rows(2, cover_pn(2, QQ)), id="plane-hyper-p2"),
+]
+
+
+@pytest.mark.parametrize("build", _ENGINES)
+def test_index_inverts_the_total_basis(build):
+    eng = build()
+    ks = list(eng.degree_range())
+    for k in range(ks[0] - 1, ks[-1] + 2):
+        basis = eng.total_basis(k)
+        assert eng.index(k) == {b: i for i, b in enumerate(basis)}
+        assert len(eng.index(k)) == len(basis)
+    assert any(eng.total_basis(k) for k in ks)
+
+
+@pytest.mark.parametrize("build", _ENGINES)
+def test_apply_is_the_differential_and_squares_to_zero(build):
+    eng = build()
+    one = eng.coeff(1)
+    nonzero = 0
+    for k in eng.degree_range():
+        for i, b in enumerate(eng.total_basis(k)):
+            col = eng.column(k, *b)
+            assert eng.apply(k, {i: one}) == col
+            assert eng.apply(k + 1, col) == {}
+            nonzero += bool(col)
+    assert nonzero
+
+
+def test_coeff_is_the_engine_scalar_type():
+    q = CechEngine(cover_pn(1, QQ), {0: 0}, base_top(QQ), 0, 2)
+    for v in (3, Fraction(-2, 3), QQ.from_fraction(Fraction(5, 7))):
+        c = q.coeff(v)
+        assert type(c) is Fraction
+        assert c == (v.val if isinstance(v, scalars.Scalar) else v)
+    with pytest.raises(TowerMismatch):
+        q.coeff(R2.gen("r2"))
+    big = complex_model(R2)
+    assert big.names == ("r2", "t1", "t2")
+    eng = CechEngine(cover_pn(1, big), {0: 0}, base_top(big), 0, 2)
+    for v, want in ((R2.gen("r2"), big.gen("r2")), (-4, big.from_fraction(-4)),
+                    (Fraction(1, 2), big.from_fraction(Fraction(1, 2))),
+                    (big.gen("t1"), big.gen("t1"))):
+        c = eng.coeff(v)
+        assert isinstance(c, scalars.Scalar) and c.tower is big
+        assert c == want
+    with pytest.raises(TowerMismatch):
+        eng.coeff(make_tower([Transcendental("s")]).gen("s"))
+
+
+@pytest.mark.parametrize("run", [
+    pytest.param(lambda: sheaf_cohomology(cover_pn(2, QQ), Sheaf.forms(1), POL),
+                 id="plane-omega1"),
+    pytest.param(lambda: sheaf_cohomology(cover_pn(1, R2), Sheaf.twisted(-3), POL),
+                 id="line-sqrt2-O(-3)"),
+    pytest.param(lambda: sheaf_cohomology(_seeded_cubic(), Sheaf.forms(0), POL), id="cubic"),
+    pytest.param(lambda: hypercohomology(cover_pn(2, QQ),
+                                         tangent_deligne(2, cover_pn(2, QQ).charts[0]), POL),
+                 id="plane-hyper-p2"),
+])
+def test_representatives_exist_exactly_where_the_dimension_is_positive(run):
+    rep = run()
+    for k, dim in rep.dims.items():
+        assert len(rep.engine.representatives(k)) == dim
+        assert (k in rep.reps) == (dim > 0)
+
+
 def test_one_term_complex_matches_shifted_sheaf():
     c = cover_pn(2, QQ)
     cx = tangent_deligne(1, c.model((0,)).ring)
@@ -442,12 +533,12 @@ def test_solve_reads_class_coordinates_modulo_coboundaries(tower):
     assert len(reps) == 3
     cob = {}
     for i, col in enumerate(eng.columns(0)):
-        cob = vec_sub_scaled(cob, eng._sc(-(i + 1)), col)
+        cob = vec_sub_scaled(cob, eng.coeff(-(i + 1)), col)
     assert cob
     for i, r in enumerate(reps):
-        assert span.solve(vec_sub_scaled(cob, eng._sc(-1), r)) == {("rep", i): eng._sc(1)}
-    mix = vec_sub_scaled(vec_sub_scaled(cob, eng._sc(-2), reps[0]), eng._sc(1), reps[2])
-    assert span.solve(mix) == {("rep", 0): eng._sc(2), ("rep", 2): eng._sc(-1)}
+        assert span.solve(vec_sub_scaled(cob, eng.coeff(-1), r)) == {("rep", i): eng.coeff(1)}
+    mix = vec_sub_scaled(vec_sub_scaled(cob, eng.coeff(-2), reps[0]), eng.coeff(1), reps[2])
+    assert span.solve(mix) == {("rep", 0): eng.coeff(2), ("rep", 2): eng.coeff(-1)}
 
 
 def test_t_constant_values_skip_rational_function_reduction(monkeypatch):

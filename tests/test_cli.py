@@ -183,6 +183,40 @@ def test_bad_window_or_weight_is_usage_error(tmp_path, capsys, argv, instance):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+_LINE = {"kind": "projective-line"}
+_CURVE = {"kind": "plane-curve"}
+
+
+def _algebraic(minpoly):
+    return {"tower": [{"name": "r", "kind": "algebraic", "minpoly": minpoly}]}
+
+
+@pytest.mark.parametrize("obj", [
+    pytest.param({"policy": None}, id="policy-null"),
+    pytest.param({"cover": None}, id="cover-null"),
+    pytest.param({"policy": [1]}, id="policy-list"),
+    pytest.param({"tower": "abc"}, id="tower-string"),
+    pytest.param({"tower": ["t"]}, id="tower-step-string"),
+    pytest.param({"tower": [{"name": 5, "kind": "transcendental"}]}, id="tower-name-int"),
+    pytest.param(_algebraic(5), id="minpoly-int"),
+    pytest.param(_algebraic(["x", 0, 1]), id="minpoly-word"),
+    pytest.param(_algebraic(["1/0", 0, 1]), id="minpoly-zero-denominator"),
+    pytest.param({"cover": {**_CURVE, "weierstrass": 5}}, id="weierstrass-int"),
+    pytest.param({"cover": {**_CURVE, "weierstrass": [1, "x", 2]}}, id="weierstrass-word"),
+    pytest.param({"cover": {**_CURVE, "weierstrass": [0, -1, "1/0"]}},
+                 id="weierstrass-zero-denominator"),
+    pytest.param({"ring": {"vars": 5}}, id="ring-vars-int"),
+    pytest.param({"cover": _LINE, "foo": 1}, id="unknown-key"),
+    pytest.param({"cover": _LINE, "checks": {"sheaf": 5}}, id="sheaf-int"),
+])
+def test_malformed_json_instance_is_usage_error(tmp_path, capsys, obj):
+    inst = tmp_path / "bad.json"
+    inst.write_text(json.dumps(obj))
+    assert main(["cech", "--instance", str(inst), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_forms_above_the_dimension_are_zero(tmp_path):
     code, rep = run_json(tmp_path, ["cech", "--instance", "p1", "--sheaf", "omega3"])
     assert code == 0

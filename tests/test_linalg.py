@@ -70,3 +70,21 @@ def test_random_consistency():
                 for i, a in cols[j].items():
                     out[i] = out.get(i, Fraction(0)) + c * a
             assert all(v == 0 for v in out.values())
+
+
+def test_kernel_basis_leaves_the_echelon_form_in_the_given_span():
+    rng = random.Random(23)
+    for _ in range(10):
+        cols = [{i: Fraction(rng.randint(-2, 2)) for i in range(4)} for _ in range(6)]
+        cols = [{k: v for k, v in c.items() if v} for c in cols]
+        span = RowSpan(track=True)
+        ker = kernel_basis(cols, Fraction(1), span)
+        assert span.rank == rank_of(cols) == len(cols) - len(ker)
+        assert span.rows == _untracked_rows(cols)
+
+
+def _untracked_rows(cols):
+    span = RowSpan()
+    for c in cols:
+        span.add(c)
+    return span.rows

@@ -337,6 +337,16 @@ def test_instance_json_mirror():
     assert cfg.checks["sheaf"] == "omega1"
 
 
+def test_instance_json_rationals_may_be_numbers_or_strings():
+    obj = {"tower": [{"name": "r", "kind": "algebraic", "minpoly": ["-3/4", 0, 1.0]}],
+           "cover": {"kind": "plane-curve", "weierstrass": [0, "-1", 1]},
+           "ring": {"vars": ["x", "y"]}}
+    cfg = load_instance(json.dumps(obj))
+    assert cfg.tower.names == ("r",)
+    assert cfg.checks["_coverdesc"] == "plane-curve 0,-1,1"
+    assert cfg.ring.varnames == ("x", "y")
+
+
 def test_instance_defaults():
     cfg = load_instance("[cover]\nkind = projective-line\n")
     assert cfg.policy.D == 2 and cfg.policy.delta == 2
