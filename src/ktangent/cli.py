@@ -82,7 +82,6 @@ def _load(args):
         D = args.D if args.D is not None else cfg.policy.D
         delta = args.delta if args.delta is not None else cfg.policy.delta
         cfg.policy = TruncationPolicy(D, delta)
-    cfg.checks["instance"] = name
     return cfg
 
 
@@ -148,7 +147,8 @@ def _covered(args, command):
 
 def _cmd_cech(args):
     cfg = _covered(args, "cech")
-    sheaf = _parse_sheaf(args.sheaf or cfg.checks.get("sheaf", "omega0"))
+    text = args.sheaf or cfg.sheaf
+    sheaf = _parse_sheaf("omega0" if text is None else text)
 
     def run():
         rep = sheaf_cohomology(cfg.cover, sheaf, cfg.policy)
@@ -255,6 +255,7 @@ def _config_echo(cmd_args, cfg):
     config = {}
     if cfg is not None:
         config.update(cfg.describe())
+        config["instance"] = cmd_args.instance or "p1"
     if getattr(cmd_args, "what", None):
         config["what"] = cmd_args.what
     if getattr(cmd_args, "sheaf", None):

@@ -9,7 +9,10 @@ a fixed family of sample forms, not by symbol pushing.
 
 from __future__ import annotations
 
-from .differentials import DiffForm, base_top, d, dual_relative, eps_part, specialize_eps, wedge
+from itertools import combinations
+
+from .differentials import (DiffForm, base_top, d, dual_relative, eps_part, letters_of,
+                            specialize_eps, wedge)
 from .errors import Mismatch
 from .funcrings import DualElem
 
@@ -109,8 +112,6 @@ def unique_preimage(pair, p):
 def sample_forms(ring, base, q):
     """The fixed test family: coefficients {1, x, y, 1/x, x*y} on each
     q-subset of letters."""
-    from .differentials import letters_of
-
     letters = letters_of(ring, base)
     gens = ring.gens()
     names = list(gens)
@@ -118,21 +119,10 @@ def sample_forms(ring, base, q):
     y = gens[names[1]] if len(names) > 1 else x + 1
     coeffs = [ring.one(), x, y, x.inv(), x * y]
     out = []
-    idxs = list(range(len(letters)))
-    for subset in _subsets(idxs, q):
-        key = tuple(letters[i] for i in subset)
+    for key in combinations(letters, q):
         for c in coeffs:
             out.append(DiffForm(ring, base, q, {key: c}))
     return out
-
-
-def _subsets(idxs, q):
-    if q == 0:
-        yield ()
-        return
-    for i, v in enumerate(idxs):
-        for rest in _subsets(idxs[i + 1:], q - 1):
-            yield (v,) + rest
 
 
 def verify_square(top, bottom, p, i, val):

@@ -157,8 +157,7 @@ class DiffForm:
             raise Mismatch("adding forms of different degree")
         out = dict(self.terms)
         for k, c in other.terms.items():
-            s = out.get(k)
-            out[k] = c if s is None else s + c
+            _accumulate(out, k, 1, c)
         return DiffForm(self.ring, self.base, self.degree, out)
 
     def __sub__(self, other):
@@ -245,6 +244,14 @@ def _merge_letters(order, k1, k2):
     return sign, tuple(out)
 
 
+def _accumulate(out, key, sign, c):
+    """Add sign * c to the coefficient of key in out."""
+    if sign < 0:
+        c = -c
+    s = out.get(key)
+    out[key] = c if s is None else s + c
+
+
 def wedge(a, b):
     """Exterior product of forms over the same (ring, base)."""
     a._check(b)
@@ -253,13 +260,8 @@ def wedge(a, b):
     for k1, c1 in a.terms.items():
         for k2, c2 in b.terms.items():
             sign, key = _merge_letters(order, k1, k2)
-            if sign == 0:
-                continue
-            c = c1 * c2
-            if sign < 0:
-                c = -c
-            s = out.get(key)
-            out[key] = c if s is None else s + c
+            if sign:
+                _accumulate(out, key, sign, c1 * c2)
     return DiffForm(a.ring, a.base, a.degree + b.degree, out)
 
 
@@ -396,19 +398,13 @@ def _dual_form(ring, base, body, slope, deps):
 def _d_form(w):
     ring, base = w.ring, w.base
     order = _letter_sort_key(ring, base)
-    out = DiffForm.zero(ring, base, w.degree + 1)
+    out = {}
     for key, c in w.terms.items():
-        dc = d(c, base)
-        merged = {}
-        for (letter,), cc in dc.terms.items():
-            sign, k = _merge_letters(order, (letter,), key)
-            if sign == 0:
-                continue
-            v = cc if sign > 0 else -cc
-            s = merged.get(k)
-            merged[k] = v if s is None else s + v
-        out = out + DiffForm(ring, base, w.degree + 1, merged)
-    return out
+        for letters, cc in d(c, base).terms.items():
+            sign, k = _merge_letters(order, letters, key)
+            if sign:
+                _accumulate(out, k, sign, cc)
+    return DiffForm(ring, base, w.degree + 1, out)
 
 
 def dlog(f, base):

@@ -187,6 +187,8 @@ class RingElem:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if o.num.is_zero() or self.num.is_zero():
+            return self if o.num.is_zero() else o
         if self.den == o.den:
             return RingElem(self.ring, self.num + o.num, self.den)
         return RingElem(self.ring, self.num * o.den + o.num * self.den, self.den * o.den)

@@ -455,16 +455,18 @@ _SECTIONS = ("tower", "cover", "ring", "policy", "checks")
 class SuiteConfig:
     """A resolved instance: tower, geometry, truncation policy, check knobs."""
 
-    __slots__ = ("tower", "cover", "ring", "policy", "p", "seed", "checks")
+    __slots__ = ("tower", "cover", "cover_desc", "ring", "policy", "p", "seed",
+                 "sheaf")
 
-    def __init__(self, tower, cover, ring, policy, p, seed, checks):
+    def __init__(self, tower, cover, cover_desc, ring, policy, p, seed, sheaf):
         self.tower = tower
         self.cover = cover
+        self.cover_desc = cover_desc
         self.ring = ring
         self.policy = policy
         self.p = p
         self.seed = seed
-        self.checks = checks
+        self.sheaf = sheaf
 
     def describe(self):
         """A JSON-ready echo of the resolved configuration."""
@@ -472,12 +474,11 @@ class SuiteConfig:
                "policy": {"D": self.policy.D, "delta": self.policy.delta},
                "p": self.p, "seed": self.seed}
         if self.cover is not None:
-            out["cover"] = self.checks.get("_coverdesc", "")
+            out["cover"] = self.cover_desc
         if self.ring is not None:
             out["ring"] = {"vars": list(self.ring.varnames)}
-        for k, v in self.checks.items():
-            if not k.startswith("_"):
-                out[k] = v
+        if self.sheaf is not None:
+            out["sheaf"] = self.sheaf
         return out
 
 
@@ -556,20 +557,22 @@ def _spec_from_text(text):
 
 
 def _spec_from_json(obj):
-    """Check a JSON instance's shape once, reading its rationals as Fractions.
+    """Check a JSON instance's shape once, in the spec shape of a text instance.
 
-    The result is what ``_build_config`` reads; a malformed object raises
-    InstanceSyntaxError, as a malformed text instance does.
+    Rationals are Fractions (JSON decimals arrive as Fractions, read exactly
+    from their text), and every section value is a ``(line, value)`` pair at
+    line 1.  A malformed object raises InstanceSyntaxError, as a malformed
+    text instance does.
     """
     def bad(msg):
         return InstanceSyntaxError(f"JSON instance: {msg}", 1, 1)
 
     def rats(v, what):
-        if isinstance(v, list) and all(isinstance(c, (int, float, str))
+        if isinstance(v, list) and all(isinstance(c, (int, Fraction, str))
                                        and not isinstance(c, bool) for c in v):
             try:
                 return [Fraction(c) for c in v]
-            except (ValueError, ZeroDivisionError, OverflowError):
+            except (ValueError, ZeroDivisionError):
                 pass
         raise bad(f"{what} must be a list of rationals, got {v!r}")
 
@@ -578,8 +581,8 @@ def _spec_from_json(obj):
             raise bad(f"unknown key {key!r}")
         if not isinstance(val, list if key == "tower" else dict):
             raise bad(f"{key} must be {'a list' if key == 'tower' else 'an object'}")
-    spec = {key: dict(obj.get(key, {})) for key in _SECTIONS[1:]}
-    spec["tower"] = []
+    tables = {key: dict(obj.get(key, {})) for key in _SECTIONS[1:]}
+    tower = []
     for step in obj.get("tower", []):
         if (not isinstance(step, dict) or not isinstance(step.get("name"), str)
                 or set(step) - {"name", "kind", "minpoly"}):
@@ -587,38 +590,36 @@ def _spec_from_json(obj):
                       f"got {step!r}")
         if "minpoly" in step:
             step = {**step, "minpoly": rats(step["minpoly"], "minpoly")}
-        spec["tower"].append(step)
-    w = spec["cover"].get("weierstrass")
+        tower.append(step)
+    w = tables["cover"].get("weierstrass")
     if w is not None and not isinstance(w, str):
-        spec["cover"]["weierstrass"] = rats(w, "weierstrass")
-    names = spec["ring"].get("vars", "")
+        tables["cover"]["weierstrass"] = rats(w, "weierstrass")
+    names = tables["ring"].get("vars", "")
     if not (names is None or isinstance(names, str) or isinstance(names, list)
             and all(isinstance(v, str) for v in names)):
         raise bad(f"ring vars must be a list of names, got {names!r}")
-    if not isinstance(spec["checks"].get("sheaf", ""), str):
-        raise bad(f"checks sheaf must be a string, got {spec['checks']['sheaf']!r}")
+    if not isinstance(tables["checks"].get("sheaf", ""), str):
+        raise bad(f"checks sheaf must be a string, got {tables['checks']['sheaf']!r}")
+    spec = {key: {k: (1, v) for k, v in table.items()}
+            for key, table in tables.items()}
+    spec["tower"] = tower
     return spec
 
 
 def _take(table, key, default=None):
-    v = table.pop(key, None)
-    if v is None:
-        return (0, default)
-    if isinstance(v, tuple):
-        return v
-    return (0, v)
+    ln, v = table.pop(key, (0, None))
+    return ln, default if v is None else v
 
 
 def _reject_extras(table, section):
     if table:
-        key, v = next(iter(table.items()))
-        ln = v[0] if isinstance(v, tuple) else 0
+        key, (ln, _) = next(iter(table.items()))
         raise InstanceSyntaxError(f"unknown {section} key {key!r}", ln, 1)
 
 
 def _build_config(spec):
     steps = []
-    for entry in spec.get("tower", ()):
+    for entry in spec["tower"]:
         nm, kind = entry.get("name"), entry.get("kind")
         if kind == "transcendental":
             steps.append(Transcendental(nm))
@@ -628,37 +629,32 @@ def _build_config(spec):
             raise Unsupported(f"unknown tower step kind {kind!r}")
     tower = make_tower(steps)
 
-    cover = None
-    coverdesc = ""
-    ctab = dict(spec.get("cover", {}))
+    cover = coverdesc = None
+    ctab = spec["cover"]
     ln, kind = _take(ctab, "kind")
-    if kind is not None:
-        if kind == "projective-line":
-            cover = cover_pn(1, tower)
-        elif kind == "projective-plane":
-            cover = cover_pn(2, tower)
-        elif kind == "plane-curve":
-            wln, wtext = _take(ctab, "weierstrass")
-            if wtext is None:
-                raise InstanceSyntaxError("plane-curve needs 'weierstrass = a, b, c'",
-                                          ln, 1)
-            if isinstance(wtext, str):
-                abc = [_rat(w, wln) for w in wtext.split(",")]
-            else:
-                abc = wtext
-            if len(abc) != 3:
-                raise InstanceSyntaxError("weierstrass takes exactly three values",
-                                          wln, 1)
-            cover = cover_plane_curve(weierstrass_cubic(tower, *abc), tower)
-            coverdesc = f"plane-curve {abc[0]},{abc[1]},{abc[2]}"
+    if kind in ("projective-line", "projective-plane"):
+        cover = cover_pn(1 if kind == "projective-line" else 2, tower)
+        coverdesc = kind
+    elif kind == "plane-curve":
+        wln, wtext = _take(ctab, "weierstrass")
+        if wtext is None:
+            raise InstanceSyntaxError("plane-curve needs 'weierstrass = a, b, c'",
+                                      ln, 1)
+        if isinstance(wtext, str):
+            abc = [_rat(w, wln) for w in wtext.split(",")]
         else:
-            raise InstanceSyntaxError(f"unknown cover kind {kind!r}", ln, 1)
-        if not coverdesc:
-            coverdesc = kind
+            abc = wtext
+        if len(abc) != 3:
+            raise InstanceSyntaxError("weierstrass takes exactly three values",
+                                      wln, 1)
+        cover = cover_plane_curve(weierstrass_cubic(tower, *abc), tower)
+        coverdesc = f"plane-curve {abc[0]},{abc[1]},{abc[2]}"
+    elif kind is not None:
+        raise InstanceSyntaxError(f"unknown cover kind {kind!r}", ln, 1)
     _reject_extras(ctab, "cover")
 
     ring = None
-    rtab = dict(spec.get("ring", {}))
+    rtab = spec["ring"]
     ln, varstext = _take(rtab, "vars")
     if varstext is not None:
         if isinstance(varstext, str):
@@ -668,32 +664,29 @@ def _build_config(spec):
         ring = FunctionRing(tower, varnames)
     _reject_extras(rtab, "ring")
 
-    ptab = dict(spec.get("policy", {}))
+    ptab = spec["policy"]
     ln, Dv = _take(ptab, "D", 2)
     ln2, dv = _take(ptab, "delta", 2)
     _reject_extras(ptab, "policy")
     policy = TruncationPolicy(_int(Dv, ln), _int(dv, ln2))
 
-    checks = {}
-    ktab = dict(spec.get("checks", {}))
+    ktab = spec["checks"]
     ln, pv = _take(ktab, "p", 1)
     ln2, seedv = _take(ktab, "seed", 20260401)
+    _, sheaf = _take(ktab, "sheaf")
+    _reject_extras(ktab, "checks")
     p = _int(pv, ln)
     if p < 1:
         raise InstanceSyntaxError(f"weight p must be at least 1, got {p}", ln, 1)
-    seed = _int(seedv, ln2)
-    for key, v in ktab.items():
-        checks[key] = v[1] if isinstance(v, tuple) else v
-    if coverdesc:
-        checks["_coverdesc"] = coverdesc
-    return SuiteConfig(tower, cover, ring, policy, p, seed, checks)
+    return SuiteConfig(tower, cover, coverdesc, ring, policy, p, _int(seedv, ln2),
+                       sheaf)
 
 
 def load_instance(text):
     """Read an instance from sectioned text or its JSON mirror."""
     if text.lstrip().startswith("{"):
         try:
-            obj = _json.loads(text)
+            obj = _json.loads(text, parse_float=Fraction)
         except ValueError as exc:
             raise InstanceSyntaxError(f"bad JSON instance: {exc}", 1, 1)
         return _build_config(_spec_from_json(obj))

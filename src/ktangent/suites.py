@@ -78,45 +78,36 @@ def _aggregate(name, count, bad):
             "count": count, "witnesses": bad[:3]}
 
 
-def codifferential_suite(p=None, seed=DEFAULT_SEED, count=51):
-    """tilde_dlog(s) agrees with the signed derivative of beta(s)."""
+def _symbol_suite(name, holds, p, seed, count):
+    """One aggregate check per weight: ``holds(tower, symbol)`` on a family."""
     checks = []
     for pp in _PS if p is None else (p,):
-        bad = []
         fam = _symbol_family(pp, seed + pp, count)
-        for label, tw, s in fam:
-            rep = check_codifferential(s)
-            if rep["status"] != "pass":
-                bad.append(f"{label}: {s}")
-        checks.append(_aggregate(f"codifferential p={pp}", len(fam), bad))
+        bad = [f"{label}: {s}" for label, tw, s in fam if not holds(tw, s)]
+        checks.append(_aggregate(f"{name} p={pp}", len(fam), bad))
     return checks
+
+
+def codifferential_suite(p=None, seed=DEFAULT_SEED, count=51):
+    """tilde_dlog(s) agrees with the signed derivative of beta(s)."""
+    return _symbol_suite(
+        "codifferential", lambda tw, s: check_codifferential(s)["status"] == "pass",
+        p, seed, count)
 
 
 def beta_agreement_suite(p=None, seed=DEFAULT_SEED, count=51):
     """beta computed directly agrees with beta via dual-number truncation."""
-    checks = []
-    for pp in _PS if p is None else (p,):
-        bad = []
-        fam = _symbol_family(pp, seed + pp, count)
-        for label, tw, s in fam:
-            if not (beta_via_truncation(s) - beta(s)).is_zero():
-                bad.append(f"{label}: {s}")
-        checks.append(_aggregate(f"beta agreement p={pp}", len(fam), bad))
-    return checks
+    return _symbol_suite(
+        "beta agreement", lambda tw, s: (beta_via_truncation(s) - beta(s)).is_zero(),
+        p, seed, count)
 
 
 def absolute_square_suite(p=None, seed=DEFAULT_SEED, count=51):
     """beta over the absolute base, pushed up the tower, recovers beta."""
-    checks = []
-    for pp in _PS if p is None else (p,):
-        bad = []
-        fam = _symbol_family(pp, seed + pp, count)
-        for label, tw, s in fam:
-            pushed = base_change(eps_to_absolute(s), base_top(tw))
-            if not (pushed - beta(s)).is_zero():
-                bad.append(f"{label}: {s}")
-        checks.append(_aggregate(f"absolute square p={pp}", len(fam), bad))
-    return checks
+    return _symbol_suite(
+        "absolute square",
+        lambda tw, s: (base_change(eps_to_absolute(s), base_top(tw)) - beta(s)).is_zero(),
+        p, seed, count)
 
 
 def relations_suite(seed=DEFAULT_SEED, count=134):

@@ -201,6 +201,7 @@ def _algebraic(minpoly):
     pytest.param(_algebraic(5), id="minpoly-int"),
     pytest.param(_algebraic(["x", 0, 1]), id="minpoly-word"),
     pytest.param(_algebraic(["1/0", 0, 1]), id="minpoly-zero-denominator"),
+    pytest.param(_algebraic([float("nan"), 0, 1]), id="minpoly-nan"),
     pytest.param({"cover": {**_CURVE, "weierstrass": 5}}, id="weierstrass-int"),
     pytest.param({"cover": {**_CURVE, "weierstrass": [1, "x", 2]}}, id="weierstrass-word"),
     pytest.param({"cover": {**_CURVE, "weierstrass": [0, -1, "1/0"]}},
@@ -215,6 +216,69 @@ def test_malformed_json_instance_is_usage_error(tmp_path, capsys, obj):
     assert main(["cech", "--instance", str(inst), "--quiet"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+_CHECKS_LINE = "[cover]\nkind = projective-line\n\n[checks]\np = 1\n"
+
+
+@pytest.mark.parametrize("name, text", [
+    pytest.param("bad.inst", _CHECKS_LINE + "tower = none\n", id="text-tower"),
+    pytest.param("bad.inst", _CHECKS_LINE + "cover = torus\n", id="text-cover"),
+    pytest.param("bad.inst", _CHECKS_LINE + "instance = x\n", id="text-instance"),
+    pytest.param("bad.json", json.dumps({"cover": _LINE, "checks": {"policy": 5}}),
+                 id="json-policy"),
+])
+def test_unknown_checks_key_is_usage_error(tmp_path, capsys, name, text):
+    # [checks] holds p, seed and sheaf; any other key would only be echoed
+    # into the report's config, over the values that actually ran
+    inst = tmp_path / name
+    inst.write_text(text)
+    assert main(["cech", "--instance", str(inst), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown checks key") and "Traceback" not in err
+
+
+_ECHO_TEXT = """
+[tower]
+gen r = algebraic -2, 0, 1
+
+[cover]
+kind = plane-curve
+weierstrass = 0, -1, 11/10
+
+[policy]
+D = 3
+delta = 1
+
+[checks]
+p = 2
+seed = 5
+sheaf = omega0
+"""
+
+_ECHO_JSON = {"tower": [{"name": "r", "kind": "algebraic", "minpoly": [-2, 0, 1.0]}],
+              "cover": {"kind": "plane-curve", "weierstrass": [0, -1, 1.1]},
+              "policy": {"D": 3, "delta": 1},
+              "checks": {"p": 2, "seed": 5, "sheaf": "omega0"}}
+
+
+@pytest.mark.parametrize("name, text", [
+    pytest.param("curve.inst", _ECHO_TEXT, id="text"),
+    pytest.param("curve.json", json.dumps(_ECHO_JSON), id="json"),
+])
+def test_config_echo_states_what_ran(tmp_path, name, text):
+    inst = tmp_path / name
+    inst.write_text(text)
+    code, rep = run_json(tmp_path, ["cech", "--instance", str(inst)])
+    assert code == 0
+    assert rep["config"] == {"cover": "plane-curve 0,-1,11/10",
+                             "instance": str(inst),
+                             "p": 2,
+                             "policy": {"D": 3, "delta": 1},
+                             "seed": 5,
+                             "sheaf": "omega0",
+                             "tower": [["r", "algebraic"]]}
+    assert rep["checks"][0]["name"] == "cech Omega^0"
 
 
 def test_forms_above_the_dimension_are_zero(tmp_path):

@@ -356,3 +356,24 @@ def test_dlog_canonicalises_each_coefficient_once(monkeypatch):
     monkeypatch.undo()
     assert got == want
     assert len(calls) <= len(letters_of(r, base))
+
+
+def test_d_of_a_form_adds_no_forms(monkeypatch):
+    # d accumulates every term's contribution into one coefficient table,
+    # as wedge does, instead of summing one single-term form per term
+    r = ring_qt()
+    x, y = r.var("x"), r.var("y")
+    t = r.const(r.tower.gen("t"))
+    for base in (base_q(), base_top(r.tower)):
+        dx, dy = d(x, base), d(y, base)
+        f, g = (x * y + t) / (x - y), x * t + y * y
+        w = dx * f + dy * g
+        want = wedge(d(f, base), dx) + wedge(d(g, base), dy)
+
+        def refused(self, other):
+            raise AssertionError("d added two forms")
+
+        monkeypatch.setattr(DiffForm, "__add__", refused)
+        got = d(w)
+        monkeypatch.undo()
+        assert got == want and not got.is_zero()

@@ -416,3 +416,18 @@ def test_constant_scaling_computes_no_gcd(monkeypatch):
     products = [(a * c, c * a, a * 3, Fraction(1, 7) * a) for _, a, c in cases]
     assert calls == []
     assert len(products) == len(cases)
+
+
+def test_adding_zero_returns_the_other_operand(monkeypatch):
+    r = FunctionRing(QQ, ("x", "y"))
+    f, z = (r.var("x") + 1) / r.var("y"), r.zero()
+    calls = []
+    real = RingElem.__init__
+
+    def counted(self, *args):
+        calls.append(1)
+        real(self, *args)
+
+    monkeypatch.setattr(RingElem, "__init__", counted)
+    assert f + z is f and z + f is f and (z + z).is_zero()
+    assert not calls

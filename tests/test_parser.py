@@ -334,7 +334,7 @@ def test_instance_json_mirror():
     assert cfg.cover.kind == "pn" and cfg.cover.n == 2
     assert cfg.tower.names == ("r2",)
     assert cfg.policy.D == 3 and cfg.policy.delta == 1
-    assert cfg.checks["sheaf"] == "omega1"
+    assert cfg.sheaf == "omega1"
 
 
 def test_instance_json_rationals_may_be_numbers_or_strings():
@@ -343,7 +343,7 @@ def test_instance_json_rationals_may_be_numbers_or_strings():
            "ring": {"vars": ["x", "y"]}}
     cfg = load_instance(json.dumps(obj))
     assert cfg.tower.names == ("r",)
-    assert cfg.checks["_coverdesc"] == "plane-curve 0,-1,1"
+    assert cfg.cover_desc == "plane-curve 0,-1,1"
     assert cfg.ring.varnames == ("x", "y")
 
 
@@ -380,6 +380,28 @@ def test_instance_errors_carry_lines():
         load_instance("[policy]\nD = soon\n")
     with pytest.raises(InstanceSyntaxError, match="three"):
         load_instance("[cover]\nkind = plane-curve\nweierstrass = 1, 2\n")
+
+
+@pytest.mark.parametrize("obj", [
+    {"policy": {"D": "x"}},
+    {"policy": {"D": 2.5}},
+    {"cover": {"kind": "torus"}},
+    {"policy": {"E": 3}},
+    {"cover": {"kind": "plane-curve", "weierstrass": [0, 1]}},
+])
+def test_json_instance_errors_are_at_line_1(obj):
+    with pytest.raises(InstanceSyntaxError) as err:
+        load_instance(json.dumps(obj))
+    assert str(err.value).endswith("(line 1, col 1)")
+
+
+def test_json_numbers_are_read_exactly():
+    cfg = load_instance('{"tower": [{"name": "r", "kind": "algebraic", '
+                        '"minpoly": [-0.1, 0, 1]}]}')
+    assert cfg.tower.steps == (("alg", "r", (Fraction(-1, 10), 0, 1)),)
+    cfg = load_instance('{"cover": {"kind": "plane-curve", '
+                        '"weierstrass": [0, -0.5, 1]}}')
+    assert cfg.cover_desc == "plane-curve 0,-1/2,1"
 
 
 def test_instance_bad_json():
