@@ -354,8 +354,13 @@ def main(argv=None):
     if args.json == "-":
         sys.stdout.write(payload)
     elif args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        try:
+            with open(args.json, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            print(f"error: cannot write report to {args.json}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            return 2
     if not args.quiet and args.json != "-":
         _print_human(report, sys.stdout, time.perf_counter() - start)
     return 0 if all(c["status"] == "pass" for c in report["checks"]) else 1

@@ -2,15 +2,21 @@
 
 Internal support layer for function rings: sparse dict representation
 (exponent tuple -> nonzero Scalar), reduction modulo a relation monic in
-one variable, and gcd by the primitive polynomial remainder sequence.
+one variable, exact division and gcd. Over Q both run on a small integer
+kernel (dicts from exponent tuple to int): exact division by graded-lex
+leading terms, and the heuristic gcd GCDHEU with trial division. Over
+Q(t_1..t_m) the gcd moves the t's into the polynomial and runs there. The
+primitive polynomial remainder sequence remains for algebraic towers and
+for the inputs on which GCDHEU gives up.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, isqrt, lcm
 
 from .errors import DivisionByZero, TowerMismatch
-from .scalars import Scalar, Tower, power
+from .scalars import Scalar, Tower, _is_zero, _pmul, power
 
 
 class MPoly:
@@ -125,7 +131,7 @@ class MPoly:
         """Graded-lex leading (exponent, coefficient); None for the zero polynomial."""
         if not self.terms:
             return None
-        e = max(self.terms, key=lambda t: (sum(t), t))
+        e = max(self.terms, key=_glex)
         return e, self.terms[e]
 
     def _is_one(self):
@@ -241,28 +247,33 @@ def reduce_mod(f, rel, v):
 
 
 def div_exact(f, g):
-    """Exact division f / g; raises DivisionByZero if g is zero or does not divide."""
+    """Exact division f / g; raises DivisionByZero if g is zero or does not divide.
+
+    Over Q the division runs on integer polynomials. Over a tower both
+    operands are divided by their leading coefficients, the top levels that
+    no coefficient then depends on are dropped, and the quotient is scaled
+    back by lc(f)/lc(g).
+    """
     if g.is_zero():
         raise DivisionByZero("exact division by zero polynomial")
     if f.is_zero():
         return f
+    tw = f.tower
     if g.is_constant():
         c = g.constant_value().inv()
-        return MPoly(f.tower, f.nvars, {e: cf * c for e, cf in f.terms.items()})
-    v = max(g.vars_used())
-    dg = g.degree_in(v)
-    g_lead = g.coeff_of(v, dg)
-    q = MPoly(f.tower, f.nvars, {})
-    while not f.is_zero():
-        df = f.degree_in(v)
-        if df < dg:
-            raise DivisionByZero("inexact polynomial division")
-        f_lead = f.coeff_of(v, df)
-        c = div_exact(f_lead, g_lead)
-        t = c.shift(v, df - dg)
-        q = q + t
-        f = f - t * g
-    return q
+        return MPoly(tw, f.nvars, {e: cf * c for e, cf in f.terms.items()})
+    if not tw.steps:
+        # g primitive over Z divides f over Q exactly when it divides f's
+        # integer form over Z (Gauss's lemma)
+        sf, F = _to_ints(f)
+        sg, G = _to_ints(g)
+        return _from_ints(tw, f.nvars, _divide(F, G), sf / sg)
+    c = f.lead_term()[1] / g.lead_term()[1]
+    f, g = _normalize_lead(f), _normalize_lead(g)
+    q = _via_subfield(div_exact, f, g)
+    if q is None:
+        q = MPoly(tw, f.nvars, _divide(f.terms, g.terms))
+    return MPoly(tw, f.nvars, {e: cf * c for e, cf in q.terms.items()})
 
 
 def _prem(f, g, v):
@@ -298,7 +309,14 @@ def _normalize_lead(f):
 
 
 def mp_gcd(f, g):
-    """Monic gcd in K[x_0..x_{n-1}] (graded-lex leading coefficient 1)."""
+    """Monic gcd in K[x_0..x_{n-1}] (graded-lex leading coefficient 1).
+
+    Over Q it is GCDHEU on integer polynomials (`_heu_gcd`). Over a tower the
+    work moves to the smallest subfield holding the coefficients, and a top
+    transcendental generator moves into the polynomial (`_flatten_gcd`). The
+    primitive polynomial remainder sequence (`_prs_gcd`) serves algebraic
+    towers and the inputs on which GCDHEU gives up.
+    """
     if f.is_zero():
         return _normalize_lead(g)
     if g.is_zero():
@@ -310,22 +328,24 @@ def mp_gcd(f, g):
         # a unit of K does not change the monic gcd, and dividing by the
         # leading coefficient often leaves coefficients in a subfield
         f, g = _normalize_lead(f), _normalize_lead(g)
-        k = len(tw.steps)
-        for c in [*f.terms.values(), *g.terms.values()]:
-            k = _constant_levels(tw, c.val, k)
-            if not k:
-                break
-        if k:
-            # the gcd over K of polynomials over a subfield is their gcd
-            # over the subfield, with the same monic normalisation
-            low = Tower(tw.steps[:-k], tw.names[:-k])
-            G = mp_gcd(_descend(f, low, k), _descend(g, low, k))
-            return MPoly(tw, f.nvars, {e: tw.embed(c) for e, c in G.terms.items()})
+        G = _via_subfield(mp_gcd, f, g)
+        if G is not None:
+            return G
         if tw.steps[-1][0] == "tr":
             # rational-function coefficients swell badly in the remainder
             # sequence; move the transcendental generators into the
-            # polynomial and do the work over the number-field part instead
+            # polynomial, one level at a time, and do the work over the
+            # number-field part instead
             return _flatten_gcd(f, g)
+    else:
+        H = _heu_gcd(_to_ints(f)[1], _to_ints(g)[1])
+        if H is not None:
+            return _from_ints(tw, f.nvars, H, Fraction(1, H[max(H, key=_glex)]))
+    return _prs_gcd(f, g)
+
+
+def _prs_gcd(f, g):
+    """Monic gcd by the primitive polynomial remainder sequence."""
     vs = f.vars_used() | g.vars_used()
     v = max(vs)
     if len(vs) == 1:
@@ -347,20 +367,43 @@ def mp_gcd(f, g):
     return _normalize_lead(c * a)
 
 
+def _via_subfield(op, f, g):
+    """op(f, g) over the smallest top truncation of the tower holding every
+    coefficient of f and g, embedded back; None when no top level can go.
+
+    For gcds and exact quotients of polynomials over a subfield, computing
+    over the subfield gives the same result.
+    """
+    tw = f.tower
+    k = len(tw.steps)
+    for c in (*f.terms.values(), *g.terms.values()):
+        k = _constant_levels(tw, c.val, k)
+        if not k:
+            return None
+    low = Tower(tw.steps[:-k], tw.names[:-k])
+    r = op(_descend(f, low, k), _descend(g, low, k))
+    return MPoly(tw, f.nvars, {e: tw.embed(c) for e, c in r.terms.items()})
+
+
 def _flatten_gcd(f, g):
-    """gcd over K = NF(t_1..t_m) via gcd in NF[t_1..t_m, x_0..x_{n-1}].
+    """gcd over K = L(t) via gcd in L[x_0..x_{n-1}, t], for t the top generator.
 
     Clearing the t-denominators multiplies each input by a unit of K, and a
     gcd computed in the bigger polynomial ring agrees with the K[x]-gcd up to
-    pure-t factors, which reinterpretation turns back into units.
+    pure-t factors, which reinterpretation turns back into units. The gcd
+    over L flattens again while L's own top generator is transcendental.
     """
     tw = f.tower
-    la = max((i for i, s in enumerate(tw.steps) if s[0] == "alg"), default=-1)
-    m = len(tw.steps) - la - 1
-    base = Tower(tw.steps[: la + 1], tw.names[: la + 1])
-    n = f.nvars
-    G = mp_gcd(_flatten_poly(f, base, m), _flatten_poly(g, base, m))
-    return _normalize_lead(_unflatten(G, tw, n, m))
+    low = Tower(tw.steps[:-1], tw.names[:-1])
+    G = mp_gcd(_flatten(f, low), _flatten(g, low))
+    n, lv = f.nvars, tw.num_levels
+    coeffs = {}
+    for e, c in G.terms.items():
+        coeffs.setdefault(e[:n], {})[e[n]] = c.val
+    zero, one = tw._zeros[lv - 1], tw._ones[lv - 1]
+    return _normalize_lead(MPoly(tw, n, {
+        e: Scalar(tw, ("q", tuple(p.get(i, zero) for i in range(max(p) + 1)), (one,)))
+        for e, p in coeffs.items()}))
 
 
 def _constant_levels(tw, v, m):
@@ -399,64 +442,23 @@ def _descend(f, low, k):
     return MPoly(low, f.nvars, terms)
 
 
-def _conv_scalar(val, k, base, m):
-    """Tower value (k transcendental levels above base) -> MPoly fraction in t-vars."""
-    if k == 0:
-        s = Scalar(base, val)
-        return MPoly.const(base, m, s), MPoly.const(base, m, 1)
-
-    def poly_of(coeffs):
-        N = MPoly.const(base, m, 0)
-        D = MPoly.const(base, m, 1)
-        e = [0] * m
-        e[k - 1] = 1
-        tvar = MPoly(base, m, {tuple(e): base.one()})
-        for i, c in enumerate(coeffs):
-            cn, cd = _conv_scalar(c, k - 1, base, m)
-            N = N * cd + cn * tvar**i * D
-            D = D * cd
-        return N, D
-
-    n1, d1 = poly_of(val[1])
-    n2, d2 = poly_of(val[2])
-    return n1 * d2, d1 * n2
-
-
-def _flatten_poly(f, base, m):
-    n = f.nvars
-    k = len(f.tower.steps) - base.num_levels
-    F = MPoly.const(base, n + m, 0)
-    D = MPoly.const(base, n + m, 1)
-    one = MPoly.const(base, n + m, 1)
+def _flatten(f, low):
+    """f times the product of its distinct coefficient denominators, as a
+    polynomial over low with the top generator t of f's tower as its last
+    variable (f's coefficients are fractions of polynomials in t over low)."""
+    tw = f.tower
+    lv = tw.num_levels
+    dens = {c.val[2] for c in f.terms.values()}
+    terms = {}
     for e, c in f.terms.items():
-        cn, cd = _conv_scalar(c.val, k, base, m)
-        cn = _shift_vars(cn, n)
-        cd = _shift_vars(cd, n)
-        mono = MPoly(base, n + m, {tuple(e) + (0,) * m: base.one()})
-        F = F * cd + cn * mono * D
-        if cd != one:
-            D = D * cd
-    return F
-
-
-def _shift_vars(p, n):
-    return MPoly(p.tower, n + p.nvars,
-                 {(0,) * n + e: c for e, c in p.terms.items()})
-
-
-def _unflatten(G, tw, n, m):
-    base_n = tw.num_levels - m
-    gens = [tw.gen(tw.names[base_n + j]) for j in range(m)]
-    out = {}
-    for e, c in G.terms.items():
-        s = tw.embed(c)
-        for j in range(m):
-            for _ in range(e[n + j]):
-                s = s * gens[j]
-        key = e[:n]
-        prev = out.get(key)
-        out[key] = s if prev is None else prev + s
-    return MPoly(tw, n, {e: c for e, c in out.items() if not c.is_zero()})
+        num = c.val[1]
+        for d in dens:
+            if d != c.val[2]:
+                num = _pmul(tw, lv - 1, num, d)
+        for i, a in enumerate(num):
+            if not _is_zero(tw, lv - 1, a):
+                terms[e + (i,)] = Scalar(low, a)
+    return MPoly(low, f.nvars + 1, terms)
 
 
 def _gcd_univar(f, g, v):
@@ -472,3 +474,153 @@ def _gcd_univar(f, g, v):
             r = r - MPoly.const(f.tower, f.nvars, c).shift(v, dr - db) * b
         a, b = b, r
     return _normalize_lead(a)
+
+
+# -- the integer kernel: polynomials over Z as dicts from exponent tuple to
+# nonzero int
+
+_HEU_TRIES = 6  # values of xi tried before GCDHEU gives up
+_HEU_BITS = 8000  # cap on bit_length(xi) * degree of the evaluated variable
+
+
+def _glex(e):
+    return sum(e), e
+
+
+def _to_ints(f):
+    """(s, F) with f = s * F and F a primitive integer polynomial; f over Q."""
+    vals = [c.val for c in f.terms.values()]
+    den = lcm(*(v.denominator for v in vals))
+    F = {e: v.numerator * (den // v.denominator) for e, v in zip(f.terms, vals)}
+    cont = gcd(*F.values())
+    if cont != 1:
+        F = {e: a // cont for e, a in F.items()}
+    return Fraction(cont, den), F
+
+
+def _from_ints(tw, nvars, F, s):
+    """The polynomial s * F over Q."""
+    p, q = s.numerator, s.denominator
+    return MPoly(tw, nvars, {e: Scalar(tw, Fraction(a * p, q)) for e, a in F.items()})
+
+
+def _divide(f, g):
+    """f / g by cancelling graded-lex leading terms; f, g are dicts.
+
+    The coefficients are ints, or Scalars with lc(g) = 1. Raises
+    DivisionByZero when g does not divide f (over Z for ints). A quotient
+    has degree deg f - deg g in each variable, which bounds the steps.
+    """
+    top = [a - b for a, b in zip(map(max, zip(*f)), map(max, zip(*g)))]
+    lg = max(g, key=_glex)
+    cg = g[lg]
+    unit = cg == 1
+    r = dict(f)
+    q = {}
+    while r:
+        lr = max(r, key=_glex)
+        d = tuple(a - b for a, b in zip(lr, lg))
+        c = r[lr]
+        if any(not 0 <= a <= b for a, b in zip(d, top)):
+            raise DivisionByZero("inexact polynomial division")
+        if not unit:
+            c, m = divmod(c, cg)
+            if m:
+                raise DivisionByZero("inexact polynomial division")
+        q[d] = c
+        for e, a in g.items():
+            k = tuple(x + y for x, y in zip(d, e))
+            w = r.get(k)
+            if w is None:
+                r[k] = -(c * a)
+            else:
+                w = w - c * a
+                if w:
+                    r[k] = w
+                else:
+                    del r[k]
+    return q
+
+
+def _divides(h, f):
+    try:
+        _divide(f, h)
+    except DivisionByZero:
+        return False
+    return True
+
+
+def _heu_gcd(f, g):
+    """gcd in Z[x] of nonzero integer polynomials by GCDHEU; None when it gives up.
+
+    Evaluate one variable at xi, take the gcd of the images recursively, and
+    rebuild xi-adically with coefficients in (-xi/2, xi/2] (Char, Geddes and
+    Gonnet, J. Symb. Comp. 1989; Geddes, Czapor and Labahn, Algorithms for
+    Computer Algebra, 7.7). For primitive f and g and xi >= 2 min(|f|, |g|) + 2,
+    the primitive part of the rebuilt gcd is gcd(f, g) once it divides both,
+    provided the recursive gcd is the whole gcd of the images, integer
+    content included; so each level multiplies the gcd of the contents back.
+    """
+    cf, cg = gcd(*f.values()), gcd(*g.values())
+    c = gcd(cf, cg)
+    if cf != 1:
+        f = {e: a // cf for e, a in f.items()}
+    if cg != 1:
+        g = {e: a // cg for e, a in g.items()}
+    n = len(next(iter(f)))
+    df, dg = list(map(max, zip(*f))), list(map(max, zip(*g)))
+    if not any(df) or not any(dg):
+        return {(0,) * n: c}
+    v = min((i for i in range(n) if df[i] or dg[i]), key=lambda i: max(df[i], dg[i]))
+    deg = max(df[v], dg[v])
+    xi = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 2
+    for _ in range(_HEU_TRIES):
+        if xi.bit_length() * deg > _HEU_BITS:
+            return None
+        fx, gx = _eval_at(f, v, xi), _eval_at(g, v, xi)
+        if fx and gx:
+            h = _heu_gcd(fx, gx)
+            if h is None:
+                return None
+            h = _interpolate(h, v, xi)
+            ch = gcd(*h.values())
+            h = {e: a // ch for e, a in h.items()}
+            if _divides(h, f) and _divides(h, g):
+                return h if c == 1 else {e: a * c for e, a in h.items()}
+        xi = 73794 * xi * isqrt(isqrt(xi)) // 27011  # about (1 + sqrt 3) xi^(5/4)
+    return None
+
+
+def _eval_at(f, v, xi):
+    """f at x_v = xi; the exponent of x_v becomes 0."""
+    out = {}
+    pw = [1]
+    for e, a in f.items():
+        k = e[v]
+        if k:
+            while len(pw) <= k:
+                pw.append(pw[-1] * xi)
+            e = e[:v] + (0,) + e[v + 1:]
+            a *= pw[k]
+        out[e] = out.get(e, 0) + a
+    return {e: a for e, a in out.items() if a}
+
+
+def _interpolate(h, v, xi):
+    """The polynomial with coefficients in (-xi/2, xi/2] that is h at x_v = xi."""
+    out = {}
+    half = xi // 2
+    k = 0
+    while h:
+        rest = {}
+        for e, a in h.items():
+            r = a % xi
+            if r > half:
+                r -= xi
+            if r:
+                out[e[:v] + (k,) + e[v + 1:]] = r
+            if a != r:
+                rest[e] = (a - r) // xi
+        h = rest
+        k += 1
+    return out

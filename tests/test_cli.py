@@ -127,6 +127,15 @@ def test_missing_instance_file_is_usage_error(capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where", ["missing-dir", "a-directory"])
+def test_unwritable_json_path_is_usage_error(tmp_path, capsys, where):
+    path = tmp_path / "no" / "such" / "r.json" if where == "missing-dir" else tmp_path
+    assert main(["cech", "--instance", "p1", "--json", str(path), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write report to {path}: ")
+    assert "Traceback" not in err
+
+
 def test_bad_sheaf_is_usage_error(capsys):
     assert main(["cech", "--instance", "p1", "--sheaf", "bogus", "--quiet"]) == 2
 

@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -9,6 +10,7 @@ from ktangent import mpoly
 from ktangent.cech import TruncationPolicy, cover_plane_curve, weierstrass_cubic
 from ktangent.cycletangent import composed_infinitesimal
 from ktangent.errors import DivisionByZero
+from ktangent.funcrings import FunctionRing, transport
 from ktangent.mpoly import MPoly, div_exact, mp_gcd, reduce_mod
 from ktangent.scalars import QQ, Algebraic, Transcendental, make_tower
 
@@ -49,8 +51,9 @@ def test_exact_division():
     x, y = xy()
     f = (x**2 + y) * (x * y - 3)
     assert div_exact(f, x * y - 3) == x**2 + y
-    with pytest.raises(DivisionByZero):
-        div_exact(x**2 + y + 1, x * y - 3)
+    for f, g in [(x**2 + y + 1, x * y - 3), (x**3 + y, x * y), (2 * x**2 + 1, 2 * x - 1)]:
+        with pytest.raises(DivisionByZero):
+            div_exact(f, g)
 
 
 def test_gcd_basic():
@@ -60,6 +63,7 @@ def test_gcd_basic():
     assert mp_gcd(f, g) == x + y
     assert mp_gcd(x**2 - y**2, x + y) == x + y
     assert mp_gcd(x + 1, y + 1) == 1
+    assert mp_gcd((x - 3) * (x + 1), (x - 3) * (x + 2)) == x - 3
 
 
 def test_gcd_over_extension():
@@ -95,8 +99,8 @@ def test_eval():
 
 def _count_flattens(monkeypatch):
     calls = Counter()
-    real = mpoly._flatten_poly
-    monkeypatch.setattr(mpoly, "_flatten_poly",
+    real = mpoly._flatten
+    monkeypatch.setattr(mpoly, "_flatten",
                         lambda *a: calls.update(["flatten"]) or real(*a))
     return calls
 
@@ -164,15 +168,17 @@ def test_gcd_of_rational_inputs_over_a_number_field_runs_over_q(monkeypatch):
     tw = make_tower([Algebraic("r2", [-2, 0, 1])])
     r2 = tw.gen("r2")
     cases = _rational_pairs(12, 10)
-    towers = []
-    for name in ("_prem", "_gcd_univar"):
-        real = getattr(mpoly, name)
-        monkeypatch.setattr(mpoly, name,
-                            lambda f, g, v, real=real: towers.append(f.tower) or real(f, g, v))
+    kernel, prs = [], []
+    real_heu, real_prs = mpoly._heu_gcd, mpoly._prs_gcd
+    monkeypatch.setattr(mpoly, "_heu_gcd", lambda f, g: kernel.append(
+        all(type(c) is int for c in (*f.values(), *g.values()))) or real_heu(f, g))
+    monkeypatch.setattr(mpoly, "_prs_gcd",
+                        lambda f, g: prs.append(f.tower) or real_prs(f, g))
     for a, b in cases:
         got = mp_gcd(_lift(tw, a) * (r2 + 3), _lift(tw, b) * ((r2 - 1) / 5))
         assert got == _lift(tw, mp_gcd(a, b))
-    assert towers and all(w == QQ for w in towers)
+    assert kernel and all(kernel)
+    assert all(w == QQ for w in prs)
 
 
 def test_composed_on_the_elliptic_curve_never_flattens(monkeypatch):
@@ -181,3 +187,142 @@ def test_composed_on_the_elliptic_curve_never_flattens(monkeypatch):
     rep = composed_infinitesimal(cover, 1, TruncationPolicy(2, 2))
     assert rep.verdict == "injective"
     assert calls["flatten"] == 0
+
+
+# -- the integer kernel: GCDHEU and exact division over Z ----------------------
+
+
+def _spy_kernel(monkeypatch):
+    """Record every GCDHEU result (None when it gave up) and every fallback."""
+    seen = {"heu": [], "prs": []}
+    real_heu, real_prs = mpoly._heu_gcd, mpoly._prs_gcd
+
+    def heu(f, g):
+        out = real_heu(f, g)
+        seen["heu"].append(out)
+        return out
+
+    monkeypatch.setattr(mpoly, "_heu_gcd", heu)
+    monkeypatch.setattr(mpoly, "_prs_gcd",
+                        lambda f, g: seen["prs"].append(f.tower) or real_prs(f, g))
+    return seen
+
+
+def _random_gcd_cases(seed, nvars, count):
+    """Products h*a, h*b over Q in nvars variables, with integer contents,
+    pure powers of single variables and the factor v*t*(v - t) mixed in."""
+    rng = random.Random(seed)
+    xs = [MPoly.variable(QQ, nvars, i) for i in range(nvars)]
+
+    def factor():
+        kind = rng.randrange(4)
+        if kind == 0:
+            return rng.choice(xs) ** rng.randint(1, 3)
+        if kind == 1 and nvars > 1:
+            v, t = rng.sample(xs, 2)
+            return v * t * (v - t)
+        p = MPoly.const(QQ, nvars, rng.randint(-3, 3))
+        for _ in range(rng.randint(1, 3)):
+            p = p + rng.randint(-4, 4) * rng.choice(xs) ** rng.randint(1, 2)
+        return p if not p.is_constant() else p + xs[0]
+
+    cases = []
+    for _ in range(count):
+        h = factor() * factor() * rng.choice([1, 2, 6, Fraction(3, 4)])
+        a = h * factor() * rng.choice([1, 3, 10])
+        b = h * factor() * rng.choice([1, 4, Fraction(5, 7)])
+        cases.append((a, b))
+    return cases
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3, 4])
+def test_kernel_gcd_matches_the_remainder_sequence(monkeypatch, nvars):
+    cases = _random_gcd_cases(100 + nvars, nvars, 12)
+    if nvars >= 2:
+        v, t = MPoly.variable(QQ, nvars, 0), MPoly.variable(QQ, nvars, 1)
+        cases.append((v * t * (v - t) * (v + 2 * t + 1), 6 * v**2 * t * (v - t) * (t - 3)))
+    seen = _spy_kernel(monkeypatch)
+    got = [mp_gcd(a, b) for a, b in cases]
+    assert seen["heu"] and all(h is not None for h in seen["heu"]) and not seen["prs"]
+    monkeypatch.setattr(mpoly, "_heu_gcd", lambda f, g: None)
+    assert got == [mp_gcd(a, b) for a, b in cases]
+
+
+def test_kernel_carries_the_integer_contents():
+    # the gcd of the images at each level must keep its integer content;
+    # primitive parts at every level would lose the factor t (or v)
+    v, t = MPoly.variable(QQ, 2, 0), MPoly.variable(QQ, 2, 1)
+    want = v * t * (v - t)
+    a, b = want * (v + 1) * 6, want * (t - 2) * 4
+    assert mp_gcd(a, b) == want
+    F, G = mpoly._to_ints(a)[1], mpoly._to_ints(b)[1]
+    H = mpoly._heu_gcd({e: 6 * c for e, c in F.items()}, {e: 4 * c for e, c in G.items()})
+    assert {e: abs(c) for e, c in H.items()} == {(2, 1): 2, (1, 2): 2}
+
+
+def test_kernel_gives_up_on_huge_coefficients_and_falls_back(monkeypatch):
+    x, y = xy()
+    big = 2**2000
+    h = x * y - 3 * y + 1
+    a = (big * x**4 + y) * h
+    b = (big * y**4 + x) * h
+    seen = _spy_kernel(monkeypatch)
+    assert mp_gcd(a, b) == h
+    assert None in seen["heu"] and seen["prs"]
+    monkeypatch.setattr(mpoly, "_heu_gcd", lambda f, g: None)
+    assert mp_gcd(a, b) == h
+
+
+def _quotient_cases(tower, coeffs):
+    rng = random.Random(len(coeffs))
+    x, y = xy(tower)
+    mons = [x, y, x * y, x**2, y**2, MPoly.const(tower, 2, 1)]
+
+    def poly():
+        p = MPoly(tower, 2, {})
+        for _ in range(rng.randint(2, 4)):
+            p = p + rng.choice(coeffs) * rng.choice(mons)
+        return p if not p.is_constant() else p + x
+
+    return [(poly(), poly()) for _ in range(8)]
+
+
+def _towers():
+    qt = make_tower([Transcendental("t")])
+    r2t = make_tower([Algebraic("r2", [-2, 0, 1]), Transcendental("t")])
+    t, s, r2 = qt.gen("t"), r2t.gen("t"), r2t.gen("r2")
+    return [
+        pytest.param(QQ, [1, -2, Fraction(3, 5), 7], id="Q"),
+        pytest.param(qt, [1, -2, Fraction(3, 5)], id="Q(t)-constants"),
+        pytest.param(qt, [1, t, t + 1, (t - 2).inv()], id="Q(t)"),
+        pytest.param(r2t, [1, r2, r2 + 3, Fraction(1, 3)], id="Q(r2)(t)-descends"),
+        pytest.param(r2t, [1, r2, s, (s + r2).inv()], id="Q(r2)(t)"),
+    ]
+
+
+@pytest.mark.parametrize("tower, coeffs", _towers())
+def test_exact_division_returns_the_quotient(tower, coeffs):
+    for q, g in _quotient_cases(tower, coeffs):
+        assert div_exact(q * g, g) == q
+        assert div_exact(q * g * 3, g * 3) == q
+        with pytest.raises(DivisionByZero):
+            div_exact(q * g + 1, g)
+
+
+def test_transport_with_a_heavy_flattened_gcd_is_accepted_by_the_kernel(monkeypatch):
+    # a transport whose one gcd in Q[v, t] (inputs of 22 and 19 terms) used
+    # to take over a second in the remainder sequence
+    tw = make_tower([Transcendental("t")])
+    t = tw.gen("t")
+    src, dst = FunctionRing(tw, ("u", "w")), FunctionRing(tw, ("v",))
+    u, w, v = src.var("u"), src.var("w"), dst.var("v")
+    f = (u**3 + t * u * w + 1) / (u * w - 2 * w + t)
+    seen = _spy_kernel(monkeypatch)
+    img = transport(f, [(v + 1) / (v - t), (t * v**2 - 1) / v], dst)
+    assert seen["heu"] and all(h is not None for h in seen["heu"]) and not seen["prs"]
+    assert repr(img) == (
+        "RingElem((v^5 + ((-2*t^3 + t^2 + 2)/(t^2))*v^4"
+        " + ((t^4 - 2*t^3 - 4*t + 3)/(t^2))*v^3 + ((t^4 + 5*t^2 - t + 3)/(t^2))*v^2"
+        " + ((-2*t^3 + 2*t^2 + 1)/(t^2))*v - t)/((-1/t)*v^5 + ((4*t + 2)/t)*v^4"
+        " + ((-5*t^3 - 5*t^2 + 1)/(t^2))*v^3 + ((2*t^4 + 4*t^3 - 4*t - 1)/(t^2))*v^2"
+        " + ((-t^3 + 5*t + 2)/t)*v - 2*t - 1))")
