@@ -147,8 +147,9 @@ def _covered(args, command):
 
 def _cmd_cech(args):
     cfg = _covered(args, "cech")
-    text = args.sheaf or cfg.sheaf
-    sheaf = _parse_sheaf("omega0" if text is None else text)
+    # the flag wins over the instance's [checks] sheaf; the echo states the result
+    args.sheaf = args.sheaf or cfg.sheaf
+    sheaf = _parse_sheaf("omega0" if args.sheaf is None else args.sheaf)
 
     def run():
         rep = sheaf_cohomology(cfg.cover, sheaf, cfg.policy)

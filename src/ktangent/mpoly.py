@@ -1,13 +1,13 @@
 """Multivariate polynomials with tower-field coefficients.
 
 Internal support layer for function rings: sparse dict representation
-(exponent tuple -> nonzero Scalar), reduction modulo a relation monic in
-one variable, exact division and gcd. Over Q both run on a small integer
-kernel (dicts from exponent tuple to int): exact division by graded-lex
-leading terms, and the heuristic gcd GCDHEU with trial division. Over
-Q(t_1..t_m) the gcd moves the t's into the polynomial and runs there. The
-primitive polynomial remainder sequence remains for algebraic towers and
-for the inputs on which GCDHEU gives up.
+(exponent tuple -> nonzero Scalar), the pseudo-remainder in one variable
+(the remainder, for a relation monic in it), exact division and gcd. Over
+Q both run on a small integer kernel (dicts from exponent tuple to int):
+exact division by graded-lex leading terms, and the heuristic gcd GCDHEU
+with trial division. Over Q(t_1..t_m) the gcd moves the t's into the
+polynomial and runs there. The primitive polynomial remainder sequence
+remains for algebraic towers and for the inputs on which GCDHEU gives up.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 from .errors import DivisionByZero, TowerMismatch
-from .scalars import Scalar, Tower, _is_zero, _pmul, power
+from .scalars import Scalar, Tower, _is_zero, _pgcd, _pmul, power
 
 
 class MPoly:
@@ -236,13 +236,17 @@ class MPoly:
         return self.render([f"x{i}" for i in range(self.nvars)])
 
 
-def reduce_mod(f, rel, v):
-    """Reduce f modulo a relation monic in variable v."""
-    d = rel.degree_in(v)
+def reduce_mod(f, g, v):
+    """Pseudo-remainder lc^k * f - q * g of f by g in the variable v, with
+    deg_v below deg_v g, for lc = lc_v(g) and k the number of steps.
+
+    For a relation monic in v, lc is 1 and this is the remainder.
+    """
+    d = g.degree_in(v)
+    lc = g.coeff_of(v, d)
     while f.degree_in(v) >= d:
         k = f.degree_in(v)
-        lead = f.coeff_of(v, k)
-        f = f - lead.shift(v, k - d) * rel
+        f = f * lc - f.coeff_of(v, k).shift(v, k - d) * g
     return f
 
 
@@ -274,18 +278,6 @@ def div_exact(f, g):
     if q is None:
         q = MPoly(tw, f.nvars, _divide(f.terms, g.terms))
     return MPoly(tw, f.nvars, {e: cf * c for e, cf in q.terms.items()})
-
-
-def _prem(f, g, v):
-    """Pseudo-remainder of f by g with respect to v."""
-    df, dg = f.degree_in(v), g.degree_in(v)
-    lc = g.coeff_of(v, dg)
-    r = f
-    while not r.is_zero() and r.degree_in(v) >= dg:
-        dr = r.degree_in(v)
-        r_lead = r.coeff_of(v, dr)
-        r = r * lc - r_lead.shift(v, dr - dg) * g
-    return r
 
 
 def _content(f, v):
@@ -349,22 +341,32 @@ def _prs_gcd(f, g):
     vs = f.vars_used() | g.vars_used()
     v = max(vs)
     if len(vs) == 1:
-        return _gcd_univar(f, g, v)
+        # one variable: the field Euclid on coefficient lists in v
+        tw, n, lv = f.tower, f.nvars, f.tower.num_levels
+        h = _pgcd(tw, lv, _coeff_list(f, v), _coeff_list(g, v))
+        return MPoly(tw, n, {(0,) * v + (k,) + (0,) * (n - v - 1): Scalar(tw, c)
+                             for k, c in enumerate(h) if not _is_zero(tw, lv, c)})
     cf, cg = _content(f, v), _content(g, v)
     c = mp_gcd(cf, cg)
     a = div_exact(f, cf)
     b = div_exact(g, cg)
     if a.degree_in(v) < b.degree_in(v):
         a, b = b, a
-    while not b.is_zero():
-        r = _prem(a, b, v)
+    # a and b stay primitive in v, so the last nonzero b is the gcd's
+    # primitive part
+    while True:
+        r = reduce_mod(a, b, v)
         if r.is_zero():
-            a, b = b, r
-            break
+            return _normalize_lead(c * b)
         a, b = b, div_exact(r, _content(r, v))
-    if b.is_zero() and not a.is_zero():
-        a = div_exact(a, _content(a, v))
-    return _normalize_lead(c * a)
+
+
+def _coeff_list(f, v):
+    """The coefficient values of f, a polynomial in x_v alone, low degree first."""
+    out = [f.tower._zeros[-1]] * (f.degree_in(v) + 1)
+    for e, c in f.terms.items():
+        out[e[v]] = c.val
+    return out
 
 
 def _via_subfield(op, f, g):
@@ -459,21 +461,6 @@ def _flatten(f, low):
             if not _is_zero(tw, lv - 1, a):
                 terms[e + (i,)] = Scalar(low, a)
     return MPoly(low, f.nvars + 1, terms)
-
-
-def _gcd_univar(f, g, v):
-    a, b = f, g
-    while not b.is_zero():
-        # remainder via field division in the single variable
-        db = b.degree_in(v)
-        lb = b.coeff_of(v, db).constant_value()
-        r = a
-        while not r.is_zero() and r.degree_in(v) >= db:
-            dr = r.degree_in(v)
-            c = r.coeff_of(v, dr).constant_value() / lb
-            r = r - MPoly.const(f.tower, f.nvars, c).shift(v, dr - db) * b
-        a, b = b, r
-    return _normalize_lead(a)
 
 
 # -- the integer kernel: polynomials over Z as dicts from exponent tuple to

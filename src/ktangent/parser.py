@@ -469,7 +469,8 @@ class SuiteConfig:
         self.sheaf = sheaf
 
     def describe(self):
-        """A JSON-ready echo of the resolved configuration."""
+        """A JSON-ready echo of the resolved configuration; the sheaf is
+        echoed only by the command that computes one (``cli`` ``cech``)."""
         out = {"tower": [list(step) for step in _tower_steps(self.tower)],
                "policy": {"D": self.policy.D, "delta": self.policy.delta},
                "p": self.p, "seed": self.seed}
@@ -477,8 +478,6 @@ class SuiteConfig:
             out["cover"] = self.cover_desc
         if self.ring is not None:
             out["ring"] = {"vars": list(self.ring.varnames)}
-        if self.sheaf is not None:
-            out["sheaf"] = self.sheaf
         return out
 
 

@@ -312,21 +312,19 @@ def _dgen(tw, lv, a, j):
         return _zero(tw, lv)
     if lv == 0:
         return Fraction(0)
-    if lv == j:
-        num, den = list(a[1]), list(a[2])
-        dn = _pformal_deriv(tw, lv - 1, num)
-        dd = _pformal_deriv(tw, lv - 1, den)
-        top = _psub(tw, lv - 1, _pmul(tw, lv - 1, dn, den), _pmul(tw, lv - 1, num, dd))
-        return _mkq(tw, lv, top, _pmul(tw, lv - 1, den, den))
-    # lv > j: the level-lv generator is independent of (or algebraic over) the
-    # lower field; differentiate coefficients, with the implicit-function rule
+    # At lv == j differentiate N/D as polynomials in the generator. At lv > j
+    # the level-lv generator is independent of (or algebraic over) the lower
+    # field; differentiate coefficients, with the implicit-function rule
     # supplying the generator's own derivative in the algebraic case.
     if a[0] == "q":
-        num, den = list(a[1]), list(a[2])
-        dn = [_dgen(tw, lv - 1, c, j) for c in num]
-        dd = [_dgen(tw, lv - 1, c, j) for c in den]
-        dn = _pstrip(tw, lv - 1, dn)
-        dd = _pstrip(tw, lv - 1, dd)
+        num, den = a[1], a[2]
+        if lv == j:
+            dn = _pformal_deriv(tw, lv - 1, num)
+            dd = _pformal_deriv(tw, lv - 1, den)
+        else:
+            dn = _pstrip(tw, lv - 1, [_dgen(tw, lv - 1, c, j) for c in num])
+            dd = _pstrip(tw, lv - 1, [_dgen(tw, lv - 1, c, j) for c in den])
+        # the quotient rule (N'D - ND') / D^2
         top = _psub(tw, lv - 1, _pmul(tw, lv - 1, dn, den), _pmul(tw, lv - 1, num, dd))
         return _mkq(tw, lv, top, _pmul(tw, lv - 1, den, den))
     m = tw.steps[lv - 1][2]
@@ -335,7 +333,6 @@ def _dgen(tw, lv, a, j):
     if all(_is_zero(tw, lv - 1, c) for c in dm):
         return coeff_part
     # dg = -(sum dm_k g^k) / m'(g)
-    g_val = ("a", _apad(tw, lv, [_zero(tw, lv - 1), _one(tw, lv - 1)]))
     dm_at_g = ("a", _amod(tw, lv, dm))
     mprime = _pformal_deriv(tw, lv - 1, list(m))
     mprime_at_g = ("a", _amod(tw, lv, mprime))
@@ -500,13 +497,7 @@ class Tower:
             coeffs = []
             for c in spec.minpoly:
                 if isinstance(c, Scalar):
-                    if c.tower.num_levels > lv or not c.tower.is_prefix_of(tw):
-                        raise TowerMismatch(
-                            f"minpoly coefficient for {name} lives outside the lower tower")
-                    v = c.val
-                    for k in range(c.tower.num_levels + 1, lv + 1):
-                        v = _lift_one(tw, k, v)
-                    coeffs.append(v)
+                    coeffs.append(tw.embed(c).val)
                 else:
                     coeffs.append(_from_fraction(tw, lv, Fraction(c)))
             coeffs = _pstrip(tw, lv, coeffs)
@@ -562,13 +553,8 @@ def _root_candidates(tw, lv):
             if fr.denominator == d:
                 cands.append(_from_fraction(tw, lv, fr))
     one = _one(tw, lv)
-    for j in range(1, lv + 1):
-        if tw.steps[j - 1][0] == "tr":
-            g = ("q", (_zero(tw, j - 1), _one(tw, j - 1)), (_one(tw, j - 1),))
-        else:
-            g = ("a", _apad(tw, j, [_zero(tw, j - 1), _one(tw, j - 1)]))
-        for k in range(j + 1, lv + 1):
-            g = _lift_one(tw, k, g)
+    for name in tw.names:
+        g = tw.gen(name).val
         for shift in (_zero(tw, lv), one, _neg(tw, lv, one)):
             cands.append(_add(tw, lv, g, shift))
             cands.append(_add(tw, lv, _neg(tw, lv, g), shift))

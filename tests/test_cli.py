@@ -290,6 +290,17 @@ def test_config_echo_states_what_ran(tmp_path, name, text):
     assert rep["checks"][0]["name"] == "cech Omega^0"
 
 
+def test_sheaf_is_echoed_only_by_cech(tmp_path, capsys):
+    # [checks] sheaf configures cech alone; hypercoh computes no sheaf
+    inst = tmp_path / "line.inst"
+    inst.write_text(_CHECKS_LINE + "sheaf = omega1\n")
+    assert main(["hypercoh", "--instance", str(inst), "--json", "-"]) == 0
+    assert "sheaf" not in json.loads(capsys.readouterr().out)["config"]
+    for flag, want in (([], "omega1"), (["--sheaf", "O(2)"], "O(2)")):
+        assert main(["cech", "--instance", str(inst), "--json", "-"] + flag) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["sheaf"] == want
+
+
 def test_forms_above_the_dimension_are_zero(tmp_path):
     code, rep = run_json(tmp_path, ["cech", "--instance", "p1", "--sheaf", "omega3"])
     assert code == 0

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from ktangent import mpoly
+from ktangent import mpoly, scalars
 from ktangent.cech import TruncationPolicy, cover_plane_curve, weierstrass_cubic
 from ktangent.cycletangent import composed_infinitesimal
 from ktangent.errors import DivisionByZero
@@ -45,6 +45,18 @@ def test_reduce_mod_relation():
     assert r.degree_in(1) <= 1
     # y^4 = (x^3 - x + 1)^2 after substitution
     assert r == (x**3 - x + 1) ** 2
+
+
+def test_reduce_mod_is_the_pseudo_remainder():
+    # g = x*y + 1 is not monic in y; by hand, two steps with lc = x:
+    # x*f - y*g = x^2 - y, then x*(x^2 - y) + g = x^3 + 1,
+    # so the pseudo-remainder is x^2*f - (x*y - 1)*g = x^3 + 1
+    x, y = xy()
+    f, g = y**2 + x, x * y + 1
+    r = reduce_mod(f, g, 1)
+    assert r == x**3 + 1
+    assert r == x**2 * f - (x * y - 1) * g
+    assert r.degree_in(1) < g.degree_in(1)
 
 
 def test_exact_division():
@@ -179,6 +191,24 @@ def test_gcd_of_rational_inputs_over_a_number_field_runs_over_q(monkeypatch):
         assert got == _lift(tw, mp_gcd(a, b))
     assert kernel and all(kernel)
     assert all(w == QQ for w in prs)
+
+
+def test_univariate_gcd_over_a_number_field_runs_the_field_euclid(monkeypatch):
+    # inputs that depend on r2 stay over Q(r2); over Q(r2)(t) they descend
+    # there first, and either way the one-variable gcd is scalars._pgcd
+    base = make_tower([Algebraic("r2", [-2, 0, 1])])
+    deep = make_tower([Algebraic("r2", [-2, 0, 1]), Transcendental("t")])
+    assert mpoly._pgcd is scalars._pgcd
+    levels = []
+    real = scalars._pgcd
+    monkeypatch.setattr(mpoly, "_pgcd",
+                        lambda tw, lv, p, q: levels.append(lv) or real(tw, lv, p, q))
+    for tw in (base, deep):
+        r2 = tw.gen("r2")
+        x, _ = xy(tw)
+        assert mp_gcd((x - r2) * (x + 1), (x - r2) * (x - 3)) == x - r2
+        assert levels == [1]
+        levels.clear()
 
 
 def test_composed_on_the_elliptic_curve_never_flattens(monkeypatch):

@@ -31,6 +31,12 @@ def tower_curvey():
     return make_tower([Transcendental("t"), Algebraic("w", [-(t**3 - t), 0, 1])])
 
 
+def tower_lifted_root():
+    # Q(t)(s) then a square root of t, given as a Scalar of the prefix Q(t)
+    t = tower_qt().gen("t")
+    return tower_qt().extend([Transcendental("s")]).extend([Algebraic("w", [-t, 0, 1])])
+
+
 def test_rationals_embed():
     x = QQ.from_fraction(Fraction(3, 4))
     y = QQ.from_fraction(Fraction(1, 4))
@@ -175,6 +181,21 @@ def test_embedding_prefix_towers():
         small.embed(big.gen("s"))
 
 
+def test_extend_embeds_minpoly_coefficients_from_prefix_towers():
+    mid = tower_qt().extend([Transcendental("s")])
+    tw = tower_lifted_root()
+    assert tw.steps[:2] == mid.steps
+    assert tw.steps[2][2][0] == mid.embed(-tower_qt().gen("t")).val
+    w = tw.gen("w")
+    assert w * w == tw.gen("t") and w.inv() * w == 1
+    # a coefficient from a tower that is not a prefix of Q(t)(s): another
+    # generator, or a longer tower
+    for c in (make_tower([Transcendental("u")]).gen("u"),
+              mid.extend([Transcendental("z")]).gen("z")):
+        with pytest.raises(TowerMismatch):
+            mid.extend([Algebraic("w", [-c, 0, 1])])
+
+
 def _random_scalar(rng, tower, gens, depth=2):
     if depth == 0 or rng.random() < 0.4:
         return tower.from_fraction(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
@@ -186,7 +207,7 @@ def _random_scalar(rng, tower, gens, depth=2):
     return a + b if op == "+" else a - b if op == "-" else a * b
 
 
-@pytest.mark.parametrize("builder", [tower_sqrt2, tower_qt, tower_curvey])
+@pytest.mark.parametrize("builder", [tower_sqrt2, tower_qt, tower_curvey, tower_lifted_root])
 def test_field_laws(builder):
     tw = builder()
     gens = [tw.gen(n) for n in tw.names]
