@@ -793,6 +793,9 @@ def label_form(engine, S, lab, base):
     cover = engine.cover
     ring = cover.model(S).ring
     if cover.kind == "curve":
+        if S == (1,):  # chart B: xb^i * zb^j
+            i, j = lab
+            return DiffForm.of_elem(ring.var("xb") ** i * ring.var("zb") ** j, base)
         i, dl, e = lab
         x, y = ring.var("x"), ring.var("y")
         g0, g1, g2 = cover.gcoeffs

@@ -74,10 +74,8 @@ def _load(args):
         except OSError as exc:
             raise KTangentError(f"cannot read instance file {name!r}: {exc}")
         cfg = load_instance(text)
-    if args.p is not None:
+    if getattr(args, "p", None) is not None:
         cfg.p = args.p
-    if args.seed is not None:
-        cfg.seed = args.seed
     if args.D is not None or args.delta is not None:
         D = args.D if args.D is not None else cfg.policy.D
         delta = args.delta if args.delta is not None else cfg.policy.delta
@@ -119,21 +117,17 @@ def _guard(name, fn):
                  "witnesses": [f"{type(exc).__name__}: {exc}"]}]
 
 
-def _cmd_verify(args):
-    what = args.what
-    seed = args.seed if args.seed is not None else suites.DEFAULT_SEED
-    if what == "lemma2.6":
-        return None, _guard(what, lambda: suites.codifferential_suite(args.p, seed))
-    if what == "beta-agreement":
-        return None, _guard(what, lambda: suites.beta_agreement_suite(args.p, seed))
-    if what == "diagram2.7":
-        return None, _guard(what, lambda: suites.absolute_square_suite(args.p, seed))
-    if what == "alpha-delta":
-        return None, _guard(what, lambda: suites.diagram_suite(args.p))
+def _suite(fn):
+    """The body of a seeded suite: ``fn`` gets exactly the settings declared."""
+    def body(args):
+        settings = _settings(args)
+        return None, _guard(args.run.rpartition(" ")[2], lambda: fn(**settings))
+    return body
+
+
+def _cmd_splitting(args):
     # lemma2.4: the splitting of the tangent complex over an actual cover
-    cfg = _load(args)
-    if cfg.cover is None:
-        raise Unsupported("the splitting check needs a [cover] instance")
+    cfg = _covered(args, "the splitting check")
     return cfg, _guard(f"splitting p={cfg.p}",
                        lambda: [verify_splitting(cfg.p, cfg.cover, cfg.policy)])
 
@@ -220,24 +214,6 @@ def _cmd_composed(args):
     return cfg, _guard(f"composed p={cfg.p}", run)
 
 
-def _cmd_relations(args):
-    if args.p is not None:
-        raise Unsupported("relations draws its own weights p in {2, 3}; --p does not apply")
-    seed = args.seed if args.seed is not None else suites.DEFAULT_SEED
-    return None, _guard("relations", lambda: suites.relations_suite(seed))
-
-
-_COMMANDS = {
-    "verify": _cmd_verify,
-    "cech": _cmd_cech,
-    "hypercoh": _cmd_hypercoh,
-    "tangent-chow": _cmd_tangent_chow,
-    "delta-r": _cmd_delta_r,
-    "composed": _cmd_composed,
-    "relations": _cmd_relations,
-}
-
-
 # -- report assembly ---------------------------------------------------------
 
 def _normalize(check):
@@ -252,19 +228,22 @@ def _normalize(check):
     return out
 
 
-def _config_echo(cmd_args, cfg):
-    config = {}
-    if cfg is not None:
-        config.update(cfg.describe())
-        config["instance"] = cmd_args.instance or "p1"
-    if getattr(cmd_args, "what", None):
-        config["what"] = cmd_args.what
-    if getattr(cmd_args, "sheaf", None):
-        config["sheaf"] = cmd_args.sheaf
+def _config_echo(args, cfg):
+    """The settings that ran: those the command declares, and no other."""
+    settings = _settings(args)
     if cfg is None:
-        config["p"] = cmd_args.p if cmd_args.p is not None else "2,3,4"
-        seed = cmd_args.seed
-        config["seed"] = seed if seed is not None else suites.DEFAULT_SEED
+        config = settings
+        if "p" in config and config["p"] is None:
+            config["p"] = "2,3,4"  # the suites' weights when none is given
+    else:
+        config = cfg.describe()
+        config["instance"] = args.instance or "p1"
+        if "p" not in settings:
+            del config["p"]
+        if settings.get("sheaf"):
+            config["sheaf"] = args.sheaf
+    if "what" in vars(args):
+        config["what"] = args.what
     return config
 
 
@@ -296,16 +275,46 @@ def _print_human(report, out, seconds):
     print(f"{good}/{n} checks passed in {seconds:.3f} s", file=out)
 
 
-# -- entry point -------------------------------------------------------------
+# -- the commands and the settings each one reads ------------------------------
 
-def _add_common(sp):
-    sp.add_argument("--instance", help="built-in name (p1, p2, elliptic) or instance file")
-    sp.add_argument("--p", type=int, help="weight / symbol length")
-    sp.add_argument("--D", type=int, help="truncation window size")
-    sp.add_argument("--delta", type=int, help="window growth for the stability check")
-    sp.add_argument("--seed", type=int, help="seed for randomized families")
-    sp.add_argument("--json", help="write the JSON report to this path ('-' for stdout)")
-    sp.add_argument("--quiet", action="store_true", help="suppress the human-readable summary")
+_SETTINGS = {
+    "instance": {"help": "built-in name (p1, p2, elliptic) or instance file"},
+    "p": {"type": int, "help": "weight / symbol length"},
+    "D": {"type": int, "help": "truncation window size"},
+    "delta": {"type": int, "help": "window growth for the stability check"},
+    "seed": {"type": int, "default": suites.DEFAULT_SEED,
+             "help": "seed for the randomized families"},
+    "sheaf": {"help": "omegaR or O(d); default omega0"},
+}
+_ON_A_COVER = ("instance", "p", "D", "delta")
+
+# name -> (help, the settings it reads, body); "verify X" is X under verify
+_COMMANDS = {
+    "verify lemma2.6": ("tilde_dlog = +-d(beta) on seeded symbol families",
+                        ("p", "seed"), _suite(suites.codifferential_suite)),
+    "verify beta-agreement": ("beta via truncation agrees with beta",
+                              ("p", "seed"), _suite(suites.beta_agreement_suite)),
+    "verify diagram2.7": ("the absolute comparison square up the tower",
+                          ("p", "seed"), _suite(suites.absolute_square_suite)),
+    "verify alpha-delta": ("the alpha/delta comparison diagram",
+                           ("p",), _suite(suites.diagram_suite)),
+    "verify lemma2.4": ("the tangent complex splits on a cover",
+                        _ON_A_COVER, _cmd_splitting),
+    "cech": ("sheaf cohomology dimensions on a cover",
+             ("instance", "D", "delta", "sheaf"), _cmd_cech),
+    "hypercoh": ("hypercohomology of the tangent complex", _ON_A_COVER, _cmd_hypercoh),
+    "tangent-chow": ("formal tangent space of the cycle group",
+                     _ON_A_COVER, _cmd_tangent_chow),
+    "delta-r": ("the map out of the formal tangent space", _ON_A_COVER, _cmd_delta_r),
+    "composed": ("the composed infinitesimal regulator map", _ON_A_COVER, _cmd_composed),
+    "relations": ("symbol relations die under the form maps",
+                  ("seed",), _suite(suites.relations_suite)),
+}
+
+
+def _settings(args):
+    """The parsed settings: the namespace holds only the command's own flags."""
+    return {k: v for k, v in vars(args).items() if k in _SETTINGS}
 
 
 def build_arg_parser():
@@ -314,21 +323,17 @@ def build_arg_parser():
         description="exact verification of symbol maps, Cech cohomology, "
                     "and tangent-space comparisons")
     sub = ap.add_subparsers(dest="command", required=True)
-    vp = sub.add_parser("verify", help="run one of the identity suites")
-    vp.add_argument("what", choices=["lemma2.6", "beta-agreement",
-                                     "diagram2.7", "alpha-delta", "lemma2.4"])
-    _add_common(vp)
-    for name, help_text in (
-            ("cech", "sheaf cohomology dimensions on a cover"),
-            ("hypercoh", "hypercohomology of the tangent complex"),
-            ("tangent-chow", "formal tangent space of the cycle group"),
-            ("delta-r", "the map out of the formal tangent space"),
-            ("composed", "the composed infinitesimal regulator map"),
-            ("relations", "symbol relations die under the form maps")):
-        sp = sub.add_parser(name, help=help_text)
-        if name == "cech":
-            sp.add_argument("--sheaf", help="omegaR or O(d); default omega0")
-        _add_common(sp)
+    verify = sub.add_parser("verify", help="run one of the identity suites")
+    suites_sub = verify.add_subparsers(dest="what", required=True)
+    for name, (help_text, settings, _) in _COMMANDS.items():
+        group, _, leaf = name.rpartition(" ")
+        sp = (suites_sub if group else sub).add_parser(leaf, help=help_text)
+        for key in settings:
+            sp.add_argument(f"--{key}", **_SETTINGS[key])
+        sp.add_argument("--json", help="write the JSON report to this path ('-' for stdout)")
+        sp.add_argument("--quiet", action="store_true",
+                        help="suppress the human-readable summary")
+        sp.set_defaults(run=name)
     return ap
 
 
@@ -341,16 +346,15 @@ def _arg_parser():
 def main(argv=None):
     start = time.perf_counter()
     args = _arg_parser().parse_args(argv)
-    body = _COMMANDS[args.command]
-    command = args.command if args.command != "verify" else f"verify {args.what}"
     try:
-        if args.p is not None and args.p < 1:
-            raise Unsupported(f"weight p must be at least 1, got {args.p}")
-        cfg, checks = body(args)
+        p = getattr(args, "p", None)
+        if p is not None and p < 1:
+            raise Unsupported(f"weight p must be at least 1, got {p}")
+        cfg, checks = _COMMANDS[args.run][2](args)
     except KTangentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = make_report(command, _config_echo(args, cfg), checks)
+    report = make_report(args.run, _config_echo(args, cfg), checks)
     payload = render_json(report)
     if args.json == "-":
         sys.stdout.write(payload)

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 from .errors import DivisionByZero, TowerMismatch
-from .scalars import Scalar, Tower, _is_zero, _pgcd, _pmul, power
+from .scalars import Scalar, Tower, _is_zero, _pgcd, _pmul, power, render_terms
 
 
 class MPoly:
@@ -209,28 +209,12 @@ class MPoly:
         return used
 
     def render(self, names):
-        if not self.terms:
-            return "0"
-        bits = []
+        terms = []
         for e in sorted(self.terms, key=lambda t: (-sum(t), tuple(-x for x in t))):
-            c = self.terms[e]
             mono = "*".join(
                 names[i] if k == 1 else f"{names[i]}^{k}" for i, k in enumerate(e) if k)
-            cs = str(c)
-            if not mono:
-                bits.append(cs)
-            elif cs == "1":
-                bits.append(mono)
-            elif cs == "-1":
-                bits.append(f"-{mono}")
-            else:
-                if any(ch in cs[1:] for ch in "+-") or "/" in cs or " " in cs:
-                    cs = f"({cs})"
-                bits.append(f"{cs}*{mono}")
-        out = bits[0]
-        for b in bits[1:]:
-            out += f" - {b[1:]}" if b.startswith("-") else f" + {b}"
-        return out
+            terms.append((str(self.terms[e]), mono))
+        return render_terms(terms)
 
     def __repr__(self):
         return self.render([f"x{i}" for i in range(self.nvars)])

@@ -425,47 +425,39 @@ def evaluate(e, ring=None, names=None, bases=None):
 #     kind = plane-curve              # or projective-line, projective-plane
 #     weierstrass = 0, -1, 1          # y^2 z = x^3 + a x^2 z + b x z^2 + c z^3
 #
-#     [ring]                          # alternative to [cover] for symbol suites
-#     vars = x, y
-#
 #     [policy]
 #     D = 2
 #     delta = 2
 #
 #     [checks]
 #     p = 1
-#     seed = 20260401
 #     sheaf = omega0                  # or omega1, omega2, O(3), O(-2)
 #
 # Every section is optional; an empty tower means the rationals.  The same
 # data is accepted as a JSON object with keys tower (list of
-# {name, kind, minpoly}), cover, ring, policy, and checks.
+# {name, kind, minpoly}), cover, policy, and checks.
 
 import json as _json
 
 from .scalars import make_tower, Algebraic, Transcendental
-from .funcrings import FunctionRing
 from .cech import (TruncationPolicy, cover_pn, cover_plane_curve,
                    weierstrass_cubic)
 
 _COVER_KINDS = ("projective-line", "projective-plane", "plane-curve")
-_SECTIONS = ("tower", "cover", "ring", "policy", "checks")
+_SECTIONS = ("tower", "cover", "policy", "checks")
 
 
 class SuiteConfig:
     """A resolved instance: tower, geometry, truncation policy, check knobs."""
 
-    __slots__ = ("tower", "cover", "cover_desc", "ring", "policy", "p", "seed",
-                 "sheaf")
+    __slots__ = ("tower", "cover", "cover_desc", "policy", "p", "sheaf")
 
-    def __init__(self, tower, cover, cover_desc, ring, policy, p, seed, sheaf):
+    def __init__(self, tower, cover, cover_desc, policy, p, sheaf):
         self.tower = tower
         self.cover = cover
         self.cover_desc = cover_desc
-        self.ring = ring
         self.policy = policy
         self.p = p
-        self.seed = seed
         self.sheaf = sheaf
 
     def describe(self):
@@ -473,11 +465,9 @@ class SuiteConfig:
         echoed only by the command that computes one (``cli`` ``cech``)."""
         out = {"tower": [list(step) for step in _tower_steps(self.tower)],
                "policy": {"D": self.policy.D, "delta": self.policy.delta},
-               "p": self.p, "seed": self.seed}
+               "p": self.p}
         if self.cover is not None:
             out["cover"] = self.cover_desc
-        if self.ring is not None:
-            out["ring"] = {"vars": list(self.ring.varnames)}
         return out
 
 
@@ -530,7 +520,7 @@ def _read_sections(text):
 
 def _spec_from_text(text):
     sections = _read_sections(text)
-    spec = {"tower": [], "cover": {}, "ring": {}, "policy": {}, "checks": {}}
+    spec = {"tower": [], "cover": {}, "policy": {}, "checks": {}}
     for ln, key, value in sections.get("tower", ()):
         words = key.split()
         if len(words) != 2 or words[0] != "gen":
@@ -547,7 +537,7 @@ def _spec_from_text(text):
         else:
             raise InstanceSyntaxError(
                 "expected 'transcendental' or 'algebraic c0, c1, ...'", ln, 1)
-    for section in ("cover", "ring", "policy", "checks"):
+    for section in _SECTIONS[1:]:
         for ln, key, value in sections.get(section, ()):
             if key in spec[section]:
                 raise InstanceSyntaxError(f"duplicate key {key!r}", ln, 1)
@@ -593,10 +583,6 @@ def _spec_from_json(obj):
     w = tables["cover"].get("weierstrass")
     if w is not None and not isinstance(w, str):
         tables["cover"]["weierstrass"] = rats(w, "weierstrass")
-    names = tables["ring"].get("vars", "")
-    if not (names is None or isinstance(names, str) or isinstance(names, list)
-            and all(isinstance(v, str) for v in names)):
-        raise bad(f"ring vars must be a list of names, got {names!r}")
     if not isinstance(tables["checks"].get("sheaf", ""), str):
         raise bad(f"checks sheaf must be a string, got {tables['checks']['sheaf']!r}")
     spec = {key: {k: (1, v) for k, v in table.items()}
@@ -652,17 +638,6 @@ def _build_config(spec):
         raise InstanceSyntaxError(f"unknown cover kind {kind!r}", ln, 1)
     _reject_extras(ctab, "cover")
 
-    ring = None
-    rtab = spec["ring"]
-    ln, varstext = _take(rtab, "vars")
-    if varstext is not None:
-        if isinstance(varstext, str):
-            varnames = [w.strip() for w in varstext.split(",") if w.strip()]
-        else:
-            varnames = list(varstext)
-        ring = FunctionRing(tower, varnames)
-    _reject_extras(rtab, "ring")
-
     ptab = spec["policy"]
     ln, Dv = _take(ptab, "D", 2)
     ln2, dv = _take(ptab, "delta", 2)
@@ -671,14 +646,12 @@ def _build_config(spec):
 
     ktab = spec["checks"]
     ln, pv = _take(ktab, "p", 1)
-    ln2, seedv = _take(ktab, "seed", 20260401)
     _, sheaf = _take(ktab, "sheaf")
     _reject_extras(ktab, "checks")
     p = _int(pv, ln)
     if p < 1:
         raise InstanceSyntaxError(f"weight p must be at least 1, got {p}", ln, 1)
-    return SuiteConfig(tower, cover, coverdesc, ring, policy, p, _int(seedv, ln2),
-                       sheaf)
+    return SuiteConfig(tower, cover, coverdesc, policy, p, sheaf)
 
 
 def load_instance(text):

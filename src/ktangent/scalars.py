@@ -350,31 +350,38 @@ def _needs_parens(s):
     return ("+" in s[1:]) or ("-" in s[1:]) or ("/" in s) or (" " in s)
 
 
+def render_terms(terms):
+    """A signed sum of (coefficient text, monomial text) terms, in order.
+
+    An empty monomial is a constant term; coefficients 1 and -1 are left
+    out, and a compound coefficient is parenthesized.  Tower values and
+    ``MPoly`` both print through this one rule.
+    """
+    bits = []
+    for cs, mono in terms:
+        if not mono:
+            bits.append(cs)
+        elif cs == "1":
+            bits.append(mono)
+        elif cs == "-1":
+            bits.append(f"-{mono}")
+        else:
+            bits.append(f"({cs})*{mono}" if _needs_parens(cs) else f"{cs}*{mono}")
+    if not bits:
+        return "0"
+    out = bits[0]
+    for b in bits[1:]:
+        out += f" - {b[1:]}" if b.startswith("-") else f" + {b}"
+    return out
+
+
 def _render_poly(tw, lv, coeffs, name):
     terms = []
     for k in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[k]
-        if _is_zero(tw, lv, c):
-            continue
-        cs = _render(tw, lv, c)
-        if k == 0:
-            terms.append(cs)
-            continue
-        xs = name if k == 1 else f"{name}^{k}"
-        if cs == "1":
-            terms.append(xs)
-        elif cs == "-1":
-            terms.append(f"-{xs}")
-        else:
-            if _needs_parens(cs):
-                cs = f"({cs})"
-            terms.append(f"{cs}*{xs}")
-    if not terms:
-        return "0"
-    out = terms[0]
-    for t in terms[1:]:
-        out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
-    return out
+        if not _is_zero(tw, lv, coeffs[k]):
+            mono = "" if k == 0 else name if k == 1 else f"{name}^{k}"
+            terms.append((_render(tw, lv, coeffs[k]), mono))
+    return render_terms(terms)
 
 
 def _render(tw, lv, v):
@@ -720,7 +727,7 @@ class Scalar:
     def d(self, level):
         """Partial derivative with respect to the transcendental generator at ``level``."""
         tw = self.tower
-        if tw.steps[level - 1][0] != "tr":
+        if level not in tw.transcendental_levels():
             raise ValueError(f"level {level} is not a transcendental step")
         return Scalar(tw, _dgen(tw, tw.num_levels, self.val, level))
 

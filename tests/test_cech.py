@@ -508,6 +508,29 @@ def test_random_coboundaries_are_cocycles():
         assert cech_cocycle_check(c, ABS0, 1, comp)
 
 
+def test_curve_chart_b_labels_are_cocycle_checked():
+    # chart B's labels (i, j) mean xb^i * zb^j; the H^0(O) class has a 1 there
+    c = elliptic()
+    rep = sheaf_cohomology(c, Sheaf.forms(0), POL)
+    vec = rep.reps[0][0]
+    assert cech_cocycle_check(c, ABS0, 0, cochain_forms(rep.engine, 0, vec, ABS0))
+    xb = rep.engine.index(0)[(0, 0, (1,), (1, 0))]
+    bent = {**vec, xb: Fraction(1)}
+    assert not cech_cocycle_check(c, ABS0, 0, cochain_forms(rep.engine, 0, bent, ABS0))
+
+
+def test_base_letter_classes_are_cocycle_checked():
+    # Omega^1 of P^1 over Q(s) relative to Q: ds is a global class
+    c = cover_pn(1, make_tower([Transcendental("s")]))
+    rep = sheaf_cohomology(c, Sheaf.forms(1, base=ABS0), POL, require_stable=True)
+    for k, vecs in rep.reps.items():
+        for vec in vecs:
+            assert cech_cocycle_check(c, ABS0, k, cochain_forms(rep.engine, k, vec, ABS0))
+    (vec,) = rep.reps[0]
+    bent = {**vec, min(vec): vec[min(vec)] * 2}
+    assert not cech_cocycle_check(c, ABS0, 0, cochain_forms(rep.engine, 0, bent, ABS0))
+
+
 def test_report_serializes():
     c = cover_pn(1, QQ)
     rep = sheaf_cohomology(c, Sheaf.twisted(2), POL)

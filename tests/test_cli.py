@@ -8,8 +8,8 @@ import sys
 
 import pytest
 
-from ktangent.cli import (main, BUILTIN_INSTANCES, make_report, render_json,
-                          _parse_sheaf)
+from ktangent.cli import (main, BUILTIN_INSTANCES, build_arg_parser, make_report,
+                          render_json, _parse_sheaf)
 from ktangent.parser import load_instance
 from ktangent.errors import Unsupported
 
@@ -180,7 +180,6 @@ _CHECKS_OMEGA_NEG = "[cover]\nkind = projective-line\n\n[checks]\nsheaf = omega-
     pytest.param(["cech", "--instance", "p1", "--sheaf", "omega-1"], None,
                  id="cech-omega-1"),
     pytest.param(["cech"], _CHECKS_OMEGA_NEG, id="cech-file-omega-1"),
-    pytest.param(["relations", "--p", "5"], None, id="relations-p5"),
 ])
 def test_bad_window_or_weight_is_usage_error(tmp_path, capsys, argv, instance):
     if instance is not None:
@@ -236,15 +235,34 @@ _CHECKS_LINE = "[cover]\nkind = projective-line\n\n[checks]\np = 1\n"
     pytest.param("bad.inst", _CHECKS_LINE + "instance = x\n", id="text-instance"),
     pytest.param("bad.json", json.dumps({"cover": _LINE, "checks": {"policy": 5}}),
                  id="json-policy"),
+    pytest.param("bad.inst", _CHECKS_LINE + "seed = 5\n", id="text-seed"),
+    pytest.param("bad.json", json.dumps({"cover": _LINE, "checks": {"seed": 5}}),
+                 id="json-seed"),
 ])
 def test_unknown_checks_key_is_usage_error(tmp_path, capsys, name, text):
-    # [checks] holds p, seed and sheaf; any other key would only be echoed
-    # into the report's config, over the values that actually ran
+    # [checks] holds p and sheaf; any other key would only be echoed into
+    # the report's config, over the values that actually ran (no command
+    # that loads an instance draws a seed)
     inst = tmp_path / name
     inst.write_text(text)
     assert main(["cech", "--instance", str(inst), "--quiet"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: unknown checks key") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name, text, message", [
+    pytest.param("ring.inst", _CHECKS_LINE + "[ring]\nvars = x, y\n",
+                 "unknown section [ring]", id="text"),
+    pytest.param("ring.json", json.dumps({"cover": _LINE, "ring": {"vars": ["x", "y"]}}),
+                 "JSON instance: unknown key 'ring'", id="json"),
+])
+def test_ring_section_is_usage_error(tmp_path, capsys, name, text, message):
+    # no command reads a bare function ring, so an instance cannot declare one
+    inst = tmp_path / name
+    inst.write_text(text)
+    assert main(["hypercoh", "--instance", str(inst), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and "Traceback" not in err
 
 
 _ECHO_TEXT = """
@@ -261,14 +279,13 @@ delta = 1
 
 [checks]
 p = 2
-seed = 5
 sheaf = omega0
 """
 
 _ECHO_JSON = {"tower": [{"name": "r", "kind": "algebraic", "minpoly": [-2, 0, 1.0]}],
               "cover": {"kind": "plane-curve", "weierstrass": [0, -1, 1.1]},
               "policy": {"D": 3, "delta": 1},
-              "checks": {"p": 2, "seed": 5, "sheaf": "omega0"}}
+              "checks": {"p": 2, "sheaf": "omega0"}}
 
 
 @pytest.mark.parametrize("name, text", [
@@ -280,11 +297,10 @@ def test_config_echo_states_what_ran(tmp_path, name, text):
     inst.write_text(text)
     code, rep = run_json(tmp_path, ["cech", "--instance", str(inst)])
     assert code == 0
+    # cech reads no weight, so the instance's p is not echoed
     assert rep["config"] == {"cover": "plane-curve 0,-1,11/10",
                              "instance": str(inst),
-                             "p": 2,
                              "policy": {"D": 3, "delta": 1},
-                             "seed": 5,
                              "sheaf": "omega0",
                              "tower": [["r", "algebraic"]]}
     assert rep["checks"][0]["name"] == "cech Omega^0"
@@ -310,6 +326,52 @@ def test_forms_above_the_dimension_are_zero(tmp_path):
 def test_usage_error_from_argparse():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "no-such-suite"])
+    assert exc.value.code == 2
+
+
+# each command declares only the settings it reads, plus --json and --quiet;
+# any other of these five is a usage error: 54 command/flag pairs parse, 24 do not
+_FLAG_VALUES = {"--instance": "nosuch.inst", "--p": "1", "--D": "0",
+                "--delta": "0", "--seed": "1"}
+_COVER_FLAGS = {"--instance", "--p", "--D", "--delta"}
+_DECLARED = {
+    "verify lemma2.6": {"--p", "--seed"},
+    "verify beta-agreement": {"--p", "--seed"},
+    "verify diagram2.7": {"--p", "--seed"},
+    "verify alpha-delta": {"--p"},
+    "verify lemma2.4": _COVER_FLAGS,
+    "cech": {"--instance", "--D", "--delta", "--sheaf"},
+    "hypercoh": _COVER_FLAGS,
+    "tangent-chow": _COVER_FLAGS,
+    "delta-r": _COVER_FLAGS,
+    "composed": _COVER_FLAGS,
+    "relations": {"--seed"},
+}
+_UNDECLARED = [(cmd, flag) for cmd, flags in _DECLARED.items()
+               for flag in _FLAG_VALUES if flag not in flags]
+
+
+def test_each_command_declares_its_own_flags():
+    assert len(_UNDECLARED) == 24
+    values = {**_FLAG_VALUES, "--sheaf": "omega1", "--json": "-"}
+    kept = 0
+    for cmd, flags in _DECLARED.items():
+        for flag in sorted(flags) + ["--json"]:
+            args = build_arg_parser().parse_args(cmd.split() + [flag, values[flag]])
+            assert args.run == cmd
+            kept += 1
+        assert build_arg_parser().parse_args(cmd.split() + ["--quiet"]).quiet
+        kept += 1
+    assert kept == 54
+
+
+@pytest.mark.parametrize("cmd, flag", _UNDECLARED,
+                         ids=[f"{c.replace(' ', '-')}{f}" for c, f in _UNDECLARED])
+def test_undeclared_flag_is_usage_error(cmd, flag):
+    # argparse refuses it before anything runs; its wording varies across
+    # Python versions, so only the exit code is checked
+    with pytest.raises(SystemExit) as exc:
+        main(cmd.split() + [flag, _FLAG_VALUES[flag], "--quiet"])
     assert exc.value.code == 2
 
 
@@ -416,53 +478,52 @@ def test_console_script_runs():
 # -- report bytes --------------------------------------------------------------
 
 # sha256 of the ``--json -`` output of every cover command on the built-in
-# instances at p = 1, 2, with its exit code.  A change to the arithmetic that
-# keeps every value canonical leaves these bytes as they are.
+# instances at p = 1, 2 (cech, which reads no weight, once), with its exit
+# code.  A change to the arithmetic that keeps every value canonical leaves
+# these bytes as they are.
 _REPORT_SHA256 = [
-    ("verify lemma2.4", "p1", 1, 0, "6a4c1f806a2958e000dbad6c1a65602305a2ccdc6d981175b8860337615f56b1"),
-    ("verify lemma2.4", "p1", 2, 0, "3c50634d327a72b7a8ab5ab0828813d96a75f03a5aba694ff15e9ca2096a9d7c"),
-    ("cech", "p1", 1, 0, "fe67fa7ae4196caf318ba06d851d6f1041cb8889feea8fcabeb38ac0b247afe2"),
-    ("cech", "p1", 2, 0, "45d62b3ee813f491882940aef54a15f97758f181e67f6d8279ebdea32e58b060"),
-    ("hypercoh", "p1", 1, 0, "b55e20ddad461c4e48c04466bf120b340dbe1c75da58271ad9ecf124256164b1"),
-    ("hypercoh", "p1", 2, 0, "8a03e682565493e654c7e38d2c64a9e9c1cc283ea42abbe5b2eaa4935cc7490a"),
-    ("tangent-chow", "p1", 1, 0, "3bdc4b2b0a1d8af23d0f9032e527930f3586fe988f8ecb6a4e35bf3de3825b18"),
-    ("tangent-chow", "p1", 2, 0, "71d18c74ea12c0e859e239ec0894367bbdc7320288b4c5c99878b7b27f6dc1eb"),
-    ("delta-r", "p1", 1, 0, "635adcd684a8fb63b37eb20cbc18150c40bf3abeb25b475f18d3eceb26c7f110"),
-    ("delta-r", "p1", 2, 0, "f5a2119de543f68815fab27e1627f944c3d11abc51833badf363aab02f3fd876"),
-    ("composed", "p1", 1, 0, "bdeb275dfdb284edbf6b6b2cc1f087030ee592d94dd8e65fc02e33dae2ee1c0a"),
-    ("composed", "p1", 2, 0, "cfd457993f232b4ba117f2890cf2ab642d247191e371593693d0628b92d50282"),
-    ("verify lemma2.4", "p2", 1, 0, "407d2aa312b3aa9ea42e7ee7845c8dbc7e2b50d3d159ab6567897f22eb5f819d"),
-    ("verify lemma2.4", "p2", 2, 0, "b8ffbcb1d978ffe12a41c3459e17cc9b77db132778c8532354e6eedd6ed5942a"),
-    ("cech", "p2", 1, 0, "febcfae6d2d8daf035a3536fcac54e0d9c83f51504e4739928c7c883e89b3826"),
-    ("cech", "p2", 2, 0, "f73d25956a04c1c9c9cb2a1ce56c73fc68d53054313b96bdfb65ea5b0a75881e"),
-    ("hypercoh", "p2", 1, 0, "36b823581b741c26dc261ac2bc4e428548659c97d20cf13ef296419763cf2e80"),
-    ("hypercoh", "p2", 2, 0, "9b0e24fb2c6e61f5c32a35372998b1329eea7e92131b52ed5d17f87e33a4b00e"),
-    ("tangent-chow", "p2", 1, 0, "d70c251460fea4fe0b2abfa8b732a55fc3a3f37b0178a8bd3f8c36409361c8f1"),
-    ("tangent-chow", "p2", 2, 0, "9cd58dbf35eb59c9404a9c45ad16a3d19c8051bcdf84698b204d2f2bd22e65e6"),
-    ("delta-r", "p2", 1, 0, "6365183fd82c1763d3118baa8dbea32445d5dfd8d28e2a3734f4b3b58c9cc93c"),
-    ("delta-r", "p2", 2, 0, "586cdcc7923f76768ccf246727dcdafd4f4962664da89241ec0c2e5b38fc723e"),
-    ("composed", "p2", 1, 0, "c11a69efde417cd0c9411ef347e6fdf0f6c5920d57a976417e71a6b3678c4d0b"),
-    ("composed", "p2", 2, 0, "80484d8f9fc43fa56ba0c47168fdeeadb08d8fb355ea72c58b26edfecd70cd6d"),
-    ("verify lemma2.4", "elliptic", 1, 0, "1b2a6580cf5e349fc3edcb45747257dc3b6a930fe797a8c1631ec06db37d0ca9"),
-    ("verify lemma2.4", "elliptic", 2, 1, "7b2b7877c28571f90776cfa21d9ce3143bc84c0d6cb076a038ca308dfd15922d"),
-    ("cech", "elliptic", 1, 0, "6f7abc54f6c0e094c80482036817b1e2d6c0341d94a17f02d7e5e15a1734a185"),
-    ("cech", "elliptic", 2, 0, "3f9bf5328bbab48f573edc498cafcd9d2a8c34c55201f43797f3cb29f5ae6b7d"),
-    ("hypercoh", "elliptic", 1, 0, "9d3c6bb1060b3851fec8fc9bf6730c725f118d256e03762f8e20d9bee3c79f01"),
-    ("hypercoh", "elliptic", 2, 1, "eee98efe3fe81c232d2ff09dab54d48c217725e64a241d6c2e90dbffb4027856"),
-    ("tangent-chow", "elliptic", 1, 0, "19a65f9bd2e172ebf6c6b71d10511083e499b188c249bd98a1549044507b62b2"),
-    ("tangent-chow", "elliptic", 2, 1, "4437d565c3a1eddc0187d9a2f2b0c1bd2111fe4d8d8a437407959c8e468cfb2c"),
-    ("delta-r", "elliptic", 1, 0, "1df09e7ac0315812c964f274c62b164877f0f23558e7b919bf9cabfa4b83b8ce"),
-    ("delta-r", "elliptic", 2, 1, "39a9d62d838eab2f321e68158132dc520d58fdefd50997bae45ac4deda13ba38"),
-    ("composed", "elliptic", 1, 0, "78f820406581f48e2f0699a9317a84feab73b34ae417bfc42ac45fc12ace6a58"),
-    ("composed", "elliptic", 2, 1, "222dda35bddd20628d868fa3dbc05a10ec01c022f15df61bb8476cc1c07333f5"),
+    ("verify lemma2.4", "p1", 1, 0, "4e531cef2a9c891cbdc8a2ef65338afda43212f73a836cbc06df9b73bdb4e5e9"),
+    ("verify lemma2.4", "p1", 2, 0, "13b54438bd828a5529fbd99b23493374ec4ccbbe3787596acaa0bac1135dc623"),
+    ("cech", "p1", None, 0, "6bdacaf5b23edfb68702c28d084c8d3e46f04379360faf6367d55d934e64a0af"),
+    ("hypercoh", "p1", 1, 0, "24220c710e9b97a438ef3f885038b02c8580bbff5a3ccbbd41a803d8bad78fb0"),
+    ("hypercoh", "p1", 2, 0, "4d0379a30c12cd577a41242223470ad893381231bbafabca4a8aef3d6298b7d9"),
+    ("tangent-chow", "p1", 1, 0, "685f8a8ec7117fbfaa77a25f265bcbec77b9abb25bead588a5a48be5cd6ed64c"),
+    ("tangent-chow", "p1", 2, 0, "e5ff9f62e357f285118ae537b551f00b42abca3c97d28a90ebc943b5e2e4bb70"),
+    ("delta-r", "p1", 1, 0, "e4ad9184b0d1b72f25f23b70020468145935849dfde4a9a73b73c7358cf866a9"),
+    ("delta-r", "p1", 2, 0, "42468c737fb8215c97277861694d4d6dddf48b69befc6a0d0cd41ac0fcd12fcf"),
+    ("composed", "p1", 1, 0, "309d7f924239025f1ea9159a12ffa92d7592974d2b134596f09d7bc217e41c53"),
+    ("composed", "p1", 2, 0, "f14e90f46076d96688787bfb5c63a047f408b961aecf94518a873e48e591f893"),
+    ("verify lemma2.4", "p2", 1, 0, "4ead144141f9bdd9e4d8d0de1ac8e7961768cbe1f25bbf8122fa5a9831b453de"),
+    ("verify lemma2.4", "p2", 2, 0, "7159f92c1afa37d84f1e9e65c2532abe1f9b0189ac808e1449e6eac90ddb1ee7"),
+    ("cech", "p2", None, 0, "cf934fc4f20ecf8ba92f9248293bd740c15ced63f78a80141121e9e8be20ced5"),
+    ("hypercoh", "p2", 1, 0, "d11e769436a1d16f65bb4fa857bec1a8000c61cc0a147889235463fdbbe245cf"),
+    ("hypercoh", "p2", 2, 0, "199b68ad2ed0681efd0cbd622801b00378ea3b26bbbebb8b5dc334dbd547787e"),
+    ("tangent-chow", "p2", 1, 0, "e256dbdb7b80996b47f079a59345cf180ab7a95d4267100e47e008483c51bec3"),
+    ("tangent-chow", "p2", 2, 0, "4e8d8a06d1c9778b5182abbe06f86a2051486ef58dc3594e0f529950b7cf868b"),
+    ("delta-r", "p2", 1, 0, "74e113f9a7ae4e292713352e9c306c3b10c33f9c0db4666b6e89317fff1dec4b"),
+    ("delta-r", "p2", 2, 0, "be5c6d8fa81d2ced37e51a768af5ebd51a8b01fdb47ccc698e855b76093d46b0"),
+    ("composed", "p2", 1, 0, "1d2e87fa25cec5bb54e008ac719f238e7fa311635b37b861ba18ada695af4521"),
+    ("composed", "p2", 2, 0, "0adc626c1c99d58a53eefded46b563845ff277e54b593a67e3f9a53e3d391178"),
+    ("verify lemma2.4", "elliptic", 1, 0, "a4b78519e48f7b9728c2ab0ed94f0be3fd07efdc638d5c4ccc39e4fdb0c73549"),
+    ("verify lemma2.4", "elliptic", 2, 1, "5a3792257d0cbe342eb96ee189e06dc872273f7001d758d0e26408281fd9e82c"),
+    ("cech", "elliptic", None, 0, "16aeb4020b0762d716ebefb766c1aa0b564053cdeed4693952ed506c676ff93c"),
+    ("hypercoh", "elliptic", 1, 0, "37f05835831625f9a7463b9a900cec8685d121d27a1a7ba798b69bc81c4b73c6"),
+    ("hypercoh", "elliptic", 2, 1, "be5b58820e73ab774bb9523fe8c7db8bba6317c5283653e6b3a3ad24ca8480ee"),
+    ("tangent-chow", "elliptic", 1, 0, "53bf17422a17b814930e6ada249616d13f1a6e60c76c99e8038b019f445d2b00"),
+    ("tangent-chow", "elliptic", 2, 1, "41824290b476192d3f35eb4789e9e8b8126a2c5c1428cac2a8cf67de0471479c"),
+    ("delta-r", "elliptic", 1, 0, "b70d2ae5b00f473bcefeb95b31798fea5da0fbb0442cb277bcaba15bea728f3c"),
+    ("delta-r", "elliptic", 2, 1, "734eb2c37a34fd9451b395aeff549c361095b5ca47dc33225a1e83b5dd64cc15"),
+    ("composed", "elliptic", 1, 0, "c9be1bdd85339c65de5c44c85ba053f801fa6ff372e64d73fce3150be2c6402e"),
+    ("composed", "elliptic", 2, 1, "1a438c65a4820f49aec35ac7e7e1f6010ab19160b67cc4f0bffd21a480ee3075"),
 ]
 
 
 @pytest.mark.parametrize("cmd, instance, p, code, digest", _REPORT_SHA256,
-                         ids=[f"{c.replace(' ', '-')}-{i}-p{p}"
+                         ids=[f"{c.replace(' ', '-')}-{i}" + (f"-p{p}" if p else "")
                               for c, i, p, _, _ in _REPORT_SHA256])
 def test_builtin_report_bytes(capsys, cmd, instance, p, code, digest):
-    argv = cmd.split() + ["--instance", instance, "--p", str(p), "--json", "-", "--quiet"]
+    weight = ["--p", str(p)] if p else []
+    argv = cmd.split() + ["--instance", instance] + weight + ["--json", "-", "--quiet"]
     assert main(argv) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest

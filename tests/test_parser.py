@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -313,7 +314,6 @@ delta = 2
 
 [checks]
 p = 1
-seed = 7
 """
 
 
@@ -322,14 +322,14 @@ def test_instance_text_loads():
     assert isinstance(cfg, SuiteConfig)
     assert cfg.cover.kind == "curve"
     assert cfg.policy.D == 2 and cfg.policy.delta == 2
-    assert cfg.p == 1 and cfg.seed == 7
+    assert cfg.p == 1
 
 
 def test_instance_json_mirror():
     obj = {"tower": [{"name": "r2", "kind": "algebraic", "minpoly": [-2, 0, 1]}],
            "cover": {"kind": "projective-plane"},
            "policy": {"D": 3, "delta": 1},
-           "checks": {"p": 2, "seed": 11, "sheaf": "omega1"}}
+           "checks": {"p": 2, "sheaf": "omega1"}}
     cfg = load_instance(json.dumps(obj))
     assert cfg.cover.kind == "pn" and cfg.cover.n == 2
     assert cfg.tower.names == ("r2",)
@@ -339,26 +339,36 @@ def test_instance_json_mirror():
 
 def test_instance_json_rationals_may_be_numbers_or_strings():
     obj = {"tower": [{"name": "r", "kind": "algebraic", "minpoly": ["-3/4", 0, 1.0]}],
-           "cover": {"kind": "plane-curve", "weierstrass": [0, "-1", 1]},
-           "ring": {"vars": ["x", "y"]}}
+           "cover": {"kind": "plane-curve", "weierstrass": [0, "-1", 1]}}
     cfg = load_instance(json.dumps(obj))
     assert cfg.tower.names == ("r",)
     assert cfg.cover_desc == "plane-curve 0,-1,1"
-    assert cfg.ring.varnames == ("x", "y")
 
 
 def test_instance_defaults():
     cfg = load_instance("[cover]\nkind = projective-line\n")
     assert cfg.policy.D == 2 and cfg.policy.delta == 2
     assert cfg.p == 1
-    assert cfg.ring is None
+    assert cfg.cover is not None and cfg.sheaf is None
 
 
-def test_instance_ring_section():
-    cfg = load_instance("[tower]\ngen t = transcendental\n[ring]\nvars = x, y\n")
-    assert cfg.ring.varnames == ("x", "y")
-    assert cfg.tower.names == ("t",)
-    assert cfg.cover is None
+def test_suite_config_holds_only_what_a_command_reads():
+    assert SuiteConfig.__slots__ == ("tower", "cover", "cover_desc", "policy", "p",
+                                     "sheaf")
+
+
+@pytest.mark.parametrize("text, message", [
+    pytest.param("[tower]\ngen t = transcendental\n[ring]\nvars = x, y\n",
+                 "unknown section [ring]", id="text-ring"),
+    pytest.param('{"ring": {"vars": ["x", "y"]}}', "unknown key 'ring'", id="json-ring"),
+    pytest.param("[checks]\np = 1\nseed = 7\n", "unknown checks key 'seed'",
+                 id="text-seed"),
+    pytest.param('{"checks": {"seed": 7}}', "unknown checks key 'seed'", id="json-seed"),
+])
+def test_removed_ring_and_seed_are_refused(text, message):
+    # no command reads a bare function ring or an instance seed
+    with pytest.raises(InstanceSyntaxError, match=re.escape(message)):
+        load_instance(text)
 
 
 def test_instance_tower_steps():
@@ -413,5 +423,5 @@ def test_instance_describe_echo():
     cfg = load_instance(ELLIPTIC_TEXT)
     desc = cfg.describe()
     assert desc["policy"] == {"D": 2, "delta": 2}
-    assert desc["p"] == 1 and desc["seed"] == 7
+    assert desc["p"] == 1 and "seed" not in desc
     assert "plane-curve" in desc["cover"]

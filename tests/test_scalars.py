@@ -164,6 +164,23 @@ def test_derivative_rational():
     assert (t * 0 + 5).d(1) == 0
 
 
+@pytest.mark.parametrize("level", [0, 2])
+def test_derivative_needs_a_transcendental_level(level):
+    # Q(t) has its one generator at level 1; level 0 is Q itself
+    t = tower_qt().gen("t")
+    with pytest.raises(ValueError, match="not a transcendental step"):
+        t.d(level)
+
+
+def test_derivative_quotient_rule_below_the_top_level():
+    # on Q(t)(s) the derivative in t differentiates the coefficients in s
+    tw = make_tower([Transcendental("t"), Transcendental("s")])
+    t, s = tw.gen("t"), tw.gen("s")
+    f = (t * s + 1) / (s - t)
+    assert f.d(1) == (s**2 + 1) / (s - t) ** 2
+    assert f.d(2) == -(t**2 + 1) / (s - t) ** 2
+
+
 def test_derivative_implicit_algebraic():
     tw = tower_curvey()
     t, w = tw.gen("t"), tw.gen("w")
