@@ -79,6 +79,19 @@ class Sheaf:
     def twisted(cls, dtw):
         return cls(0, dtw, None)
 
+    @classmethod
+    def parse(cls, text):
+        """The sheaf named ``omegaR`` or ``O(d)``."""
+        t = text.strip()
+        try:
+            if t.startswith("omega"):
+                return cls.forms(int(t[5:] or "0"))
+            if t.startswith("O(") and t.endswith(")"):
+                return cls.twisted(int(t[2:-1]))
+        except ValueError:
+            pass
+        raise Unsupported(f"unknown sheaf {text!r}; use omegaR or O(d)")
+
     def describe(self):
         if self.twist:
             return f"O({self.twist})"
@@ -176,7 +189,8 @@ def cover_plane_curve(F, tower):
     if F.tower != tower or F.nvars != 3:
         raise Unsupported("curve equation must be a 3-variable polynomial over the tower")
     c1 = None
-    for mono, c in F.terms.items():
+    terms = F.scalar_terms()
+    for mono, c in terms:
         if mono[1] not in (0, 2) or sum(mono) != 3:
             raise Unsupported("curve equation must be a homogeneous cubic "
                               "Y^2*Z - (cubic in X, Z)")
@@ -188,7 +202,7 @@ def cover_plane_curve(F, tower):
         raise Unsupported("curve equation needs a Y^2*Z term")
     # normalize so F = Y^2 Z - X^3 - g2 X^2 Z - g1 X Z^2 - g0 Z^3
     gc = {}
-    for mono, c in F.terms.items():
+    for mono, c in terms:
         if mono[1] == 2:
             continue
         gc[mono[0]] = -(c / c1)
@@ -270,14 +284,11 @@ def extend_cover(cover, tower):
     over, not rebuilt or checked again.  A tower that does not extend the
     cover's raises TowerMismatch.
     """
-    def poly(f):
-        return MPoly(tower, f.nvars, {e: tower.embed(c) for e, c in f.terms.items()})
-
     def elem(e, ring):
-        return RingElem(ring, poly(e.num), poly(e.den))
+        return RingElem(ring, e.num.over(tower), e.den.over(tower))
 
     charts = [FunctionRing(tower, r.varnames,
-                           None if r.relation is None else poly(r.relation),
+                           None if r.relation is None else r.relation.over(tower),
                            smooth_check=False) for r in cover.charts]
     gcoeffs = cover.gcoeffs and tuple(tower.embed(c) for c in cover.gcoeffs)
     big = Cover(cover.kind, tower, charts, {}, n=cover.n, gcoeffs=gcoeffs)

@@ -83,21 +83,6 @@ def _load(args):
     return cfg
 
 
-def _parse_sheaf(text):
-    t = text.strip()
-    if t.startswith("omega"):
-        try:
-            return Sheaf.forms(int(t[5:] or "0"))
-        except ValueError:
-            pass
-    elif t.startswith("O(") and t.endswith(")"):
-        try:
-            return Sheaf.twisted(int(t[2:-1]))
-        except ValueError:
-            pass
-    raise Unsupported(f"unknown sheaf {text!r}; use omegaR or O(d)")
-
-
 def _dims_list(report):
     ks = sorted(report.dims)
     return [report.dims.get(k, 0) for k in range(ks[-1] + 1)] if ks else []
@@ -143,7 +128,7 @@ def _cmd_cech(args):
     cfg = _covered(args, "cech")
     # the flag wins over the instance's [checks] sheaf; the echo states the result
     args.sheaf = args.sheaf or cfg.sheaf
-    sheaf = _parse_sheaf("omega0" if args.sheaf is None else args.sheaf)
+    sheaf = Sheaf.parse("omega0" if args.sheaf is None else args.sheaf)
 
     def run():
         rep = sheaf_cohomology(cfg.cover, sheaf, cfg.policy)
@@ -166,7 +151,7 @@ def _cmd_hypercoh(args):
 
     def run():
         cx = tangent_deligne(cfg.p, cfg.cover.charts[0])
-        rep = hypercohomology(cfg.cover, cx, cfg.policy)
+        rep = hypercohomology(cfg.cover, cx, cfg.policy, with_reps=False)
         return [{"name": f"hypercohomology p={cfg.p}",
                  "status": "pass" if rep.stabilized else "fail",
                  "dims": {str(k): v for k, v in sorted(rep.dims.items())},

@@ -192,8 +192,8 @@ def _form_to_labels(engine, S, w):
         den = elem.den
         if len(den.terms) != 1:
             raise WindowOverflow(f"denominator {den!r} is not a monomial")
-        (dexp, dc), = den.terms.items()
-        for nexp, nc in elem.num.terms.items():
+        (dexp, dc), = den.scalar_terms()
+        for nexp, nc in elem.num.scalar_terms():
             a = [0] * (n + 1)
             for i, j in enumerate(order):
                 a[j] = nexp[i] - dexp[i]

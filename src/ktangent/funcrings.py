@@ -21,6 +21,7 @@ from .errors import (
     NonUnitBody,
     RingMismatch,
     SingularRelation,
+    TowerMismatch,
 )
 from .linalg import RowSpan
 from .mpoly import MPoly, div_exact, mp_gcd, reduce_mod
@@ -66,10 +67,9 @@ class FunctionRing:
 
         def walk(vals):
             if len(vals) == n:
-                pt = [self.tower.from_fraction(f) for f in vals]
-                if not rel.eval_scalars(pt).is_zero():
+                if not rel.vanishes_at(vals):
                     return
-                if all(g.eval_scalars(pt).is_zero() for g in grads):
+                if all(g.vanishes_at(vals) for g in grads):
                     raise SingularRelation(
                         f"relation is singular at ({', '.join(map(str, vals))})")
                 return
@@ -163,7 +163,7 @@ class RingElem:
             return
         if not (den.is_constant() or num.is_constant()):
             g = mp_gcd(num, den)
-            if not (g.is_constant() and g.constant_value() == 1):
+            if g != 1:
                 num, den = div_exact(num, g), div_exact(den, g)
         _, lc = num.lead_term()
         if not (lc == 1):
@@ -299,7 +299,7 @@ class RingElem:
 
     def __str__(self):
         ns = self.num.render(self.ring.varnames)
-        if self.den.is_constant() and self.den.constant_value() == 1:
+        if self.den == 1:
             return ns
         ds = self.den.render(self.ring.varnames)
         if " " in ns or "/" in ns:
@@ -442,6 +442,8 @@ def eval_fraction(f, vals, target):
     are computed once; N is not reduced and N/D is not in lowest terms.
     """
     tower, n = target.tower, len(target.varnames)
+    if f.tower != tower:
+        raise TowerMismatch("evaluation into a ring over a different tower")
     rel, v = target.relation, target.elim
     one = MPoly.const(tower, n, 1)
     ks = [max(f.degree_in(i), 0) for i in range(f.nvars)]
@@ -457,7 +459,7 @@ def eval_fraction(f, vals, target):
         bpow.append(pb)
     N = MPoly(tower, n, {})
     for e, c in f.terms.items():
-        t = MPoly.const(tower, n, c)
+        t = MPoly(tower, n, {(0,) * n: c})
         for i, ei in enumerate(e):
             if ei:
                 t = t * apow[i][ei]

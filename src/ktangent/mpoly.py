@@ -1,13 +1,18 @@
 """Multivariate polynomials with tower-field coefficients.
 
 Internal support layer for function rings: sparse dict representation
-(exponent tuple -> nonzero Scalar), the pseudo-remainder in one variable
+(exponent tuple -> nonzero raw value of the tower's top level, worked on by
+the tower's bound arithmetic), the pseudo-remainder in one variable
 (the remainder, for a relation monic in it), exact division and gcd. Over
 Q both run on a small integer kernel (dicts from exponent tuple to int):
 exact division by graded-lex leading terms, and the heuristic gcd GCDHEU
 with trial division. Over Q(t_1..t_m) the gcd moves the t's into the
 polynomial and runs there. The primitive polynomial remainder sequence
 remains for algebraic towers and for the inputs on which GCDHEU gives up.
+
+Coefficients become Scalars only at the boundary: ``const`` and arithmetic
+with a Scalar take one in, and ``lead_term`` and ``scalar_terms`` hand them
+out.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 from .errors import DivisionByZero, TowerMismatch
-from .scalars import Scalar, Tower, _is_zero, _pgcd, _pmul, power, render_terms
+from .scalars import QQ, Scalar, Tower, _pgcd, _pmul, _render, power, render_terms
 
 
 class MPoly:
@@ -27,26 +32,33 @@ class MPoly:
     def __init__(self, tower, nvars, terms):
         self.tower = tower
         self.nvars = nvars
-        self.terms = terms  # dict[tuple[int, ...] -> Scalar], no zero values
+        self.terms = terms  # dict[tuple[int, ...] -> raw value], no zero values
 
     # -- constructors
 
     @classmethod
     def const(cls, tower, nvars, c):
-        if not isinstance(c, Scalar):
-            c = tower.from_fraction(c)
-        if c.is_zero():
+        """The constant c: an int, a Fraction, or a Scalar of tower or of a prefix of it."""
+        v = tower.lift(c.tower, c.val) if isinstance(c, Scalar) else tower.value(c)
+        if tower.is_zero(v):
             return cls(tower, nvars, {})
-        return cls(tower, nvars, {(0,) * nvars: c})
+        return cls(tower, nvars, {(0,) * nvars: v})
 
     @classmethod
     def variable(cls, tower, nvars, i):
         e = [0] * nvars
         e[i] = 1
-        return cls(tower, nvars, {tuple(e): tower.one()})
+        return cls(tower, nvars, {tuple(e): tower._ones[-1]})
+
+    def over(self, tower):
+        """This polynomial with its coefficients embedded into tower, which
+        extends its own."""
+        lift, src = tower.lift, self.tower
+        return MPoly(tower, self.nvars, {e: lift(src, c) for e, c in self.terms.items()})
 
     def _mk(self, terms):
-        return MPoly(self.tower, self.nvars, {e: c for e, c in terms.items() if not c.is_zero()})
+        is_zero = self.tower.is_zero
+        return MPoly(self.tower, self.nvars, {e: c for e, c in terms.items() if not is_zero(c)})
 
     def _coerce(self, other):
         if isinstance(other, MPoly):
@@ -63,16 +75,18 @@ class MPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        add = self.tower.add
         out = dict(self.terms)
         for e, c in o.terms.items():
             s = out.get(e)
-            out[e] = c if s is None else s + c
+            out[e] = c if s is None else add(s, c)
         return self._mk(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MPoly(self.tower, self.nvars, {e: -c for e, c in self.terms.items()})
+        neg = self.tower.neg
+        return MPoly(self.tower, self.nvars, {e: neg(c) for e, c in self.terms.items()})
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -91,13 +105,14 @@ class MPoly:
             return self
         if self._is_one():
             return o
+        add, mul = self.tower.add, self.tower.mul
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in o.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                p = c1 * c2
+                p = mul(c1, c2)
                 s = out.get(e)
-                out[e] = p if s is None else s + p
+                out[e] = p if s is None else add(s, p)
         return self._mk(out)
 
     __rmul__ = __mul__
@@ -128,92 +143,75 @@ class MPoly:
         return max((e[v] for e in self.terms), default=-1)
 
     def lead_term(self):
-        """Graded-lex leading (exponent, coefficient); None for the zero polynomial."""
+        """Graded-lex leading (exponent, Scalar coefficient); None for the zero polynomial."""
         if not self.terms:
             return None
         e = max(self.terms, key=_glex)
-        return e, self.terms[e]
+        return e, Scalar(self.tower, self.terms[e])
+
+    def scalar_terms(self):
+        """The (exponent, Scalar coefficient) pairs."""
+        tw = self.tower
+        return [(e, Scalar(tw, c)) for e, c in self.terms.items()]
 
     def _is_one(self):
         if len(self.terms) != 1:
             return False
         (e, c), = self.terms.items()
-        return not any(e) and c == 1
+        return not any(e) and c == self.tower._ones[-1]
 
     def is_constant(self):
         return all(sum(e) == 0 for e in self.terms)
 
-    def constant_value(self):
-        return self.terms.get((0,) * self.nvars, self.tower.zero())
-
     def deriv(self, v):
-        out = {}
-        for e, c in self.terms.items():
-            if e[v] == 0:
-                continue
-            e2 = list(e)
-            e2[v] -= 1
-            out[tuple(e2)] = c * e[v]
-        return self._mk(out)
+        tw = self.tower
+        return self._mk({e[:v] + (e[v] - 1,) + e[v + 1:]: tw.mul(c, tw.value(e[v]))
+                         for e, c in self.terms.items() if e[v]})
 
     def coeff_deriv(self, level):
         """Apply the tower derivation d/d(gen at level) to every coefficient."""
-        out = {}
-        for e, c in self.terms.items():
-            out[e] = c.d(level)
-        return self._mk(out)
+        d = self.tower.d
+        return self._mk({e: d(c, level) for e, c in self.terms.items()})
 
-    def eval_scalars(self, vals):
-        acc = self.tower.zero()
+    def vanishes_at(self, point):
+        """Whether the polynomial is zero at a point of rationals."""
+        tw = self.tower
+        add, mul = tw.add, tw.mul
+        xs = [tw.value(x) for x in point]
+        acc = tw._zeros[-1]
         for e, c in self.terms.items():
-            term = c
-            for i, k in enumerate(e):
+            for x, k in zip(xs, e):
                 for _ in range(k):
-                    term = term * vals[i]
-            acc = acc + term
-        return acc
+                    c = mul(c, x)
+            acc = add(acc, c)
+        return tw.is_zero(acc)
 
     def split_by(self, v):
         """Return dict[deg -> MPoly] of v-coefficients (v zeroed out in keys)."""
         out = {}
         for e, c in self.terms.items():
-            k = e[v]
-            e2 = list(e)
-            e2[v] = 0
-            out.setdefault(k, {})[tuple(e2)] = c
+            out.setdefault(e[v], {})[e[:v] + (0,) + e[v + 1:]] = c
         return {k: MPoly(self.tower, self.nvars, d) for k, d in out.items()}
 
     def coeff_of(self, v, k):
-        out = {}
-        for e, c in self.terms.items():
-            if e[v] == k:
-                e2 = list(e)
-                e2[v] = 0
-                out[tuple(e2)] = c
-        return MPoly(self.tower, self.nvars, out)
+        return MPoly(self.tower, self.nvars, {e[:v] + (0,) + e[v + 1:]: c
+                                              for e, c in self.terms.items() if e[v] == k})
 
     def shift(self, v, k):
-        out = {}
-        for e, c in self.terms.items():
-            e2 = list(e)
-            e2[v] += k
-            out[tuple(e2)] = c
-        return MPoly(self.tower, self.nvars, out)
+        return MPoly(self.tower, self.nvars, {e[:v] + (e[v] + k,) + e[v + 1:]: c
+                                              for e, c in self.terms.items()})
 
     def vars_used(self):
-        used = set()
-        for e in self.terms:
-            for i, k in enumerate(e):
-                if k:
-                    used.add(i)
-        return used
+        return {i for e in self.terms for i, k in enumerate(e) if k}
 
     def render(self, names):
+        tw = self.tower
+        lv = tw.num_levels
         terms = []
         for e in sorted(self.terms, key=lambda t: (-sum(t), tuple(-x for x in t))):
             mono = "*".join(
                 names[i] if k == 1 else f"{names[i]}^{k}" for i, k in enumerate(e) if k)
-            terms.append((str(self.terms[e]), mono))
+            terms.append((_render(tw, lv, self.terms[e]), mono))
         return render_terms(terms)
 
     def __repr__(self):
@@ -248,20 +246,19 @@ def div_exact(f, g):
         return f
     tw = f.tower
     if g.is_constant():
-        c = g.constant_value().inv()
-        return MPoly(tw, f.nvars, {e: cf * c for e, cf in f.terms.items()})
+        return _scale(f, tw.inv(_lc(g)))
     if not tw.steps:
         # g primitive over Z divides f over Q exactly when it divides f's
         # integer form over Z (Gauss's lemma)
         sf, F = _to_ints(f)
         sg, G = _to_ints(g)
-        return _from_ints(tw, f.nvars, _divide(F, G), sf / sg)
-    c = f.lead_term()[1] / g.lead_term()[1]
+        return _from_ints(tw, f.nvars, _divide(F, G, QQ), sf / sg)
+    c = tw.mul(_lc(f), tw.inv(_lc(g)))
     f, g = _normalize_lead(f), _normalize_lead(g)
     q = _via_subfield(div_exact, f, g)
     if q is None:
-        q = MPoly(tw, f.nvars, _divide(f.terms, g.terms))
-    return MPoly(tw, f.nvars, {e: cf * c for e, cf in q.terms.items()})
+        q = MPoly(tw, f.nvars, _divide(f.terms, g.terms, tw))
+    return _scale(q, c)
 
 
 def _content(f, v):
@@ -274,14 +271,24 @@ def _content(f, v):
     return g
 
 
+def _lc(f):
+    """The graded-lex leading coefficient of a nonzero f, as a raw value."""
+    return f.terms[max(f.terms, key=_glex)]
+
+
+def _scale(f, c):
+    """f times the nonzero raw value c."""
+    mul = f.tower.mul
+    return MPoly(f.tower, f.nvars, {e: mul(cf, c) for e, cf in f.terms.items()})
+
+
 def _normalize_lead(f):
     if f.is_zero():
         return f
-    _, c = f.lead_term()
-    if c.val == f.tower._ones[-1]:
+    c = _lc(f)
+    if c == f.tower._ones[-1]:
         return f
-    c = c.inv()
-    return MPoly(f.tower, f.nvars, {e: cf * c for e, cf in f.terms.items()})
+    return _scale(f, f.tower.inv(c))
 
 
 def mp_gcd(f, g):
@@ -326,10 +333,10 @@ def _prs_gcd(f, g):
     v = max(vs)
     if len(vs) == 1:
         # one variable: the field Euclid on coefficient lists in v
-        tw, n, lv = f.tower, f.nvars, f.tower.num_levels
-        h = _pgcd(tw, lv, _coeff_list(f, v), _coeff_list(g, v))
-        return MPoly(tw, n, {(0,) * v + (k,) + (0,) * (n - v - 1): Scalar(tw, c)
-                             for k, c in enumerate(h) if not _is_zero(tw, lv, c)})
+        tw, n = f.tower, f.nvars
+        h = _pgcd(tw, tw.num_levels, _coeff_list(f, v), _coeff_list(g, v))
+        return MPoly(tw, n, {(0,) * v + (k,) + (0,) * (n - v - 1): c
+                             for k, c in enumerate(h) if not tw.is_zero(c)})
     cf, cg = _content(f, v), _content(g, v)
     c = mp_gcd(cf, cg)
     a = div_exact(f, cf)
@@ -349,7 +356,7 @@ def _coeff_list(f, v):
     """The coefficient values of f, a polynomial in x_v alone, low degree first."""
     out = [f.tower._zeros[-1]] * (f.degree_in(v) + 1)
     for e, c in f.terms.items():
-        out[e[v]] = c.val
+        out[e[v]] = c
     return out
 
 
@@ -363,12 +370,11 @@ def _via_subfield(op, f, g):
     tw = f.tower
     k = len(tw.steps)
     for c in (*f.terms.values(), *g.terms.values()):
-        k = _constant_levels(tw, c.val, k)
+        k = _constant_levels(tw, c, k)
         if not k:
             return None
     low = Tower(tw.steps[:-k], tw.names[:-k])
-    r = op(_descend(f, low, k), _descend(g, low, k))
-    return MPoly(tw, f.nvars, {e: tw.embed(c) for e, c in r.terms.items()})
+    return op(_descend(f, low, k), _descend(g, low, k)).over(tw)
 
 
 def _flatten_gcd(f, g):
@@ -385,10 +391,10 @@ def _flatten_gcd(f, g):
     n, lv = f.nvars, tw.num_levels
     coeffs = {}
     for e, c in G.terms.items():
-        coeffs.setdefault(e[:n], {})[e[n]] = c.val
+        coeffs.setdefault(e[:n], {})[e[n]] = c
     zero, one = tw._zeros[lv - 1], tw._ones[lv - 1]
     return _normalize_lead(MPoly(tw, n, {
-        e: Scalar(tw, ("q", tuple(p.get(i, zero) for i in range(max(p) + 1)), (one,)))
+        e: ("q", tuple(p.get(i, zero) for i in range(max(p) + 1)), (one,))
         for e, p in coeffs.items()}))
 
 
@@ -420,11 +426,10 @@ def _constant_levels(tw, v, m):
 def _descend(f, low, k):
     """f, whose coefficients are constant in the top k levels, over the tower low."""
     terms = {}
-    for e, c in f.terms.items():
-        v = c.val
+    for e, v in f.terms.items():
         for _ in range(k):
             v = v[1][0]
-        terms[e] = Scalar(low, v)
+        terms[e] = v
     return MPoly(low, f.nvars, terms)
 
 
@@ -434,16 +439,16 @@ def _flatten(f, low):
     variable (f's coefficients are fractions of polynomials in t over low)."""
     tw = f.tower
     lv = tw.num_levels
-    dens = {c.val[2] for c in f.terms.values()}
+    dens = {c[2] for c in f.terms.values()}
     terms = {}
     for e, c in f.terms.items():
-        num = c.val[1]
+        num = c[1]
         for d in dens:
-            if d != c.val[2]:
+            if d != c[2]:
                 num = _pmul(tw, lv - 1, num, d)
         for i, a in enumerate(num):
-            if not _is_zero(tw, lv - 1, a):
-                terms[e + (i,)] = Scalar(low, a)
+            if not low.is_zero(a):
+                terms[e + (i,)] = a
     return MPoly(low, f.nvars + 1, terms)
 
 
@@ -460,7 +465,7 @@ def _glex(e):
 
 def _to_ints(f):
     """(s, F) with f = s * F and F a primitive integer polynomial; f over Q."""
-    vals = [c.val for c in f.terms.values()]
+    vals = list(f.terms.values())
     den = lcm(*(v.denominator for v in vals))
     F = {e: v.numerator * (den // v.denominator) for e, v in zip(f.terms, vals)}
     cont = gcd(*F.values())
@@ -472,20 +477,22 @@ def _to_ints(f):
 def _from_ints(tw, nvars, F, s):
     """The polynomial s * F over Q."""
     p, q = s.numerator, s.denominator
-    return MPoly(tw, nvars, {e: Scalar(tw, Fraction(a * p, q)) for e, a in F.items()})
+    return MPoly(tw, nvars, {e: Fraction(a * p, q) for e, a in F.items()})
 
 
-def _divide(f, g):
+def _divide(f, g, ring):
     """f / g by cancelling graded-lex leading terms; f, g are dicts.
 
-    The coefficients are ints, or Scalars with lc(g) = 1. Raises
-    DivisionByZero when g does not divide f (over Z for ints). A quotient
-    has degree deg f - deg g in each variable, which bounds the steps.
+    The coefficients are raw values of the tower ``ring`` with lc(g) = 1,
+    or ints with ``ring`` QQ, whose operator bindings serve ints as well.
+    Raises DivisionByZero when g does not divide f (over Z for ints). A
+    quotient has degree deg f - deg g in each variable, which bounds the steps.
     """
+    sub, mul, neg, is_zero = ring.sub, ring.mul, ring.neg, ring.is_zero
     top = [a - b for a, b in zip(map(max, zip(*f)), map(max, zip(*g)))]
     lg = max(g, key=_glex)
     cg = g[lg]
-    unit = cg == 1
+    unit = cg == ring._ones[-1]
     r = dict(f)
     q = {}
     while r:
@@ -503,19 +510,19 @@ def _divide(f, g):
             k = tuple(x + y for x, y in zip(d, e))
             w = r.get(k)
             if w is None:
-                r[k] = -(c * a)
+                r[k] = neg(mul(c, a))
             else:
-                w = w - c * a
-                if w:
-                    r[k] = w
-                else:
+                w = sub(w, mul(c, a))
+                if is_zero(w):
                     del r[k]
+                else:
+                    r[k] = w
     return q
 
 
 def _divides(h, f):
     try:
-        _divide(f, h)
+        _divide(f, h, QQ)
     except DivisionByZero:
         return False
     return True

@@ -440,7 +440,7 @@ def evaluate(e, ring=None, names=None, bases=None):
 import json as _json
 
 from .scalars import make_tower, Algebraic, Transcendental
-from .cech import (TruncationPolicy, cover_pn, cover_plane_curve,
+from .cech import (Sheaf, TruncationPolicy, cover_pn, cover_plane_curve,
                    weierstrass_cubic)
 
 _COVER_KINDS = ("projective-line", "projective-plane", "plane-curve")
@@ -648,6 +648,8 @@ def _build_config(spec):
     ln, pv = _take(ktab, "p", 1)
     _, sheaf = _take(ktab, "sheaf")
     _reject_extras(ktab, "checks")
+    if sheaf is not None:
+        Sheaf.parse(sheaf)  # checked here; cech echoes the text as written
     p = _int(pv, ln)
     if p < 1:
         raise InstanceSyntaxError(f"weight p must be at least 1, got {p}", ln, 1)

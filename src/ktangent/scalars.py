@@ -16,7 +16,9 @@ equality:
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
+from functools import partial
 
 from .errors import DivisionByZero, DuplicateName, NonMonic, ReducibleMinpoly, TowerMismatch
 
@@ -52,14 +54,6 @@ class Algebraic:
 # compare correctly with ==.
 
 
-def _zero(tw, lv):
-    return tw._zeros[lv]
-
-
-def _one(tw, lv):
-    return tw._ones[lv]
-
-
 def _from_fraction(tw, lv, fr):
     if lv == 0:
         return Fraction(fr)
@@ -72,10 +66,10 @@ def _lift_one(tw, lv, v):
     kind = tw.steps[lv - 1][0]
     if kind == "tr":
         if _is_zero(tw, lv - 1, v):
-            return ("q", (), (_one(tw, lv - 1),))
-        return ("q", (v,), (_one(tw, lv - 1),))
+            return ("q", (), (tw._ones[lv - 1],))
+        return ("q", (v,), (tw._ones[lv - 1],))
     d = len(tw.steps[lv - 1][2]) - 1
-    return ("a", (v,) + (_zero(tw, lv - 1),) * (d - 1))
+    return ("a", (v,) + (tw._zeros[lv - 1],) * (d - 1))
 
 
 def _is_zero(tw, lv, a):
@@ -134,10 +128,10 @@ def _inv(tw, lv, a):
         lead = num[-1]
         c = _inv(tw, lv - 1, lead)
         if len(num) == 1:  # the inverse is the polynomial den / lead
-            return ("q", tuple(_mul(tw, lv - 1, c, x) for x in den), (_one(tw, lv - 1),))
+            return ("q", tuple(_mul(tw, lv - 1, c, x) for x in den), (tw._ones[lv - 1],))
         return ("q", tuple(_mul(tw, lv - 1, c, x) for x in den),
                 tuple(_mul(tw, lv - 1, c, x) for x in num))
-    z = _zero(tw, lv - 1)
+    z = tw._zeros[lv - 1]
     if all(c == z for c in a[1][1:]):  # a constant of the level below
         return ("a", _apad(tw, lv, [_inv(tw, lv - 1, a[1][0])]))
     m = tw.steps[lv - 1][2]
@@ -149,10 +143,6 @@ def _inv(tw, lv, a):
     c = _inv(tw, lv - 1, g[0])
     inv_coeffs = [_mul(tw, lv - 1, c, x) for x in s]
     return ("a", _apad(tw, lv, inv_coeffs))
-
-
-def _div(tw, lv, a, b):
-    return _mul(tw, lv, a, _inv(tw, lv, b))
 
 
 def _amod(tw, lv, coeffs):
@@ -167,16 +157,13 @@ def _amod(tw, lv, coeffs):
         k = len(cs) - d
         for i in range(d):
             cs[k + i] = _sub(tw, lv - 1, cs[k + i], _mul(tw, lv - 1, top, m[i]))
-    return _apad_list(tw, lv, cs)
+    return _apad(tw, lv, cs)
 
 
 def _apad(tw, lv, coeffs):
-    return _apad_list(tw, lv, list(coeffs))
-
-
-def _apad_list(tw, lv, cs):
+    cs = list(coeffs)
     d = len(tw.steps[lv - 1][2]) - 1
-    z = _zero(tw, lv - 1)
+    z = tw._zeros[lv - 1]
     while len(cs) < d:
         cs.append(z)
     return tuple(cs[:d])
@@ -193,7 +180,7 @@ def _pstrip(tw, lv, p):
 
 def _padd(tw, lv, p, q):
     n = max(len(p), len(q))
-    z = _zero(tw, lv)
+    z = tw._zeros[lv]
     out = []
     for i in range(n):
         a = p[i] if i < len(p) else z
@@ -202,11 +189,8 @@ def _padd(tw, lv, p, q):
     return _pstrip(tw, lv, out)
 
 
-def _pneg(tw, lv, p):
-    return [_neg(tw, lv, c) for c in p]
-
 def _psub(tw, lv, p, q):
-    return _padd(tw, lv, p, _pneg(tw, lv, q))
+    return _padd(tw, lv, p, [_neg(tw, lv, c) for c in q])
 
 
 def _pscale(tw, lv, c, p):
@@ -216,7 +200,7 @@ def _pscale(tw, lv, c, p):
 def _pmul(tw, lv, p, q):
     if not p or not q:
         return ()
-    z = _zero(tw, lv)
+    z = tw._zeros[lv]
     out = [z] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         if _is_zero(tw, lv, a):
@@ -233,7 +217,7 @@ def _pdivmod(tw, lv, p, q):
     if not q:
         raise DivisionByZero("polynomial division by zero")
     inv_lead = _inv(tw, lv, q[-1])
-    quot = [_zero(tw, lv)] * max(0, len(p) - len(q) + 1)
+    quot = [tw._zeros[lv]] * max(0, len(p) - len(q) + 1)
     rem = list(p)
     while len(rem) >= len(q):
         c = _mul(tw, lv, rem[-1], inv_lead)
@@ -262,7 +246,7 @@ def _pgcd(tw, lv, p, q):
 def _pxgcd_first(tw, lv, p, q):
     """Extended Euclid returning (g, s) with s*p = g mod q, g monic."""
     a, b = list(p), list(q)
-    sa, sb = [_one(tw, lv)], []
+    sa, sb = [tw._ones[lv]], []
     while b:
         quot, r = _pdivmod(tw, lv, a, b)
         a, b = b, r
@@ -274,7 +258,7 @@ def _pxgcd_first(tw, lv, p, q):
 
 
 def _peval(tw, lv, p, at):
-    acc = _zero(tw, lv)
+    acc = tw._zeros[lv]
     for c in reversed(list(p)):
         acc = _add(tw, lv, _mul(tw, lv, acc, at), c)
     return acc
@@ -294,7 +278,7 @@ def _mkq(tw, lv, num, den):
     if not den:
         raise DivisionByZero("zero denominator in tower element")
     if not num:
-        return ("q", (), (_one(tw, lv - 1),))
+        return ("q", (), (tw._ones[lv - 1],))
     if len(num) > 1 and len(den) > 1:  # a nonzero constant is coprime to anything
         g = _pgcd(tw, lv - 1, num, den)
         if len(g) > 1:
@@ -309,7 +293,7 @@ def _mkq(tw, lv, num, den):
 def _dgen(tw, lv, a, j):
     """Partial derivative with respect to the transcendental generator at level j."""
     if lv < j:
-        return _zero(tw, lv)
+        return tw._zeros[lv]
     if lv == 0:
         return Fraction(0)
     # At lv == j differentiate N/D as polynomials in the generator. At lv > j
@@ -336,10 +320,10 @@ def _dgen(tw, lv, a, j):
     dm_at_g = ("a", _amod(tw, lv, dm))
     mprime = _pformal_deriv(tw, lv - 1, list(m))
     mprime_at_g = ("a", _amod(tw, lv, mprime))
-    dg = _neg(tw, lv, _div(tw, lv, dm_at_g, mprime_at_g))
+    dg = _neg(tw, lv, _mul(tw, lv, dm_at_g, _inv(tw, lv, mprime_at_g)))
     aprime = [_mul(tw, lv - 1, _from_fraction(tw, lv - 1, Fraction(k)), c)
               for k, c in enumerate(a[1])][1:]
-    aprime_at_g = ("a", _amod(tw, lv, aprime)) if aprime else _zero(tw, lv)
+    aprime_at_g = ("a", _amod(tw, lv, aprime)) if aprime else tw._zeros[lv]
     return _add(tw, lv, coeff_part, _mul(tw, lv, aprime_at_g, dg))
 
 
@@ -391,7 +375,7 @@ def _render(tw, lv, v):
     if v[0] == "q":
         num, den = v[1], v[2]
         ns = _render_poly(tw, lv - 1, num, name)
-        if len(den) == 1 and _is_zero(tw, lv - 1, _sub(tw, lv - 1, den[0], _one(tw, lv - 1))):
+        if len(den) == 1 and _is_zero(tw, lv - 1, _sub(tw, lv - 1, den[0], tw._ones[lv - 1])):
             return ns
         ds = _render_poly(tw, lv - 1, den, name)
         if _needs_parens(ns):
@@ -408,11 +392,20 @@ def _render(tw, lv, v):
 class Tower:
     """An iterated extension of Q; construct with :func:`make_tower`."""
 
-    __slots__ = ("steps", "names", "_zeros", "_ones")
+    __slots__ = ("steps", "names", "_zeros", "_ones",
+                 "add", "sub", "mul", "neg", "inv", "is_zero")
 
     def __init__(self, steps, names):
         self.steps = steps
         self.names = names
+        # the top level's arithmetic on raw values, bound once; over Q these
+        # are the plain Fraction operators
+        lv = len(steps)
+        self.add, self.sub, self.mul, self.neg, self.inv, self.is_zero = (
+            partial(fn, self, lv) for fn in (_add, _sub, _mul, _neg, _inv, _is_zero))
+        if not lv:
+            self.add, self.sub, self.mul, self.neg, self.is_zero = (
+                operator.add, operator.sub, operator.mul, operator.neg, operator.not_)
         # canonical 0 and 1 at every level, indexed by level
         zeros, ones = [Fraction(0)], [Fraction(1)]
         for step in steps:
@@ -438,26 +431,30 @@ class Tower:
         return [i + 1 for i, s in enumerate(self.steps) if s[0] == "tr"]
 
     def zero(self):
-        return Scalar(self, _zero(self, self.num_levels))
+        return Scalar(self, self._zeros[-1])
 
     def one(self):
-        return Scalar(self, _one(self, self.num_levels))
+        return Scalar(self, self._ones[-1])
+
+    def value(self, fr):
+        """The raw top-level value of a rational (an int or a Fraction)."""
+        if fr == 1:
+            return self._ones[-1]
+        if fr == 0:
+            return self._zeros[-1]
+        return _from_fraction(self, self.num_levels, Fraction(fr))
 
     def from_fraction(self, fr):
-        if fr == 1:
-            return Scalar(self, self._ones[-1])
-        if fr == 0:
-            return Scalar(self, self._zeros[-1])
-        return Scalar(self, _from_fraction(self, self.num_levels, Fraction(fr)))
+        return Scalar(self, self.value(fr))
 
     def gen(self, name):
         lv = self.level_of(name)
         top = self.num_levels
         if self.steps[lv - 1][0] == "tr":
-            one = _one(self, lv - 1)
-            v = ("q", (_zero(self, lv - 1), one), (one,))
+            one = self._ones[lv - 1]
+            v = ("q", (self._zeros[lv - 1], one), (one,))
         else:
-            v = ("a", _apad(self, lv, [_zero(self, lv - 1), _one(self, lv - 1)]))
+            v = ("a", _apad(self, lv, [self._zeros[lv - 1], self._ones[lv - 1]]))
         for k in range(lv + 1, top + 1):
             v = _lift_one(self, k, v)
         return Scalar(self, v)
@@ -471,15 +468,24 @@ class Tower:
     def is_prefix_of(self, other):
         return self.steps == other.steps[: len(self.steps)]
 
+    def lift(self, src, v):
+        """Re-express a raw value of the prefix tower src as one of this tower."""
+        if src != self:
+            if not src.is_prefix_of(self):
+                raise TowerMismatch("embed: source tower is not a prefix of the target")
+            for k in range(src.num_levels + 1, self.num_levels + 1):
+                v = _lift_one(self, k, v)
+        return v
+
     def embed(self, scalar):
         """Re-express a scalar from a prefix tower as an element of this tower."""
-        src = scalar.tower
-        if not src.is_prefix_of(self):
-            raise TowerMismatch("embed: source tower is not a prefix of the target")
-        v = scalar.val
-        for k in range(src.num_levels + 1, self.num_levels + 1):
-            v = _lift_one(self, k, v)
-        return Scalar(self, v)
+        return Scalar(self, self.lift(scalar.tower, scalar.val))
+
+    def d(self, v, level):
+        """The derivative of a raw value by the transcendental generator at ``level``."""
+        if level not in self.transcendental_levels():
+            raise ValueError(f"level {level} is not a transcendental step")
+        return _dgen(self, self.num_levels, v, level)
 
     def extend(self, specs):
         """This tower followed by Transcendental/Algebraic steps.
@@ -504,13 +510,13 @@ class Tower:
             coeffs = []
             for c in spec.minpoly:
                 if isinstance(c, Scalar):
-                    coeffs.append(tw.embed(c).val)
+                    coeffs.append(tw.lift(c.tower, c.val))
                 else:
                     coeffs.append(_from_fraction(tw, lv, Fraction(c)))
             coeffs = _pstrip(tw, lv, coeffs)
             if len(coeffs) < 3:
                 raise NonMonic(f"minimal polynomial of {name} must have degree >= 2")
-            if not _is_zero(tw, lv, _sub(tw, lv, coeffs[-1], _one(tw, lv))):
+            if not _is_zero(tw, lv, _sub(tw, lv, coeffs[-1], tw._ones[lv])):
                 raise NonMonic(f"minimal polynomial of {name} is not monic")
             for cand in _root_candidates(tw, lv):
                 if _is_zero(tw, lv, _peval(tw, lv, coeffs, cand)):
@@ -559,10 +565,10 @@ def _root_candidates(tw, lv):
             fr = Fraction(n, d)
             if fr.denominator == d:
                 cands.append(_from_fraction(tw, lv, fr))
-    one = _one(tw, lv)
+    one = tw._ones[lv]
     for name in tw.names:
         g = tw.gen(name).val
-        for shift in (_zero(tw, lv), one, _neg(tw, lv, one)):
+        for shift in (tw._zeros[lv], one, _neg(tw, lv, one)):
             cands.append(_add(tw, lv, g, shift))
             cands.append(_add(tw, lv, _neg(tw, lv, g), shift))
     return cands
@@ -648,7 +654,8 @@ def power(x, n, one):
 
 
 class Scalar:
-    """An element of a tower field, in canonical form."""
+    """An element of a tower field, in canonical form: a raw top-level value
+    of its tower, with the tower's bound arithmetic."""
 
     __slots__ = ("tower", "val")
 
@@ -657,63 +664,45 @@ class Scalar:
         self.val = val
 
     def _coerce(self, other):
+        """The raw value of other in this tower, or None."""
         if isinstance(other, Scalar):
             if other.tower != self.tower:
                 raise TowerMismatch("scalars from different towers")
-            return other
+            return other.val
         if isinstance(other, (int, Fraction)):
-            return self.tower.from_fraction(other)
+            return self.tower.value(other)
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        tw = self.tower
-        return Scalar(tw, _add(tw, tw.num_levels, self.val, o.val))
+        o, tw = self._coerce(other), self.tower
+        return NotImplemented if o is None else Scalar(tw, tw.add(self.val, o))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        tw = self.tower
-        return Scalar(tw, _sub(tw, tw.num_levels, self.val, o.val))
+        o, tw = self._coerce(other), self.tower
+        return NotImplemented if o is None else Scalar(tw, tw.sub(self.val, o))
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        tw = self.tower
-        return Scalar(tw, _sub(tw, tw.num_levels, o.val, self.val))
+        o, tw = self._coerce(other), self.tower
+        return NotImplemented if o is None else Scalar(tw, tw.sub(o, self.val))
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        tw = self.tower
-        return Scalar(tw, _mul(tw, tw.num_levels, self.val, o.val))
+        o, tw = self._coerce(other), self.tower
+        return NotImplemented if o is None else Scalar(tw, tw.mul(self.val, o))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        tw = self.tower
-        return Scalar(tw, _div(tw, tw.num_levels, self.val, o.val))
+        o, tw = self._coerce(other), self.tower
+        return NotImplemented if o is None else Scalar(tw, tw.mul(self.val, tw.inv(o)))
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        tw = self.tower
-        return Scalar(tw, _div(tw, tw.num_levels, o.val, self.val))
+        o, tw = self._coerce(other), self.tower
+        return NotImplemented if o is None else Scalar(tw, tw.mul(o, tw.inv(self.val)))
 
     def __neg__(self):
-        tw = self.tower
-        return Scalar(tw, _neg(tw, tw.num_levels, self.val))
+        return Scalar(self.tower, self.tower.neg(self.val))
 
     def __pow__(self, n):
         if not isinstance(n, int):
@@ -721,26 +710,21 @@ class Scalar:
         return power(self, n, self.tower.one())
 
     def inv(self):
-        tw = self.tower
-        return Scalar(tw, _inv(tw, tw.num_levels, self.val))
+        return Scalar(self.tower, self.tower.inv(self.val))
 
     def d(self, level):
         """Partial derivative with respect to the transcendental generator at ``level``."""
-        tw = self.tower
-        if level not in tw.transcendental_levels():
-            raise ValueError(f"level {level} is not a transcendental step")
-        return Scalar(tw, _dgen(tw, tw.num_levels, self.val, level))
+        return Scalar(self.tower, self.tower.d(self.val, level))
 
     def is_zero(self):
-        tw = self.tower
-        return _is_zero(tw, tw.num_levels, self.val)
+        return self.tower.is_zero(self.val)
 
     def __bool__(self):
         return not self.is_zero()
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = self.tower.from_fraction(other)
+            return self.val == self.tower.value(other)
         if not isinstance(other, Scalar):
             return NotImplemented
         return self.tower == other.tower and self.val == other.val

@@ -8,8 +8,9 @@ import sys
 
 import pytest
 
+from ktangent.cech import CechEngine, Sheaf
 from ktangent.cli import (main, BUILTIN_INSTANCES, build_arg_parser, make_report,
-                          render_json, _parse_sheaf)
+                          render_json)
 from ktangent.parser import load_instance
 from ktangent.errors import Unsupported
 
@@ -29,12 +30,12 @@ def test_builtin_instances_parse():
 
 
 def test_parse_sheaf():
-    assert _parse_sheaf("omega0").r == 0
-    assert _parse_sheaf("omega2").r == 2
-    assert _parse_sheaf("O(3)").twist == 3
-    assert _parse_sheaf("O(-4)").twist == -4
+    assert Sheaf.parse("omega0").r == 0
+    assert Sheaf.parse("omega2").r == 2
+    assert Sheaf.parse("O(3)").twist == 3
+    assert Sheaf.parse("O(-4)").twist == -4
     with pytest.raises(Unsupported):
-        _parse_sheaf("bogus")
+        Sheaf.parse("bogus")
 
 
 def test_report_shape():
@@ -304,6 +305,34 @@ def test_config_echo_states_what_ran(tmp_path, name, text):
                              "sheaf": "omega0",
                              "tower": [["r", "algebraic"]]}
     assert rep["checks"][0]["name"] == "cech Omega^0"
+
+
+@pytest.mark.parametrize("name, text", [
+    pytest.param("bad.inst", _CHECKS_LINE + "sheaf = bogus\n", id="text"),
+    pytest.param("bad.json", json.dumps({"cover": _LINE, "checks": {"sheaf": "bogus"}}),
+                 id="json"),
+])
+@pytest.mark.parametrize("command", ["verify lemma2.4", "cech", "hypercoh",
+                                     "tangent-chow", "delta-r", "composed"])
+def test_unknown_sheaf_in_an_instance_is_usage_error(tmp_path, capsys, name, text,
+                                                      command):
+    # the sheaf is checked when the instance loads, whichever command reads it
+    inst = tmp_path / name
+    inst.write_text(text)
+    assert main(command.split() + ["--instance", str(inst), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown sheaf 'bogus'") and "Traceback" not in err
+
+
+def test_hypercoh_computes_no_representatives(tmp_path, monkeypatch):
+    # the report carries dims and stabilized only
+    calls = []
+    real = CechEngine.express_span
+    monkeypatch.setattr(CechEngine, "express_span",
+                        lambda *a, **k: calls.append(a) or real(*a, **k))
+    code, rep = run_json(tmp_path, ["hypercoh", "--instance", "p2"])
+    assert code == 0 and rep["checks"][0]["stabilized"]
+    assert calls == []
 
 
 def test_sheaf_is_echoed_only_by_cech(tmp_path, capsys):

@@ -12,6 +12,7 @@ from ktangent.errors import (
     NonUnitBody,
     RingMismatch,
     SingularRelation,
+    TowerMismatch,
 )
 from ktangent import differentials, funcrings
 from ktangent.cech import cover_pn
@@ -240,7 +241,7 @@ def reference_transport(elem, vals, target):
     """elem at vals, term by term in RingElem arithmetic: what transport means."""
     def at(f):
         acc = target.zero()
-        for e, c in f.terms.items():
+        for e, c in f.scalar_terms():
             term = target.const(c)
             for val, k in zip(vals, e):
                 for _ in range(k):
@@ -335,6 +336,16 @@ def test_transport_to_a_zero_denominator_raises():
     x, y = ra.var("x"), ra.var("y")
     with pytest.raises(DivisionByZero):
         transport(1 / (u * u - 1), [y * y - x ** 3 + x], ra)
+
+
+def test_transport_into_a_ring_over_another_tower_raises():
+    # coefficients are raw values of the source tower; another tower's
+    # arithmetic must not be applied to them
+    qt = make_tower([Transcendental("t")])
+    u = FunctionRing(QQ, ("u",)).var("u")
+    dst = FunctionRing(qt, ("v",))
+    with pytest.raises(TowerMismatch):
+        transport(u * u + 2, [dst.var("v")], dst)
 
 
 # -- powers ---------------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 from ktangent import mpoly, scalars
 from ktangent.cech import TruncationPolicy, cover_plane_curve, weierstrass_cubic
 from ktangent.cycletangent import composed_infinitesimal
-from ktangent.errors import DivisionByZero
+from ktangent.errors import DivisionByZero, TowerMismatch
 from ktangent.funcrings import FunctionRing, transport
 from ktangent.mpoly import MPoly, div_exact, mp_gcd, reduce_mod
 from ktangent.scalars import QQ, Algebraic, Transcendental, make_tower
@@ -105,7 +105,7 @@ def test_gcd_random_products():
 def test_eval():
     x, y = xy()
     f = x**2 * y - 3
-    assert f.eval_scalars([QQ.from_fraction(2), QQ.from_fraction(5)]) == QQ.from_fraction(17)
+    assert not f.vanishes_at([2, 5]) and (f - 17).vanishes_at([2, Fraction(5)])
     assert f.render(["x", "y"]) == "x^2*y - 3"
 
 
@@ -131,8 +131,7 @@ def test_gcd_of_t_constant_inputs_descends_to_the_number_field(monkeypatch):
         cases.append((h * rng.choice(mons), h * rng.choice(mons) * (r2 + 3)))
     calls = _count_flattens(monkeypatch)
     for a, b in cases:
-        lift = lambda p: MPoly(deep, p.nvars, {e: deep.embed(c) for e, c in p.terms.items()})
-        assert mp_gcd(lift(a), lift(b)) == lift(mp_gcd(a, b))
+        assert mp_gcd(a.over(deep), b.over(deep)) == mp_gcd(a, b).over(deep)
     assert calls["flatten"] == 0
 
 
@@ -146,10 +145,6 @@ def test_gcd_of_t_dependent_inputs_still_flattens(monkeypatch):
     assert mp_gcd(f, g) == x - t
     assert mp_gcd((x - t) * (y - 1), (y - 1) * (x + t)) == y - 1
     assert calls["flatten"] == 4
-
-
-def _lift(tower, p):
-    return MPoly(tower, p.nvars, {e: tower.embed(c) for e, c in p.terms.items()})
 
 
 def _rational_pairs(seed, count):
@@ -170,9 +165,9 @@ def test_gcd_of_unit_multiples_of_rational_inputs_never_flattens(monkeypatch):
     cases = _rational_pairs(11, 10)
     calls = _count_flattens(monkeypatch)
     for a, b in cases:
-        want = _lift(tw, mp_gcd(a, b))
-        assert mp_gcd(_lift(tw, a) * u1, _lift(tw, b) * u2) == want
-        assert mp_gcd(_lift(tw, a) * u2, _lift(tw, b) * (t - 3)) == want
+        want = mp_gcd(a, b).over(tw)
+        assert mp_gcd(a.over(tw) * u1, b.over(tw) * u2) == want
+        assert mp_gcd(a.over(tw) * u2, b.over(tw) * (t - 3)) == want
     assert calls["flatten"] == 0
 
 
@@ -187,8 +182,8 @@ def test_gcd_of_rational_inputs_over_a_number_field_runs_over_q(monkeypatch):
     monkeypatch.setattr(mpoly, "_prs_gcd",
                         lambda f, g: prs.append(f.tower) or real_prs(f, g))
     for a, b in cases:
-        got = mp_gcd(_lift(tw, a) * (r2 + 3), _lift(tw, b) * ((r2 - 1) / 5))
-        assert got == _lift(tw, mp_gcd(a, b))
+        got = mp_gcd(a.over(tw) * (r2 + 3), b.over(tw) * ((r2 - 1) / 5))
+        assert got == mp_gcd(a, b).over(tw)
     assert kernel and all(kernel)
     assert all(w == QQ for w in prs)
 
@@ -356,3 +351,63 @@ def test_transport_with_a_heavy_flattened_gcd_is_accepted_by_the_kernel(monkeypa
         " + ((-2*t^3 + 2*t^2 + 1)/(t^2))*v - t)/((-1/t)*v^5 + ((4*t + 2)/t)*v^4"
         " + ((-5*t^3 - 5*t^2 + 1)/(t^2))*v^3 + ((2*t^4 + 4*t^3 - 4*t - 1)/(t^2))*v^2"
         " + ((-t^3 + 5*t + 2)/t)*v - 2*t - 1))")
+
+
+# -- one coefficient format: raw tower values, no Scalar inside the layer ------
+
+
+def _raw_cases():
+    """(tower, [(a, b, h)]) with h | a, b: inputs that run over the integers,
+    descend to a subfield, flatten, and fall back to the remainder sequence."""
+    r2 = make_tower([Algebraic("r2", [-2, 0, 1])])
+    qt = make_tower([Transcendental("t")])
+    deep = make_tower([Algebraic("r2", [-2, 0, 1]), Transcendental("t1"),
+                       Transcendental("t2")])
+    out = []
+    x, y = xy()
+    big = 2**2000
+    out.append((QQ, [((x + 2 * y) * (x - 3), (x + 2 * y) * (y + 1), x + 2 * y),
+                     ((big * x**4 + y) * (x * y + 1), (big * y**4 + x) * (x * y + 1),
+                      x * y + 1)]))
+    for tw in (r2, qt, deep):
+        x, y = xy(tw)
+        g = tw.gen(tw.names[-1])
+        s = tw.gen(tw.names[0])
+        h = (x - g) * (y + s)
+        rational = (x + 1) * (y - 2)
+        out.append((tw, [(h * (x + y), h * (x * y - g), h),
+                         (rational * (x - y) * (s + 3), rational * (y + 5), rational)]))
+    return out
+
+
+def test_the_polynomial_layer_holds_no_scalar(monkeypatch):
+    cases = _raw_cases()
+    seen = Counter()
+    for name in ("_flatten", "_prs_gcd", "_descend", "_heu_gcd"):
+        real = getattr(mpoly, name)
+        monkeypatch.setattr(mpoly, name,
+                            lambda *a, _n=name, _r=real: seen.update([_n]) or _r(*a))
+    made = []
+    real_init = scalars.Scalar.__init__
+    monkeypatch.setattr(scalars.Scalar, "__init__",
+                        lambda self, tw, v: made.append(v) or real_init(self, tw, v))
+    results = []
+    for tw, triples in cases:
+        for a, b, h in triples:
+            rel = MPoly.variable(tw, 2, 1) ** 2 - b
+            results += [a + b, a - b, a * b, h ** 3, reduce_mod(a * a, rel, 1),
+                        mp_gcd(a, b), div_exact(a, h), div_exact(b * 3, h)]
+    assert made == []
+    assert all(not isinstance(c, scalars.Scalar) for r in results for c in r.terms.values())
+    assert all(seen[k] for k in ("_flatten", "_prs_gcd", "_descend", "_heu_gcd")), seen
+
+
+def test_over_is_the_per_term_embedding():
+    for tw, triples in _raw_cases()[1:]:
+        deep = tw.extend([Transcendental("u")])
+        for p in (q for triple in triples for q in triple):
+            want = {e: deep.embed(c).val for e, c in p.scalar_terms()}
+            assert p.over(deep).terms == want
+            assert p.over(tw) == p
+    with pytest.raises(TowerMismatch):
+        MPoly.variable(make_tower([Transcendental("t")]), 1, 0).over(QQ)

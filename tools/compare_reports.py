@@ -3,21 +3,18 @@
     python3 tools/compare_reports.py OLD_SRC NEW_SRC
 
 OLD_SRC and NEW_SRC are ``src`` directories (say, of a ``git archive`` of
-the parent commit and of this checkout).  Each tree runs the same commands
+the parent commit and of this checkout).  Each tree runs the same argv list
 in-process through ``cli.main``, in its own subprocess, one tree after the
 other in the same scratch directory, so that instance paths echo alike.
-For every command the script checks that
+For every run the script checks that the exit codes agree and that the
+report files are byte-identical (a run that writes no report, such as a
+usage error, must write none on both sides).
 
-* the exit codes agree;
-* the ``checks`` arrays are byte-identical;
-* ``config`` differs exactly by the keys in ``DROPPED`` for that command:
-  each of them is gone, and no key is added, changed or otherwise removed.
+The runs are:
 
-The commands are:
-
-* every cover command on the built-in instances at p = 1, 2 (36 rows; the
-  new tree's ``cech`` reads no weight, so its run drops ``--p``);
-* the 23 commands of the benchmark's ``commands`` workload at seeds 1-3;
+* every cover command on the built-in instances, at p = 1, 2 for the
+  commands that read a weight, and ``cech`` at two sheaves;
+* the commands of the benchmark's ``commands`` workload at seeds 1-3;
 * the four seeded ``verify`` suites and ``relations`` at their default seed.
 
 Prints one line per difference and a summary; exits 1 on any difference.
@@ -33,29 +30,22 @@ import types
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-COVER_COMMANDS = ("verify lemma2.4", "cech", "hypercoh", "tangent-chow",
-                  "delta-r", "composed")
+WEIGHTED = ("verify lemma2.4", "hypercoh", "tangent-chow", "delta-r", "composed")
 SUITES = ("verify lemma2.6", "verify beta-agreement", "verify diagram2.7",
           "verify alpha-delta", "relations")
 
-# config keys the new tree no longer echoes, because the command reads no
-# such setting: seed on every command that loads an instance, p on cech,
-# seed on verify alpha-delta, p on relations
-DROPPED = {**{c: {"seed"} for c in COVER_COMMANDS},
-           "cech": {"p", "seed"},
-           "verify alpha-delta": {"seed"},
-           "relations": {"p"}}
-
 
 def rows(kt, work):
-    """(id, command, old argv, new argv) for every compared run."""
+    """(id, argv) for every compared run."""
     out = []
     for inst in ("p1", "p2", "elliptic"):
-        for cmd in COVER_COMMANDS:
+        for cmd in WEIGHTED:
             for p in (1, 2):
-                old = cmd.split() + ["--instance", inst, "--p", str(p)]
-                new = old[:-2] if cmd == "cech" else old
-                out.append((f"{cmd} {inst} p={p}", cmd, old, new))
+                out.append((f"{cmd} {inst} p={p}",
+                            cmd.split() + ["--instance", inst, "--p", str(p)]))
+        for sheaf in ("omega0", "omega1"):
+            out.append((f"cech {inst} {sheaf}",
+                        ["cech", "--instance", inst, "--sheaf", sheaf]))
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     import workloads
     for seed in (1, 2, 3):
@@ -63,27 +53,27 @@ def rows(kt, work):
         os.makedirs(kt.workdir)
         specs = workloads.Commands().setup(kt, seed)["specs"]
         for cid, argv, _, _ in specs:
-            argv = argv[:argv.index("--json")]
-            cmd = " ".join(argv[:2] if argv[0] == "verify" else argv[:1])
-            out.append((f"commands seed={seed}: {cid}", cmd, argv, argv))
+            out.append((f"commands seed={seed}: {cid}", argv[:argv.index("--json")]))
     for cmd in SUITES:
-        out.append((cmd, cmd, cmd.split(), cmd.split()))
+        out.append((cmd, cmd.split()))
     return out
 
 
-def worker(src, side, work, dest):
-    """Run every row's argv for ``side`` with the package under ``src``."""
+def worker(src, work, dest):
+    """Run every row's argv with the package under ``src``."""
     sys.path.insert(0, src)
     from ktangent import cech, cli, errors, scalars
     kt = types.SimpleNamespace(cech=cech, cli=cli, errors=errors, scalars=scalars)
     results = {}
     report = os.path.join(work, "report.json")
-    for rid, cmd, old, new in rows(kt, work):
-        argv = old if side == "old" else new
+    for rid, argv in rows(kt, work):
         rc = cli.main(argv + ["--json", report, "--quiet"])
-        with open(report, encoding="utf-8") as fh:
-            results[rid] = {"command": cmd, "rc": rc, "report": fh.read()}
-        os.remove(report)
+        text = None
+        if os.path.exists(report):
+            with open(report, encoding="utf-8") as fh:
+                text = fh.read()
+            os.remove(report)
+        results[rid] = {"rc": rc, "report": text}
     with open(dest, "w", encoding="utf-8") as fh:
         json.dump(results, fh)
 
@@ -94,16 +84,9 @@ def run_side(src, side, scratch):
     os.makedirs(work)
     dest = os.path.join(scratch, f"{side}.json")
     subprocess.run([sys.executable, os.path.abspath(__file__), "--worker",
-                    os.path.abspath(src), side, work, dest], check=True)
+                    os.path.abspath(src), work, dest], check=True)
     with open(dest, encoding="utf-8") as fh:
         return json.load(fh)
-
-
-def checks_text(report_text):
-    """The serialized ``checks`` array, cut from the report's own bytes."""
-    start = report_text.index('\n  "checks": ')
-    end = report_text.index('\n  "command": ', start)
-    return report_text[start:end]
 
 
 def compare(old, new):
@@ -115,16 +98,8 @@ def compare(old, new):
             continue
         if o["rc"] != n["rc"]:
             problems.append(f"{rid}: exit code {o['rc']} -> {n['rc']}")
-        if checks_text(o["report"]) != checks_text(n["report"]):
-            problems.append(f"{rid}: checks differ")
-        oc = json.loads(o["report"])["config"]
-        nc = json.loads(n["report"])["config"]
-        gone = set(oc) - set(nc)
-        want = DROPPED.get(o["command"], set()) & set(oc)
-        if gone != want:
-            problems.append(f"{rid}: config dropped {sorted(gone)}, want {sorted(want)}")
-        if set(nc) - set(oc) or any(nc[k] != oc[k] for k in nc if k in oc):
-            problems.append(f"{rid}: config {oc} -> {nc}")
+        if o["report"] != n["report"]:
+            problems.append(f"{rid}: report bytes differ")
     return problems
 
 
