@@ -330,7 +330,6 @@ class CechEngine:
         self.twist = twist
         self.D = D
         tower = cover.tower
-        self._plain = tower.num_levels == 0
         if base.eps != "none":
             raise Unsupported("cohomology over a dual-number base is not modeled")
         js = list(self.rows)
@@ -362,17 +361,14 @@ class CechEngine:
     # -- coefficients
 
     def coeff(self, v):
-        """``v`` in this engine's coefficient type, the one place that decides it.
-
-        Over Q that is a Fraction, so Q engines do no Scalar arithmetic; over a
-        tower it is a Scalar.  Accepts ints, Fractions and Scalars of any
-        prefix tower of the cover's.
+        """``v`` as a raw value of the cover's tower, the engine's one coefficient
+        format.  Accepts ints, Fractions and Scalars of any prefix tower of
+        the cover's.
         """
         tower = self.cover.tower
         if isinstance(v, Scalar):
-            v = tower.embed(v)
-            return v.val if self._plain else v
-        return Fraction(v) if self._plain else tower.from_fraction(Fraction(v))
+            return tower.lift(v.tower, v.val)
+        return tower.value(v)
 
     # -- label enumeration
     #
@@ -511,16 +507,17 @@ class CechEngine:
         if e == 0 or i <= 2:
             res = {(i, e): self.coeff(1)}
         else:
+            F = self.cover.tower
             g0, g1, g2 = map(self.coeff, self.cover.gcoeffs)
             res = {}
             # x^i g^-e = x^(i-3) g^-(e-1) - g2 x^(i-1) g^-e - g1 x^(i-2) g^-e
             #            - g0 x^(i-3) g^-e
             for part, c in ((self._pf(i - 3, e - 1), None),
-                            (self._pf(i - 1, e), -g2),
-                            (self._pf(i - 2, e), -g1),
-                            (self._pf(i - 3, e), -g0)):
+                            (self._pf(i - 1, e), F.neg(g2)),
+                            (self._pf(i - 2, e), F.neg(g1)),
+                            (self._pf(i - 3, e), F.neg(g0))):
                 for k2, v in part.items():
-                    accumulate(res, k2, v if c is None else c * v)
+                    accumulate(res, k2, v if c is None else F.mul(c, v), F)
         self._pf_memo[key] = res
         return res
 
@@ -560,6 +557,7 @@ class CechEngine:
     def column(self, k, q, j, S, lab):
         """The total differential of one basis element, as a sparse vector."""
         index = self.index(k + 1)
+        F = self.cover.tower
         col = {}
         for knew in range(len(self.cover.charts)):
             if knew in S:
@@ -571,7 +569,7 @@ class CechEngine:
                 if idx is None:
                     raise WindowOverflow(
                         f"restriction image {lab2} missed the window of {T}")
-                accumulate(col, idx, c if sgn > 0 else -c)
+                accumulate(col, idx, c if sgn > 0 else F.neg(c), F)
         if j + 1 in self.rows:
             dsgn = (-1) ** q
             for lab2, c in self._d_label(S, lab).items():
@@ -579,7 +577,7 @@ class CechEngine:
                 if idx is None:
                     raise WindowOverflow(
                         f"derivative image {lab2} missed the window of {S}")
-                accumulate(col, idx, c if dsgn > 0 else -c)
+                accumulate(col, idx, c if dsgn > 0 else F.neg(c), F)
         return col
 
     def columns(self, k):
@@ -588,10 +586,11 @@ class CechEngine:
     def apply(self, k, vec):
         """d_k of a sparse cochain of total degree k."""
         basis = self.total_basis(k)
+        F = self.cover.tower
         out = {}
         for idx, c in vec.items():
             for tgt, cf in self.column(k, *basis[idx]).items():
-                accumulate(out, tgt, c * cf)
+                accumulate(out, tgt, F.mul(c, cf), F)
         return out
 
     def _span(self, k):
@@ -602,7 +601,7 @@ class CechEngine:
         """
         span = self._spans.get(k)
         if span is None:
-            span = self._spans[k] = RowSpan()
+            span = self._spans[k] = RowSpan(self.cover.tower)
             for col in self.columns(k):
                 span.add(col)
         return span
@@ -633,11 +632,12 @@ class CechEngine:
         """
         hit = self._reps.get(k)
         if hit is None:
-            span = RowSpan(track=True)
+            F = self.cover.tower
+            span = RowSpan(F, track=True)
             span.rows.update(self._span(k - 1).rows)
             reps = []
-            echelon = RowSpan(track=True)
-            for vec in kernel_basis(self.columns(k), self.coeff(1), echelon):
+            echelon = RowSpan(F, track=True)
+            for vec in kernel_basis(self.columns(k), F, echelon):
                 if span.add(vec, ("rep", len(reps))) is not None:
                     reps.append(vec)
             self._spans.setdefault(k, echelon)
@@ -683,11 +683,11 @@ class CechEngine:
 
     def render_vector(self, k, vec):
         basis = self.total_basis(k)
+        render = self.cover.tower.render
         bits = []
         for idx in sorted(vec):
-            c = vec[idx]
             q, j, S, lab = basis[idx]
-            bits.append(f"({c})*{self.render_label(S, lab)}")
+            bits.append(f"({render(vec[idx])})*{self.render_label(S, lab)}")
         return " + ".join(bits) if bits else "0"
 
 
@@ -832,10 +832,11 @@ def label_form(engine, S, lab, base):
 def cochain_forms(engine, k, vec, base):
     """An engine vector at total degree k as per-subset differential forms."""
     basis = engine.total_basis(k)
+    tower = engine.cover.tower
     out = {}
     for idx, c in vec.items():
         q, j, S, lab = basis[idx]
-        f = label_form(engine, S, lab, base) * c
+        f = label_form(engine, S, lab, base) * Scalar(tower, c)
         cur = out.get(S)
         out[S] = f if cur is None else cur + f
     return out

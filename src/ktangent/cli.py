@@ -71,11 +71,13 @@ def _load(args):
         try:
             with open(name, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise KTangentError(f"cannot read instance file {name!r}: {exc}")
         cfg = load_instance(text)
     if getattr(args, "p", None) is not None:
         cfg.p = args.p
+    if getattr(args, "sheaf", None) is not None:
+        cfg.sheaf = args.sheaf
     if args.D is not None or args.delta is not None:
         D = args.D if args.D is not None else cfg.policy.D
         delta = args.delta if args.delta is not None else cfg.policy.delta
@@ -110,93 +112,59 @@ def _suite(fn):
     return body
 
 
-def _cmd_splitting(args):
-    # lemma2.4: the splitting of the tangent complex over an actual cover
-    cfg = _covered(args, "the splitting check")
-    return cfg, _guard(f"splitting p={cfg.p}",
-                       lambda: [verify_splitting(cfg.p, cfg.cover, cfg.policy)])
+def _on_cover(name, check):
+    """The body of a command on the instance's cover.
+
+    ``check(cfg, sheaf)`` returns the command's one check, named ``name``
+    (formatted with the weight p and the sheaf) unless it names itself; the
+    same name marks the error check when it raises.
+    """
+    def body(args):
+        cfg = _load(args)
+        if cfg.cover is None:
+            raise Unsupported(f"{args.run} needs a [cover] instance")
+        sheaf = Sheaf.parse("omega0" if cfg.sheaf is None else cfg.sheaf)
+        label = name.format(p=cfg.p, sheaf=sheaf.describe())
+        return cfg, _guard(label, lambda: [{"name": label, **check(cfg, sheaf)}])
+    return body
 
 
-def _covered(args, command):
-    cfg = _load(args)
-    if cfg.cover is None:
-        raise Unsupported(f"{command} needs a [cover] instance")
-    return cfg
+def _cech(cfg, sheaf):
+    rep = sheaf_cohomology(cfg.cover, sheaf, cfg.policy)
+    check = {"status": "pass" if rep.stabilized else "fail",
+             "dims": _dims_list(rep),
+             "stabilized": rep.stabilized,
+             "representatives": rep.to_dict()["representatives"]}
+    if not rep.stabilized:
+        check["witnesses"] = [
+            f"dims {_dims_list(rep)} moved to "
+            f"{sorted(rep.dims_again.items())} at the larger window"]
+    return check
 
 
-def _cmd_cech(args):
-    cfg = _covered(args, "cech")
-    # the flag wins over the instance's [checks] sheaf; the echo states the result
-    args.sheaf = args.sheaf or cfg.sheaf
-    sheaf = Sheaf.parse("omega0" if args.sheaf is None else args.sheaf)
-
-    def run():
-        rep = sheaf_cohomology(cfg.cover, sheaf, cfg.policy)
-        check = {"name": f"cech {sheaf.describe()}",
-                 "status": "pass" if rep.stabilized else "fail",
-                 "dims": _dims_list(rep),
-                 "stabilized": rep.stabilized,
-                 "representatives": rep.to_dict()["representatives"]}
-        if not rep.stabilized:
-            check["witnesses"] = [
-                f"dims {_dims_list(rep)} moved to "
-                f"{sorted(rep.dims_again.items())} at the larger window"]
-        return [check]
-
-    return cfg, _guard(f"cech {sheaf.describe()}", run)
+def _hypercoh(cfg, _):
+    cx = tangent_deligne(cfg.p, cfg.cover.charts[0])
+    rep = hypercohomology(cfg.cover, cx, cfg.policy, with_reps=False)
+    return {"status": "pass" if rep.stabilized else "fail",
+            "dims": {str(k): v for k, v in sorted(rep.dims.items())},
+            "stabilized": rep.stabilized}
 
 
-def _cmd_hypercoh(args):
-    cfg = _covered(args, "hypercoh")
-
-    def run():
-        cx = tangent_deligne(cfg.p, cfg.cover.charts[0])
-        rep = hypercohomology(cfg.cover, cx, cfg.policy, with_reps=False)
-        return [{"name": f"hypercohomology p={cfg.p}",
-                 "status": "pass" if rep.stabilized else "fail",
-                 "dims": {str(k): v for k, v in sorted(rep.dims.items())},
-                 "stabilized": rep.stabilized}]
-
-    return cfg, _guard(f"hypercohomology p={cfg.p}", run)
+def _tangent_chow(cfg, _):
+    rep = formal_tangent_chow(cfg.cover, cfg.p, cfg.policy)
+    return {"status": "pass",
+            "dims": {str(k): v for k, v in sorted(rep.dims.items())},
+            "dim": rep.dim(cfg.p),
+            "representatives": rep.to_dict()["representatives"]}
 
 
-def _cmd_tangent_chow(args):
-    cfg = _covered(args, "tangent-chow")
-
-    def run():
-        rep = formal_tangent_chow(cfg.cover, cfg.p, cfg.policy)
-        return [{"name": f"formal tangent space p={cfg.p}",
-                 "status": "pass",
-                 "dims": {str(k): v for k, v in sorted(rep.dims.items())},
-                 "dim": rep.dim(cfg.p),
-                 "representatives": rep.to_dict()["representatives"]}]
-
-    return cfg, _guard(f"formal tangent space p={cfg.p}", run)
-
-
-def _cmd_delta_r(args):
-    cfg = _covered(args, "delta-r")
-
-    def run():
-        out = delta_r(cfg.cover, cfg.p, cfg.policy).to_dict()
-        out["status"] = "pass"
-        return [out]
-
-    return cfg, _guard(f"delta_r p={cfg.p}", run)
-
-
-def _cmd_composed(args):
-    cfg = _covered(args, "composed")
-
-    def run():
-        rep = composed_infinitesimal(cfg.cover, cfg.p, cfg.policy)
-        out = rep.to_dict()
-        out["status"] = "pass" if rep.verdict == "injective" else "fail"
-        if out["status"] == "fail":
-            out["witnesses"] = [f"kernel dimension {rep.kernel_dim}"]
-        return [out]
-
-    return cfg, _guard(f"composed p={cfg.p}", run)
+def _composed(cfg, _):
+    rep = composed_infinitesimal(cfg.cover, cfg.p, cfg.policy)
+    out = rep.to_dict()
+    out["status"] = "pass" if rep.verdict == "injective" else "fail"
+    if out["status"] == "fail":
+        out["witnesses"] = [f"kernel dimension {rep.kernel_dim}"]
+    return out
 
 
 # -- report assembly ---------------------------------------------------------
@@ -225,8 +193,8 @@ def _config_echo(args, cfg):
         config["instance"] = args.instance or "p1"
         if "p" not in settings:
             del config["p"]
-        if settings.get("sheaf"):
-            config["sheaf"] = args.sheaf
+        if "sheaf" in settings and cfg.sheaf is not None:
+            config["sheaf"] = cfg.sheaf
     if "what" in vars(args):
         config["what"] = args.what
     return config
@@ -283,15 +251,20 @@ _COMMANDS = {
                           ("p", "seed"), _suite(suites.absolute_square_suite)),
     "verify alpha-delta": ("the alpha/delta comparison diagram",
                            ("p",), _suite(suites.diagram_suite)),
-    "verify lemma2.4": ("the tangent complex splits on a cover",
-                        _ON_A_COVER, _cmd_splitting),
+    "verify lemma2.4": ("the tangent complex splits on a cover", _ON_A_COVER,
+                        _on_cover("splitting p={p}", lambda cfg, _: verify_splitting(
+                            cfg.p, cfg.cover, cfg.policy))),
     "cech": ("sheaf cohomology dimensions on a cover",
-             ("instance", "D", "delta", "sheaf"), _cmd_cech),
-    "hypercoh": ("hypercohomology of the tangent complex", _ON_A_COVER, _cmd_hypercoh),
-    "tangent-chow": ("formal tangent space of the cycle group",
-                     _ON_A_COVER, _cmd_tangent_chow),
-    "delta-r": ("the map out of the formal tangent space", _ON_A_COVER, _cmd_delta_r),
-    "composed": ("the composed infinitesimal regulator map", _ON_A_COVER, _cmd_composed),
+             ("instance", "D", "delta", "sheaf"), _on_cover("cech {sheaf}", _cech)),
+    "hypercoh": ("hypercohomology of the tangent complex", _ON_A_COVER,
+                 _on_cover("hypercohomology p={p}", _hypercoh)),
+    "tangent-chow": ("formal tangent space of the cycle group", _ON_A_COVER,
+                     _on_cover("formal tangent space p={p}", _tangent_chow)),
+    "delta-r": ("the map out of the formal tangent space", _ON_A_COVER,
+                _on_cover("delta_r p={p}", lambda cfg, _: {
+                    **delta_r(cfg.cover, cfg.p, cfg.policy).to_dict(), "status": "pass"})),
+    "composed": ("the composed infinitesimal regulator map", _ON_A_COVER,
+                 _on_cover("composed p={p}", _composed)),
     "relations": ("symbol relations die under the form maps",
                   ("seed",), _suite(suites.relations_suite)),
 }

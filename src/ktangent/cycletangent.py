@@ -14,7 +14,7 @@ from .differentials import base_change_kernel_letters, base_q, base_top
 from .errors import Mismatch, NotNumberField, Unsupported, WindowOverflow
 from .linalg import accumulate, rank_of
 from .milnor import EpsSymbol, beta
-from .scalars import Transcendental
+from .scalars import Scalar, Transcendental
 
 
 class TangentMapReport:
@@ -58,11 +58,11 @@ def formal_tangent_chow(cover, p, policy):
     return sheaf_cohomology(cover, sheaf, policy, require_stable=True)
 
 
-def _verdict(matrix, ncols):
-    if ncols == 0:
+def _verdict(cols, F):
+    if not cols:
         return 0, "vacuous"
-    kernel_dim = ncols - rank_of({i: row[j] for i, row in enumerate(matrix) if row[j]}
-                                 for j in range(ncols))
+    kernel_dim = len(cols) - rank_of(({i: c for i, c in enumerate(col) if not F.is_zero(c)}
+                                      for col in cols), F)
     return kernel_dim, ("injective" if kernel_dim == 0 else "not injective")
 
 
@@ -70,12 +70,14 @@ def _induced_map(name, src, tgt, p, letters, keep=lambda lab: True):
     """The map on degree-p classes induced by carrying labels across windows.
 
     Each source representative is carried label by label into the target
-    window, its coefficients coerced to the target's scalars; ``keep(lab)``
+    window, its coefficients lifted to the target's tower; ``keep(lab)``
     false drops the label.  Its column holds its coordinates in the target's
     representative basis, solved for against the target's coboundaries plus
-    representatives.
+    representatives.  The matrix entries leave as Scalars.
     """
     engine = tgt.engine
+    tower, src_tower = engine.cover.tower, src.engine.cover.tower
+    zero = tower.value(0)
     span, reps = engine.express_span(p)
     basis = src.engine.total_basis(p)
     index = engine.index(p)
@@ -89,13 +91,13 @@ def _induced_map(name, src, tgt, p, letters, keep=lambda lab: True):
             tidx = index.get(label)
             if tidx is None:
                 raise Mismatch(f"label {label[3]} missing from the target window")
-            img[tidx] = engine.coeff(c)
+            img[tidx] = tower.lift(src_tower, c)
         sol = span.solve(img)
         if sol is None:
             raise Mismatch("a mapped class left the span of the target window")
-        cols.append([sol.get(("rep", i), 0) for i in range(len(reps))])
-    matrix = [[col[i] for col in cols] for i in range(len(reps))]
-    kernel_dim, verdict = _verdict(matrix, len(cols))
+        cols.append([sol.get(("rep", i), zero) for i in range(len(reps))])
+    kernel_dim, verdict = _verdict(cols, tower)
+    matrix = [[Scalar(tower, col[i]) for col in cols] for i in range(len(reps))]
     return TangentMapReport(name, src, tgt, matrix, kernel_dim, verdict,
                             not cols, letters)
 
@@ -175,8 +177,10 @@ def composed_infinitesimal(cover, p, policy, cmodel=None):
 
 
 def _form_to_labels(engine, S, w):
-    """Window coordinates of a form over the smallest chart of ``S``."""
+    """Window coordinates of a form over the smallest chart of ``S``, as raw
+    values of the form's tower."""
     cover = engine.cover
+    F = w.ring.tower
     n = cover.n
     m = min(S)
     order = [j for j in range(n + 1) if j != m]
@@ -192,13 +196,14 @@ def _form_to_labels(engine, S, w):
         den = elem.den
         if len(den.terms) != 1:
             raise WindowOverflow(f"denominator {den!r} is not a monomial")
-        (dexp, dc), = den.scalar_terms()
-        for nexp, nc in elem.num.scalar_terms():
+        (dexp, dc), = den.terms.items()
+        idc = F.inv(dc)
+        for nexp, nc in elem.num.terms.items():
             a = [0] * (n + 1)
             for i, j in enumerate(order):
                 a[j] = nexp[i] - dexp[i]
             a[m] = -sum(a)
-            accumulate(out, (tuple(a), J, ()), nc / dc)
+            accumulate(out, (tuple(a), J, ()), F.mul(nc, idc), F)
     return out
 
 
@@ -220,12 +225,13 @@ def symbol_cochain(engine, s):
     if p not in engine.rows or p > cover.qmax:
         raise Unsupported("the window carries no slot at the symbol position")
     index = engine.index(2 * p)
+    lift, src = cover.tower.lift, w.ring.tower
     vec = {}
     for lab, c in _form_to_labels(engine, full, w).items():
         idx = index.get((p, p, full, lab))
         if idx is None:
             raise WindowOverflow(f"symbol image {lab} escapes the window")
-        vec[idx] = engine.coeff(c)
+        vec[idx] = lift(src, c)
     return vec
 
 
@@ -283,7 +289,7 @@ def lambda_factorization_check(samples, p, policy=None, cover=None):
         left = symbol_cochain(engine, s1 * s2)
         right = symbol_cochain(engine, s1)
         for idx, c in symbol_cochain(engine, s2).items():
-            accumulate(right, idx, c)
+            accumulate(right, idx, c, cover.tower)
         if left != right:
             additive = False
             break

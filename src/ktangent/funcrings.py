@@ -11,6 +11,7 @@ DualElem adjoins a square-zero infinitesimal: body + eps * slope.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from .errors import (
@@ -24,7 +25,7 @@ from .errors import (
     TowerMismatch,
 )
 from .linalg import RowSpan
-from .mpoly import MPoly, div_exact, mp_gcd, reduce_mod
+from .mpoly import MPoly, _lc, _scale, div_exact, mp_gcd, reduce_mod
 from .scalars import Scalar, power
 
 _PROBE = [Fraction(v) for v in (0, 1, -1, 2, -2, 3)] + [Fraction(1, 2), Fraction(-1, 2)]
@@ -34,6 +35,11 @@ class FunctionRing:
     """Chart coordinate ring (optionally with one monic relation)."""
 
     __slots__ = ("tower", "varnames", "relation", "elim")
+
+    # the field arithmetic ``linalg`` eliminates with, on elements
+    add, sub, mul, neg, is_zero = (operator.add, operator.sub, operator.mul,
+                                   operator.neg, operator.not_)
+    inv = operator.methodcaller("inv")
 
     def __init__(self, tower, varnames, relation=None, smooth_check=True):
         varnames = tuple(varnames)
@@ -83,6 +89,8 @@ class FunctionRing:
     def const(self, c):
         return RingElem(self, MPoly.const(self.tower, len(self.varnames), c), None)
 
+    value = const
+
     def zero(self):
         return self.const(0)
 
@@ -107,7 +115,7 @@ class FunctionRing:
         """
         rel, v = self.relation, self.elim
         free = FunctionRing(self.tower, self.varnames)
-        span = RowSpan(track=True)
+        span = RowSpan(free, track=True)
         for i in range(rel.degree_in(v)):
             img = reduce_mod(den.shift(v, i), rel, v)
             span.add({j: RingElem(free, c) for j, c in img.split_by(v).items()}, i)
@@ -165,11 +173,11 @@ class RingElem:
             g = mp_gcd(num, den)
             if g != 1:
                 num, den = div_exact(num, g), div_exact(den, g)
-        _, lc = num.lead_term()
-        if not (lc == 1):
-            c = lc.inv()
-            num = num * c
-            den = den * c
+        tower = ring.tower
+        lc = _lc(num)
+        if lc != tower._ones[-1]:
+            c = tower.inv(lc)
+            num, den = _scale(num, c), _scale(den, c)
         self.ring = ring
         self.num = num
         self.den = den
@@ -262,9 +270,8 @@ class RingElem:
             return RingElem(ring, self.den, self.num)
         # (den, num) is already reduced, coprime and free of the eliminated
         # variable in its denominator; only the leading coefficient moves
-        _, lc = self.den.lead_term()
-        c = lc.inv()
-        return RingElem._canonical(ring, self.den * c, self.num * c)
+        c = ring.tower.inv(_lc(self.den))
+        return RingElem._canonical(ring, _scale(self.den, c), _scale(self.num, c))
 
     def __pow__(self, n):
         if not isinstance(n, int):

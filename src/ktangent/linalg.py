@@ -1,44 +1,50 @@
-"""Sparse exact Gaussian elimination over any field-like coefficients.
+"""Sparse exact Gaussian elimination over a field given by its arithmetic.
 
-Vectors are dicts mapping integer indices to nonzero coefficients; the
-coefficient type only needs +, -, *, /, bool (Fraction and Scalar both
-qualify).  RowSpan keeps an incremental echelon basis and can track how
-each stored row decomposes over the originally inserted vectors, which is
-what cohomology representatives and induced-map matrices are read from.
+Vectors are dicts mapping integer indices to nonzero coefficients.  Every
+function takes the field ``F`` whose arithmetic it uses: ``F.add``,
+``F.sub``, ``F.mul``, ``F.neg``, ``F.inv`` and ``F.is_zero`` on its raw
+values, and ``F.value(n)`` for the value of a rational.  A ``Tower`` binds
+these for its top level (over Q the plain ``Fraction`` operators), and a
+``FunctionRing`` for its elements.  RowSpan keeps an incremental echelon
+basis and can track how each stored row decomposes over the originally
+inserted vectors, which is what cohomology representatives and induced-map
+matrices are read from.
 """
 
 from __future__ import annotations
 
 
-def accumulate(vec, key, val):
+def accumulate(vec, key, val, F):
     """vec[key] += val in place, keeping vec free of zero entries."""
     cur = vec.get(key)
-    s = val if cur is None else cur + val
-    if s:
-        vec[key] = s
-    else:
+    s = val if cur is None else F.add(cur, val)
+    if F.is_zero(s):
         vec.pop(key, None)
+    else:
+        vec[key] = s
 
 
-def vec_sub_scaled(v, c, w):
+def vec_sub_scaled(v, c, w, F):
     """v - c*w, in place on a copy of v."""
+    sub, mul, neg, is_zero = F.sub, F.mul, F.neg, F.is_zero
     out = dict(v)
     for k, a in w.items():
         b = out.get(k)
-        val = (b - c * a) if b is not None else -(c * a)
-        if val:
-            out[k] = val
-        else:
+        val = sub(b, mul(c, a)) if b is not None else neg(mul(c, a))
+        if is_zero(val):
             out.pop(k, None)
+        else:
+            out[k] = val
     return out
 
 
 class RowSpan:
     """Incremental row echelon form with optional combination tracking."""
 
-    __slots__ = ("rows", "combos", "track")
+    __slots__ = ("field", "rows", "combos", "track")
 
-    def __init__(self, track=False):
+    def __init__(self, field, track=False):
+        self.field = field
         self.rows = {}
         self.combos = {}
         self.track = track
@@ -53,6 +59,7 @@ class RowSpan:
         A stored row without a combination (one copied in untracked)
         contributes nothing to the expansion.
         """
+        F = self.field
         v = dict(vec)
         expansion = {}
         while v:
@@ -61,11 +68,11 @@ class RowSpan:
                 break
             p = min(hits)
             c = v[p]  # stored rows have pivot coefficient 1
-            v = vec_sub_scaled(v, c, self.rows[p])
+            v = vec_sub_scaled(v, c, self.rows[p], F)
             v.pop(p, None)
             if self.track:
                 for t, a in self.combos.get(p, {}).items():
-                    accumulate(expansion, t, c * a)
+                    accumulate(expansion, t, F.mul(c, a), F)
         return v, expansion
 
     def add(self, vec, tag=None):
@@ -77,13 +84,15 @@ class RowSpan:
 
     def _insert(self, res, expansion, tag):
         """Store a nonzero residual that ``reduce`` returned with ``expansion``."""
+        F = self.field
+        mul = F.mul
         p = min(res)
-        ic = 1 / res[p]
-        self.rows[p] = {k: a * ic for k, a in res.items()}
+        ic = F.inv(res[p])
+        self.rows[p] = {k: mul(a, ic) for k, a in res.items()}
         if self.track:
-            combo = {t: -(a * ic) for t, a in expansion.items()}
+            combo = {t: F.neg(mul(a, ic)) for t, a in expansion.items()}
             prev = combo.get(tag)
-            combo[tag] = (prev + ic) if prev is not None else ic
+            combo[tag] = F.add(prev, ic) if prev is not None else ic
             self.combos[p] = combo
         return p
 
@@ -95,30 +104,30 @@ class RowSpan:
         return expansion
 
 
-def rank_of(vectors):
-    span = RowSpan()
+def rank_of(vectors, F):
+    span = RowSpan(F)
     for v in vectors:
         span.add(v)
     return span.rank
 
 
-def kernel_basis(cols, one=1, span=None):
+def kernel_basis(cols, F, span=None):
     """Kernel of the map e_j -> cols[j]; vectors are dicts over column index.
 
-    ``one`` is the multiplicative unit of the coefficient type, so that the
-    free coordinate of each kernel vector matches the rest exactly.  The
-    columns are eliminated into ``span`` (an empty tracked RowSpan, made
-    here when not given), which afterwards holds their echelon form.
+    The free coordinate of each kernel vector is ``F.value(1)``.  The
+    columns are eliminated into ``span`` (an empty tracked RowSpan over F,
+    made here when not given), which afterwards holds their echelon form.
     """
     if span is None:
-        span = RowSpan(track=True)
+        span = RowSpan(F, track=True)
+    one, neg = F.value(1), F.neg
     out = []
     for j, col in enumerate(cols):
         res, expansion = span.reduce(col)
         if res:
             span._insert(res, expansion, j)
             continue
-        ker = {t: -a for t, a in expansion.items()}
+        ker = {t: neg(a) for t, a in expansion.items()}
         ker[j] = one
         out.append(ker)
     return out

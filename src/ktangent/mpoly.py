@@ -11,8 +11,7 @@ polynomial and runs there. The primitive polynomial remainder sequence
 remains for algebraic towers and for the inputs on which GCDHEU gives up.
 
 Coefficients become Scalars only at the boundary: ``const`` and arithmetic
-with a Scalar take one in, and ``lead_term`` and ``scalar_terms`` hand them
-out.
+with a Scalar take one in, and ``scalar_terms`` hands them out.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 from .errors import DivisionByZero, TowerMismatch
-from .scalars import QQ, Scalar, Tower, _pgcd, _pmul, _render, power, render_terms
+from .scalars import QQ, Scalar, Tower, _pgcd, _pmul, power, render_terms
 
 
 class MPoly:
@@ -142,13 +141,6 @@ class MPoly:
     def degree_in(self, v):
         return max((e[v] for e in self.terms), default=-1)
 
-    def lead_term(self):
-        """Graded-lex leading (exponent, Scalar coefficient); None for the zero polynomial."""
-        if not self.terms:
-            return None
-        e = max(self.terms, key=_glex)
-        return e, Scalar(self.tower, self.terms[e])
-
     def scalar_terms(self):
         """The (exponent, Scalar coefficient) pairs."""
         tw = self.tower
@@ -205,13 +197,12 @@ class MPoly:
         return {i for e in self.terms for i, k in enumerate(e) if k}
 
     def render(self, names):
-        tw = self.tower
-        lv = tw.num_levels
+        render = self.tower.render
         terms = []
         for e in sorted(self.terms, key=lambda t: (-sum(t), tuple(-x for x in t))):
             mono = "*".join(
                 names[i] if k == 1 else f"{names[i]}^{k}" for i, k in enumerate(e) if k)
-            terms.append((_render(tw, lv, self.terms[e]), mono))
+            terms.append((render(self.terms[e]), mono))
         return render_terms(terms)
 
     def __repr__(self):

@@ -28,6 +28,7 @@ an equal tree.  ``evaluate`` interprets a tree against a function ring and
 optional named bindings; it is where unknown identifiers are reported.
 """
 
+import operator
 from fractions import Fraction
 
 from .errors import (InstanceSyntaxError, UnknownIdentifier, Unsupported,
@@ -295,14 +296,22 @@ def _located(e):
     return f"(line {ln}, col {c})"
 
 
+_ARITH = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
+
+
+def _arith(e, fn, *args):
+    """fn(*args) for the node e, with Python's arithmetic errors as located
+    package errors."""
+    try:
+        return fn(*args)
+    except ZeroDivisionError:
+        raise DivisionByZero(f"division by zero in '{e}' {_located(e)}") from None
+    except TypeError:
+        raise Mismatch(f"cannot combine operands in '{e}' {_located(e)}") from None
+
+
 def _invert(v):
-    if isinstance(v, int):
-        v = Fraction(v)
-    if isinstance(v, Fraction):
-        if v == 0:
-            raise DivisionByZero("division by zero")
-        return Fraction(1) / v
-    if isinstance(v, Scalar):
+    if isinstance(v, (int, Fraction, Scalar)):
         return Fraction(1) / v
     if isinstance(v, (RingElem, DualElem, SymbolWord)):
         return v.inv()
@@ -351,10 +360,9 @@ def evaluate(e, ring=None, names=None, bases=None):
         return -evaluate(e.args[0], ring, names, bases)
     if k == "pow":
         v = evaluate(e.args[0], ring, names, bases)
-        n = e.args[1]
         if isinstance(v, int):
             v = Fraction(v)
-        return v ** n
+        return _arith(e, operator.pow, v, e.args[1])
     if k in ("add", "sub", "mul", "div"):
         a = evaluate(e.args[0], ring, names, bases)
         b = evaluate(e.args[1], ring, names, bases)
@@ -365,16 +373,9 @@ def evaluate(e, ring=None, names=None, bases=None):
                 return a * _invert(b)
             if k in ("mul", "div"):
                 raise Mismatch(f"products of forms need the wedge, in '{e}'")
-        try:
-            if k == "add":
-                return a + b
-            if k == "sub":
-                return a - b
-            if k == "mul":
-                return a * b
-            return a * _invert(b)
-        except TypeError:
-            raise Mismatch(f"cannot combine operands in '{e}' {_located(e)}")
+        if k == "div":
+            return _arith(e, lambda: a * _invert(b))
+        return _arith(e, _ARITH[k], a, b)
     if k == "wedge":
         a = evaluate(e.args[0], ring, names, bases)
         b = evaluate(e.args[1], ring, names, bases)
@@ -390,8 +391,7 @@ def evaluate(e, ring=None, names=None, bases=None):
         if not bases or kw not in bases:
             raise Unsupported(f"{kw} has no base assigned here {_located(e)}")
         v = evaluate(inner, ring, names, bases)
-        v = _as_coeff(v, ring)
-        return d(v, bases[kw])
+        return _arith(e, d, _as_coeff(v, ring), bases[kw])
     if k == "symbol":
         vals = [evaluate(a, ring, names, bases) for a in e.args]
         host = ring

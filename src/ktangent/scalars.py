@@ -481,6 +481,10 @@ class Tower:
         """Re-express a scalar from a prefix tower as an element of this tower."""
         return Scalar(self, self.lift(scalar.tower, scalar.val))
 
+    def render(self, v):
+        """The text of a raw value; scalars, polynomials and cochains print through it."""
+        return _render(self, self.num_levels, v)
+
     def d(self, v, level):
         """The derivative of a raw value by the transcendental generator at ``level``."""
         if level not in self.transcendental_levels():
@@ -733,8 +737,7 @@ class Scalar:
         return hash((self.tower.names, self.val))
 
     def __str__(self):
-        tw = self.tower
-        return _render(tw, tw.num_levels, self.val)
+        return self.tower.render(self.val)
 
     def __repr__(self):
         return f"Scalar({self})"

@@ -31,6 +31,7 @@ from ktangent.errors import (
     TowerMismatch,
     Unsupported,
 )
+from ktangent.funcrings import FunctionRing, RingElem
 from ktangent.linalg import vec_sub_scaled
 from ktangent.mpoly import MPoly
 from ktangent.scalars import QQ, Algebraic, Transcendental, make_tower
@@ -386,11 +387,40 @@ def test_coeff_is_the_engine_scalar_type():
     for v, want in ((R2.gen("r2"), big.gen("r2")), (-4, big.from_fraction(-4)),
                     (Fraction(1, 2), big.from_fraction(Fraction(1, 2))),
                     (big.gen("t1"), big.gen("t1"))):
-        c = eng.coeff(v)
-        assert isinstance(c, scalars.Scalar) and c.tower is big
-        assert c == want
+        # a raw value of the cover's tower, never a Scalar
+        assert eng.coeff(v) == want.val
     with pytest.raises(TowerMismatch):
         eng.coeff(make_tower([Transcendental("s")]).gen("s"))
+
+
+def test_the_elimination_layer_holds_no_scalar(monkeypatch):
+    # engines, linalg and RingElem canonicalisation all work on raw tower values
+    deep = complex_model(R2)
+    line_deep = cover_pn(1, deep)
+    line_s = cover_pn(1, make_tower([Transcendental("s")]))
+    line_r2 = cover_pn(1, R2)
+    cx = tangent_deligne(2, line_r2.charts[0])
+    ring = FunctionRing(R2, ("x", "y"))
+    x, y = (MPoly.variable(R2, 2, i) for i in (0, 1))
+    r2 = MPoly.const(R2, 2, R2.gen("r2"))
+    num, den = 3 * r2 * x * y + x + 1, 2 * y + r2
+    made = []
+    real_init = scalars.Scalar.__init__
+    monkeypatch.setattr(scalars.Scalar, "__init__",
+                        lambda self, tw, v: made.append(v) or real_init(self, tw, v))
+    reports = [sheaf_cohomology(line_deep, Sheaf.forms(0), POL),
+               sheaf_cohomology(line_deep, Sheaf.twisted(-3), POL),
+               sheaf_cohomology(line_s, Sheaf.forms(1, base=ABS0), POL),
+               hypercohomology(line_r2, cx, POL)]
+    e = RingElem(ring, num, den)
+    inv = e.inv()
+    assert made == []
+    assert [r.dims for r in reports] == [{0: 1, 1: 0}, {0: 0, 1: 2}, {0: 1, 1: 1},
+                                         {1: 1, 2: 0, 3: 1}]
+    vals = [c for r in reports for vecs in r.reps.values() for v in vecs
+            for c in v.values()]
+    assert vals and not any(isinstance(c, scalars.Scalar) for c in vals)
+    assert e * inv == 1 and e.num.terms[(1, 1)] == R2.value(1)
 
 
 @pytest.mark.parametrize("run", [
@@ -527,7 +557,8 @@ def test_base_letter_classes_are_cocycle_checked():
         for vec in vecs:
             assert cech_cocycle_check(c, ABS0, k, cochain_forms(rep.engine, k, vec, ABS0))
     (vec,) = rep.reps[0]
-    bent = {**vec, min(vec): vec[min(vec)] * 2}
+    tower = c.tower
+    bent = {**vec, min(vec): tower.mul(vec[min(vec)], tower.value(2))}
     assert not cech_cocycle_check(c, ABS0, 0, cochain_forms(rep.engine, 0, bent, ABS0))
 
 
@@ -556,11 +587,13 @@ def test_solve_reads_class_coordinates_modulo_coboundaries(tower):
     assert len(reps) == 3
     cob = {}
     for i, col in enumerate(eng.columns(0)):
-        cob = vec_sub_scaled(cob, eng.coeff(-(i + 1)), col)
+        cob = vec_sub_scaled(cob, eng.coeff(-(i + 1)), col, tower)
     assert cob
     for i, r in enumerate(reps):
-        assert span.solve(vec_sub_scaled(cob, eng.coeff(-1), r)) == {("rep", i): eng.coeff(1)}
-    mix = vec_sub_scaled(vec_sub_scaled(cob, eng.coeff(-2), reps[0]), eng.coeff(1), reps[2])
+        got = span.solve(vec_sub_scaled(cob, eng.coeff(-1), r, tower))
+        assert got == {("rep", i): eng.coeff(1)}
+    mix = vec_sub_scaled(vec_sub_scaled(cob, eng.coeff(-2), reps[0], tower),
+                         eng.coeff(1), reps[2], tower)
     assert span.solve(mix) == {("rep", 0): eng.coeff(2), ("rep", 2): eng.coeff(-1)}
 
 

@@ -128,6 +128,15 @@ def test_missing_instance_file_is_usage_error(capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_non_utf8_instance_file_is_usage_error(tmp_path, capsys):
+    inst = tmp_path / "bad.ini"
+    inst.write_bytes(b"\xff\xfe[cover]\nkind = projective-line\n")
+    assert main(["cech", "--instance", str(inst), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read instance file {str(inst)!r}: ")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("where", ["missing-dir", "a-directory"])
 def test_unwritable_json_path_is_usage_error(tmp_path, capsys, where):
     path = tmp_path / "no" / "such" / "r.json" if where == "missing-dir" else tmp_path
@@ -181,6 +190,7 @@ _CHECKS_OMEGA_NEG = "[cover]\nkind = projective-line\n\n[checks]\nsheaf = omega-
     pytest.param(["cech", "--instance", "p1", "--sheaf", "omega-1"], None,
                  id="cech-omega-1"),
     pytest.param(["cech"], _CHECKS_OMEGA_NEG, id="cech-file-omega-1"),
+    pytest.param(["cech", "--instance", "p1", "--sheaf", ""], None, id="cech-empty-sheaf"),
 ])
 def test_bad_window_or_weight_is_usage_error(tmp_path, capsys, argv, instance):
     if instance is not None:

@@ -1,10 +1,10 @@
-"""Exact elimination over Fractions and tower scalars."""
+"""Exact elimination over Fractions and raw tower values."""
 
 import random
 from fractions import Fraction
 
 from ktangent.linalg import RowSpan, kernel_basis, rank_of
-from ktangent.scalars import Algebraic, make_tower
+from ktangent.scalars import QQ, Algebraic, Scalar, make_tower
 
 
 def test_rank_and_kernel_fractions():
@@ -13,8 +13,8 @@ def test_rank_and_kernel_fractions():
         {0: Fraction(2), 1: Fraction(4)},
         {1: Fraction(1)},
     ]
-    assert rank_of(cols) == 2
-    ker = kernel_basis(cols)
+    assert rank_of(cols, QQ) == 2
+    ker = kernel_basis(cols, QQ)
     assert len(ker) == 1
     k = ker[0]
     # 2*col0 - col1 = 0
@@ -28,7 +28,7 @@ def test_rank_and_kernel_fractions():
 
 
 def test_solve_membership():
-    span = RowSpan(track=True)
+    span = RowSpan(QQ, track=True)
     v1 = {0: Fraction(1), 1: Fraction(1)}
     v2 = {1: Fraction(3)}
     span.add(v1, "a")
@@ -43,13 +43,12 @@ def test_solve_membership():
 def test_over_tower_scalars():
     tw = make_tower([Algebraic("r2", [-2, 0, 1])])
     r2 = tw.gen("r2")
-    one = tw.one()
-    cols = [{0: one, 1: r2}, {0: r2, 1: tw.from_fraction(2)}]
+    cols = [{0: tw.value(1), 1: r2.val}, {0: r2.val, 1: tw.value(2)}]
     # col1 = r2 * col0: rank 1, kernel 1-dimensional
-    assert rank_of(cols) == 1
-    ker = kernel_basis(cols)
+    assert rank_of(cols, tw) == 1
+    ker = kernel_basis(cols, tw)
     assert len(ker) == 1
-    c0, c1 = ker[0].get(0, tw.zero()), ker[0].get(1, tw.zero())
+    c0, c1 = (Scalar(tw, ker[0].get(j, tw.value(0))) for j in (0, 1))
     assert c0 + c1 * r2 == 0 or c0 * r2 + c1 * 2 == 0
 
 
@@ -61,8 +60,8 @@ def test_random_consistency():
         for _ in range(m):
             col = {i: Fraction(rng.randint(-3, 3)) for i in range(n)}
             cols.append({k: v for k, v in col.items() if v})
-        r = rank_of(cols)
-        ker = kernel_basis(cols)
+        r = rank_of(cols, QQ)
+        ker = kernel_basis(cols, QQ)
         assert r + len(ker) == m
         for k in ker:
             out = {}
@@ -77,14 +76,14 @@ def test_kernel_basis_leaves_the_echelon_form_in_the_given_span():
     for _ in range(10):
         cols = [{i: Fraction(rng.randint(-2, 2)) for i in range(4)} for _ in range(6)]
         cols = [{k: v for k, v in c.items() if v} for c in cols]
-        span = RowSpan(track=True)
-        ker = kernel_basis(cols, Fraction(1), span)
-        assert span.rank == rank_of(cols) == len(cols) - len(ker)
+        span = RowSpan(QQ, track=True)
+        ker = kernel_basis(cols, QQ, span)
+        assert span.rank == rank_of(cols, QQ) == len(cols) - len(ker)
         assert span.rows == _untracked_rows(cols)
 
 
 def _untracked_rows(cols):
-    span = RowSpan()
+    span = RowSpan(QQ)
     for c in cols:
         span.add(c)
     return span.rows

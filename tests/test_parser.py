@@ -266,6 +266,19 @@ def test_division_by_zero():
         evaluate(parse("1/0"), None)
 
 
+@pytest.mark.parametrize("text, error, where", [
+    ("1/0", DivisionByZero, "(line 1, col 1)"),
+    ("x + 0^-1", DivisionByZero, "(line 1, col 5)"),
+    ("x + d_C(x)^2", Mismatch, "(line 1, col 5)"),
+    ("d_C({x})", Mismatch, "(line 1, col 1)"),
+    ("{x}*2", Mismatch, "(line 1, col 1)"),
+])
+def test_evaluation_errors_are_located_package_errors(text, error, where):
+    with pytest.raises(error) as err:
+        evaluate(parse(text), _ring(), bases={"d_C": base_top(QQ)})
+    assert str(err.value).endswith(where)
+
+
 def test_wedge_of_scalars_rejected():
     with pytest.raises(Mismatch, match="wedge"):
         evaluate(parse("x /\\ y"), _ring())
