@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 from .differentials import DiffForm, base_top, d, pullback, wedge
 from .errors import (
@@ -34,6 +35,7 @@ from .errors import (
     SingularRelation,
     Unsupported,
     WindowOverflow,
+    WindowTooLarge,
 )
 from .funcrings import FunctionRing, RingElem, eval_fraction, transport
 from .linalg import RowSpan, accumulate, kernel_basis
@@ -57,6 +59,35 @@ class TruncationPolicy:
 
     def __repr__(self):
         return f"TruncationPolicy(D={self.D}, delta={self.delta})"
+
+
+MAX_WINDOW_LABELS = 100_000  # labels of O(d) at D + delta that a run may enumerate
+
+
+def window_labels(cover, twist, D):
+    """The number of Čech basis labels of O(twist) on cover at window D, in
+    closed form.
+
+    On P^n a chart subset S of size s holds the exponent vectors summing to
+    the twist with the s entries in S at least -D and the others at least
+    0: C(twist + sD + n, n) of them.  The two-chart cubic holds 20D + 4.
+    """
+    if cover.kind == "curve":
+        return 20 * D + 4
+    n = cover.n
+    return sum(comb(n + 1, s) * comb(twist + s * D + n, n)
+               for s in range(1, n + 2) if twist + s * D >= 0)
+
+
+def check_window(cover, twist, policy):
+    """Refuse a policy whose D + delta window would hold more than
+    MAX_WINDOW_LABELS labels of O(twist), before any label is enumerated."""
+    D = policy.D + policy.delta
+    count = window_labels(cover, twist, D)
+    if count > MAX_WINDOW_LABELS:
+        raise WindowTooLarge(
+            f"window too large: O({twist}) at D + delta = {D} has {count} Čech labels, "
+            f"more than {MAX_WINDOW_LABELS}")
 
 
 class Sheaf:

@@ -16,7 +16,7 @@ import time
 
 from .errors import KTangentError
 from .parser import load_instance
-from .cech import (Sheaf, TruncationPolicy, sheaf_cohomology,
+from .cech import (Sheaf, TruncationPolicy, check_window, sheaf_cohomology,
                    hypercohomology, verify_splitting)
 from .complexes import tangent_deligne
 from .cycletangent import formal_tangent_chow, delta_r, composed_infinitesimal
@@ -124,6 +124,7 @@ def _on_cover(name, check):
         if cfg.cover is None:
             raise Unsupported(f"{args.run} needs a [cover] instance")
         sheaf = Sheaf.parse("omega0" if cfg.sheaf is None else cfg.sheaf)
+        check_window(cfg.cover, sheaf.twist if "sheaf" in vars(args) else 0, cfg.policy)
         label = name.format(p=cfg.p, sheaf=sheaf.describe())
         return cfg, _guard(label, lambda: [{"name": label, **check(cfg, sheaf)}])
     return body

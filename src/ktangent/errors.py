@@ -69,6 +69,10 @@ class WindowOverflow(KTangentError):
     """An exact section fell outside the truncation window."""
 
 
+class WindowTooLarge(KTangentError):
+    """A truncation window holds more Čech labels than the engine will enumerate."""
+
+
 class NotNumberField(KTangentError):
     """The construction requires a number field but the tower has a transcendental step."""
 

@@ -25,7 +25,7 @@ from .errors import (
     TowerMismatch,
 )
 from .linalg import RowSpan
-from .mpoly import MPoly, _lc, _scale, div_exact, mp_gcd, reduce_mod
+from .mpoly import MPoly, _cancel, _lc, _scale, div_exact, mp_gcd, reduce_mod
 from .scalars import Scalar, power
 
 _PROBE = [Fraction(v) for v in (0, 1, -1, 2, -2, 3)] + [Fraction(1, 2), Fraction(-1, 2)]
@@ -170,12 +170,10 @@ class RingElem:
             self.den = MPoly.const(ring.tower, len(ring.varnames), 1)
             return
         if not (den.is_constant() or num.is_constant()):
-            g = mp_gcd(num, den)
-            if g != 1:
-                num, den = div_exact(num, g), div_exact(den, g)
+            num, den = _cancel(num, den)
         tower = ring.tower
         lc = _lc(num)
-        if lc != tower._ones[-1]:
+        if lc != 1:
             c = tower.inv(lc)
             num, den = _scale(num, c), _scale(den, c)
         self.ring = ring

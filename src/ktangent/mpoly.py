@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 from .errors import DivisionByZero, TowerMismatch
-from .scalars import QQ, Scalar, Tower, _pgcd, _pmul, power, render_terms
+from .scalars import QQ, Scalar, Tower, _ONE_T, _pgcd, _pmul, _qval, power, render_terms
 
 
 class MPoly:
@@ -38,8 +38,8 @@ class MPoly:
     @classmethod
     def const(cls, tower, nvars, c):
         """The constant c: an int, a Fraction, or a Scalar of tower or of a prefix of it."""
-        v = tower.lift(c.tower, c.val) if isinstance(c, Scalar) else tower.value(c)
-        if tower.is_zero(v):
+        v = tower.lift(c.tower, c.val) if isinstance(c, Scalar) else Fraction(c)
+        if not v:
             return cls(tower, nvars, {})
         return cls(tower, nvars, {(0,) * nvars: v})
 
@@ -47,7 +47,7 @@ class MPoly:
     def variable(cls, tower, nvars, i):
         e = [0] * nvars
         e[i] = 1
-        return cls(tower, nvars, {tuple(e): tower._ones[-1]})
+        return cls(tower, nvars, {tuple(e): Fraction(1)})
 
     def over(self, tower):
         """This polynomial with its coefficients embedded into tower, which
@@ -56,8 +56,7 @@ class MPoly:
         return MPoly(tower, self.nvars, {e: lift(src, c) for e, c in self.terms.items()})
 
     def _mk(self, terms):
-        is_zero = self.tower.is_zero
-        return MPoly(self.tower, self.nvars, {e: c for e, c in terms.items() if not is_zero(c)})
+        return MPoly(self.tower, self.nvars, {e: c for e, c in terms.items() if c})
 
     def _coerce(self, other):
         if isinstance(other, MPoly):
@@ -150,14 +149,14 @@ class MPoly:
         if len(self.terms) != 1:
             return False
         (e, c), = self.terms.items()
-        return not any(e) and c == self.tower._ones[-1]
+        return not any(e) and c == 1
 
     def is_constant(self):
         return all(sum(e) == 0 for e in self.terms)
 
     def deriv(self, v):
         tw = self.tower
-        return self._mk({e[:v] + (e[v] - 1,) + e[v + 1:]: tw.mul(c, tw.value(e[v]))
+        return self._mk({e[:v] + (e[v] - 1,) + e[v + 1:]: tw.mul(c, Fraction(e[v]))
                          for e, c in self.terms.items() if e[v]})
 
     def coeff_deriv(self, level):
@@ -169,14 +168,14 @@ class MPoly:
         """Whether the polynomial is zero at a point of rationals."""
         tw = self.tower
         add, mul = tw.add, tw.mul
-        xs = [tw.value(x) for x in point]
-        acc = tw._zeros[-1]
+        xs = [Fraction(x) for x in point]
+        acc = Fraction(0)
         for e, c in self.terms.items():
             for x, k in zip(xs, e):
                 for _ in range(k):
                     c = mul(c, x)
             acc = add(acc, c)
-        return tw.is_zero(acc)
+        return not acc
 
     def split_by(self, v):
         """Return dict[deg -> MPoly] of v-coefficients (v zeroed out in keys)."""
@@ -277,7 +276,7 @@ def _normalize_lead(f):
     if f.is_zero():
         return f
     c = _lc(f)
-    if c == f.tower._ones[-1]:
+    if c == 1:
         return f
     return _scale(f, f.tower.inv(c))
 
@@ -318,6 +317,29 @@ def mp_gcd(f, g):
     return _prs_gcd(f, g)
 
 
+def _cancel(f, g):
+    """(f / G, g / G) for G = mp_gcd(f, g) and nonconstant f and g.
+
+    Over Q the quotients are the cofactors GCDHEU's trial division found;
+    over a tower, or when GCDHEU gives up, they are exact divisions by G.
+    """
+    if not f.tower.steps:
+        (sf, F), (sg, G) = _to_ints(f), _to_ints(g)
+        found = _heu_cofactors(F, G)
+        if found is not None:
+            H, QF, QG = found
+            lead = max(H, key=_glex)
+            if not any(lead):  # a constant gcd
+                return f, g
+            c = H[lead]
+            return (_from_ints(f.tower, f.nvars, QF, sf * c),
+                    _from_ints(g.tower, g.nvars, QG, sg * c))
+    h = mp_gcd(f, g)
+    if h == 1:
+        return f, g
+    return div_exact(f, h), div_exact(g, h)
+
+
 def _prs_gcd(f, g):
     """Monic gcd by the primitive polynomial remainder sequence."""
     vs = f.vars_used() | g.vars_used()
@@ -327,7 +349,7 @@ def _prs_gcd(f, g):
         tw, n = f.tower, f.nvars
         h = _pgcd(tw, tw.num_levels, _coeff_list(f, v), _coeff_list(g, v))
         return MPoly(tw, n, {(0,) * v + (k,) + (0,) * (n - v - 1): c
-                             for k, c in enumerate(h) if not tw.is_zero(c)})
+                             for k, c in enumerate(h) if c})
     cf, cg = _content(f, v), _content(g, v)
     c = mp_gcd(cf, cg)
     a = div_exact(f, cf)
@@ -345,7 +367,7 @@ def _prs_gcd(f, g):
 
 def _coeff_list(f, v):
     """The coefficient values of f, a polynomial in x_v alone, low degree first."""
-    out = [f.tower._zeros[-1]] * (f.degree_in(v) + 1)
+    out = [Fraction(0)] * (f.degree_in(v) + 1)
     for e, c in f.terms.items():
         out[e[v]] = c
     return out
@@ -379,37 +401,33 @@ def _flatten_gcd(f, g):
     tw = f.tower
     low = Tower(tw.steps[:-1], tw.names[:-1])
     G = mp_gcd(_flatten(f, low), _flatten(g, low))
-    n, lv = f.nvars, tw.num_levels
+    n, zero = f.nvars, Fraction(0)
     coeffs = {}
     for e, c in G.terms.items():
         coeffs.setdefault(e[:n], {})[e[n]] = c
-    zero, one = tw._zeros[lv - 1], tw._ones[lv - 1]
     return _normalize_lead(MPoly(tw, n, {
-        e: ("q", tuple(p.get(i, zero) for i in range(max(p) + 1)), (one,))
+        e: _qval(tuple(p.get(i, zero) for i in range(max(p) + 1)))
         for e, p in coeffs.items()}))
 
 
 def _constant_levels(tw, v, m):
     """How many of the top m levels of tw the nonzero value v is constant in.
 
-    A transcendental level holds a constant when its numerator and
-    denominator both have length 1, an algebraic level when every
-    coefficient but the first is zero; in both cases v[1][0] is the value
-    one level down.
+    A rational is constant in all of them. A transcendental level holds a
+    constant when its numerator and denominator both have length 1, an
+    algebraic level when every coefficient but the first is zero; in both
+    cases v[1][0] is the value one level down.
     """
     k = 0
-    lv = len(tw.steps)
     while k < m:
-        step = tw.steps[lv - 1]
-        if step[0] == "tr":
+        if type(v) is Fraction:
+            return m
+        if v[0] == "q":
             if len(v[1]) != 1 or len(v[2]) != 1:
                 break
-        else:
-            z = tw._zeros[lv - 1]
-            if any(c != z for c in v[1][1:]):
-                break
+        elif any(v[1][1:]):
+            break
         v = v[1][0]
-        lv -= 1
         k += 1
     return k
 
@@ -419,6 +437,8 @@ def _descend(f, low, k):
     terms = {}
     for e, v in f.terms.items():
         for _ in range(k):
+            if type(v) is Fraction:
+                break
             v = v[1][0]
         terms[e] = v
     return MPoly(low, f.nvars, terms)
@@ -430,15 +450,16 @@ def _flatten(f, low):
     variable (f's coefficients are fractions of polynomials in t over low)."""
     tw = f.tower
     lv = tw.num_levels
-    dens = {c[2] for c in f.terms.values()}
+    fracs = {e: ((c,), _ONE_T) if type(c) is Fraction else c[1:]
+             for e, c in f.terms.items()}
+    dens = {den for _, den in fracs.values()}
     terms = {}
-    for e, c in f.terms.items():
-        num = c[1]
+    for e, (num, den) in fracs.items():
         for d in dens:
-            if d != c[2]:
+            if d != den:
                 num = _pmul(tw, lv - 1, num, d)
         for i, a in enumerate(num):
-            if not low.is_zero(a):
+            if a:
                 terms[e + (i,)] = a
     return MPoly(low, f.nvars + 1, terms)
 
@@ -483,7 +504,7 @@ def _divide(f, g, ring):
     top = [a - b for a, b in zip(map(max, zip(*f)), map(max, zip(*g)))]
     lg = max(g, key=_glex)
     cg = g[lg]
-    unit = cg == ring._ones[-1]
+    unit = cg == 1
     r = dict(f)
     q = {}
     while r:
@@ -511,16 +532,23 @@ def _divide(f, g, ring):
     return q
 
 
-def _divides(h, f):
+def _quotient(f, h):
+    """f / h over Z, or None when h does not divide f."""
     try:
-        _divide(f, h, QQ)
+        return _divide(f, h, QQ)
     except DivisionByZero:
-        return False
-    return True
+        return None
 
 
 def _heu_gcd(f, g):
-    """gcd in Z[x] of nonzero integer polynomials by GCDHEU; None when it gives up.
+    """gcd in Z[x] of nonzero integer polynomials by GCDHEU; None when it gives up."""
+    out = _heu_cofactors(f, g)
+    return None if out is None else out[0]
+
+
+def _heu_cofactors(f, g):
+    """(h, f/h, g/h) for h the gcd in Z[x] of nonzero integer polynomials f
+    and g, by GCDHEU; None when it gives up.
 
     Evaluate one variable at xi, take the gcd of the images recursively, and
     rebuild xi-adically with coefficients in (-xi/2, xi/2] (Char, Geddes and
@@ -529,6 +557,7 @@ def _heu_gcd(f, g):
     the primitive part of the rebuilt gcd is gcd(f, g) once it divides both,
     provided the recursive gcd is the whole gcd of the images, integer
     content included; so each level multiplies the gcd of the contents back.
+    The trial divisions that accept h give the cofactors.
     """
     cf, cg = gcd(*f.values()), gcd(*g.values())
     c = gcd(cf, cg)
@@ -539,7 +568,7 @@ def _heu_gcd(f, g):
     n = len(next(iter(f)))
     df, dg = list(map(max, zip(*f))), list(map(max, zip(*g)))
     if not any(df) or not any(dg):
-        return {(0,) * n: c}
+        return {(0,) * n: c}, _times(f, cf // c), _times(g, cg // c)
     v = min((i for i in range(n) if df[i] or dg[i]), key=lambda i: max(df[i], dg[i]))
     deg = max(df[v], dg[v])
     xi = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 2
@@ -548,16 +577,23 @@ def _heu_gcd(f, g):
             return None
         fx, gx = _eval_at(f, v, xi), _eval_at(g, v, xi)
         if fx and gx:
-            h = _heu_gcd(fx, gx)
+            h = _heu_cofactors(fx, gx)
             if h is None:
                 return None
-            h = _interpolate(h, v, xi)
+            h = _interpolate(h[0], v, xi)
             ch = gcd(*h.values())
             h = {e: a // ch for e, a in h.items()}
-            if _divides(h, f) and _divides(h, g):
-                return h if c == 1 else {e: a * c for e, a in h.items()}
+            qf = _quotient(f, h)
+            qg = None if qf is None else _quotient(g, h)
+            if qg is not None:
+                return _times(h, c), _times(qf, cf // c), _times(qg, cg // c)
         xi = 73794 * xi * isqrt(isqrt(xi)) // 27011  # about (1 + sqrt 3) xi^(5/4)
     return None
+
+
+def _times(F, k):
+    """The integer polynomial k * F."""
+    return F if k == 1 else {e: a * k for e, a in F.items()}
 
 
 def _eval_at(f, v, xi):

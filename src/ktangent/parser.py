@@ -266,7 +266,7 @@ class _Parser:
         if kind == "op" and val == "(":
             inner = self.sum()
             self.expect(")", "')'")
-            return inner
+            return Expr(inner.kind, inner.args, at)  # placed at its '('
         if kind == "op" and val == "{":
             entries = [self.sum()]
             while self.take(","):

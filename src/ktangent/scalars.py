@@ -6,11 +6,18 @@ by a monic minimal polynomial over the tower built so far.  Elements are
 kept in a recursive normal form so that structural equality is semantic
 equality:
 
-* level 0 values are ``fractions.Fraction``;
-* a transcendental step stores ``("q", num, den)`` with ``num``/``den``
-  coefficient tuples over the level below, ``den`` monic, gcd 1;
-* an algebraic step of degree d stores ``("a", coeffs)`` with exactly d
-  coefficients over the level below (the residue ring basis 1, g, .., g^(d-1)).
+* a value equal to a rational is a bare ``fractions.Fraction``, at every
+  level (so 0 and 1 are ``Fraction(0)`` and ``Fraction(1)`` everywhere,
+  and sqrt(2)*sqrt(2) is ``Fraction(2)``);
+* any other value at a transcendental step is ``("q", num, den)`` with
+  ``num``/``den`` coefficient tuples over the level below, ``den`` monic,
+  gcd 1;
+* any other value at an algebraic step of degree d is ``("a", coeffs)``
+  with exactly d coefficients over the level below (the residue ring basis
+  1, g, .., g^(d-1)).
+
+A tuple is never zero, so ``not v`` is the zero test at every level, and
+rational work runs on ``Fraction`` operators whatever the tower.
 """
 
 from __future__ import annotations
@@ -51,52 +58,71 @@ class Algebraic:
 #
 # All helpers take the tower and a level index: level 0 is Q, level i is the
 # field after steps[i-1].  Values at each level are immutable, canonical, and
-# compare correctly with ==.
+# compare correctly with ==.  Each helper tests for a bare Fraction first:
+# two rationals combine as Fractions, and a rational meets a tuple by
+# shifting or scaling the tuple's coefficients.  An irrational value plus or
+# times a nonzero rational, and the inverse of an irrational value, are
+# irrational, so only tuple-with-tuple results are normalised.
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
+_ONE_T = (_ONE,)  # the monic constant denominator
 
 
-def _from_fraction(tw, lv, fr):
-    if lv == 0:
-        return Fraction(fr)
-    below = _from_fraction(tw, lv - 1, fr)
-    return _lift_one(tw, lv, below)
+def _qval(num, den=_ONE_T):
+    """The value num/den at a transcendental level, for canonical num and den."""
+    if not num:
+        return _ZERO
+    if len(num) == 1 and len(den) == 1 and type(num[0]) is Fraction:
+        return num[0]
+    return ("q", num, den)
+
+
+def _aval(cs):
+    """The value with the d coefficients cs at an algebraic level."""
+    if type(cs[0]) is Fraction and not any(cs[1:]):
+        return cs[0]
+    return ("a", cs)
 
 
 def _lift_one(tw, lv, v):
     """Embed a level lv-1 value as a constant at level lv."""
-    kind = tw.steps[lv - 1][0]
-    if kind == "tr":
-        if _is_zero(tw, lv - 1, v):
-            return ("q", (), (tw._ones[lv - 1],))
-        return ("q", (v,), (tw._ones[lv - 1],))
-    d = len(tw.steps[lv - 1][2]) - 1
-    return ("a", (v,) + (tw._zeros[lv - 1],) * (d - 1))
-
-
-def _is_zero(tw, lv, a):
-    if lv == 0:
-        return a == 0
-    if a[0] == "q":
-        return not a[1]
-    return all(_is_zero(tw, lv - 1, c) for c in a[1])
+    if type(v) is Fraction:
+        return v
+    step = tw.steps[lv - 1]
+    if step[0] == "tr":
+        return ("q", (v,), _ONE_T)
+    return ("a", (v,) + (_ZERO,) * (len(step[2]) - 2))
 
 
 def _add(tw, lv, a, b):
-    if lv == 0:
-        return a + b
+    if type(a) is Fraction:
+        if type(b) is Fraction:
+            return a + b
+        a, b = b, a
+    elif type(b) is not Fraction:
+        if a[0] == "q":
+            n1, d1 = a[1], a[2]
+            n2, d2 = b[1], b[2]
+            if len(d1) == 1 and len(d2) == 1:
+                # both polynomials (a monic constant denominator is one): the
+                # sum is already canonical
+                return _qval(tuple(_padd(tw, lv - 1, n1, n2)))
+            num = _padd(tw, lv - 1, _pmul(tw, lv - 1, n1, d2), _pmul(tw, lv - 1, n2, d1))
+            return _mkq(tw, lv, num, _pmul(tw, lv - 1, d1, d2))
+        return _aval(tuple(_add(tw, lv - 1, x, y) for x, y in zip(a[1], b[1])))
+    # a is a tuple and b a rational
+    if not b:
+        return a
     if a[0] == "q":
-        n1, d1 = a[1], a[2]
-        n2, d2 = b[1], b[2]
-        if len(d1) == 1 and len(d2) == 1:
-            # both polynomials (a monic constant denominator is one): the
-            # sum is already canonical
-            return ("q", tuple(_padd(tw, lv - 1, n1, n2)), d1)
-        num = _padd(tw, lv - 1, _pmul(tw, lv - 1, n1, d2), _pmul(tw, lv - 1, n2, d1))
-        return _mkq(tw, lv, num, _pmul(tw, lv - 1, d1, d2))
-    return ("a", tuple(_add(tw, lv - 1, x, y) for x, y in zip(a[1], b[1])))
+        # num/den + b = (num + b den)/den, still in lowest terms
+        den = a[2]
+        return ("q", tuple(_padd(tw, lv - 1, a[1], _pscale(tw, lv - 1, b, den))), den)
+    cs = a[1]
+    return ("a", (_add(tw, lv - 1, cs[0], b),) + cs[1:])
 
 
 def _neg(tw, lv, a):
-    if lv == 0:
+    if type(a) is Fraction:
         return -a
     if a[0] == "q":
         return ("q", tuple(_neg(tw, lv - 1, c) for c in a[1]), a[2])
@@ -104,35 +130,42 @@ def _neg(tw, lv, a):
 
 
 def _sub(tw, lv, a, b):
+    if type(a) is Fraction and type(b) is Fraction:
+        return a - b
     return _add(tw, lv, a, _neg(tw, lv, b))
 
 
 def _mul(tw, lv, a, b):
-    if lv == 0:
-        return a * b
-    if a[0] == "q":
-        if len(a[2]) == 1 and len(b[2]) == 1:
-            return ("q", tuple(_pmul(tw, lv - 1, a[1], b[1])), a[2])
-        return _mkq(tw, lv, _pmul(tw, lv - 1, a[1], b[1]), _pmul(tw, lv - 1, a[2], b[2]))
-    prod = _pmul(tw, lv - 1, a[1], b[1])
-    return ("a", _amod(tw, lv, prod))
+    if type(a) is Fraction:
+        if type(b) is Fraction:
+            return a * b
+        a, b = b, a
+    elif type(b) is not Fraction:
+        if a[0] == "q":
+            if len(a[2]) == 1 and len(b[2]) == 1:
+                return _qval(tuple(_pmul(tw, lv - 1, a[1], b[1])))
+            return _mkq(tw, lv, _pmul(tw, lv - 1, a[1], b[1]), _pmul(tw, lv - 1, a[2], b[2]))
+        return _aval(_amod(tw, lv, _pmul(tw, lv - 1, a[1], b[1])))
+    # a is a tuple and b a rational: scale the numerator or the coefficients
+    if not b:
+        return b
+    scaled = tuple(_mul(tw, lv - 1, c, b) for c in a[1])
+    return ("q", scaled, a[2]) if a[0] == "q" else ("a", scaled)
 
 
 def _inv(tw, lv, a):
-    if _is_zero(tw, lv, a):
-        raise DivisionByZero("inverse of zero")
-    if lv == 0:
+    if type(a) is Fraction:
+        if not a:
+            raise DivisionByZero("inverse of zero")
         return 1 / a
     if a[0] == "q":
         num, den = a[1], a[2]
-        lead = num[-1]
-        c = _inv(tw, lv - 1, lead)
+        c = _inv(tw, lv - 1, num[-1])
         if len(num) == 1:  # the inverse is the polynomial den / lead
-            return ("q", tuple(_mul(tw, lv - 1, c, x) for x in den), (tw._ones[lv - 1],))
+            return ("q", tuple(_mul(tw, lv - 1, c, x) for x in den), _ONE_T)
         return ("q", tuple(_mul(tw, lv - 1, c, x) for x in den),
                 tuple(_mul(tw, lv - 1, c, x) for x in num))
-    z = tw._zeros[lv - 1]
-    if all(c == z for c in a[1][1:]):  # a constant of the level below
+    if not any(a[1][1:]):  # a constant of the level below
         return ("a", _apad(tw, lv, [_inv(tw, lv - 1, a[1][0])]))
     m = tw.steps[lv - 1][2]
     g, s = _pxgcd_first(tw, lv - 1, _pstrip(tw, lv - 1, list(a[1])), list(m))
@@ -152,7 +185,7 @@ def _amod(tw, lv, coeffs):
     cs = list(coeffs)
     while len(cs) > d:
         top = cs.pop()
-        if _is_zero(tw, lv - 1, top):
+        if not top:
             continue
         k = len(cs) - d
         for i in range(d):
@@ -163,9 +196,8 @@ def _amod(tw, lv, coeffs):
 def _apad(tw, lv, coeffs):
     cs = list(coeffs)
     d = len(tw.steps[lv - 1][2]) - 1
-    z = tw._zeros[lv - 1]
     while len(cs) < d:
-        cs.append(z)
+        cs.append(_ZERO)
     return tuple(cs[:d])
 
 
@@ -173,18 +205,17 @@ def _apad(tw, lv, coeffs):
 
 
 def _pstrip(tw, lv, p):
-    while p and _is_zero(tw, lv, p[-1]):
+    while p and not p[-1]:
         p.pop()
     return p
 
 
 def _padd(tw, lv, p, q):
     n = max(len(p), len(q))
-    z = tw._zeros[lv]
     out = []
     for i in range(n):
-        a = p[i] if i < len(p) else z
-        b = q[i] if i < len(q) else z
+        a = p[i] if i < len(p) else _ZERO
+        b = q[i] if i < len(q) else _ZERO
         out.append(_add(tw, lv, a, b))
     return _pstrip(tw, lv, out)
 
@@ -200,10 +231,9 @@ def _pscale(tw, lv, c, p):
 def _pmul(tw, lv, p, q):
     if not p or not q:
         return ()
-    z = tw._zeros[lv]
-    out = [z] * (len(p) + len(q) - 1)
+    out = [_ZERO] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
-        if _is_zero(tw, lv, a):
+        if not a:
             continue
         for j, b in enumerate(q):
             out[i + j] = _add(tw, lv, out[i + j], _mul(tw, lv, a, b))
@@ -217,7 +247,7 @@ def _pdivmod(tw, lv, p, q):
     if not q:
         raise DivisionByZero("polynomial division by zero")
     inv_lead = _inv(tw, lv, q[-1])
-    quot = [tw._zeros[lv]] * max(0, len(p) - len(q) + 1)
+    quot = [_ZERO] * max(0, len(p) - len(q) + 1)
     rem = list(p)
     while len(rem) >= len(q):
         c = _mul(tw, lv, rem[-1], inv_lead)
@@ -246,7 +276,7 @@ def _pgcd(tw, lv, p, q):
 def _pxgcd_first(tw, lv, p, q):
     """Extended Euclid returning (g, s) with s*p = g mod q, g monic."""
     a, b = list(p), list(q)
-    sa, sb = [tw._ones[lv]], []
+    sa, sb = [_ONE], []
     while b:
         quot, r = _pdivmod(tw, lv, a, b)
         a, b = b, r
@@ -258,7 +288,7 @@ def _pxgcd_first(tw, lv, p, q):
 
 
 def _peval(tw, lv, p, at):
-    acc = tw._zeros[lv]
+    acc = _ZERO
     for c in reversed(list(p)):
         acc = _add(tw, lv, _mul(tw, lv, acc, at), c)
     return acc
@@ -267,7 +297,7 @@ def _peval(tw, lv, p, at):
 def _pformal_deriv(tw, lv, p):
     out = []
     for k in range(1, len(p)):
-        out.append(_mul(tw, lv, _from_fraction(tw, lv, Fraction(k)), p[k]))
+        out.append(_mul(tw, lv, Fraction(k), p[k]))
     return _pstrip(tw, lv, out)
 
 
@@ -278,24 +308,22 @@ def _mkq(tw, lv, num, den):
     if not den:
         raise DivisionByZero("zero denominator in tower element")
     if not num:
-        return ("q", (), (tw._ones[lv - 1],))
+        return _ZERO
     if len(num) > 1 and len(den) > 1:  # a nonzero constant is coprime to anything
         g = _pgcd(tw, lv - 1, num, den)
         if len(g) > 1:
             num, _ = _pdivmod(tw, lv - 1, num, g)
             den, _ = _pdivmod(tw, lv - 1, den, g)
     c = _inv(tw, lv - 1, den[-1])
-    num = [_mul(tw, lv - 1, c, x) for x in num]
-    den = [_mul(tw, lv - 1, c, x) for x in den]
-    return ("q", tuple(num), tuple(den))
+    num = tuple(_mul(tw, lv - 1, c, x) for x in num)
+    den = tuple(_mul(tw, lv - 1, c, x) for x in den)
+    return _qval(num, den)
 
 
 def _dgen(tw, lv, a, j):
     """Partial derivative with respect to the transcendental generator at level j."""
-    if lv < j:
-        return tw._zeros[lv]
-    if lv == 0:
-        return Fraction(0)
+    if lv < j or type(a) is Fraction:
+        return _ZERO
     # At lv == j differentiate N/D as polynomials in the generator. At lv > j
     # the level-lv generator is independent of (or algebraic over) the lower
     # field; differentiate coefficients, with the implicit-function rule
@@ -312,18 +340,16 @@ def _dgen(tw, lv, a, j):
         top = _psub(tw, lv - 1, _pmul(tw, lv - 1, dn, den), _pmul(tw, lv - 1, num, dd))
         return _mkq(tw, lv, top, _pmul(tw, lv - 1, den, den))
     m = tw.steps[lv - 1][2]
-    coeff_part = ("a", tuple(_dgen(tw, lv - 1, c, j) for c in a[1]))
+    coeff_part = _aval(tuple(_dgen(tw, lv - 1, c, j) for c in a[1]))
     dm = [_dgen(tw, lv - 1, c, j) for c in m]
-    if all(_is_zero(tw, lv - 1, c) for c in dm):
+    if not any(dm):
         return coeff_part
     # dg = -(sum dm_k g^k) / m'(g)
-    dm_at_g = ("a", _amod(tw, lv, dm))
-    mprime = _pformal_deriv(tw, lv - 1, list(m))
-    mprime_at_g = ("a", _amod(tw, lv, mprime))
+    dm_at_g = _aval(_amod(tw, lv, dm))
+    mprime_at_g = _aval(_amod(tw, lv, _pformal_deriv(tw, lv - 1, list(m))))
     dg = _neg(tw, lv, _mul(tw, lv, dm_at_g, _inv(tw, lv, mprime_at_g)))
-    aprime = [_mul(tw, lv - 1, _from_fraction(tw, lv - 1, Fraction(k)), c)
-              for k, c in enumerate(a[1])][1:]
-    aprime_at_g = ("a", _amod(tw, lv, aprime)) if aprime else tw._zeros[lv]
+    aprime = [_mul(tw, lv - 1, Fraction(k), c) for k, c in enumerate(a[1])][1:]
+    aprime_at_g = _aval(_amod(tw, lv, aprime))
     return _add(tw, lv, coeff_part, _mul(tw, lv, aprime_at_g, dg))
 
 
@@ -362,20 +388,20 @@ def render_terms(terms):
 def _render_poly(tw, lv, coeffs, name):
     terms = []
     for k in range(len(coeffs) - 1, -1, -1):
-        if not _is_zero(tw, lv, coeffs[k]):
+        if coeffs[k]:
             mono = "" if k == 0 else name if k == 1 else f"{name}^{k}"
             terms.append((_render(tw, lv, coeffs[k]), mono))
     return render_terms(terms)
 
 
 def _render(tw, lv, v):
-    if lv == 0:
+    if type(v) is Fraction:
         return str(v)
     name = tw.steps[lv - 1][1]
     if v[0] == "q":
         num, den = v[1], v[2]
         ns = _render_poly(tw, lv - 1, num, name)
-        if len(den) == 1 and _is_zero(tw, lv - 1, _sub(tw, lv - 1, den[0], tw._ones[lv - 1])):
+        if len(den) == 1:  # a monic constant denominator is one
             return ns
         ds = _render_poly(tw, lv - 1, den, name)
         if _needs_parens(ns):
@@ -392,8 +418,10 @@ def _render(tw, lv, v):
 class Tower:
     """An iterated extension of Q; construct with :func:`make_tower`."""
 
-    __slots__ = ("steps", "names", "_zeros", "_ones",
-                 "add", "sub", "mul", "neg", "inv", "is_zero")
+    __slots__ = ("steps", "names", "add", "sub", "mul", "neg", "inv")
+
+    # a raw value is zero exactly when it is Fraction(0), at every level
+    is_zero = operator.not_
 
     def __init__(self, steps, names):
         self.steps = steps
@@ -401,24 +429,11 @@ class Tower:
         # the top level's arithmetic on raw values, bound once; over Q these
         # are the plain Fraction operators
         lv = len(steps)
-        self.add, self.sub, self.mul, self.neg, self.inv, self.is_zero = (
-            partial(fn, self, lv) for fn in (_add, _sub, _mul, _neg, _inv, _is_zero))
+        self.add, self.sub, self.mul, self.neg, self.inv = (
+            partial(fn, self, lv) for fn in (_add, _sub, _mul, _neg, _inv))
         if not lv:
-            self.add, self.sub, self.mul, self.neg, self.is_zero = (
-                operator.add, operator.sub, operator.mul, operator.neg, operator.not_)
-        # canonical 0 and 1 at every level, indexed by level
-        zeros, ones = [Fraction(0)], [Fraction(1)]
-        for step in steps:
-            z, o = zeros[-1], ones[-1]
-            if step[0] == "tr":
-                zeros.append(("q", (), (o,)))
-                ones.append(("q", (o,), (o,)))
-            else:
-                d = len(step[2]) - 1
-                zeros.append(("a", (z,) * d))
-                ones.append(("a", (o,) + (z,) * (d - 1)))
-        self._zeros = tuple(zeros)
-        self._ones = tuple(ones)
+            self.add, self.sub, self.mul, self.neg = (
+                operator.add, operator.sub, operator.mul, operator.neg)
 
     @property
     def num_levels(self):
@@ -431,18 +446,16 @@ class Tower:
         return [i + 1 for i, s in enumerate(self.steps) if s[0] == "tr"]
 
     def zero(self):
-        return Scalar(self, self._zeros[-1])
+        return Scalar(self, _ZERO)
 
     def one(self):
-        return Scalar(self, self._ones[-1])
+        return Scalar(self, _ONE)
 
-    def value(self, fr):
-        """The raw top-level value of a rational (an int or a Fraction)."""
-        if fr == 1:
-            return self._ones[-1]
-        if fr == 0:
-            return self._zeros[-1]
-        return _from_fraction(self, self.num_levels, Fraction(fr))
+    @staticmethod
+    def value(fr):
+        """The raw value of a rational (an int or a Fraction): a bare Fraction
+        at every level."""
+        return Fraction(fr)
 
     def from_fraction(self, fr):
         return Scalar(self, self.value(fr))
@@ -451,10 +464,9 @@ class Tower:
         lv = self.level_of(name)
         top = self.num_levels
         if self.steps[lv - 1][0] == "tr":
-            one = self._ones[lv - 1]
-            v = ("q", (self._zeros[lv - 1], one), (one,))
+            v = ("q", (_ZERO, _ONE), _ONE_T)
         else:
-            v = ("a", _apad(self, lv, [self._zeros[lv - 1], self._ones[lv - 1]]))
+            v = ("a", _apad(self, lv, [_ZERO, _ONE]))
         for k in range(lv + 1, top + 1):
             v = _lift_one(self, k, v)
         return Scalar(self, v)
@@ -516,14 +528,14 @@ class Tower:
                 if isinstance(c, Scalar):
                     coeffs.append(tw.lift(c.tower, c.val))
                 else:
-                    coeffs.append(_from_fraction(tw, lv, Fraction(c)))
+                    coeffs.append(Fraction(c))
             coeffs = _pstrip(tw, lv, coeffs)
             if len(coeffs) < 3:
                 raise NonMonic(f"minimal polynomial of {name} must have degree >= 2")
-            if not _is_zero(tw, lv, _sub(tw, lv, coeffs[-1], tw._ones[lv])):
+            if coeffs[-1] != 1:
                 raise NonMonic(f"minimal polynomial of {name} is not monic")
             for cand in _root_candidates(tw, lv):
-                if _is_zero(tw, lv, _peval(tw, lv, coeffs, cand)):
+                if not _peval(tw, lv, coeffs, cand):
                     raise ReducibleMinpoly(
                         f"minimal polynomial of {name} vanishes at {_render(tw, lv, cand)}")
             if lv == 0 and len(coeffs) == 3:
@@ -546,7 +558,7 @@ class Tower:
             # separability probe: m'(g) must be invertible in the new tower
             tw2 = Tower(tuple(steps), tuple(names))
             mprime = _pformal_deriv(tw2, lv, list(coeffs))
-            _inv(tw2, lv + 1, ("a", _amod(tw2, lv + 1, mprime)))
+            _inv(tw2, lv + 1, _aval(_amod(tw2, lv + 1, mprime)))
         return Tower(tuple(steps), tuple(names))
 
     def __repr__(self):
@@ -568,11 +580,10 @@ def _root_candidates(tw, lv):
         for d in (1, 2, 3, 4):
             fr = Fraction(n, d)
             if fr.denominator == d:
-                cands.append(_from_fraction(tw, lv, fr))
-    one = tw._ones[lv]
+                cands.append(fr)
     for name in tw.names:
         g = tw.gen(name).val
-        for shift in (tw._zeros[lv], one, _neg(tw, lv, one)):
+        for shift in (_ZERO, _ONE, -_ONE):
             cands.append(_add(tw, lv, g, shift))
             cands.append(_add(tw, lv, _neg(tw, lv, g), shift))
     return cands
@@ -721,14 +732,14 @@ class Scalar:
         return Scalar(self.tower, self.tower.d(self.val, level))
 
     def is_zero(self):
-        return self.tower.is_zero(self.val)
+        return not self.val
 
     def __bool__(self):
         return not self.is_zero()
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self.val == self.tower.value(other)
+            return self.val == other  # a rational value is a bare Fraction
         if not isinstance(other, Scalar):
             return NotImplemented
         return self.tower == other.tower and self.val == other.val

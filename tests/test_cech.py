@@ -20,6 +20,7 @@ from ktangent.cech import (
     verify_cover,
     verify_splitting,
     weierstrass_cubic,
+    window_labels,
 )
 from ktangent.complexes import tangent_deligne
 from ktangent.cycletangent import complex_model, composed_infinitesimal
@@ -179,6 +180,17 @@ def test_scalar_extension_builds_and_verifies_no_cover(monkeypatch, build):
     rep = composed_infinitesimal(cover, 1, POL)
     assert rep.verdict == "injective"
     assert calls == []
+
+
+@pytest.mark.parametrize("build", [lambda: cover_pn(1, QQ), lambda: cover_pn(2, QQ), elliptic],
+                         ids=["p1", "p2", "elliptic"])
+def test_window_labels_counts_the_enumerated_labels(build):
+    cover = build()
+    for twist in (0,) if cover.kind == "curve" else (-4, -1, 0, 3):
+        for D in (1, 2, 4):
+            eng = CechEngine(cover, {0: 0}, ABS0, twist, D)
+            assert window_labels(cover, twist, D) == sum(
+                len(eng.total_basis(k)) for k in range(cover.qmax + 1))
 
 
 # -- line bundles on the projective line --------------------------------------

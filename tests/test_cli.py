@@ -3,6 +3,7 @@
 import hashlib
 import json
 import re
+import resource
 import subprocess
 import sys
 
@@ -200,6 +201,29 @@ def test_bad_window_or_weight_is_usage_error(tmp_path, capsys, argv, instance):
     assert main(argv + ["--quiet"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+_ABSURD_WINDOW = ("[cover]\nkind = projective-line\n\n[policy]\nD = 99999999999999999999\n"
+                  "\n[checks]\nsheaf = O(99999999999)\n")
+
+
+def _cap_address_space():
+    cap = 1 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+
+@pytest.mark.parametrize("command", ["hypercoh", "cech"])
+def test_absurd_window_is_refused_before_it_is_enumerated(tmp_path, command):
+    # the run is a child under a 1 GB address-space cap, so a window that is
+    # enumerated after all fails this test instead of exhausting the machine
+    inst = tmp_path / "absurd.inst"
+    inst.write_text(_ABSURD_WINDOW)
+    proc = subprocess.run(
+        [sys.executable, "-m", "ktangent.cli", command, "--instance", str(inst), "--quiet"],
+        capture_output=True, text=True, timeout=120, preexec_fn=_cap_address_space)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: window too large: ")
+    assert "Traceback" not in proc.stderr
 
 
 _LINE = {"kind": "projective-line"}

@@ -273,6 +273,32 @@ def test_kernel_gcd_matches_the_remainder_sequence(monkeypatch, nvars):
     assert got == [mp_gcd(a, b) for a, b in cases]
 
 
+def test_cancel_reuses_the_kernel_cofactors(monkeypatch):
+    # over Q the cofactors come from GCDHEU's trial division, with no exact
+    # division after it; they equal f / G and g / G, and so does the
+    # fallback when GCDHEU gives up
+    cases = [pair for nvars in (1, 2, 3) for pair in _random_gcd_cases(40 + nvars, nvars, 8)]
+    x, y = xy()
+    cases.append(((2**2000 * x**4 + y) * (x * y - 3), (2**2000 * y**4 + x) * (x * y - 3)))
+    want = []
+    for a, b in cases:
+        G = mp_gcd(a, b)
+        want.append((div_exact(a, G), div_exact(b, G)))
+    divisions = []
+    monkeypatch.setattr(mpoly, "div_exact",
+                        lambda f, g: divisions.append(g) or div_exact(f, g))
+    assert [mpoly._cancel(a, b) for a, b in cases[:-1]] == want[:-1]
+    assert divisions == []
+    # GCDHEU gives up on the last input
+    assert mpoly._cancel(*cases[-1]) == want[-1] and divisions
+    tw = make_tower([Algebraic("r2", [-2, 0, 1]), Transcendental("t")])
+    r2, t = tw.gen("r2"), tw.gen("t")
+    x, y = xy(tw)
+    h = (x - r2) * (y + t)
+    f, g = h * (x + y), h * (x * y - t)
+    assert mpoly._cancel(f, g) == (div_exact(f, mp_gcd(f, g)), div_exact(g, mp_gcd(f, g)))
+
+
 def test_kernel_carries_the_integer_contents():
     # the gcd of the images at each level must keep its integer content;
     # primitive parts at every level would lose the factor t (or v)

@@ -272,6 +272,8 @@ def test_division_by_zero():
     ("x + d_C(x)^2", Mismatch, "(line 1, col 5)"),
     ("d_C({x})", Mismatch, "(line 1, col 1)"),
     ("{x}*2", Mismatch, "(line 1, col 1)"),
+    ("(x - x)^-1", DivisionByZero, "(line 1, col 1)"),
+    ("1 + (x - x)^-1", DivisionByZero, "(line 1, col 5)"),
 ])
 def test_evaluation_errors_are_located_package_errors(text, error, where):
     with pytest.raises(error) as err:

@@ -1,5 +1,6 @@
 """Tower-field arithmetic: normal forms, inverses, derivations."""
 
+import operator
 import random
 from fractions import Fraction
 
@@ -12,7 +13,8 @@ from ktangent.errors import (
     ReducibleMinpoly,
     TowerMismatch,
 )
-from ktangent import scalars
+from ktangent import mpoly, scalars
+from ktangent.mpoly import MPoly
 from ktangent.scalars import QQ, Algebraic, Transcendental, make_tower
 
 
@@ -271,19 +273,48 @@ def test_power_by_squaring_matches_repeated_multiplication():
     assert x**-3 == inv * inv * inv
 
 
+def _expanded(tw, lv, v):
+    """A level-lv value in tuple form: a bare rational spelled out one level down."""
+    if type(v) is not Fraction:
+        return v
+    step = tw.steps[lv - 1]
+    if step[0] == "tr":
+        return ("q", (v,) if v else (), (Fraction(1),))
+    return ("a", (v,) + (Fraction(0),) * (len(step[2]) - 2))
+
+
 def _check_fast_paths(tw, lv, a, b):
-    (n1, d1), (n2, d2) = a[1:], b[1:]
-    pm = lambda p, q: scalars._pmul(tw, lv - 1, p, q)
-    want_add = scalars._mkq(tw, lv, scalars._padd(tw, lv - 1, pm(n1, d2), pm(n2, d1)),
-                            pm(d1, d2))
-    assert scalars._add(tw, lv, a, b) == want_add
-    assert scalars._mul(tw, lv, a, b) == scalars._mkq(tw, lv, pm(n1, n2), pm(d1, d2))
+    # the general path on the spelled-out operands, normalised
+    (ka, *ra), (kb, *rb) = _expanded(tw, lv, a), _expanded(tw, lv, b)
+    if ka == "q":
+        (n1, d1), (n2, d2) = ra, rb
+        pm = lambda p, q: scalars._pmul(tw, lv - 1, p, q)
+        want_add = scalars._mkq(tw, lv, scalars._padd(tw, lv - 1, pm(n1, d2), pm(n2, d1)),
+                                pm(d1, d2))
+        want_mul = scalars._mkq(tw, lv, pm(n1, n2), pm(d1, d2))
+    else:
+        (c1,), (c2,) = ra, rb
+        want_add = scalars._aval(tuple(scalars._add(tw, lv - 1, x, y) for x, y in zip(c1, c2)))
+        want_mul = scalars._aval(scalars._amod(tw, lv, scalars._pmul(tw, lv - 1, c1, c2)))
+    for got, want in ((scalars._add(tw, lv, a, b), want_add),
+                      (scalars._mul(tw, lv, a, b), want_mul)):
+        assert got == want and type(got) is type(want)
+
+
+def _one_level_down(v):
+    """The value one level down of a value constant in the top level, else None."""
+    if type(v) is Fraction:
+        return v
+    if v[0] == "q":
+        return v[1][0] if len(v[1]) == len(v[2]) == 1 else None
+    return v[1][0] if not any(v[1][1:]) else None
 
 
 def test_fast_paths_agree_with_the_reducing_path():
-    # _add and _mul skip _mkq when both operands are polynomials; the
-    # shortcut must give exactly the canonical form _mkq gives on the
-    # unreduced numerator and denominator, at both transcendental levels
+    # _add and _mul skip _mkq when both operands are polynomials, and shift or
+    # scale a tuple by a rational operand directly; each shortcut must give
+    # exactly the normalised form the general path gives on the spelled-out
+    # operands, at both transcendental levels and at the algebraic level
     tw = make_tower([Algebraic("r2", [-2, 0, 1]), Transcendental("t1"),
                      Transcendental("t2")])
     lv = tw.num_levels
@@ -291,12 +322,87 @@ def test_fast_paths_agree_with_the_reducing_path():
     rng = random.Random(31)
     consts = [_random_scalar(rng, tw, [r2]) for _ in range(6)]
     polys = [_random_scalar(rng, tw, [r2, t1, t2]) for _ in range(6)]
-    values = consts + polys
+    values = consts + polys + [tw.from_fraction(c) for c in (0, 1, Fraction(-3, 2))]
     values += [p / (t1 + r2 + k) for k, p in enumerate(consts + polys)]
     values += [p / (t1 - t2 + k) for k, p in enumerate(consts + polys)]
-    assert sum(1 for v in values if len(v.val[2]) == 1) >= 24
-    for a in values:
-        for b in rng.sample(values, 8):
-            _check_fast_paths(tw, lv, a.val, b.val)
-            if len(a.val[1]) == len(b.val[1]) == len(a.val[2]) == len(b.val[2]) == 1:
-                _check_fast_paths(tw, lv - 1, a.val[1][0], b.val[1][0])
+    vals = [v.val for v in values]
+    assert sum(1 for v in vals if len(_expanded(tw, lv, v)[2]) == 1) >= 24
+    assert sum(1 for v in vals if type(v) is Fraction) >= 4
+    for a in vals:
+        for b in rng.sample(vals, 8) + [Fraction(0), Fraction(5, 3)]:
+            x, y, k = a, b, lv
+            while k and x is not None and y is not None:
+                _check_fast_paths(tw, k, x, y)
+                x, y, k = _one_level_down(x), _one_level_down(y), k - 1
+
+
+def _assert_canonical(tw, lv, v):
+    """v is in normal form at every level: no tuple stands for a rational."""
+    if type(v) is Fraction:
+        return
+    assert lv and type(v) is tuple
+    if v[0] == "q":
+        num, den = v[1], v[2]
+        assert num and den[-1] == 1
+        assert not (len(num) == len(den) == 1 and type(num[0]) is Fraction)
+        parts = num + den
+    else:
+        assert len(v[1]) == len(tw.steps[lv - 1][2]) - 1
+        assert not (type(v[1][0]) is Fraction and not any(v[1][1:]))
+        parts = v[1]
+    for c in parts:
+        _assert_canonical(tw, lv - 1, c)
+
+
+@pytest.mark.parametrize("specs", [
+    [Algebraic("r2", [-2, 0, 1])],
+    [Algebraic("r2", [-2, 0, 1]), Algebraic("r3", [-3, 0, 1])],
+    [Transcendental("t")],
+    [Algebraic("r2", [-2, 0, 1]), Transcendental("t1"), Transcendental("t2")],
+], ids=["sqrt2", "sqrt2-sqrt3", "t", "sqrt2-t1-t2"])
+def test_rational_values_are_bare_fractions(specs):
+    tw = make_tower(specs)
+    lv = tw.num_levels
+    assert tw.is_zero is operator.not_
+    gens = [tw.gen(n) for n in tw.names]
+    g = gens[0].val
+    trans = tw.transcendental_levels()
+    # values equal to a rational, reached by each operation
+    half = tw.value(Fraction(1, 2))
+    assert type(half) is Fraction and half == Fraction(1, 2)
+    assert type(tw.value(0)) is Fraction and type(tw.one().val) is Fraction
+    assert tw.sub(g, g) == 0 and type(tw.sub(g, g)) is Fraction
+    assert type(tw.add(g, tw.neg(g))) is Fraction
+    ratio = tw.mul(tw.add(g, half), tw.inv(tw.add(g, half)))
+    assert ratio == 1 and type(ratio) is Fraction
+    assert type(tw.mul(half, tw.inv(half))) is Fraction
+    if tw.steps[0][0] == "alg":
+        assert tw.mul(g, g) == 2 and type(tw.mul(g, g)) is Fraction  # sqrt2 * sqrt2
+    for level in trans:
+        t = tw.gen(tw.names[level - 1]).val
+        assert tw.d(t, level) == 1 and type(tw.d(t, level)) is Fraction
+        assert tw.d(half, level) == 0 and type(tw.d(half, level)) is Fraction
+        assert type(tw.d(g, level)) is Fraction or level == 1  # a constant's derivative
+    low = make_tower(specs[:1])
+    assert type(tw.lift(low, low.value(3))) is Fraction
+    if tw.steps[-1][0] == "tr":
+        # a gcd rebuilt from the flattened polynomial ring: x - 1 has
+        # rational coefficients over any tower
+        t = gens[-1]
+        x = MPoly.variable(tw, 1, 0)
+        f, h = (x - 1) * (x + t), (x - 1) * (x - t * t)
+        for G in (mpoly._flatten_gcd(f, h), mpoly.mp_gcd(f, h)):
+            assert G == x - 1 and all(type(c) is Fraction for c in G.terms.values())
+    # every result of random arithmetic is in normal form at every level
+    rng = random.Random(5)
+    xs = [_random_scalar(rng, tw, gens).val for _ in range(12)] + [half, g]
+    for a in xs:
+        _assert_canonical(tw, lv, a)
+        for level in trans:
+            _assert_canonical(tw, lv, tw.d(a, level))
+        if a:
+            _assert_canonical(tw, lv, tw.inv(a))
+            assert tw.mul(a, tw.inv(a)) == 1
+        for b in rng.sample(xs, 4):
+            for op in (tw.add, tw.sub, tw.mul):
+                _assert_canonical(tw, lv, op(a, b))

@@ -1,9 +1,11 @@
 """Compare the JSON reports of two ktangent source trees, command by command.
 
-    python3 tools/compare_reports.py OLD_SRC NEW_SRC
+    python3 tools/compare_reports.py OLD NEW
 
-OLD_SRC and NEW_SRC are ``src`` directories (say, of a ``git archive`` of
-the parent commit and of this checkout).  Each tree runs the same argv list
+OLD and NEW are ``src`` directories, or git revisions of this repository
+whose ``src`` is extracted with ``git archive`` into a temporary directory;
+``python3 tools/compare_reports.py HEAD~1 src`` compares this checkout with
+its parent commit.  Each tree runs the same argv list
 in-process through ``cli.main``, in its own subprocess, one tree after the
 other in the same scratch directory, so that instance paths echo alike.
 For every run the script checks that the exit codes agree and that the
@@ -78,6 +80,20 @@ def worker(src, work, dest):
         json.dump(results, fh)
 
 
+def source_tree(spec, scratch):
+    """The ``src`` directory spec, or the ``src`` of the git revision spec
+    extracted under scratch; None when spec is neither."""
+    if os.path.isdir(spec):
+        return spec
+    archive = subprocess.run(["git", "-C", ROOT, "archive", spec, "src"],
+                             stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+    if archive.returncode:
+        return None
+    dest = tempfile.mkdtemp(prefix="rev-", dir=scratch)
+    subprocess.run(["tar", "-x", "-C", dest], input=archive.stdout, check=True)
+    return os.path.join(dest, "src")
+
+
 def run_side(src, side, scratch):
     work = os.path.join(scratch, "work")
     shutil.rmtree(work, ignore_errors=True)
@@ -112,8 +128,14 @@ def main(argv):
         return 2
     scratch = tempfile.mkdtemp(prefix="compare-reports-")
     try:
-        old = run_side(argv[0], "old", scratch)
-        new = run_side(argv[1], "new", scratch)
+        trees = [source_tree(spec, scratch) for spec in argv]
+        for spec, tree in zip(argv, trees):
+            if tree is None:
+                print(f"error: {spec!r} is neither a directory nor a git revision",
+                      file=sys.stderr)
+                return 2
+        old = run_side(trees[0], "old", scratch)
+        new = run_side(trees[1], "new", scratch)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
     problems = compare(old, new)
