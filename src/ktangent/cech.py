@@ -24,7 +24,6 @@ sections by the partial-fraction family x^i y^delta g^{-e}.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 from math import comb
 
@@ -337,7 +336,7 @@ def weierstrass_cubic(tower, a, b, c):
     X = MPoly.variable(tower, 3, 0)
     Y = MPoly.variable(tower, 3, 1)
     Z = MPoly.variable(tower, 3, 2)
-    k = lambda v: MPoly.const(tower, 3, Fraction(v))
+    k = lambda v: MPoly.const(tower, 3, v)
     return Y * Y * Z - X ** 3 - k(a) * X * X * Z - k(b) * X * Z * Z - k(c) * Z ** 3
 
 

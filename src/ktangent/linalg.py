@@ -4,7 +4,8 @@ Vectors are dicts mapping integer indices to nonzero coefficients.  Every
 function takes the field ``F`` whose arithmetic it uses: ``F.add``,
 ``F.sub``, ``F.mul``, ``F.neg``, ``F.inv`` and ``F.is_zero`` on its raw
 values, and ``F.value(n)`` for the value of a rational.  A ``Tower`` binds
-these for its top level (over Q the plain ``Fraction`` operators), and a
+these for its top level (over Q the plain operators on ints and
+``Fraction``s, with no ``int / int``: inverses come from ``F.inv``), and a
 ``FunctionRing`` for its elements.  RowSpan keeps an incremental echelon
 basis and can track how each stored row decomposes over the originally
 inserted vectors, which is what cohomology representatives and induced-map

@@ -2,12 +2,14 @@
 
 Internal support layer for function rings: sparse dict representation
 (exponent tuple -> nonzero raw value of the tower's top level, worked on by
-the tower's bound arithmetic), the pseudo-remainder in one variable
-(the remainder, for a relation monic in it), exact division and gcd. Over
-Q both run on a small integer kernel (dicts from exponent tuple to int):
-exact division by graded-lex leading terms, and the heuristic gcd GCDHEU
-with trial division. Over Q(t_1..t_m) the gcd moves the t's into the
-polynomial and runs there. The primitive polynomial remainder sequence
+the tower's bound arithmetic; a rational value is an int when it is
+integral, else a Fraction, and ``Tower.value`` makes every constant), the
+pseudo-remainder in one variable (the remainder, for a relation monic in
+it), exact division and gcd. Over Q both run on a small integer kernel
+(dicts from exponent tuple to int): exact division by graded-lex leading
+terms, and the heuristic gcd GCDHEU with trial division, whose cofactors
+also cancel a numerator against a denominator. Over Q(t_1..t_m) the gcd and
+the cancellation move the t's into the polynomial and run there. The primitive polynomial remainder sequence
 remains for algebraic towers and for the inputs on which GCDHEU gives up.
 
 Coefficients become Scalars only at the boundary: ``const`` and arithmetic
@@ -38,7 +40,7 @@ class MPoly:
     @classmethod
     def const(cls, tower, nvars, c):
         """The constant c: an int, a Fraction, or a Scalar of tower or of a prefix of it."""
-        v = tower.lift(c.tower, c.val) if isinstance(c, Scalar) else Fraction(c)
+        v = tower.lift(c.tower, c.val) if isinstance(c, Scalar) else tower.value(c)
         if not v:
             return cls(tower, nvars, {})
         return cls(tower, nvars, {(0,) * nvars: v})
@@ -47,7 +49,7 @@ class MPoly:
     def variable(cls, tower, nvars, i):
         e = [0] * nvars
         e[i] = 1
-        return cls(tower, nvars, {tuple(e): Fraction(1)})
+        return cls(tower, nvars, {tuple(e): 1})
 
     def over(self, tower):
         """This polynomial with its coefficients embedded into tower, which
@@ -156,7 +158,7 @@ class MPoly:
 
     def deriv(self, v):
         tw = self.tower
-        return self._mk({e[:v] + (e[v] - 1,) + e[v + 1:]: tw.mul(c, Fraction(e[v]))
+        return self._mk({e[:v] + (e[v] - 1,) + e[v + 1:]: tw.mul(c, e[v])
                          for e, c in self.terms.items() if e[v]})
 
     def coeff_deriv(self, level):
@@ -168,8 +170,8 @@ class MPoly:
         """Whether the polynomial is zero at a point of rationals."""
         tw = self.tower
         add, mul = tw.add, tw.mul
-        xs = [Fraction(x) for x in point]
-        acc = Fraction(0)
+        xs = [tw.value(x) for x in point]
+        acc = 0
         for e, c in self.terms.items():
             for x, k in zip(xs, e):
                 for _ in range(k):
@@ -318,12 +320,29 @@ def mp_gcd(f, g):
 
 
 def _cancel(f, g):
-    """(f / G, g / G) for G = mp_gcd(f, g) and nonconstant f and g.
+    """(u f / G, u g / G) for G = mp_gcd(f, g), nonconstant f and g, and a
+    unit u of the tower (1 unless a transcendental level was flattened).
 
-    Over Q the quotients are the cofactors GCDHEU's trial division found;
-    over a tower, or when GCDHEU gives up, they are exact divisions by G.
+    Over Q the quotients are the cofactors GCDHEU's trial division found.
+    Over a tower the work moves to the smallest subfield holding the
+    coefficients, and a top transcendental generator t moves into the
+    polynomial: f and g times one shared product u of their t-denominators
+    are coprime in K[x] once their gcd over L[x, t] is cancelled. An
+    algebraic top level, or GCDHEU giving up, takes exact divisions by G.
     """
-    if not f.tower.steps:
+    tw = f.tower
+    if tw.steps:
+        k = _subfield_levels(f, g)
+        if k:
+            low = Tower(tw.steps[:-k], tw.names[:-k])
+            qf, qg = _cancel(_descend(f, low, k), _descend(g, low, k))
+            return qf.over(tw), qg.over(tw)
+        if tw.steps[-1][0] == "tr":
+            low = Tower(tw.steps[:-1], tw.names[:-1])
+            dens = _dens(f) | _dens(g)
+            qf, qg = _cancel(_flatten(f, low, dens), _flatten(g, low, dens))
+            return _unflatten(qf, tw), _unflatten(qg, tw)
+    else:
         (sf, F), (sg, G) = _to_ints(f), _to_ints(g)
         found = _heu_cofactors(F, G)
         if found is not None:
@@ -367,7 +386,7 @@ def _prs_gcd(f, g):
 
 def _coeff_list(f, v):
     """The coefficient values of f, a polynomial in x_v alone, low degree first."""
-    out = [Fraction(0)] * (f.degree_in(v) + 1)
+    out = [0] * (f.degree_in(v) + 1)
     for e, c in f.terms.items():
         out[e[v]] = c
     return out
@@ -381,13 +400,22 @@ def _via_subfield(op, f, g):
     over the subfield gives the same result.
     """
     tw = f.tower
+    k = _subfield_levels(f, g)
+    if not k:
+        return None
+    low = Tower(tw.steps[:-k], tw.names[:-k])
+    return op(_descend(f, low, k), _descend(g, low, k)).over(tw)
+
+
+def _subfield_levels(f, g):
+    """How many top levels of the tower no coefficient of f or g depends on."""
+    tw = f.tower
     k = len(tw.steps)
     for c in (*f.terms.values(), *g.terms.values()):
         k = _constant_levels(tw, c, k)
         if not k:
-            return None
-    low = Tower(tw.steps[:-k], tw.names[:-k])
-    return op(_descend(f, low, k), _descend(g, low, k)).over(tw)
+            break
+    return k
 
 
 def _flatten_gcd(f, g):
@@ -400,14 +428,8 @@ def _flatten_gcd(f, g):
     """
     tw = f.tower
     low = Tower(tw.steps[:-1], tw.names[:-1])
-    G = mp_gcd(_flatten(f, low), _flatten(g, low))
-    n, zero = f.nvars, Fraction(0)
-    coeffs = {}
-    for e, c in G.terms.items():
-        coeffs.setdefault(e[:n], {})[e[n]] = c
-    return _normalize_lead(MPoly(tw, n, {
-        e: _qval(tuple(p.get(i, zero) for i in range(max(p) + 1)))
-        for e, p in coeffs.items()}))
+    G = mp_gcd(_flatten(f, low, _dens(f)), _flatten(g, low, _dens(g)))
+    return _normalize_lead(_unflatten(G, tw))
 
 
 def _constant_levels(tw, v, m):
@@ -420,7 +442,7 @@ def _constant_levels(tw, v, m):
     """
     k = 0
     while k < m:
-        if type(v) is Fraction:
+        if type(v) is not tuple:
             return m
         if v[0] == "q":
             if len(v[1]) != 1 or len(v[2]) != 1:
@@ -437,24 +459,29 @@ def _descend(f, low, k):
     terms = {}
     for e, v in f.terms.items():
         for _ in range(k):
-            if type(v) is Fraction:
+            if type(v) is not tuple:
                 break
             v = v[1][0]
         terms[e] = v
     return MPoly(low, f.nvars, terms)
 
 
-def _flatten(f, low):
-    """f times the product of its distinct coefficient denominators, as a
-    polynomial over low with the top generator t of f's tower as its last
-    variable (f's coefficients are fractions of polynomials in t over low)."""
+def _dens(f):
+    """The distinct denominators of f's coefficients, fractions of
+    polynomials in the top generator of f's tower."""
+    return {c[2] if type(c) is tuple else _ONE_T for c in f.terms.values()}
+
+
+def _flatten(f, low, dens):
+    """f times the product of dens, a set of distinct denominators holding
+    those of f's coefficients, as a polynomial over low with the top
+    generator t of f's tower as its last variable (f's coefficients are
+    fractions of polynomials in t over low)."""
     tw = f.tower
     lv = tw.num_levels
-    fracs = {e: ((c,), _ONE_T) if type(c) is Fraction else c[1:]
-             for e, c in f.terms.items()}
-    dens = {den for _, den in fracs.values()}
     terms = {}
-    for e, (num, den) in fracs.items():
+    for e, c in f.terms.items():
+        num, den = c[1:] if type(c) is tuple else ((c,), _ONE_T)
         for d in dens:
             if d != den:
                 num = _pmul(tw, lv - 1, num, d)
@@ -462,6 +489,17 @@ def _flatten(f, low):
             if a:
                 terms[e + (i,)] = a
     return MPoly(low, f.nvars + 1, terms)
+
+
+def _unflatten(F, tw):
+    """F, a polynomial over a prefix of tw with tw's top generator t as its
+    last variable, as a polynomial over tw with polynomial-in-t coefficients."""
+    n = F.nvars - 1
+    coeffs = {}
+    for e, c in F.terms.items():
+        coeffs.setdefault(e[:n], {})[e[n]] = c
+    return MPoly(tw, n, {e: _qval(tuple(p.get(i, 0) for i in range(max(p) + 1)))
+                         for e, p in coeffs.items()})
 
 
 # -- the integer kernel: polynomials over Z as dicts from exponent tuple to
@@ -489,6 +527,8 @@ def _to_ints(f):
 def _from_ints(tw, nvars, F, s):
     """The polynomial s * F over Q."""
     p, q = s.numerator, s.denominator
+    if q == 1:
+        return MPoly(tw, nvars, {e: a * p for e, a in F.items()})
     return MPoly(tw, nvars, {e: Fraction(a * p, q) for e, a in F.items()})
 
 

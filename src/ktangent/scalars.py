@@ -6,9 +6,11 @@ by a monic minimal polynomial over the tower built so far.  Elements are
 kept in a recursive normal form so that structural equality is semantic
 equality:
 
-* a value equal to a rational is a bare ``fractions.Fraction``, at every
-  level (so 0 and 1 are ``Fraction(0)`` and ``Fraction(1)`` everywhere,
-  and sqrt(2)*sqrt(2) is ``Fraction(2)``);
+* a value equal to a rational is a bare rational at every level: an
+  ``int`` when it is integral (so 0 and 1 are ``0`` and ``1`` everywhere,
+  and sqrt(2)*sqrt(2) is ``2``), else a ``fractions.Fraction``; arithmetic
+  may leave an integral Fraction, which compares, hashes and prints like
+  the int;
 * any other value at a transcendental step is ``("q", num, den)`` with
   ``num``/``den`` coefficient tuples over the level below, ``den`` monic,
   gcd 1;
@@ -16,8 +18,11 @@ equality:
   with exactly d coefficients over the level below (the residue ring basis
   1, g, .., g^(d-1)).
 
-A tuple is never zero, so ``not v`` is the zero test at every level, and
-rational work runs on ``Fraction`` operators whatever the tower.
+A tuple is never zero, so ``not v`` is the zero test at every level, a value
+is rational exactly when it is not a tuple, and rational work runs on the
+int and Fraction operators whatever the tower.  ``int / int`` is a float,
+so it is never applied to raw values: ``_inv`` builds a Fraction, or an
+int when the inverse is integral.
 """
 
 from __future__ import annotations
@@ -58,35 +63,36 @@ class Algebraic:
 #
 # All helpers take the tower and a level index: level 0 is Q, level i is the
 # field after steps[i-1].  Values at each level are immutable, canonical, and
-# compare correctly with ==.  Each helper tests for a bare Fraction first:
-# two rationals combine as Fractions, and a rational meets a tuple by
+# compare correctly with ==.  Each helper tests for a rational (a value that
+# is not a tuple) first: two rationals combine with the Python operators,
+# and a rational meets a tuple by
 # shifting or scaling the tuple's coefficients.  An irrational value plus or
 # times a nonzero rational, and the inverse of an irrational value, are
 # irrational, so only tuple-with-tuple results are normalised.
 
-_ZERO, _ONE = Fraction(0), Fraction(1)
-_ONE_T = (_ONE,)  # the monic constant denominator
+_ZERO, _ONE = 0, 1
+_ONE_T = (1,)  # the monic constant denominator
 
 
 def _qval(num, den=_ONE_T):
     """The value num/den at a transcendental level, for canonical num and den."""
     if not num:
         return _ZERO
-    if len(num) == 1 and len(den) == 1 and type(num[0]) is Fraction:
+    if len(num) == 1 and len(den) == 1 and type(num[0]) is not tuple:
         return num[0]
     return ("q", num, den)
 
 
 def _aval(cs):
     """The value with the d coefficients cs at an algebraic level."""
-    if type(cs[0]) is Fraction and not any(cs[1:]):
+    if type(cs[0]) is not tuple and not any(cs[1:]):
         return cs[0]
     return ("a", cs)
 
 
 def _lift_one(tw, lv, v):
     """Embed a level lv-1 value as a constant at level lv."""
-    if type(v) is Fraction:
+    if type(v) is not tuple:
         return v
     step = tw.steps[lv - 1]
     if step[0] == "tr":
@@ -95,11 +101,11 @@ def _lift_one(tw, lv, v):
 
 
 def _add(tw, lv, a, b):
-    if type(a) is Fraction:
-        if type(b) is Fraction:
+    if type(a) is not tuple:
+        if type(b) is not tuple:
             return a + b
         a, b = b, a
-    elif type(b) is not Fraction:
+    elif type(b) is tuple:
         if a[0] == "q":
             n1, d1 = a[1], a[2]
             n2, d2 = b[1], b[2]
@@ -122,7 +128,7 @@ def _add(tw, lv, a, b):
 
 
 def _neg(tw, lv, a):
-    if type(a) is Fraction:
+    if type(a) is not tuple:
         return -a
     if a[0] == "q":
         return ("q", tuple(_neg(tw, lv - 1, c) for c in a[1]), a[2])
@@ -130,17 +136,17 @@ def _neg(tw, lv, a):
 
 
 def _sub(tw, lv, a, b):
-    if type(a) is Fraction and type(b) is Fraction:
+    if type(a) is not tuple and type(b) is not tuple:
         return a - b
     return _add(tw, lv, a, _neg(tw, lv, b))
 
 
 def _mul(tw, lv, a, b):
-    if type(a) is Fraction:
-        if type(b) is Fraction:
+    if type(a) is not tuple:
+        if type(b) is not tuple:
             return a * b
         a, b = b, a
-    elif type(b) is not Fraction:
+    elif type(b) is tuple:
         if a[0] == "q":
             if len(a[2]) == 1 and len(b[2]) == 1:
                 return _qval(tuple(_pmul(tw, lv - 1, a[1], b[1])))
@@ -154,10 +160,13 @@ def _mul(tw, lv, a, b):
 
 
 def _inv(tw, lv, a):
-    if type(a) is Fraction:
+    if type(a) is not tuple:
         if not a:
             raise DivisionByZero("inverse of zero")
-        return 1 / a
+        # never int / int, which is a float; 1/a is an int when a's
+        # numerator is +-1
+        n, d = a.numerator, a.denominator
+        return d if n == 1 else -d if n == -1 else Fraction(d, n)
     if a[0] == "q":
         num, den = a[1], a[2]
         c = _inv(tw, lv - 1, num[-1])
@@ -297,7 +306,7 @@ def _peval(tw, lv, p, at):
 def _pformal_deriv(tw, lv, p):
     out = []
     for k in range(1, len(p)):
-        out.append(_mul(tw, lv, Fraction(k), p[k]))
+        out.append(_mul(tw, lv, k, p[k]))
     return _pstrip(tw, lv, out)
 
 
@@ -322,7 +331,7 @@ def _mkq(tw, lv, num, den):
 
 def _dgen(tw, lv, a, j):
     """Partial derivative with respect to the transcendental generator at level j."""
-    if lv < j or type(a) is Fraction:
+    if lv < j or type(a) is not tuple:
         return _ZERO
     # At lv == j differentiate N/D as polynomials in the generator. At lv > j
     # the level-lv generator is independent of (or algebraic over) the lower
@@ -348,7 +357,7 @@ def _dgen(tw, lv, a, j):
     dm_at_g = _aval(_amod(tw, lv, dm))
     mprime_at_g = _aval(_amod(tw, lv, _pformal_deriv(tw, lv - 1, list(m))))
     dg = _neg(tw, lv, _mul(tw, lv, dm_at_g, _inv(tw, lv, mprime_at_g)))
-    aprime = [_mul(tw, lv - 1, Fraction(k), c) for k, c in enumerate(a[1])][1:]
+    aprime = [_mul(tw, lv - 1, k, c) for k, c in enumerate(a[1])][1:]
     aprime_at_g = _aval(_amod(tw, lv, aprime))
     return _add(tw, lv, coeff_part, _mul(tw, lv, aprime_at_g, dg))
 
@@ -395,7 +404,7 @@ def _render_poly(tw, lv, coeffs, name):
 
 
 def _render(tw, lv, v):
-    if type(v) is Fraction:
+    if type(v) is not tuple:
         return str(v)
     name = tw.steps[lv - 1][1]
     if v[0] == "q":
@@ -420,14 +429,14 @@ class Tower:
 
     __slots__ = ("steps", "names", "add", "sub", "mul", "neg", "inv")
 
-    # a raw value is zero exactly when it is Fraction(0), at every level
+    # a raw value is zero exactly when it is the rational 0, at every level
     is_zero = operator.not_
 
     def __init__(self, steps, names):
         self.steps = steps
         self.names = names
         # the top level's arithmetic on raw values, bound once; over Q these
-        # are the plain Fraction operators
+        # are the plain int and Fraction operators
         lv = len(steps)
         self.add, self.sub, self.mul, self.neg, self.inv = (
             partial(fn, self, lv) for fn in (_add, _sub, _mul, _neg, _inv))
@@ -452,10 +461,13 @@ class Tower:
         return Scalar(self, _ONE)
 
     @staticmethod
-    def value(fr):
-        """The raw value of a rational (an int or a Fraction): a bare Fraction
-        at every level."""
-        return Fraction(fr)
+    def value(r):
+        """The raw value of a rational r (an int or a Fraction) at every level:
+        an int when r is integral, else a Fraction.  Anything else, a float
+        included, raises TypeError."""
+        if isinstance(r, (int, Fraction)):
+            return r.numerator if r.denominator == 1 else r
+        raise TypeError(f"not a rational: {r!r}")
 
     def from_fraction(self, fr):
         return Scalar(self, self.value(fr))
@@ -528,7 +540,7 @@ class Tower:
                 if isinstance(c, Scalar):
                     coeffs.append(tw.lift(c.tower, c.val))
                 else:
-                    coeffs.append(Fraction(c))
+                    coeffs.append(tw.value(c))
             coeffs = _pstrip(tw, lv, coeffs)
             if len(coeffs) < 3:
                 raise NonMonic(f"minimal polynomial of {name} must have degree >= 2")
@@ -580,7 +592,7 @@ def _root_candidates(tw, lv):
         for d in (1, 2, 3, 4):
             fr = Fraction(n, d)
             if fr.denominator == d:
-                cands.append(fr)
+                cands.append(Tower.value(fr))
     for name in tw.names:
         g = tw.gen(name).val
         for shift in (_ZERO, _ONE, -_ONE):
@@ -739,7 +751,7 @@ class Scalar:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self.val == other  # a rational value is a bare Fraction
+            return self.val == other  # a rational value is a bare int or Fraction
         if not isinstance(other, Scalar):
             return NotImplemented
         return self.tower == other.tower and self.val == other.val

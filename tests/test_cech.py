@@ -387,7 +387,8 @@ def test_apply_is_the_differential_and_squares_to_zero(build):
 
 def test_coeff_is_the_engine_scalar_type():
     q = CechEngine(cover_pn(1, QQ), {0: 0}, base_top(QQ), 0, 2)
-    for v in (3, Fraction(-2, 3), QQ.from_fraction(Fraction(5, 7))):
+    assert q.coeff(3) == 3 and type(q.coeff(3)) is int
+    for v in (Fraction(-2, 3), QQ.from_fraction(Fraction(5, 7))):
         c = q.coeff(v)
         assert type(c) is Fraction
         assert c == (v.val if isinstance(v, scalars.Scalar) else v)

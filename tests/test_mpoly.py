@@ -217,17 +217,18 @@ def test_composed_on_the_elliptic_curve_never_flattens(monkeypatch):
 # -- the integer kernel: GCDHEU and exact division over Z ----------------------
 
 
-def _spy_kernel(monkeypatch):
-    """Record every GCDHEU result (None when it gave up) and every fallback."""
+def _spy_kernel(monkeypatch, entry="_heu_gcd"):
+    """Record every result of the GCDHEU entry point ``entry`` (None when it
+    gave up) and every fallback."""
     seen = {"heu": [], "prs": []}
-    real_heu, real_prs = mpoly._heu_gcd, mpoly._prs_gcd
+    real_heu, real_prs = getattr(mpoly, entry), mpoly._prs_gcd
 
     def heu(f, g):
         out = real_heu(f, g)
         seen["heu"].append(out)
         return out
 
-    monkeypatch.setattr(mpoly, "_heu_gcd", heu)
+    monkeypatch.setattr(mpoly, entry, heu)
     monkeypatch.setattr(mpoly, "_prs_gcd",
                         lambda f, g: seen["prs"].append(f.tower) or real_prs(f, g))
     return seen
@@ -299,6 +300,34 @@ def test_cancel_reuses_the_kernel_cofactors(monkeypatch):
     assert mpoly._cancel(f, g) == (div_exact(f, mp_gcd(f, g)), div_exact(g, mp_gcd(f, g)))
 
 
+def test_cancel_over_function_fields_runs_on_the_integer_kernel(monkeypatch):
+    # over Q(t) and Q(t1)(t2) both sides are flattened with one shared
+    # product of their t-denominators: the quotients are f / G and g / G
+    # times one unit of the tower, coprime, and found by GCDHEU alone, with
+    # no remainder sequence and no exact division
+    cases = []
+    for tw in (make_tower([Transcendental("t")]),
+               make_tower([Transcendental("t1"), Transcendental("t2")])):
+        s, t = tw.gen(tw.names[0]), tw.gen(tw.names[-1])
+        x, y = xy(tw)
+        h = (x - t) * (y + s / (t + 1))
+        cases += [(h * (x + y * t.inv()), h * (x * y - s) * (t - 2).inv()),
+                  (x * (y - s), (y - s) * (x + 1) * s.inv()),
+                  (x + t, y * y - t / 3)]
+    seen = _spy_kernel(monkeypatch, "_heu_cofactors")
+    divisions = []
+    monkeypatch.setattr(mpoly, "div_exact",
+                        lambda f, g: divisions.append(g) or div_exact(f, g))
+    got = [mpoly._cancel(f, g) for f, g in cases]
+    assert seen["heu"] and all(h is not None for h in seen["heu"]) and not seen["prs"]
+    assert divisions == []
+    for (f, g), (qf, qg) in zip(cases, got):
+        assert qf.tower == f.tower and qf * g == qg * f
+        G = mp_gcd(f, g)
+        assert mp_gcd(qf, qg) == 1
+        assert mpoly._normalize_lead(qf) == mpoly._normalize_lead(div_exact(f, G))
+
+
 def test_kernel_carries_the_integer_contents():
     # the gcd of the images at each level must keep its integer content;
     # primitive parts at every level would lose the factor t (or v)
@@ -362,13 +391,14 @@ def test_exact_division_returns_the_quotient(tower, coeffs):
 
 def test_transport_with_a_heavy_flattened_gcd_is_accepted_by_the_kernel(monkeypatch):
     # a transport whose one gcd in Q[v, t] (inputs of 22 and 19 terms) used
-    # to take over a second in the remainder sequence
+    # to take over a second in the remainder sequence; RingElem cancels it
+    # through the kernel's cofactors
     tw = make_tower([Transcendental("t")])
     t = tw.gen("t")
     src, dst = FunctionRing(tw, ("u", "w")), FunctionRing(tw, ("v",))
     u, w, v = src.var("u"), src.var("w"), dst.var("v")
     f = (u**3 + t * u * w + 1) / (u * w - 2 * w + t)
-    seen = _spy_kernel(monkeypatch)
+    seen = _spy_kernel(monkeypatch, "_heu_cofactors")
     img = transport(f, [(v + 1) / (v - t), (t * v**2 - 1) / v], dst)
     assert seen["heu"] and all(h is not None for h in seen["heu"]) and not seen["prs"]
     assert repr(img) == (

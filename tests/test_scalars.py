@@ -274,13 +274,13 @@ def test_power_by_squaring_matches_repeated_multiplication():
 
 
 def _expanded(tw, lv, v):
-    """A level-lv value in tuple form: a bare rational spelled out one level down."""
-    if type(v) is not Fraction:
+    """A level-lv value in tuple form: a rational spelled out one level down."""
+    if type(v) is tuple:
         return v
     step = tw.steps[lv - 1]
     if step[0] == "tr":
-        return ("q", (v,) if v else (), (Fraction(1),))
-    return ("a", (v,) + (Fraction(0),) * (len(step[2]) - 2))
+        return ("q", (v,) if v else (), (1,))
+    return ("a", (v,) + (0,) * (len(step[2]) - 2))
 
 
 def _check_fast_paths(tw, lv, a, b):
@@ -298,12 +298,15 @@ def _check_fast_paths(tw, lv, a, b):
         want_mul = scalars._aval(scalars._amod(tw, lv, scalars._pmul(tw, lv - 1, c1, c2)))
     for got, want in ((scalars._add(tw, lv, a, b), want_add),
                       (scalars._mul(tw, lv, a, b), want_mul)):
-        assert got == want and type(got) is type(want)
+        # equal values of one kind: both rationals (an int or a Fraction) or
+        # both tuples, the fast path's in normal form at every level
+        assert got == want and (type(got) is tuple) == (type(want) is tuple)
+        _assert_canonical(tw, lv, got)
 
 
 def _one_level_down(v):
     """The value one level down of a value constant in the top level, else None."""
-    if type(v) is Fraction:
+    if type(v) is not tuple:
         return v
     if v[0] == "q":
         return v[1][0] if len(v[1]) == len(v[2]) == 1 else None
@@ -327,7 +330,7 @@ def test_fast_paths_agree_with_the_reducing_path():
     values += [p / (t1 - t2 + k) for k, p in enumerate(consts + polys)]
     vals = [v.val for v in values]
     assert sum(1 for v in vals if len(_expanded(tw, lv, v)[2]) == 1) >= 24
-    assert sum(1 for v in vals if type(v) is Fraction) >= 4
+    assert sum(1 for v in vals if type(v) is not tuple) >= 4
     for a in vals:
         for b in rng.sample(vals, 8) + [Fraction(0), Fraction(5, 3)]:
             x, y, k = a, b, lv
@@ -338,17 +341,18 @@ def test_fast_paths_agree_with_the_reducing_path():
 
 def _assert_canonical(tw, lv, v):
     """v is in normal form at every level: no tuple stands for a rational."""
-    if type(v) is Fraction:
+    if type(v) is not tuple:
+        assert type(v) in (int, Fraction)
         return
-    assert lv and type(v) is tuple
+    assert lv
     if v[0] == "q":
         num, den = v[1], v[2]
         assert num and den[-1] == 1
-        assert not (len(num) == len(den) == 1 and type(num[0]) is Fraction)
+        assert not (len(num) == len(den) == 1 and type(num[0]) is not tuple)
         parts = num + den
     else:
         assert len(v[1]) == len(tw.steps[lv - 1][2]) - 1
-        assert not (type(v[1][0]) is Fraction and not any(v[1][1:]))
+        assert not (type(v[1][0]) is not tuple and not any(v[1][1:]))
         parts = v[1]
     for c in parts:
         _assert_canonical(tw, lv - 1, c)
@@ -360,39 +364,48 @@ def _assert_canonical(tw, lv, v):
     [Transcendental("t")],
     [Algebraic("r2", [-2, 0, 1]), Transcendental("t1"), Transcendental("t2")],
 ], ids=["sqrt2", "sqrt2-sqrt3", "t", "sqrt2-t1-t2"])
-def test_rational_values_are_bare_fractions(specs):
+def test_rational_values_are_ints_or_fractions(specs):
     tw = make_tower(specs)
     lv = tw.num_levels
     assert tw.is_zero is operator.not_
     gens = [tw.gen(n) for n in tw.names]
     g = gens[0].val
     trans = tw.transcendental_levels()
-    # values equal to a rational, reached by each operation
+    is_int = lambda v, n: v == n and type(v) is int
+    # integral values reached by each operation are ints; 1/2 is a Fraction
     half = tw.value(Fraction(1, 2))
     assert type(half) is Fraction and half == Fraction(1, 2)
-    assert type(tw.value(0)) is Fraction and type(tw.one().val) is Fraction
-    assert tw.sub(g, g) == 0 and type(tw.sub(g, g)) is Fraction
-    assert type(tw.add(g, tw.neg(g))) is Fraction
+    assert is_int(tw.value(0), 0) and is_int(tw.value(Fraction(6, 3)), 2)
+    assert is_int(tw.one().val, 1) and is_int(tw.zero().val, 0)
+    assert is_int(MPoly.const(tw, 2, Fraction(-4, 2)).terms[(0, 0)], -2)
+    assert is_int(tw.inv(tw.value(1)), 1) and is_int(tw.inv(tw.value(-1)), -1)
+    assert is_int(tw.sub(g, g), 0) and is_int(tw.add(g, tw.neg(g)), 0)
     ratio = tw.mul(tw.add(g, half), tw.inv(tw.add(g, half)))
-    assert ratio == 1 and type(ratio) is Fraction
-    assert type(tw.mul(half, tw.inv(half))) is Fraction
+    assert ratio == 1 and type(ratio) in (int, Fraction)
+    assert type(tw.mul(half, tw.inv(half))) in (int, Fraction)
     if tw.steps[0][0] == "alg":
-        assert tw.mul(g, g) == 2 and type(tw.mul(g, g)) is Fraction  # sqrt2 * sqrt2
+        assert is_int(tw.mul(g, g), 2)  # sqrt2 * sqrt2
     for level in trans:
         t = tw.gen(tw.names[level - 1]).val
-        assert tw.d(t, level) == 1 and type(tw.d(t, level)) is Fraction
-        assert tw.d(half, level) == 0 and type(tw.d(half, level)) is Fraction
-        assert type(tw.d(g, level)) is Fraction or level == 1  # a constant's derivative
+        assert is_int(tw.d(t, level), 1)
+        assert is_int(tw.d(half, level), 0)
+        assert level == 1 or is_int(tw.d(g, level), 0)  # a constant's derivative
     low = make_tower(specs[:1])
-    assert type(tw.lift(low, low.value(3))) is Fraction
+    assert is_int(tw.lift(low, low.value(3)), 3)
+    # the integer kernel's outputs over Q
+    x, y = MPoly.variable(QQ, 2, 0), MPoly.variable(QQ, 2, 1)
+    f, h = (x - 1) * (x + 2 * y), (x - 1) * (x - y * y)
+    outs = [mpoly.mp_gcd(f, h), *mpoly._cancel(f, h), mpoly.div_exact(f, x - 1)]
+    assert outs == [x - 1, x + 2 * y, x - y * y, x + 2 * y]
+    assert all(type(c) is int for P in outs for c in P.terms.values())
     if tw.steps[-1][0] == "tr":
         # a gcd rebuilt from the flattened polynomial ring: x - 1 has
-        # rational coefficients over any tower
+        # integer coefficients over any tower
         t = gens[-1]
         x = MPoly.variable(tw, 1, 0)
         f, h = (x - 1) * (x + t), (x - 1) * (x - t * t)
         for G in (mpoly._flatten_gcd(f, h), mpoly.mp_gcd(f, h)):
-            assert G == x - 1 and all(type(c) is Fraction for c in G.terms.values())
+            assert G == x - 1 and all(type(c) is int for c in G.terms.values())
     # every result of random arithmetic is in normal form at every level
     rng = random.Random(5)
     xs = [_random_scalar(rng, tw, gens).val for _ in range(12)] + [half, g]
@@ -406,3 +419,49 @@ def test_rational_values_are_bare_fractions(specs):
         for b in rng.sample(xs, 4):
             for op in (tw.add, tw.sub, tw.mul):
                 _assert_canonical(tw, lv, op(a, b))
+
+
+def _floats_in(v):
+    """The floats anywhere inside a raw value."""
+    if type(v) is tuple:
+        return [f for c in v for f in _floats_in(c)]
+    return [v] if type(v) is float else []
+
+
+def test_no_float_reaches_a_raw_value():
+    # 1/a on an int operand is never int / int
+    assert type(QQ.inv(2)) is Fraction and QQ.inv(2) == Fraction(1, 2)
+    assert QQ.inv(-1) == -1 and type(QQ.inv(-1)) is int
+    assert QQ.inv(Fraction(1, 3)) == 3 and type(QQ.inv(Fraction(1, 3))) is int
+    assert QQ.inv(Fraction(-2, 3)) == Fraction(-3, 2)
+    from ktangent.suites import standard_towers
+    rng = random.Random(11)
+    for _, tw in standard_towers():
+        gens = [tw.gen(n).val for n in tw.names]
+        pool = [tw.value(k) for k in range(-3, 4)] + gens
+        pool += [tw.add(g, k) for g in gens for k in (1, -2)]
+        for _ in range(300):
+            a, b = rng.choice(pool), rng.choice(pool)
+            op = rng.choice((tw.add, tw.sub, tw.mul, "inv"))
+            if op != "inv":
+                r = op(a, b)
+            elif a:
+                r = tw.inv(a)
+            else:
+                continue
+            assert not _floats_in(r), (tw, a, b, r)
+            _assert_canonical(tw, tw.num_levels, r)
+            if len(pool) < 60:
+                pool.append(r)
+
+
+def test_floats_are_refused():
+    from ktangent.funcrings import FunctionRing
+    with pytest.raises(TypeError):
+        FunctionRing(QQ, ("x",)).const(0.1)
+    with pytest.raises(TypeError):
+        QQ.value(0.5)
+    with pytest.raises(TypeError):
+        MPoly.const(QQ, 1, 1.0)
+    with pytest.raises(TypeError):
+        tower_sqrt2().from_fraction(0.25)

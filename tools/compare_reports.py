@@ -16,6 +16,8 @@ The runs are:
 
 * every cover command on the built-in instances, at p = 1, 2 for the
   commands that read a weight, and ``cech`` at two sheaves;
+* a few cover commands at wider windows (``WIDE``), whose eliminations
+  meet pivots other than +-1;
 * the commands of the benchmark's ``commands`` workload at seeds 1-3;
 * the four seeded ``verify`` suites and ``relations`` at their default seed.
 
@@ -33,6 +35,10 @@ import types
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 WEIGHTED = ("verify lemma2.4", "hypercoh", "tangent-chow", "delta-r", "composed")
+WIDE = ("cech --instance p2 --sheaf omega1 --D 8",
+        "cech --instance elliptic --D 10",
+        "hypercoh --instance p2 --p 2 --D 6",
+        "composed --instance elliptic --D 6")
 SUITES = ("verify lemma2.6", "verify beta-agreement", "verify diagram2.7",
           "verify alpha-delta", "relations")
 
@@ -48,6 +54,7 @@ def rows(kt, work):
         for sheaf in ("omega0", "omega1"):
             out.append((f"cech {inst} {sheaf}",
                         ["cech", "--instance", inst, "--sheaf", sheaf]))
+    out += [(cmd, cmd.split()) for cmd in WIDE]
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     import workloads
     for seed in (1, 2, 3):
