@@ -6,11 +6,14 @@ the tower's bound arithmetic; a rational value is an int when it is
 integral, else a Fraction, and ``Tower.value`` makes every constant), the
 pseudo-remainder in one variable (the remainder, for a relation monic in
 it), exact division and gcd. Over Q both run on a small integer kernel
-(dicts from exponent tuple to int): exact division by graded-lex leading
-terms, and the heuristic gcd GCDHEU with trial division, whose cofactors
-also cancel a numerator against a denominator. Over Q(t_1..t_m) the gcd and
-the cancellation move the t's into the polynomial and run there. The primitive polynomial remainder sequence
-remains for algebraic towers and for the inputs on which GCDHEU gives up.
+(dicts from exponent tuple to int). One walk down the tower (`_gcd`) serves
+the gcd and the cancellation of a fraction, in four branches: over Q the
+heuristic gcd GCDHEU, whose trial division gives the cofactors, or the
+primitive remainder sequence where GCDHEU gives up; top levels that no
+coefficient depends on are dropped; a top transcendental generator moves
+into the polynomial; a top algebraic level divides both sides by their
+leading coefficients, which may free a level, and else runs the remainder
+sequence.
 
 Coefficients become Scalars only at the boundary: ``const`` and arithmetic
 with a Scalar take one in, and ``scalar_terms`` hands them out.
@@ -247,8 +250,11 @@ def div_exact(f, g):
         return _from_ints(tw, f.nvars, _divide(F, G, QQ), sf / sg)
     c = tw.mul(_lc(f), tw.inv(_lc(g)))
     f, g = _normalize_lead(f), _normalize_lead(g)
-    q = _via_subfield(div_exact, f, g)
-    if q is None:
+    k = _subfield_levels(f, g)
+    if k:
+        low = Tower(tw.steps[:-k], tw.names[:-k])
+        q = div_exact(_descend(f, low, k), _descend(g, low, k)).over(tw)
+    else:
         q = MPoly(tw, f.nvars, _divide(f.terms, g.terms, tw))
     return _scale(q, c)
 
@@ -284,79 +290,79 @@ def _normalize_lead(f):
 
 
 def mp_gcd(f, g):
-    """Monic gcd in K[x_0..x_{n-1}] (graded-lex leading coefficient 1).
-
-    Over Q it is GCDHEU on integer polynomials (`_heu_gcd`). Over a tower the
-    work moves to the smallest subfield holding the coefficients, and a top
-    transcendental generator moves into the polynomial (`_flatten_gcd`). The
-    primitive polynomial remainder sequence (`_prs_gcd`) serves algebraic
-    towers and the inputs on which GCDHEU gives up.
-    """
+    """Monic gcd in K[x_0..x_{n-1}] (graded-lex leading coefficient 1) by the
+    gcd walk `_gcd`, after dividing each input over a tower by its leading
+    coefficient: a unit does not change the monic gcd, and the quotients
+    often have their coefficients in a subfield."""
     if f.is_zero():
         return _normalize_lead(g)
     if g.is_zero():
         return _normalize_lead(f)
     if f.is_constant() or g.is_constant():
         return MPoly.const(f.tower, f.nvars, 1)
-    tw = f.tower
-    if tw.steps:
-        # a unit of K does not change the monic gcd, and dividing by the
-        # leading coefficient often leaves coefficients in a subfield
+    if f.tower.steps:
         f, g = _normalize_lead(f), _normalize_lead(g)
-        G = _via_subfield(mp_gcd, f, g)
-        if G is not None:
-            return G
-        if tw.steps[-1][0] == "tr":
-            # rational-function coefficients swell badly in the remainder
-            # sequence; move the transcendental generators into the
-            # polynomial, one level at a time, and do the work over the
-            # number-field part instead
-            return _flatten_gcd(f, g)
-    else:
-        H = _heu_gcd(_to_ints(f)[1], _to_ints(g)[1])
-        if H is not None:
-            return _from_ints(tw, f.nvars, H, Fraction(1, H[max(H, key=_glex)]))
-    return _prs_gcd(f, g)
+    G = _gcd(f, g)[0]
+    return MPoly.const(f.tower, f.nvars, 1) if G is None else _normalize_lead(G)
 
 
 def _cancel(f, g):
     """(u f / G, u g / G) for G = mp_gcd(f, g), nonconstant f and g, and a
-    unit u of the tower (1 unless a transcendental level was flattened).
+    unit u of the tower: the cofactors of the gcd walk `_gcd`, or two exact
+    divisions by the gcd when the remainder sequence found it."""
+    G, qf, qg = _gcd(f, g)
+    return (div_exact(f, G), div_exact(g, G)) if qf is None else (qf, qg)
 
-    Over Q the quotients are the cofactors GCDHEU's trial division found.
-    Over a tower the work moves to the smallest subfield holding the
-    coefficients, and a top transcendental generator t moves into the
-    polynomial: f and g times one shared product u of their t-denominators
-    are coprime in K[x] once their gcd over L[x, t] is cancelled. An
-    algebraic top level, or GCDHEU giving up, takes exact divisions by G.
+
+def _gcd(f, g):
+    """(G, qf, qg) for nonzero f and g: a gcd G and, when GCDHEU found them,
+    the cofactors u f / G and u g / G for one unit u of the tower, else None
+    for both. A constant gcd is G = None, with the cofactors f and g. The
+    shared product of t-denominators that flattening multiplies both sides
+    by is a unit of K = L(t), and a gcd in L[x_0..x_{n-1}, t] is the K[x]-gcd
+    up to pure-t factors, which are units of K.
     """
     tw = f.tower
-    if tw.steps:
-        k = _subfield_levels(f, g)
-        if k:
-            low = Tower(tw.steps[:-k], tw.names[:-k])
-            qf, qg = _cancel(_descend(f, low, k), _descend(g, low, k))
-            return qf.over(tw), qg.over(tw)
-        if tw.steps[-1][0] == "tr":
-            low = Tower(tw.steps[:-1], tw.names[:-1])
-            dens = _dens(f) | _dens(g)
-            qf, qg = _cancel(_flatten(f, low, dens), _flatten(g, low, dens))
-            return _unflatten(qf, tw), _unflatten(qg, tw)
-    else:
+    a, b = f, g
+    if not tw.steps:
         (sf, F), (sg, G) = _to_ints(f), _to_ints(g)
         found = _heu_cofactors(F, G)
         if found is not None:
             H, QF, QG = found
             lead = max(H, key=_glex)
-            if not any(lead):  # a constant gcd
-                return f, g
-            c = H[lead]
-            return (_from_ints(f.tower, f.nvars, QF, sf * c),
-                    _from_ints(g.tower, g.nvars, QG, sg * c))
-    h = mp_gcd(f, g)
-    if h == 1:
-        return f, g
-    return div_exact(f, h), div_exact(g, h)
+            if not any(lead):
+                return None, f, g
+            c, n = H[lead], f.nvars
+            return (_from_ints(tw, n, H, Fraction(1, c)), _from_ints(tw, n, QF, sf * c),
+                    _from_ints(tw, n, QG, sg * c))
+    else:
+        k = _subfield_levels(f, g)
+        if k:
+            low = Tower(tw.steps[:-k], tw.names[:-k])
+            return _up(_gcd(_descend(f, low, k), _descend(g, low, k)), f, g,
+                       lambda p: p.over(tw))
+        if tw.steps[-1][0] == "tr":
+            # rational-function coefficients swell badly in the remainder
+            # sequence, so the generator moves into the polynomial
+            low = Tower(tw.steps[:-1], tw.names[:-1])
+            dens = _dens(f) | _dens(g)
+            return _up(_gcd(_flatten(f, low, dens), _flatten(g, low, dens)), f, g,
+                       lambda p: _unflatten(p, tw))
+        a, b = _normalize_lead(f), _normalize_lead(g)
+        if _subfield_levels(a, b):
+            G, qa, qb = _gcd(a, b)
+            if G is None:
+                return None, f, g
+            return (G, None, None) if qa is None else (G, _scale(qa, _lc(f)), _scale(qb, _lc(g)))
+    G = _prs_gcd(a, b)
+    return (None, f, g) if G.is_constant() else (G, None, None)
+
+
+def _up(found, f, g, up):
+    """The walk's result for the images of f and g one level down, brought up by up."""
+    if found[0] is None:
+        return None, f, g
+    return tuple(None if p is None else up(p) for p in found)
 
 
 def _prs_gcd(f, g):
@@ -392,21 +398,6 @@ def _coeff_list(f, v):
     return out
 
 
-def _via_subfield(op, f, g):
-    """op(f, g) over the smallest top truncation of the tower holding every
-    coefficient of f and g, embedded back; None when no top level can go.
-
-    For gcds and exact quotients of polynomials over a subfield, computing
-    over the subfield gives the same result.
-    """
-    tw = f.tower
-    k = _subfield_levels(f, g)
-    if not k:
-        return None
-    low = Tower(tw.steps[:-k], tw.names[:-k])
-    return op(_descend(f, low, k), _descend(g, low, k)).over(tw)
-
-
 def _subfield_levels(f, g):
     """How many top levels of the tower no coefficient of f or g depends on."""
     tw = f.tower
@@ -416,20 +407,6 @@ def _subfield_levels(f, g):
         if not k:
             break
     return k
-
-
-def _flatten_gcd(f, g):
-    """gcd over K = L(t) via gcd in L[x_0..x_{n-1}, t], for t the top generator.
-
-    Clearing the t-denominators multiplies each input by a unit of K, and a
-    gcd computed in the bigger polynomial ring agrees with the K[x]-gcd up to
-    pure-t factors, which reinterpretation turns back into units. The gcd
-    over L flattens again while L's own top generator is transcendental.
-    """
-    tw = f.tower
-    low = Tower(tw.steps[:-1], tw.names[:-1])
-    G = mp_gcd(_flatten(f, low, _dens(f)), _flatten(g, low, _dens(g)))
-    return _normalize_lead(_unflatten(G, tw))
 
 
 def _constant_levels(tw, v, m):
@@ -578,12 +555,6 @@ def _quotient(f, h):
         return _divide(f, h, QQ)
     except DivisionByZero:
         return None
-
-
-def _heu_gcd(f, g):
-    """gcd in Z[x] of nonzero integer polynomials by GCDHEU; None when it gives up."""
-    out = _heu_cofactors(f, g)
-    return None if out is None else out[0]
 
 
 def _heu_cofactors(f, g):

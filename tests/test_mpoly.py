@@ -176,8 +176,8 @@ def test_gcd_of_rational_inputs_over_a_number_field_runs_over_q(monkeypatch):
     r2 = tw.gen("r2")
     cases = _rational_pairs(12, 10)
     kernel, prs = [], []
-    real_heu, real_prs = mpoly._heu_gcd, mpoly._prs_gcd
-    monkeypatch.setattr(mpoly, "_heu_gcd", lambda f, g: kernel.append(
+    real_heu, real_prs = mpoly._heu_cofactors, mpoly._prs_gcd
+    monkeypatch.setattr(mpoly, "_heu_cofactors", lambda f, g: kernel.append(
         all(type(c) is int for c in (*f.values(), *g.values()))) or real_heu(f, g))
     monkeypatch.setattr(mpoly, "_prs_gcd",
                         lambda f, g: prs.append(f.tower) or real_prs(f, g))
@@ -217,7 +217,7 @@ def test_composed_on_the_elliptic_curve_never_flattens(monkeypatch):
 # -- the integer kernel: GCDHEU and exact division over Z ----------------------
 
 
-def _spy_kernel(monkeypatch, entry="_heu_gcd"):
+def _spy_kernel(monkeypatch, entry="_heu_cofactors"):
     """Record every result of the GCDHEU entry point ``entry`` (None when it
     gave up) and every fallback."""
     seen = {"heu": [], "prs": []}
@@ -270,7 +270,7 @@ def test_kernel_gcd_matches_the_remainder_sequence(monkeypatch, nvars):
     seen = _spy_kernel(monkeypatch)
     got = [mp_gcd(a, b) for a, b in cases]
     assert seen["heu"] and all(h is not None for h in seen["heu"]) and not seen["prs"]
-    monkeypatch.setattr(mpoly, "_heu_gcd", lambda f, g: None)
+    monkeypatch.setattr(mpoly, "_heu_cofactors", lambda f, g: None)
     assert got == [mp_gcd(a, b) for a, b in cases]
 
 
@@ -298,6 +298,16 @@ def test_cancel_reuses_the_kernel_cofactors(monkeypatch):
     h = (x - r2) * (y + t)
     f, g = h * (x + y), h * (x * y - t)
     assert mpoly._cancel(f, g) == (div_exact(f, mp_gcd(f, g)), div_exact(g, mp_gcd(f, g)))
+    # over Q(r2), dividing by the leading coefficients frees the top level:
+    # the cofactors come from the kernel, scaled back, with no exact division
+    tw = make_tower([Algebraic("r2", [-2, 0, 1])])
+    r2 = tw.gen("r2")
+    x, y = xy(tw)
+    f, g = (x + 2 * y) * (x * y - 3) * (r2 + 1), (x - y * y) * (x * y - 3) * r2
+    divisions.clear()
+    qf, qg = mpoly._cancel(f, g)
+    assert divisions == []
+    assert qf * g == qg * f and mp_gcd(qf, qg) == 1
 
 
 def test_cancel_over_function_fields_runs_on_the_integer_kernel(monkeypatch):
@@ -336,7 +346,8 @@ def test_kernel_carries_the_integer_contents():
     a, b = want * (v + 1) * 6, want * (t - 2) * 4
     assert mp_gcd(a, b) == want
     F, G = mpoly._to_ints(a)[1], mpoly._to_ints(b)[1]
-    H = mpoly._heu_gcd({e: 6 * c for e, c in F.items()}, {e: 4 * c for e, c in G.items()})
+    H = mpoly._heu_cofactors({e: 6 * c for e, c in F.items()},
+                             {e: 4 * c for e, c in G.items()})[0]
     assert {e: abs(c) for e, c in H.items()} == {(2, 1): 2, (1, 2): 2}
 
 
@@ -349,8 +360,31 @@ def test_kernel_gives_up_on_huge_coefficients_and_falls_back(monkeypatch):
     seen = _spy_kernel(monkeypatch)
     assert mp_gcd(a, b) == h
     assert None in seen["heu"] and seen["prs"]
-    monkeypatch.setattr(mpoly, "_heu_gcd", lambda f, g: None)
+    monkeypatch.setattr(mpoly, "_heu_cofactors", lambda f, g: None)
     assert mp_gcd(a, b) == h
+
+
+def test_cancel_runs_the_kernel_once_per_input_pair(monkeypatch):
+    # when GCDHEU gives up, the remainder sequence takes over without a
+    # second top-level GCDHEU run on the same integer inputs
+    x, y = xy()
+    big = 2**2000
+    h = x * y - 3 * y + 1
+    a, b = (big * x**4 + y) * h, (big * y**4 + x) * h
+    real, depth, top = mpoly._heu_cofactors, [0], []
+
+    def heu(f, g):
+        if not depth[0]:
+            top.append((frozenset(f.items()), frozenset(g.items())))
+        depth[0] += 1
+        try:
+            return real(f, g)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(mpoly, "_heu_cofactors", heu)
+    assert mpoly._cancel(a, b) == (div_exact(a, h), div_exact(b, h))
+    assert top and len(top) == len(set(top))
 
 
 def _quotient_cases(tower, coeffs):
@@ -439,7 +473,7 @@ def _raw_cases():
 def test_the_polynomial_layer_holds_no_scalar(monkeypatch):
     cases = _raw_cases()
     seen = Counter()
-    for name in ("_flatten", "_prs_gcd", "_descend", "_heu_gcd"):
+    for name in ("_flatten", "_prs_gcd", "_descend", "_heu_cofactors"):
         real = getattr(mpoly, name)
         monkeypatch.setattr(mpoly, name,
                             lambda *a, _n=name, _r=real: seen.update([_n]) or _r(*a))
@@ -455,7 +489,7 @@ def test_the_polynomial_layer_holds_no_scalar(monkeypatch):
                         mp_gcd(a, b), div_exact(a, h), div_exact(b * 3, h)]
     assert made == []
     assert all(not isinstance(c, scalars.Scalar) for r in results for c in r.terms.values())
-    assert all(seen[k] for k in ("_flatten", "_prs_gcd", "_descend", "_heu_gcd")), seen
+    assert all(seen[k] for k in ("_flatten", "_prs_gcd", "_descend", "_heu_cofactors")), seen
 
 
 def test_over_is_the_per_term_embedding():
