@@ -351,10 +351,14 @@ class CechEngine:
     sheaf is the single row {0: r}.  Total degree k holds the blocks
     (q = k - j, j); the total differential is the Čech differential plus
     (-1)^q times the exterior derivative.
+
+    ``inner`` is an engine of the same complex at a smaller window, whose
+    echelon forms this engine's extend (see ``_span``).
     """
 
-    def __init__(self, cover, rows, base, twist, D):
+    def __init__(self, cover, rows, base, twist, D, inner=None):
         self.cover = cover
+        self.inner = inner
         self.rows = dict(sorted(rows.items()))
         self.base = base
         self.twist = twist
@@ -627,14 +631,41 @@ class CechEngine:
         """Echelon form of d_k's columns, eliminated once per degree.
 
         ``express_span(k)`` keeps the tracked span of its kernel computation
-        here; a degree it has not reached is eliminated untracked.
+        here; a degree it has not reached is eliminated untracked.  Over an
+        ``inner`` engine the span starts from the inner echelon form, its
+        rows carried to this engine's labels, and only the columns of labels
+        the inner window lacks are built and eliminated: each inner column
+        lands in the inner window (else the inner engine raised
+        WindowOverflow), so it is this engine's column of the same label, and
+        an increasing label map keeps every carried pivot the least key of
+        its row, with coefficient 1.
         """
         span = self._spans.get(k)
         if span is None:
             span = self._spans[k] = RowSpan(self.cover.tower)
-            for col in self.columns(k):
-                span.add(col)
+            basis, old = self.total_basis(k), {}
+            if self.inner is not None:
+                old = self.inner.index(k)
+                pos = self._carry(k + 1)
+                span.rows = {pos[p]: {pos[i]: c for i, c in row.items()}
+                             for p, row in self.inner._span(k).rows.items()}
+            new = [b for b in basis if b not in old]
+            if len(basis) - len(new) != len(old):
+                raise Mismatch(f"the smaller window has labels of degree {k} "
+                               "that the larger one lacks")
+            for b in new:
+                span.add(self.column(k, *b))
         return span
+
+    def _carry(self, k):
+        """The position in ``total_basis(k)`` of each inner label of degree
+        k, in inner order; Mismatch unless each is present and they rise."""
+        index = self.index(k)
+        pos = [index.get(b) for b in self.inner.total_basis(k)]
+        if None in pos or any(a >= b for a, b in zip(pos, pos[1:])):
+            raise Mismatch(f"the smaller window's labels of degree {k} are not "
+                           "an ordered part of the larger window's")
+        return pos
 
     def degree_range(self):
         js = list(self.rows)
@@ -756,8 +787,11 @@ class CohomologyReport:
 
 
 def _run(cover, rows, base, twist, policy, require_stable, with_reps, kind):
+    """Dimensions at D and D + delta, and representatives at D.  The D + delta
+    engine starts each degree from the D engine's echelon form and
+    eliminates only the columns of labels outside the D window."""
     lo = CechEngine(cover, rows, base, twist, policy.D)
-    hi = CechEngine(cover, rows, base, twist, policy.D + policy.delta)
+    hi = CechEngine(cover, rows, base, twist, policy.D + policy.delta, inner=lo)
     # in ascending degree, so each of lo's degrees is eliminated once
     found = {k: lo.representatives(k) for k in lo.degree_range()} if with_reps else {}
     dims = {k: lo.dim_at(k) for k in lo.degree_range()}

@@ -85,9 +85,9 @@ def _load(args):
     return cfg
 
 
-def _dims_list(report):
-    ks = sorted(report.dims)
-    return [report.dims.get(k, 0) for k in range(ks[-1] + 1)] if ks else []
+def _dims_list(dims):
+    ks = sorted(dims)
+    return [dims.get(k, 0) for k in range(ks[-1] + 1)] if ks else []
 
 
 # -- command bodies ----------------------------------------------------------
@@ -133,13 +133,13 @@ def _on_cover(name, check):
 def _cech(cfg, sheaf):
     rep = sheaf_cohomology(cfg.cover, sheaf, cfg.policy)
     check = {"status": "pass" if rep.stabilized else "fail",
-             "dims": _dims_list(rep),
+             "dims": _dims_list(rep.dims),
              "stabilized": rep.stabilized,
              "representatives": rep.to_dict()["representatives"]}
     if not rep.stabilized:
         check["witnesses"] = [
-            f"dims {_dims_list(rep)} moved to "
-            f"{sorted(rep.dims_again.items())} at the larger window"]
+            f"dims {_dims_list(rep.dims)} moved to "
+            f"{_dims_list(rep.dims_again)} at the larger window"]
     return check
 
 

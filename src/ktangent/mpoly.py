@@ -7,10 +7,11 @@ integral, else a Fraction, and ``Tower.value`` makes every constant), the
 pseudo-remainder in one variable (the remainder, for a relation monic in
 it), exact division and gcd. Over Q both run on a small integer kernel
 (dicts from exponent tuple to int). One walk down the tower (`_gcd`) serves
-the gcd and the cancellation of a fraction, in four branches: over Q the
-heuristic gcd GCDHEU, whose trial division gives the cofactors, or the
-primitive remainder sequence where GCDHEU gives up; top levels that no
-coefficient depends on are dropped; a top transcendental generator moves
+the gcd and the cancellation of a fraction. A gcd with a monomial is read
+from the exponents, at any level; else the walk takes one of four branches:
+over Q the heuristic gcd GCDHEU, whose trial division gives the cofactors,
+or the primitive remainder sequence where GCDHEU gives up; top levels that
+no coefficient depends on are dropped; a top transcendental generator moves
 into the polynomial; a top algebraic level divides both sides by their
 leading coefficients, which may free a level, and else runs the remainder
 sequence.
@@ -317,12 +318,20 @@ def _cancel(f, g):
 def _gcd(f, g):
     """(G, qf, qg) for nonzero f and g: a gcd G and, when GCDHEU found them,
     the cofactors u f / G and u g / G for one unit u of the tower, else None
-    for both. A constant gcd is G = None, with the cofactors f and g. The
-    shared product of t-denominators that flattening multiplies both sides
-    by is a unit of K = L(t), and a gcd in L[x_0..x_{n-1}, t] is the K[x]-gcd
-    up to pure-t factors, which are units of K.
+    for both. A constant gcd is G = None, with the cofactors f and g. When f
+    or g is a monomial, so is every divisor of it: G is x^m for the
+    componentwise least exponent m of f and g, and the cofactors (u = 1) are
+    exponent shifts. The shared product of t-denominators that flattening
+    multiplies both sides by is a unit of K = L(t), and a gcd in
+    L[x_0..x_{n-1}, t] is the K[x]-gcd up to pure-t factors, which are units
+    of K.
     """
     tw = f.tower
+    if len(f.terms) == 1 or len(g.terms) == 1:
+        m = tuple(map(min, zip(*f.terms, *g.terms)))
+        if not any(m):
+            return None, f, g
+        return (MPoly(tw, f.nvars, {m: 1}), _shift_down(f, m), _shift_down(g, m))
     a, b = f, g
     if not tw.steps:
         (sf, F), (sg, G) = _to_ints(f), _to_ints(g)
@@ -356,6 +365,12 @@ def _gcd(f, g):
             return (G, None, None) if qa is None else (G, _scale(qa, _lc(f)), _scale(qb, _lc(g)))
     G = _prs_gcd(a, b)
     return (None, f, g) if G.is_constant() else (G, None, None)
+
+
+def _shift_down(f, m):
+    """f divided by the monomial x^m, which divides every term of f."""
+    return MPoly(f.tower, f.nvars, {tuple(a - b for a, b in zip(e, m)): c
+                                    for e, c in f.terms.items()})
 
 
 def _up(found, f, g, up):

@@ -624,3 +624,81 @@ def test_t_constant_values_skip_rational_function_reduction(monkeypatch):
     rep = sheaf_cohomology(cover, Sheaf.forms(0), POL, require_stable=True)
     assert rep.dims == {0: 1, 1: 0, 2: 0}
     assert calls == []
+
+
+# -- the larger window starts from the smaller one -----------------------------
+
+
+def _window_runs():
+    """(cover, rows, base, twist, policy) of sheaf and hypercohomology runs."""
+    p1, p2, big = cover_pn(1, QQ), cover_pn(2, QQ), complex_model(R2)
+    out = [pytest.param(p1, {0: 0}, base_top(QQ), d, POL, id=f"line-O({d})")
+           for d in range(-5, 6)]
+    out += [pytest.param(p2, {0: r}, base_top(QQ), 0, POL, id=f"plane-omega{r}")
+            for r in (0, 1, 2)]
+    out.append(pytest.param(_seeded_cubic(), {0: 0}, ABS0, 0, POL, id="cubic"))
+    for p in (1, 2):
+        cx = tangent_deligne(p, p2.model((0,)).ring)
+        out.append(pytest.param(p2, {i: cx.terms[i][0] for i in cx.degrees()}, cx.base,
+                                0, POL, id=f"plane-hyper-p{p}"))
+    # base letters dt1, dt2 over Q(r2)(t1)(t2)
+    out.append(pytest.param(cover_pn(1, big), {0: 1}, ABS0, 0, POL, id="line-deep-omega1"))
+    # unstable: H^1 of O(-4) is 0 at D = 1 and 3 at D = 7
+    out.append(pytest.param(p1, {0: 0}, base_top(QQ), -4, TruncationPolicy(1, 6),
+                            id="line-O(-4)-unstable"))
+    return out
+
+
+@pytest.mark.parametrize("cover, rows, base, twist, policy", _window_runs())
+def test_the_larger_window_eliminates_only_its_new_labels(monkeypatch, cover, rows, base,
+                                                          twist, policy):
+    engines, built = [], {}
+    init, column = CechEngine.__init__, CechEngine.column
+
+    def spy_init(self, *a, **kw):
+        init(self, *a, **kw)
+        engines.append(self)
+
+    def spy_column(self, k, *b):
+        built[(self.D, k)] = built.get((self.D, k), 0) + 1
+        return column(self, k, *b)
+
+    monkeypatch.setattr(CechEngine, "__init__", spy_init)
+    monkeypatch.setattr(CechEngine, "column", spy_column)
+    rep = cech._run(cover, rows, base, twist, policy, False, len(rows) == 1, "sheaf")
+    lo, hi = engines
+    assert hi.inner is lo and hi.D == lo.D + policy.delta
+    ks = list(hi.degree_range())
+    for k in range(ks[0], ks[-1] + 2):
+        # (a) the smaller window's labels sit in the larger basis, in order
+        pos = [hi.index(k)[b] for b in lo.total_basis(k)]
+        assert pos == sorted(set(pos))
+        # (c) the larger window builds only the columns of its new labels
+        new = len(hi.total_basis(k)) - len(lo.total_basis(k))
+        assert built.get((hi.D, k), 0) == new
+    monkeypatch.undo()
+    # (b) the same dimensions as a fresh engine eliminated from scratch
+    fresh = CechEngine(cover, rows, base, twist, hi.D)
+    assert rep.dims_again == {k: fresh.dim_at(k) for k in fresh.degree_range()}
+    if policy.delta == 6:
+        assert not rep.stabilized and rep.dims_again == {0: 0, 1: 3}
+
+
+def test_an_inner_window_must_be_an_ordered_part_of_the_outer_one():
+    c = cover_pn(1, QQ)
+    args = (c, {0: 1}, base_top(QQ), 0)
+    outer = CechEngine(*args, 4)
+    # degree-1 labels of the inner window missing from the outer one, as
+    # d_1's columns and as the indices of d_0's rows
+    with pytest.raises(Mismatch):
+        CechEngine(*args, 2, inner=outer)._span(1)
+    inner = CechEngine(*args, 2)
+    inner._total[1].append((1, 0, (0, 1), ((99, -99), (), ())))
+    with pytest.raises(Mismatch):
+        CechEngine(*args, 4, inner=inner)._span(0)
+    # the same labels in another order
+    inner = CechEngine(*args, 2)
+    inner._total[1].reverse()
+    with pytest.raises(Mismatch):
+        CechEngine(*args, 4, inner=inner)._span(0)
+    assert CechEngine(*args, 4, inner=CechEngine(*args, 2)).dim_at(0) == outer.dim_at(0)

@@ -160,6 +160,16 @@ def test_unstabilized_window_fails(tmp_path):
     assert rep["checks"][0]["witnesses"]
 
 
+def test_unstable_witness_lists_both_windows_alike(tmp_path):
+    code, rep = run_json(
+        tmp_path,
+        ["cech", "--instance", "p1", "--sheaf", "O(-4)", "--D", "1", "--delta", "6"])
+    assert code == 1
+    (check,) = rep["checks"]
+    assert check["dims"] == [0, 0]
+    assert check["witnesses"] == ["dims [0, 0] moved to [0, 3] at the larger window"]
+
+
 def test_transcendental_refusal_is_structured(tmp_path):
     inst = tmp_path / "qs.inst"
     inst.write_text(

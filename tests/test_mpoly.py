@@ -501,3 +501,62 @@ def test_over_is_the_per_term_embedding():
             assert p.over(tw) == p
     with pytest.raises(TowerMismatch):
         MPoly.variable(make_tower([Transcendental("t")]), 1, 0).over(QQ)
+
+
+def _monomial_towers():
+    r2 = make_tower([Algebraic("r2", [-2, 0, 1])])
+    qt = make_tower([Transcendental("t")])
+    deep = make_tower([Algebraic("r2", [-2, 0, 1]), Transcendental("t1"),
+                       Transcendental("t2")])
+    t1, t2 = deep.gen("t1"), deep.gen("t2")
+    return [
+        pytest.param(QQ, Fraction(-3, 5), id="Q"),
+        pytest.param(r2, r2.gen("r2") + 3, id="Q(r2)"),
+        pytest.param(qt, qt.gen("t") / (qt.gen("t") + 1), id="Q(t)"),
+        pytest.param(deep, (deep.gen("r2") * t1 + t2) / (t2 - 1), id="Q(r2)(t1)(t2)"),
+    ]
+
+
+def _monomial_cases(tower, c):
+    """(f, g, m): pairs with a monomial side and the exponent m of their gcd."""
+    x, y = xy(tower)
+    return [
+        (c * x**2 * y, x * y**3 + c * x**2 * y + x, (1, 0)),  # monomial, polynomial
+        (x**3 * y, c * x * y**2, (1, 1)),  # two monomials
+        (x**2 * y + y, c * x * y**2, (0, 1)),  # a monomial whose coefficient is c
+        (c * x, y + 1, (0, 0)),  # coprime
+    ]
+
+
+@pytest.mark.parametrize("tower, c", _monomial_towers())
+def test_gcd_with_a_monomial_comes_from_the_exponents(monkeypatch, tower, c):
+    calls = []
+    for name in ("_heu_cofactors", "_prs_gcd", "_flatten", "_descend"):
+        monkeypatch.setattr(mpoly, name, lambda *a, name=name: calls.append(name))
+    for f, g, m in _monomial_cases(tower, c):
+        G, qf, qg = mpoly._gcd(f, g)
+        if not any(m):
+            assert G is None and qf is f and qg is g
+            assert mp_gcd(f, g) == 1 and mpoly._cancel(f, g) == (f, g)
+            continue
+        assert G == MPoly(tower, 2, {m: 1})
+        assert qf * G == f and qg * G == g
+        assert qf * g == qg * f and mp_gcd(qf, qg) == 1
+        assert mp_gcd(f, g) == G and mpoly._cancel(f, g) == (qf, qg)
+    assert calls == []
+
+
+def test_monomial_gcd_agrees_with_the_kernel_over_q():
+    # the same integer inputs through GCDHEU give the same gcd and cofactors,
+    # up to a unit
+    norm = mpoly._normalize_lead
+    for f, g, m in _monomial_cases(QQ, Fraction(-3, 5)):
+        (_, F), (_, G) = mpoly._to_ints(f), mpoly._to_ints(g)
+        H, QF, QG = mpoly._heu_cofactors(F, G)
+        f, g = mpoly._from_ints(QQ, 2, F, 1), mpoly._from_ints(QQ, 2, G, 1)
+        got = mpoly._gcd(f, g)
+        want = [mpoly._from_ints(QQ, 2, P, 1) for P in (H, QF, QG)]
+        if not any(m):
+            assert want[0].is_constant() and got[0] is None
+            got = (MPoly.const(QQ, 2, 1), *got[1:])
+        assert [norm(p) for p in got] == [norm(p) for p in want]
