@@ -1,25 +1,11 @@
 """Desk-scale Čech cohomology and hypercohomology on small covers.
 
-Covers: the standard affine covers of P^1 and P^2, and a two-chart cover of
-a smooth plane cubic in Weierstrass form.  Section spaces are truncated to
-finite monomial windows; all linear algebra is exact.  A computation is
-trusted only when the reported dimensions agree at two window sizes
-(``stabilized``).
-
-Section models
---------------
-On P^n a section of O(d) over the intersection U_S is a homogeneous Laurent
-monomial X^a with sum(a) = d and negative exponents only at indices in S.
-A section of Omega^r over U_S is a sum of X^a dy_J with sum(a) = 0, where
-y_j = X_j / X_min(S) are the affine coordinates of the smallest chart in S.
-Both kinds restrict along inclusions S in T by exact rewriting, and the
-windows are sized so that every restriction and every exterior derivative
-of a window element stays inside the target window: the truncated complex
-is a genuine subcomplex, and its differential squares to zero on the nose.
-
-On the cubic y^2 = g(x) (deg g = 3, monic) the two charts are z != 0 and
-y != 0.  Chart sections are spanned by x^i y^delta and xb^i zb^j; overlap
-sections by the partial-fraction family x^i y^delta g^{-e}.
+Covers: the standard affine covers of P^1 and P^2 (``ProjectiveCover``), and
+a two-chart cover of a smooth plane cubic in Weierstrass form
+(``CubicCover``).  Each cover owns its section model; the engine lays out
+cochains from it.  Section spaces are truncated to finite monomial windows;
+all linear algebra is exact.  A computation is trusted only when the reported
+dimensions agree at two window sizes (``stabilized``).
 """
 
 from __future__ import annotations
@@ -63,26 +49,11 @@ class TruncationPolicy:
 MAX_WINDOW_LABELS = 100_000  # labels of O(d) at D + delta that a run may enumerate
 
 
-def window_labels(cover, twist, D):
-    """The number of Čech basis labels of O(twist) on cover at window D, in
-    closed form.
-
-    On P^n a chart subset S of size s holds the exponent vectors summing to
-    the twist with the s entries in S at least -D and the others at least
-    0: C(twist + sD + n, n) of them.  The two-chart cubic holds 20D + 4.
-    """
-    if cover.kind == "curve":
-        return 20 * D + 4
-    n = cover.n
-    return sum(comb(n + 1, s) * comb(twist + s * D + n, n)
-               for s in range(1, n + 2) if twist + s * D >= 0)
-
-
 def check_window(cover, twist, policy):
     """Refuse a policy whose D + delta window would hold more than
     MAX_WINDOW_LABELS labels of O(twist), before any label is enumerated."""
     D = policy.D + policy.delta
-    count = window_labels(cover, twist, D)
+    count = cover.window_labels(twist, D)
     if count > MAX_WINDOW_LABELS:
         raise WindowTooLarge(
             f"window too large: O({twist}) at D + delta = {D} has {count} Čech labels, "
@@ -129,21 +100,28 @@ class Sheaf:
 
 
 class _Model:
-    """An intersection: the smallest chart's ring plus inverted coordinates."""
+    """An intersection: the smallest chart's ring and each chart's coordinates in it."""
 
-    __slots__ = ("ring", "inverted", "subs")
+    __slots__ = ("ring", "subs")
 
-    def __init__(self, ring, inverted, subs):
+    def __init__(self, ring, subs):
         self.ring = ring
-        self.inverted = inverted
         self.subs = subs
 
 
 class Cover:
-    __slots__ = ("kind", "tower", "charts", "intersections", "n", "gcoeffs")
+    """Charts and their intersections.  Each subclass owns its section
+    model, which is all the engine reads of a label ``lab`` over U_S: the
+    window's labels in column order (``labels``), the restriction to U_T and
+    the exterior derivative as sparse vectors of raw tower values
+    (``restrict``, ``d_label``), the label's text and form (``render_label``,
+    ``label_form`` and its inverse ``form_labels``), and the window's size
+    in closed form (``window_labels``).
+    """
 
-    def __init__(self, kind, tower, charts, intersections, n=None, gcoeffs=None):
-        self.kind = kind
+    __slots__ = ("tower", "charts", "intersections", "n", "gcoeffs")
+
+    def __init__(self, tower, charts, intersections, n=None, gcoeffs=None):
         self.tower = tower
         self.charts = charts
         self.intersections = intersections
@@ -159,6 +137,306 @@ class Cover:
     @property
     def qmax(self):
         return len(self.charts) - 1
+
+    def has_base_letters(self, lab):
+        """Whether ``lab`` carries a base letter's dt, which forms over the tower kill."""
+        return False
+
+
+class ProjectiveCover(Cover):
+    """The standard (n+1)-chart affine cover of P^n, built by ``cover_pn``.
+
+    A section of O(d) over U_S is a homogeneous Laurent monomial X^a with
+    sum(a) = d and negative exponents only at indices in S.  A section of
+    Omega^r over U_S is a sum of X^a dy_J with sum(a) = 0, where
+    y_j = X_j / X_min(S) are the affine coordinates of the smallest chart in
+    S; the label (a, J, T) also wedges on the differentials of the base
+    letters at the levels T.  Both kinds restrict along inclusions S in T by
+    exact rewriting, and the windows are sized so that every restriction and
+    every exterior derivative of a window element stays inside the target
+    window: the truncated complex is a genuine subcomplex, and its
+    differential squares to zero on the nose.
+
+    Each label has an invariant multidegree: the exponent vector of its
+    homogeneous-coordinate representation, counting every coordinate
+    differential once.  Restrictions, chart changes, and the exterior
+    derivative all preserve that vector, so truncating to the window
+    min(v) >= -D keeps a genuine subcomplex which splits as a direct sum of
+    complete multidegree pieces -- each piece computed exactly.
+    """
+
+    __slots__ = ()
+
+    def window_labels(self, twist, D):
+        """A chart subset S of size s holds the exponent vectors summing to
+        the twist with the s entries in S at least -D and the others at
+        least 0: C(twist + sD + n, n) of them."""
+        n = self.n
+        return sum(comb(n + 1, s) * comb(twist + s * D + n, n)
+                   for s in range(1, n + 2) if twist + s * D >= 0)
+
+    def labels(self, S, r, twist, D, tlevels):
+        n = self.n
+        m = min(S)
+        out = []
+        for tsz in range(len(tlevels) + 1):
+            jsz = r - tsz
+            if jsz < 0 or jsz > n:
+                continue
+            jchoices = [tuple(c) for c in combinations(
+                [j for j in range(n + 1) if j != m], jsz)]
+            tchoices = [tuple(c) for c in combinations(tlevels, tsz)]
+            for J in jchoices:
+                # legality off S asks for a nonnegative monomial exponent,
+                # which in multidegree terms is v_j >= 1 when dy_j is present
+                lows = [-D if i in S else (1 if i in J else 0)
+                        for i in range(n + 1)]
+                for v in self._enum(lows, twist):
+                    a = list(v)
+                    for j in J:
+                        a[j] -= 1
+                    a[m] += jsz
+                    a = tuple(a)
+                    for T in tchoices:
+                        out.append((a, J, T))
+        out.sort()
+        return out
+
+    def _enum(self, lows, total):
+        """The integer vectors v >= lows with sum(v) = total."""
+        if len(lows) == 1:
+            return [(total,)] if total >= lows[0] else []
+        return [(v,) + rest for v in range(lows[0], total - sum(lows[1:]) + 1)
+                for rest in self._enum(lows[1:], total - v)]
+
+    def has_base_letters(self, lab):
+        return bool(lab[2])
+
+    # -- restriction of one basis element along S -> T (one new chart)
+
+    def restrict(self, S, T, lab):
+        m, m2 = min(S), min(T)
+        if m2 == m:
+            return {lab: 1}
+        a, J, Tset = lab
+        out = {}
+        self._pn_expand(a, J, m, m2, 0, tuple(), 1, out)
+        return {(av, jv, Tset): c for (av, jv), c in out.items()}
+
+    def _pn_expand(self, a, J, m, m2, k, seq, sgn, out):
+        # rewrite dy_J (chart-m coordinates) in chart-m2 coordinates,
+        # accumulating Laurent-monomial coefficient shifts into a
+        if k == len(J):
+            inv = sum(x > y for x, y in combinations(seq, 2))
+            key = (a, tuple(sorted(seq)))
+            out[key] = out.get(key, 0) + sgn * (-1) ** inv
+            return
+        j = J[k]
+        if j == m2:
+            # y_{m2} = 1/w_m, so dy_{m2} = -(X_{m2}/X_m)^2 dw_m
+            if m not in seq:
+                a2 = self._shift(a, {m2: 2, m: -2})
+                self._pn_expand(a2, J, m, m2, k + 1, seq + (m,), -sgn, out)
+            return
+        # y_j = w_j / w_m: dy_j = (X_{m2}/X_m) dw_j - (X_j X_{m2} / X_m^2) dw_m
+        if j not in seq:
+            a2 = self._shift(a, {m2: 1, m: -1})
+            self._pn_expand(a2, J, m, m2, k + 1, seq + (j,), sgn, out)
+        if m not in seq:
+            a2 = self._shift(a, {j: 1, m2: 1, m: -2})
+            self._pn_expand(a2, J, m, m2, k + 1, seq + (m,), -sgn, out)
+
+    @staticmethod
+    def _shift(a, delta):
+        v = list(a)
+        for i, dv in delta.items():
+            v[i] += dv
+        return tuple(v)
+
+    # -- exterior derivative of one basis element (within a subset)
+
+    def d_label(self, S, lab):
+        a, J, Tset = lab
+        if Tset:
+            raise Unsupported("exterior derivative with explicit base letters "
+                              "is not part of the hypercohomology model")
+        m = min(S)
+        out = {}
+        for j in range(len(a)):
+            if j == m or j in J or a[j] == 0:
+                continue
+            sign = (-1) ** sum(1 for jj in J if jj < j)
+            a2 = self._shift(a, {j: -1, m: 1})
+            J2 = tuple(sorted(J + (j,)))
+            out[(a2, J2, Tset)] = sign * a[j]
+        return out
+
+    # -- labels as text and as forms
+
+    def render_label(self, S, lab):
+        n = self.n
+        m = min(S)
+        a, J, Tset = lab
+        parts = []
+        for j in range(n + 1):
+            if j == m or a[j] == 0:
+                continue
+            nm = _pn_varname(n, m, j)
+            parts.append(nm if a[j] == 1 else f"{nm}^{a[j]}")
+        body = "*".join(parts) if parts else "1"
+        dparts = [f"d{_pn_varname(n, m, j)}" for j in J]
+        dparts += [f"d{self.tower.names[lv - 1]}" for lv in Tset]
+        where = "{" + ",".join(map(str, S)) + "}"
+        if dparts:
+            body += "*" + "/\\".join(dparts)
+        return f"{where} {body}"
+
+    def label_form(self, S, lab, base):
+        """One basis label as a DiffForm over the intersection's model ring."""
+        ring = self.model(S).ring
+        m = min(S)
+        a, J, Tset = lab
+        coeff = ring.one()
+        for j in range(len(a)):
+            if j != m and a[j]:
+                coeff = coeff * _ratio(self, m, j) ** a[j]
+        form = DiffForm.of_elem(coeff, base)
+        for j in J:
+            form = wedge(form, d(ring.var(_pn_varname(self.n, m, j)), base))
+        for lv in Tset:
+            one = DiffForm.of_elem(ring.one(), base)
+            tletter = DiffForm(ring, base, 1, {(("t", lv),): one.terms[()]})
+            form = wedge(form, tletter)
+        return form
+
+    def form_labels(self, S, w):
+        """Window coordinates of a form over the smallest chart of ``S``, as
+        raw values of the form's tower: the inverse of ``label_form`` on
+        forms without base letters."""
+        F = w.ring.tower
+        n = self.n
+        m = min(S)
+        order = [j for j in range(n + 1) if j != m]
+        out = {}
+        for key, elem in w.terms.items():
+            if any(letter[0] != "v" for letter in key):
+                raise Unsupported("only coordinate differentials can be "
+                                  "placed in the window")
+            J = tuple(order[letter[1]] for letter in key)
+            den = elem.den
+            if len(den.terms) != 1:
+                raise WindowOverflow(f"denominator {den!r} is not a monomial")
+            (dexp, dc), = den.terms.items()
+            idc = F.inv(dc)
+            for nexp, nc in elem.num.terms.items():
+                a = [0] * (n + 1)
+                for i, j in enumerate(order):
+                    a[j] = nexp[i] - dexp[i]
+                a[m] = -sum(a)
+                accumulate(out, (tuple(a), J, ()), F.mul(nc, idc), F)
+        return out
+
+
+class CubicCover(Cover):
+    """The cover of a smooth Weierstrass cubic y^2 = g(x) (g monic of degree 3)
+    by its charts A: z != 0 and B: y != 0, built by ``cover_plane_curve``.
+
+    Only sections of regular functions (0-forms) are modeled.  Chart A's
+    sections are spanned by x^i y^dl, labelled (i, dl, 0); chart B's by
+    xb^i zb^j, labelled (i, j); the overlap's by the partial-fraction family
+    x^i y^dl g^{-e}, labelled (i, dl, e).  The partial fractions of
+    x^i g^{-e} are memoised on the cover, so every window over it shares
+    them.
+    """
+
+    __slots__ = ("_pf_memo",)
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._pf_memo = {}
+
+    def window_labels(self, twist, D):
+        """The two charts and the overlap hold 20D + 4 labels."""
+        return 20 * D + 4
+
+    def labels(self, S, r, twist, D, tlevels):
+        if twist or r != 0:
+            raise Unsupported("the curve cover exposes only sections of "
+                              "regular functions (0-forms)")
+        if S == (1,):
+            return [(i, j) for j in (0, 1, 2) for i in range(2 * D + 1 - j)]
+        labs = [(i, dl, 0) for i in range(2 * D + 1) for dl in (0, 1)]
+        if S == (0,):
+            return labs
+        return sorted(labs + [(i, dl, e) for e in range(1, D + 1)
+                              for i in (0, 1, 2) for dl in (0, 1)])
+
+    def restrict(self, S, T, lab):
+        if S == (0,):
+            i, dl, _ = lab
+            return {(i, dl, 0): 1}
+        # xb^i zb^j = x^i y^-m with m = i + j, and y^-m = y^(m mod 2) g^-ceil(m/2)
+        i, j = lab
+        dl = (i + j) % 2
+        pf = self._pf(i, (i + j + dl) // 2)
+        return {(i2, dl, e2): c for (i2, e2), c in pf.items()}
+
+    def _pf(self, i, e):
+        """Partial fractions of x^i g^{-e}: dict (i', e') -> coefficient."""
+        key = (i, e)
+        hit = self._pf_memo.get(key)
+        if hit is not None:
+            return hit
+        if e == 0 or i <= 2:
+            res = {(i, e): 1}
+        else:
+            F = self.tower
+            g0, g1, g2 = (c.val for c in self.gcoeffs)
+            res = {}
+            # x^i g^-e = x^(i-3) g^-(e-1) - g2 x^(i-1) g^-e - g1 x^(i-2) g^-e
+            #            - g0 x^(i-3) g^-e
+            for part, c in ((self._pf(i - 3, e - 1), None),
+                            (self._pf(i - 1, e), F.neg(g2)),
+                            (self._pf(i - 2, e), F.neg(g1)),
+                            (self._pf(i - 3, e), F.neg(g0))):
+                for k2, v in part.items():
+                    accumulate(res, k2, v if c is None else F.mul(c, v), F)
+        self._pf_memo[key] = res
+        return res
+
+    def d_label(self, S, lab):
+        raise Unsupported("no form modules on the curve cover")
+
+    def render_label(self, S, lab):
+        where = "{" + ",".join("AB"[i] for i in S) + "}"
+        if S == (1,):
+            i, j = lab
+            parts = [p for p in (f"xb^{i}" if i > 1 else "xb" * i,
+                                 f"zb^{j}" if j > 1 else "zb" * j) if p]
+            return where + " " + ("*".join(parts) if parts else "1")
+        i, dl, e = lab
+        parts = [p for p in (f"x^{i}" if i > 1 else "x" * i, "y" * dl) if p]
+        body = "*".join(parts) if parts else "1"
+        if e:
+            body += f"/g^{e}" if e > 1 else "/g"
+        return where + " " + body
+
+    def label_form(self, S, lab, base):
+        """One basis label as a function over the intersection's model ring."""
+        ring = self.model(S).ring
+        if S == (1,):  # chart B: xb^i * zb^j
+            i, j = lab
+            return DiffForm.of_elem(ring.var("xb") ** i * ring.var("zb") ** j, base)
+        i, dl, e = lab
+        x, y = ring.var("x"), ring.var("y")
+        g0, g1, g2 = self.gcoeffs
+        g = x ** 3 + x * x * g2 + x * g1 + g0
+        val = x ** i * (y if dl else ring.one()) * g ** (-e)
+        return DiffForm.of_elem(val, base)
+
+    def form_labels(self, S, w):
+        raise Unsupported("window coordinates of a form are modeled on the "
+                          "projective covers only")
 
 
 def _pn_varname(n, i, j):
@@ -184,21 +462,13 @@ def cover_pn(n, tower):
     for i in range(n + 1):
         names = tuple(_pn_varname(n, i, j) for j in range(n + 1) if j != i)
         charts.append(FunctionRing(tower, names))
-    cover = Cover("pn", tower, charts, {}, n=n)
+    cover = ProjectiveCover(tower, charts, {}, n=n)
     for size in range(1, n + 2):
         for S in cover.subsets(size):
             m = min(S)
-            ring = charts[m]
-            inverted = [_ratio(cover, m, k) for k in S if k != m]
-            subs = {}
-            for i in S:
-                imgs = []
-                for j in range(n + 1):
-                    if j == i:
-                        continue
-                    imgs.append(_ratio(cover, m, j) / _ratio(cover, m, i))
-                subs[i] = imgs
-            cover.intersections[S] = _Model(ring, inverted, subs)
+            subs = {i: [_ratio(cover, m, j) / _ratio(cover, m, i)
+                        for j in range(n + 1) if j != i] for i in S}
+            cover.intersections[S] = _Model(charts[m], subs)
     verify_cover(cover)
     return cover
 
@@ -255,10 +525,10 @@ def cover_plane_curve(F, tower):
     rb = FunctionRing(tower, ("xb", "zb"), _chart_b_relation(tower, g0, g1, g2),
                       smooth_check=False)
     x, y = ra.var("x"), ra.var("y")
-    cover = Cover("curve", tower, [ra, rb], {}, gcoeffs=(g0, g1, g2))
-    cover.intersections[(0,)] = _Model(ra, [], {0: [x, y]})
-    cover.intersections[(1,)] = _Model(rb, [], {1: [rb.var("xb"), rb.var("zb")]})
-    cover.intersections[(0, 1)] = _Model(ra, [y], {0: [x, y], 1: [x / y, y.inv()]})
+    cover = CubicCover(tower, [ra, rb], {}, gcoeffs=(g0, g1, g2))
+    cover.intersections[(0,)] = _Model(ra, {0: [x, y]})
+    cover.intersections[(1,)] = _Model(rb, {1: [rb.var("xb"), rb.var("zb")]})
+    cover.intersections[(0, 1)] = _Model(ra, {0: [x, y], 1: [x / y, y.inv()]})
     # the second chart's relation must vanish under the transition map
     imgs = cover.intersections[(0, 1)].subs[1]
     pulled, _ = eval_fraction(_chart_b_relation(tower, g0, g1, g2), imgs, ra)
@@ -321,12 +591,11 @@ def extend_cover(cover, tower):
                            None if r.relation is None else r.relation.over(tower),
                            smooth_check=False) for r in cover.charts]
     gcoeffs = cover.gcoeffs and tuple(tower.embed(c) for c in cover.gcoeffs)
-    big = Cover(cover.kind, tower, charts, {}, n=cover.n, gcoeffs=gcoeffs)
+    big = type(cover)(tower, charts, {}, n=cover.n, gcoeffs=gcoeffs)
     for S, mdl in cover.intersections.items():
         ring = charts[min(S)]
         big.intersections[S] = _Model(
-            ring, [elem(e, ring) for e in mdl.inverted],
-            {i: [elem(e, ring) for e in imgs] for i, imgs in mdl.subs.items()})
+            ring, {i: [elem(e, ring) for e in imgs] for i, imgs in mdl.subs.items()})
     return big
 
 
@@ -361,7 +630,6 @@ class CechEngine:
         self.inner = inner
         self.rows = dict(sorted(rows.items()))
         self.base = base
-        self.twist = twist
         self.D = D
         tower = cover.tower
         if base.eps != "none":
@@ -377,203 +645,15 @@ class CechEngine:
                              if lv > base.level)
         if len(js) > 1 and self.tlevels:
             raise Unsupported("hypercohomology is modeled at the full base only")
-        if cover.kind == "curve":
-            if twist or any(r != 0 for r in self.rows.values()):
-                raise Unsupported("the curve cover exposes only sections of "
-                                  "regular functions (0-forms)")
         self._total = {}
         for j, r in self.rows.items():
             for q in range(cover.qmax + 1):
                 self._total.setdefault(q + j, []).extend(
                     (q, j, S, lab) for S in cover.subsets(q + 1)
-                    for lab in self._subset_labels(S, r))
+                    for lab in cover.labels(S, r, twist, D, self.tlevels))
         self._index = {}
         self._spans = {}
         self._reps = {}
-        self._pf_memo = {}
-
-    # -- coefficients
-
-    def coeff(self, v):
-        """``v`` as a raw value of the cover's tower, the engine's one coefficient
-        format.  Accepts ints, Fractions and Scalars of any prefix tower of
-        the cover's.
-        """
-        tower = self.cover.tower
-        if isinstance(v, Scalar):
-            return tower.lift(v.tower, v.val)
-        return tower.value(v)
-
-    # -- label enumeration
-    #
-    # Each basis label has an invariant multidegree: the exponent vector of
-    # its homogeneous-coordinate representation, counting every coordinate
-    # differential once.  Restrictions, chart changes, and the exterior
-    # derivative all preserve that vector, so truncating to the window
-    # min(v) >= -D keeps a genuine subcomplex which splits as a direct sum
-    # of complete multidegree pieces -- each piece computed exactly.
-
-    def _subset_labels(self, S, r):
-        if self.cover.kind == "curve":
-            return self._curve_labels(S)
-        n = self.cover.n
-        m = min(S)
-        out = []
-        for tsz in range(len(self.tlevels) + 1):
-            jsz = r - tsz
-            if jsz < 0 or jsz > n:
-                continue
-            jchoices = [tuple(c) for c in combinations(
-                [j for j in range(n + 1) if j != m], jsz)]
-            tchoices = [tuple(c) for c in combinations(self.tlevels, tsz)]
-            for J in jchoices:
-                # legality off S asks for a nonnegative monomial exponent,
-                # which in multidegree terms is v_j >= 1 when dy_j is present
-                lows = [-self.D if i in S else (1 if i in J else 0)
-                        for i in range(n + 1)]
-                vecs = []
-                self._enum(lows, self.twist, 0, [], vecs)
-                for v in vecs:
-                    a = list(v)
-                    for j in J:
-                        a[j] -= 1
-                    a[m] += jsz
-                    a = tuple(a)
-                    for T in tchoices:
-                        out.append((a, J, T))
-        out.sort()
-        return out
-
-    def _enum(self, lows, total, i, acc, out):
-        n1 = len(lows)
-        if i == n1 - 1:
-            last = total - sum(acc)
-            if last >= lows[i]:
-                out.append(tuple(acc + [last]))
-            return
-        rest = sum(lows[i + 1:])
-        for v in range(lows[i], total - sum(acc) - rest + 1):
-            self._enum(lows, total, i + 1, acc + [v], out)
-
-    def _curve_labels(self, S):
-        D = self.D
-        if S == (0,):
-            return [(i, dl, 0) for i in range(2 * D + 1) for dl in (0, 1)]
-        if S == (1,):
-            return [(i, j) for j in (0, 1, 2) for i in range(2 * D + 1 - j)]
-        labs = [(i, dl, 0) for i in range(2 * D + 1) for dl in (0, 1)]
-        labs += [(i, dl, e) for e in range(1, D + 1)
-                 for i in (0, 1, 2) for dl in (0, 1)]
-        labs.sort()
-        return labs
-
-    # -- restriction of one basis element along S -> T (one new chart)
-
-    def _restrict(self, S, T, lab):
-        if self.cover.kind == "curve":
-            return self._curve_restrict(S, lab)
-        m, m2 = min(S), min(T)
-        if m2 == m:
-            return {lab: self.coeff(1)}
-        a, J, Tset = lab
-        out = {}
-        self._pn_expand(a, J, m, m2, 0, tuple(), 1, out)
-        return {(av, jv, Tset): self.coeff(c) for (av, jv), c in out.items()}
-
-    def _pn_expand(self, a, J, m, m2, k, seq, sgn, out):
-        # rewrite dy_J (chart-m coordinates) in chart-m2 coordinates,
-        # accumulating Laurent-monomial coefficient shifts into a
-        if k == len(J):
-            inv = 0
-            for i in range(len(seq)):
-                for i2 in range(i + 1, len(seq)):
-                    if seq[i] > seq[i2]:
-                        inv += 1
-            key = (a, tuple(sorted(seq)))
-            out[key] = out.get(key, 0) + sgn * (-1) ** inv
-            return
-        j = J[k]
-        n = len(a) - 1
-        if j == m2:
-            # y_{m2} = 1/w_m, so dy_{m2} = -(X_{m2}/X_m)^2 dw_m
-            if m not in seq:
-                a2 = self._shift(a, {m2: 2, m: -2})
-                self._pn_expand(a2, J, m, m2, k + 1, seq + (m,), -sgn, out)
-            return
-        # y_j = w_j / w_m: dy_j = (X_{m2}/X_m) dw_j - (X_j X_{m2} / X_m^2) dw_m
-        if j not in seq:
-            a2 = self._shift(a, {m2: 1, m: -1})
-            self._pn_expand(a2, J, m, m2, k + 1, seq + (j,), sgn, out)
-        if m not in seq:
-            a2 = self._shift(a, {j: 1, m2: 1, m: -2})
-            self._pn_expand(a2, J, m, m2, k + 1, seq + (m,), -sgn, out)
-
-    @staticmethod
-    def _shift(a, delta):
-        v = list(a)
-        for i, dv in delta.items():
-            v[i] += dv
-        return tuple(v)
-
-    def _curve_restrict(self, S, lab):
-        one = self.coeff(1)
-        if S == (0,):
-            i, dl, _ = lab
-            return {(i, dl, 0): one}
-        i, j = lab
-        mm = i + j
-        if mm == 0:
-            return {(0, 0, 0): one}
-        if mm % 2 == 0:
-            pf = self._pf(i, mm // 2)
-            dl = 0
-        else:
-            pf = self._pf(i, (mm + 1) // 2)
-            dl = 1
-        return {(i2, dl, e2): c for (i2, e2), c in pf.items()}
-
-    def _pf(self, i, e):
-        """Partial fractions of x^i g^{-e}: dict (i', e') -> coefficient."""
-        key = (i, e)
-        hit = self._pf_memo.get(key)
-        if hit is not None:
-            return hit
-        if e == 0 or i <= 2:
-            res = {(i, e): self.coeff(1)}
-        else:
-            F = self.cover.tower
-            g0, g1, g2 = map(self.coeff, self.cover.gcoeffs)
-            res = {}
-            # x^i g^-e = x^(i-3) g^-(e-1) - g2 x^(i-1) g^-e - g1 x^(i-2) g^-e
-            #            - g0 x^(i-3) g^-e
-            for part, c in ((self._pf(i - 3, e - 1), None),
-                            (self._pf(i - 1, e), F.neg(g2)),
-                            (self._pf(i - 2, e), F.neg(g1)),
-                            (self._pf(i - 3, e), F.neg(g0))):
-                for k2, v in part.items():
-                    accumulate(res, k2, v if c is None else F.mul(c, v), F)
-        self._pf_memo[key] = res
-        return res
-
-    # -- exterior derivative of one basis element (within a subset)
-
-    def _d_label(self, S, lab):
-        if self.cover.kind == "curve":
-            raise Unsupported("no form modules on the curve cover")
-        a, J, Tset = lab
-        if Tset:
-            raise Unsupported("exterior derivative with explicit base letters "
-                              "is not part of the hypercohomology model")
-        m = min(S)
-        out = {}
-        for j in range(len(a)):
-            if j == m or j in J or a[j] == 0:
-                continue
-            sign = (-1) ** sum(1 for jj in J if jj < j)
-            a2 = self._shift(a, {j: -1, m: 1})
-            J2 = tuple(sorted(J + (j,)))
-            out[(a2, J2, Tset)] = self.coeff(sign * a[j])
-        return out
 
     # -- total-degree bases and differential columns
 
@@ -598,7 +678,7 @@ class CechEngine:
                 continue
             T = tuple(sorted(S + (knew,)))
             sgn = (-1) ** T.index(knew)
-            for lab2, c in self._restrict(S, T, lab).items():
+            for lab2, c in self.cover.restrict(S, T, lab).items():
                 idx = index.get((q + 1, j, T, lab2))
                 if idx is None:
                     raise WindowOverflow(
@@ -606,7 +686,7 @@ class CechEngine:
                 accumulate(col, idx, c if sgn > 0 else F.neg(c), F)
         if j + 1 in self.rows:
             dsgn = (-1) ** q
-            for lab2, c in self._d_label(S, lab).items():
+            for lab2, c in self.cover.d_label(S, lab).items():
                 idx = index.get((q, j + 1, S, lab2))
                 if idx is None:
                     raise WindowOverflow(
@@ -705,50 +785,13 @@ class CechEngine:
             hit = self._reps[k] = (span, reps)
         return hit
 
-    # -- rendering
-
-    def render_label(self, S, lab):
-        if self.cover.kind == "curve":
-            return self._render_curve(S, lab)
-        n = self.cover.n
-        m = min(S)
-        a, J, Tset = lab
-        parts = []
-        for j in range(n + 1):
-            if j == m or a[j] == 0:
-                continue
-            nm = _pn_varname(n, m, j)
-            parts.append(nm if a[j] == 1 else f"{nm}^{a[j]}")
-        body = "*".join(parts) if parts else "1"
-        dparts = [f"d{_pn_varname(n, m, j)}" for j in J]
-        dparts += [f"d{self.cover.tower.names[lv - 1]}" for lv in Tset]
-        where = "{" + ",".join(map(str, S)) + "}"
-        if dparts:
-            joined = "/\\".join(dparts)
-            return f"{where} {body}*{joined}"
-        return f"{where} {body}"
-
-    def _render_curve(self, S, lab):
-        where = "{" + ",".join("AB"[i] for i in S) + "}"
-        if S == (1,):
-            i, j = lab
-            parts = [p for p in (f"xb^{i}" if i > 1 else "xb" * i,
-                                 f"zb^{j}" if j > 1 else "zb" * j) if p]
-            return where + " " + ("*".join(parts) if parts else "1")
-        i, dl, e = lab
-        parts = [p for p in (f"x^{i}" if i > 1 else "x" * i, "y" * dl) if p]
-        body = "*".join(parts) if parts else "1"
-        if e:
-            body += f"/g^{e}" if e > 1 else "/g"
-        return where + " " + body
-
     def render_vector(self, k, vec):
         basis = self.total_basis(k)
         render = self.cover.tower.render
         bits = []
         for idx in sorted(vec):
             q, j, S, lab = basis[idx]
-            bits.append(f"({render(vec[idx])})*{self.render_label(S, lab)}")
+            bits.append(f"({render(vec[idx])})*{self.cover.render_label(S, lab)}")
         return " + ".join(bits) if bits else "0"
 
 
@@ -863,36 +906,6 @@ def verify_splitting(p, cover, policy):
 # symbolic cross-checks: engine vectors as honest differential forms
 
 
-def label_form(engine, S, lab, base):
-    """One basis label as a DiffForm over the intersection's model ring."""
-    cover = engine.cover
-    ring = cover.model(S).ring
-    if cover.kind == "curve":
-        if S == (1,):  # chart B: xb^i * zb^j
-            i, j = lab
-            return DiffForm.of_elem(ring.var("xb") ** i * ring.var("zb") ** j, base)
-        i, dl, e = lab
-        x, y = ring.var("x"), ring.var("y")
-        g0, g1, g2 = cover.gcoeffs
-        g = x ** 3 + x * x * g2 + x * g1 + g0
-        val = x ** i * (y if dl else ring.one()) * g ** (-e)
-        return DiffForm.of_elem(val, base)
-    m = min(S)
-    a, J, Tset = lab
-    coeff = ring.one()
-    for j in range(len(a)):
-        if j != m and a[j]:
-            coeff = coeff * _ratio(cover, m, j) ** a[j]
-    form = DiffForm.of_elem(coeff, base)
-    for j in J:
-        form = wedge(form, d(ring.var(_pn_varname(cover.n, m, j)), base))
-    for lv in Tset:
-        one = DiffForm.of_elem(ring.one(), base)
-        tletter = DiffForm(ring, base, 1, {(("t", lv),): one.terms[()]})
-        form = wedge(form, tletter)
-    return form
-
-
 def cochain_forms(engine, k, vec, base):
     """An engine vector at total degree k as per-subset differential forms."""
     basis = engine.total_basis(k)
@@ -900,7 +913,7 @@ def cochain_forms(engine, k, vec, base):
     out = {}
     for idx, c in vec.items():
         q, j, S, lab = basis[idx]
-        f = label_form(engine, S, lab, base) * Scalar(tower, c)
+        f = engine.cover.label_form(S, lab, base) * Scalar(tower, c)
         cur = out.get(S)
         out[S] = f if cur is None else cur + f
     return out

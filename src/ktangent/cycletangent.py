@@ -66,17 +66,18 @@ def _verdict(cols, F):
     return kernel_dim, ("injective" if kernel_dim == 0 else "not injective")
 
 
-def _induced_map(name, src, tgt, p, letters, keep=lambda lab: True):
+def _induced_map(name, src, tgt, p, letters):
     """The map on degree-p classes induced by carrying labels across windows.
 
     Each source representative is carried label by label into the target
-    window, its coefficients lifted to the target's tower; ``keep(lab)``
-    false drops the label.  Its column holds its coordinates in the target's
-    representative basis, solved for against the target's coboundaries plus
-    representatives.  The matrix entries leave as Scalars.
+    window, its coefficients lifted to the target's tower; a label carrying
+    a base letter is dropped, since forms over the tower kill it.  Its
+    column holds its coordinates in the target's representative basis,
+    solved for against the target's coboundaries plus representatives.  The
+    matrix entries leave as Scalars.
     """
-    engine = tgt.engine
-    tower, src_tower = engine.cover.tower, src.engine.cover.tower
+    engine, src_cover = tgt.engine, src.engine.cover
+    tower, src_tower = engine.cover.tower, src_cover.tower
     zero = tower.value(0)
     span, reps = engine.express_span(p)
     basis = src.engine.total_basis(p)
@@ -86,7 +87,7 @@ def _induced_map(name, src, tgt, p, letters, keep=lambda lab: True):
         img = {}
         for idx, c in vec.items():
             label = basis[idx]
-            if not keep(label[3]):
+            if src_cover.has_base_letters(label[3]):
                 continue
             tidx = index.get(label)
             if tidx is None:
@@ -114,12 +115,7 @@ def delta_r(cover, p, policy):
                            require_stable=True)
     letters = base_change_kernel_letters(cover.charts[0], base_q(),
                                          base_top(cover.tower))
-
-    def keep(lab):
-        # a base-parameter letter is killed by the change of base
-        return not (cover.kind == "pn" and lab[2])
-
-    return _induced_map("delta_r", src, tgt, p, letters, keep)
+    return _induced_map("delta_r", src, tgt, p, letters)
 
 
 def complex_model(tower, count=2):
@@ -176,37 +172,6 @@ def composed_infinitesimal(cover, p, policy, cmodel=None):
 # symbols as cochains: the factorization of the symbol-to-class map
 
 
-def _form_to_labels(engine, S, w):
-    """Window coordinates of a form over the smallest chart of ``S``, as raw
-    values of the form's tower."""
-    cover = engine.cover
-    F = w.ring.tower
-    n = cover.n
-    m = min(S)
-    order = [j for j in range(n + 1) if j != m]
-    out = {}
-    for key, elem in w.terms.items():
-        J = []
-        for letter in key:
-            if letter[0] != "v":
-                raise Unsupported("only coordinate differentials can be "
-                                  "placed in the window")
-            J.append(order[letter[1]])
-        J = tuple(J)
-        den = elem.den
-        if len(den.terms) != 1:
-            raise WindowOverflow(f"denominator {den!r} is not a monomial")
-        (dexp, dc), = den.terms.items()
-        idc = F.inv(dc)
-        for nexp, nc in elem.num.terms.items():
-            a = [0] * (n + 1)
-            for i, j in enumerate(order):
-                a[j] = nexp[i] - dexp[i]
-            a[m] = -sum(a)
-            accumulate(out, (tuple(a), J, ()), F.mul(nc, idc), F)
-    return out
-
-
 def symbol_cochain(engine, s):
     """The window vector of an eps-symbol: beta placed in the top corner.
 
@@ -227,7 +192,7 @@ def symbol_cochain(engine, s):
     index = engine.index(2 * p)
     lift, src = cover.tower.lift, w.ring.tower
     vec = {}
-    for lab, c in _form_to_labels(engine, full, w).items():
+    for lab, c in cover.form_labels(full, w).items():
         idx = index.get((p, p, full, lab))
         if idx is None:
             raise WindowOverflow(f"symbol image {lab} escapes the window")

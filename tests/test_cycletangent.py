@@ -232,3 +232,14 @@ def test_unmodeled_symbol_degree_rejected():
     ring = overlap_ring(1)
     with pytest.raises(Unsupported):
         lambda_factorization_check([EpsSymbol(ring, 3, [])], 3)
+
+
+def test_symbols_on_the_cubic_are_refused_by_name():
+    # the cubic's window holds partial fractions, not Laurent monomials, so
+    # placing a form there is refused rather than read as a projective label
+    cov = curve()
+    ring = cov.model((0, 1)).ring
+    x = ring.var("x")
+    with pytest.raises(Unsupported, match="projective covers only"):
+        lambda_factorization_check([EpsSymbol(ring, 1, [(x + ring.const(2), (), 1)])],
+                                   1, cover=cov)

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from ktangent.cech import CubicCover, ProjectiveCover
 from ktangent.errors import (InstanceSyntaxError, UnknownIdentifier,
                              Unsupported, Mismatch, DivisionByZero)
 from ktangent.scalars import make_tower, Algebraic, Transcendental
@@ -335,7 +336,7 @@ p = 1
 def test_instance_text_loads():
     cfg = load_instance(ELLIPTIC_TEXT)
     assert isinstance(cfg, SuiteConfig)
-    assert cfg.cover.kind == "curve"
+    assert isinstance(cfg.cover, CubicCover)
     assert cfg.policy.D == 2 and cfg.policy.delta == 2
     assert cfg.p == 1
 
@@ -346,7 +347,7 @@ def test_instance_json_mirror():
            "policy": {"D": 3, "delta": 1},
            "checks": {"p": 2, "sheaf": "omega1"}}
     cfg = load_instance(json.dumps(obj))
-    assert cfg.cover.kind == "pn" and cfg.cover.n == 2
+    assert isinstance(cfg.cover, ProjectiveCover) and cfg.cover.n == 2
     assert cfg.tower.names == ("r2",)
     assert cfg.policy.D == 3 and cfg.policy.delta == 1
     assert cfg.sheaf == "omega1"

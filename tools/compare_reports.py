@@ -17,8 +17,9 @@ The runs are:
 * every cover command on the built-in instances, at p = 1, 2 for the
   commands that read a weight, and ``cech`` at two sheaves;
 * a few cover commands at wider windows (``WIDE``), whose eliminations
-  meet pivots other than +-1, and a few whose delta exceeds D, so that most
-  labels of the larger window are new to it;
+  meet pivots other than +-1, a few whose delta exceeds D, so that most
+  labels of the larger window are new to it, and a few twisted sheaves O(d),
+  one of them unstable (exit 1);
 * the commands of the benchmark's ``commands`` workload at seeds 1-3;
 * the four seeded ``verify`` suites and ``relations`` at their default seed.
 
@@ -42,7 +43,11 @@ WIDE = ("cech --instance p2 --sheaf omega1 --D 8",
         "composed --instance elliptic --D 6",
         "cech --instance elliptic --D 2 --delta 7",
         "cech --instance p2 --sheaf omega2 --D 1 --delta 5",
-        "hypercoh --instance p2 --p 2 --D 2 --delta 4")
+        "hypercoh --instance p2 --p 2 --D 2 --delta 4",
+        "cech --instance p1 --sheaf O(-3)",
+        "cech --instance p2 --sheaf O(2)",
+        "cech --instance p2 --sheaf O(-4) --D 2",
+        "cech --instance p1 --sheaf O(-4) --D 1 --delta 6")
 SUITES = ("verify lemma2.6", "verify beta-agreement", "verify diagram2.7",
           "verify alpha-delta", "relations")
 
