@@ -116,17 +116,17 @@ class Cover:
     the exterior derivative as sparse vectors of raw tower values
     (``restrict``, ``d_label``), the label's text and form (``render_label``,
     ``label_form`` and its inverse ``form_labels``), and the window's size
-    in closed form (``window_labels``).
+    in closed form (``window_labels``).  A subclass keeps the data its model
+    needs (``n`` on P^n, the cubic's ``gcoeffs``), and ``_like`` starts the
+    same kind of cover over a larger tower, for ``extend_cover`` to fill.
     """
 
-    __slots__ = ("tower", "charts", "intersections", "n", "gcoeffs")
+    __slots__ = ("tower", "charts", "intersections")
 
-    def __init__(self, tower, charts, intersections, n=None, gcoeffs=None):
+    def __init__(self, tower, charts, intersections):
         self.tower = tower
         self.charts = charts
         self.intersections = intersections
-        self.n = n
-        self.gcoeffs = gcoeffs
 
     def subsets(self, size):
         return [tuple(c) for c in combinations(range(len(self.charts)), size)]
@@ -165,7 +165,14 @@ class ProjectiveCover(Cover):
     complete multidegree pieces -- each piece computed exactly.
     """
 
-    __slots__ = ()
+    __slots__ = ("n",)
+
+    def __init__(self, tower, charts, intersections, n):
+        super().__init__(tower, charts, intersections)
+        self.n = n
+
+    def _like(self, tower, charts):
+        return ProjectiveCover(tower, charts, {}, self.n)
 
     def window_labels(self, twist, D):
         """A chart subset S of size s holds the exponent vectors summing to
@@ -323,12 +330,12 @@ class ProjectiveCover(Cover):
                 raise Unsupported("only coordinate differentials can be "
                                   "placed in the window")
             J = tuple(order[letter[1]] for letter in key)
-            den = elem.den
-            if len(den.terms) != 1:
-                raise WindowOverflow(f"denominator {den!r} is not a monomial")
-            (dexp, dc), = den.terms.items()
+            mono = elem.den.monomial()
+            if mono is None:
+                raise WindowOverflow(f"denominator {elem.den!r} is not a monomial")
+            dexp, dc = mono
             idc = F.inv(dc)
-            for nexp, nc in elem.num.terms.items():
+            for nexp, nc in elem.num.items():
                 a = [0] * (n + 1)
                 for i, j in enumerate(order):
                     a[j] = nexp[i] - dexp[i]
@@ -349,11 +356,15 @@ class CubicCover(Cover):
     them.
     """
 
-    __slots__ = ("_pf_memo",)
+    __slots__ = ("gcoeffs", "_pf_memo")
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+    def __init__(self, tower, charts, intersections, gcoeffs):
+        super().__init__(tower, charts, intersections)
+        self.gcoeffs = gcoeffs
         self._pf_memo = {}
+
+    def _like(self, tower, charts):
+        return CubicCover(tower, charts, {}, tuple(tower.embed(c) for c in self.gcoeffs))
 
     def window_labels(self, twist, D):
         """The two charts and the overlap hold 20D + 4 labels."""
@@ -462,7 +473,7 @@ def cover_pn(n, tower):
     for i in range(n + 1):
         names = tuple(_pn_varname(n, i, j) for j in range(n + 1) if j != i)
         charts.append(FunctionRing(tower, names))
-    cover = ProjectiveCover(tower, charts, {}, n=n)
+    cover = ProjectiveCover(tower, charts, {}, n)
     for size in range(1, n + 2):
         for S in cover.subsets(size):
             m = min(S)
@@ -489,7 +500,7 @@ def cover_plane_curve(F, tower):
     if F.tower != tower or F.nvars != 3:
         raise Unsupported("curve equation must be a 3-variable polynomial over the tower")
     c1 = None
-    terms = F.scalar_terms()
+    terms = [(mono, Scalar(tower, c)) for mono, c in F.items()]
     for mono, c in terms:
         if mono[1] not in (0, 2) or sum(mono) != 3:
             raise Unsupported("curve equation must be a homogeneous cubic "
@@ -525,7 +536,7 @@ def cover_plane_curve(F, tower):
     rb = FunctionRing(tower, ("xb", "zb"), _chart_b_relation(tower, g0, g1, g2),
                       smooth_check=False)
     x, y = ra.var("x"), ra.var("y")
-    cover = CubicCover(tower, [ra, rb], {}, gcoeffs=(g0, g1, g2))
+    cover = CubicCover(tower, [ra, rb], {}, (g0, g1, g2))
     cover.intersections[(0,)] = _Model(ra, {0: [x, y]})
     cover.intersections[(1,)] = _Model(rb, {1: [rb.var("xb"), rb.var("zb")]})
     cover.intersections[(0, 1)] = _Model(ra, {0: [x, y], 1: [x / y, y.inv()]})
@@ -590,8 +601,7 @@ def extend_cover(cover, tower):
     charts = [FunctionRing(tower, r.varnames,
                            None if r.relation is None else r.relation.over(tower),
                            smooth_check=False) for r in cover.charts]
-    gcoeffs = cover.gcoeffs and tuple(tower.embed(c) for c in cover.gcoeffs)
-    big = type(cover)(tower, charts, {}, n=cover.n, gcoeffs=gcoeffs)
+    big = cover._like(tower, charts)
     for S, mdl in cover.intersections.items():
         ring = charts[min(S)]
         big.intersections[S] = _Model(
@@ -629,7 +639,6 @@ class CechEngine:
         self.cover = cover
         self.inner = inner
         self.rows = dict(sorted(rows.items()))
-        self.base = base
         self.D = D
         tower = cover.tower
         if base.eps != "none":

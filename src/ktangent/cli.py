@@ -105,9 +105,11 @@ def _guard(name, fn):
 
 
 def _suite(fn):
-    """The body of a seeded suite: ``fn`` gets exactly the settings declared."""
+    """The body of a seeded suite: ``fn`` gets exactly the settings declared,
+    once its weight is known to leave something to check."""
     def body(args):
         settings = _settings(args)
+        suites.check_weight(fn, settings.get("p"))
         return None, _guard(args.run.rpartition(" ")[2], lambda: fn(**settings))
     return body
 

@@ -77,6 +77,10 @@ class NotNumberField(KTangentError):
     """The construction requires a number field but the tower has a transcendental step."""
 
 
+class VacuousCheck(KTangentError):
+    """A suite's weight leaves every form it compares identically zero."""
+
+
 class Unsupported(KTangentError):
     """The instance falls outside the modeled family (shape, sheaf, or cover)."""
 

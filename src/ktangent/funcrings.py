@@ -4,7 +4,9 @@ A FunctionRing models the fraction field of K[x_1..x_n] or of
 K[x_1..x_n]/(F) with F monic in one (eliminated) variable.  Elements are
 canonical fractions num/den: num reduced modulo the relation, den free of
 the eliminated variable (denominators are rationalized), the pair in
-lowest terms with num's graded-lex leading coefficient equal to 1.
+lowest terms with num's graded-lex leading coefficient equal to 1
+(``mpoly.lowest_terms``).  Elements compare and hash through their two
+``MPoly``s and never read a term dict.
 
 DualElem adjoins a square-zero infinitesimal: body + eps * slope.
 """
@@ -25,7 +27,7 @@ from .errors import (
     TowerMismatch,
 )
 from .linalg import RowSpan
-from .mpoly import MPoly, _cancel, _lc, _scale, div_exact, mp_gcd, reduce_mod
+from .mpoly import MPoly, div_exact, lowest_terms, monic, mp_gcd, reduce_mod
 from .scalars import Scalar, power
 
 _PROBE = [Fraction(v) for v in (0, 1, -1, 2, -2, 3)] + [Fraction(1, 2), Fraction(-1, 2)]
@@ -164,21 +166,11 @@ class RingElem:
                 den = inv_q
         if den.is_zero():
             raise DivisionByZero("zero denominator")
-        if num.is_zero():
-            self.ring = ring
-            self.num = num
-            self.den = MPoly.const(ring.tower, len(ring.varnames), 1)
-            return
-        if not (den.is_constant() or num.is_constant()):
-            num, den = _cancel(num, den)
-        tower = ring.tower
-        lc = _lc(num)
-        if lc != 1:
-            c = tower.inv(lc)
-            num, den = _scale(num, c), _scale(den, c)
         self.ring = ring
-        self.num = num
-        self.den = den
+        if num.is_zero():
+            self.num, self.den = num, MPoly.const(ring.tower, len(ring.varnames), 1)
+        else:
+            self.num, self.den = lowest_terms(num, den)
 
     def _coerce(self, other):
         if isinstance(other, RingElem):
@@ -268,8 +260,7 @@ class RingElem:
             return RingElem(ring, self.den, self.num)
         # (den, num) is already reduced, coprime and free of the eliminated
         # variable in its denominator; only the leading coefficient moves
-        c = ring.tower.inv(_lc(self.den))
-        return RingElem._canonical(ring, _scale(self.den, c), _scale(self.num, c))
+        return RingElem._canonical(ring, *monic(self.den, self.num))
 
     def __pow__(self, n):
         if not isinstance(n, int):
@@ -296,11 +287,10 @@ class RingElem:
             other = self.ring.const(other)
         if not isinstance(other, RingElem):
             return NotImplemented
-        return (self.ring == other.ring and self.num.terms == other.num.terms
-                and self.den.terms == other.den.terms)
+        return self.ring == other.ring and self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash((frozenset(self.num.terms.items()), frozenset(self.den.terms.items())))
+        return hash((self.num, self.den))
 
     def __str__(self):
         ns = self.num.render(self.ring.varnames)
@@ -462,9 +452,9 @@ def eval_fraction(f, vals, target):
                 pb.append(pb[-1] * val.den)
         apow.append(pa)
         bpow.append(pb)
-    N = MPoly(tower, n, {})
-    for e, c in f.terms.items():
-        t = MPoly(tower, n, {(0,) * n: c})
+    N = MPoly.const(tower, n, 0)
+    for e, c in f.items():
+        t = MPoly.const(tower, n, Scalar(tower, c))
         for i, ei in enumerate(e):
             if ei:
                 t = t * apow[i][ei]

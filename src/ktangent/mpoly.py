@@ -16,8 +16,12 @@ into the polynomial; a top algebraic level divides both sides by their
 leading coefficients, which may free a level, and else runs the remainder
 sequence.
 
-Coefficients become Scalars only at the boundary: ``const`` and arithmetic
-with a Scalar take one in, and ``scalar_terms`` hands them out.
+The term dict is private to this module, which alone orders terms (by
+graded lex, ``_glex``).  Other modules read terms through ``items`` and
+``monomial``, as (exponent tuple, raw value) pairs, and put a fraction in
+canonical form with ``lowest_terms`` and ``monic``.  Coefficients become
+Scalars only at the boundary: ``const`` and arithmetic with a Scalar take
+one in.
 """
 
 from __future__ import annotations
@@ -32,12 +36,12 @@ from .scalars import QQ, Scalar, Tower, _ONE_T, _pgcd, _pmul, _qval, power, rend
 class MPoly:
     """A polynomial in nvars variables over a tower field."""
 
-    __slots__ = ("tower", "nvars", "terms")
+    __slots__ = ("tower", "nvars", "_terms")
 
     def __init__(self, tower, nvars, terms):
         self.tower = tower
         self.nvars = nvars
-        self.terms = terms  # dict[tuple[int, ...] -> raw value], no zero values
+        self._terms = terms  # dict[tuple[int, ...] -> raw value], no zero values
 
     # -- constructors
 
@@ -59,7 +63,7 @@ class MPoly:
         """This polynomial with its coefficients embedded into tower, which
         extends its own."""
         lift, src = tower.lift, self.tower
-        return MPoly(tower, self.nvars, {e: lift(src, c) for e, c in self.terms.items()})
+        return MPoly(tower, self.nvars, {e: lift(src, c) for e, c in self._terms.items()})
 
     def _mk(self, terms):
         return MPoly(self.tower, self.nvars, {e: c for e, c in terms.items() if c})
@@ -80,8 +84,8 @@ class MPoly:
         if o is None:
             return NotImplemented
         add = self.tower.add
-        out = dict(self.terms)
-        for e, c in o.terms.items():
+        out = dict(self._terms)
+        for e, c in o._terms.items():
             s = out.get(e)
             out[e] = c if s is None else add(s, c)
         return self._mk(out)
@@ -90,7 +94,7 @@ class MPoly:
 
     def __neg__(self):
         neg = self.tower.neg
-        return MPoly(self.tower, self.nvars, {e: neg(c) for e, c in self.terms.items()})
+        return MPoly(self.tower, self.nvars, {e: neg(c) for e, c in self._terms.items()})
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -111,8 +115,8 @@ class MPoly:
             return o
         add, mul = self.tower.add, self.tower.mul
         out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in o.terms.items():
+        for e1, c1 in self._terms.items():
+            for e2, c2 in o._terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
                 p = mul(c1, c2)
                 s = out.get(e)
@@ -130,45 +134,49 @@ class MPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.terms == o.terms
+        return self._terms == o._terms
 
     def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
+        return hash((self.nvars, frozenset(self._terms.items())))
 
     def is_zero(self):
-        return not self.terms
+        return not self._terms
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._terms)
 
     # -- structure
 
     def degree_in(self, v):
-        return max((e[v] for e in self.terms), default=-1)
+        return max((e[v] for e in self._terms), default=-1)
 
-    def scalar_terms(self):
-        """The (exponent, Scalar coefficient) pairs."""
-        tw = self.tower
-        return [(e, Scalar(tw, c)) for e, c in self.terms.items()]
+    def items(self):
+        """The (exponent tuple, raw value) pairs of the nonzero terms."""
+        return self._terms.items()
+
+    def monomial(self):
+        """(exponent tuple, raw value) of a one-term polynomial, else None."""
+        if len(self._terms) != 1:
+            return None
+        (term,) = self._terms.items()
+        return term
 
     def _is_one(self):
-        if len(self.terms) != 1:
-            return False
-        (e, c), = self.terms.items()
-        return not any(e) and c == 1
+        term = self.monomial()
+        return term is not None and not any(term[0]) and term[1] == 1
 
     def is_constant(self):
-        return all(sum(e) == 0 for e in self.terms)
+        return all(sum(e) == 0 for e in self._terms)
 
     def deriv(self, v):
         tw = self.tower
         return self._mk({e[:v] + (e[v] - 1,) + e[v + 1:]: tw.mul(c, e[v])
-                         for e, c in self.terms.items() if e[v]})
+                         for e, c in self._terms.items() if e[v]})
 
     def coeff_deriv(self, level):
         """Apply the tower derivation d/d(gen at level) to every coefficient."""
         d = self.tower.d
-        return self._mk({e: d(c, level) for e, c in self.terms.items()})
+        return self._mk({e: d(c, level) for e, c in self._terms.items()})
 
     def vanishes_at(self, point):
         """Whether the polynomial is zero at a point of rationals."""
@@ -176,7 +184,7 @@ class MPoly:
         add, mul = tw.add, tw.mul
         xs = [tw.value(x) for x in point]
         acc = 0
-        for e, c in self.terms.items():
+        for e, c in self._terms.items():
             for x, k in zip(xs, e):
                 for _ in range(k):
                     c = mul(c, x)
@@ -186,29 +194,27 @@ class MPoly:
     def split_by(self, v):
         """Return dict[deg -> MPoly] of v-coefficients (v zeroed out in keys)."""
         out = {}
-        for e, c in self.terms.items():
+        for e, c in self._terms.items():
             out.setdefault(e[v], {})[e[:v] + (0,) + e[v + 1:]] = c
         return {k: MPoly(self.tower, self.nvars, d) for k, d in out.items()}
 
     def coeff_of(self, v, k):
         return MPoly(self.tower, self.nvars, {e[:v] + (0,) + e[v + 1:]: c
-                                              for e, c in self.terms.items() if e[v] == k})
+                                              for e, c in self._terms.items() if e[v] == k})
 
     def shift(self, v, k):
         return MPoly(self.tower, self.nvars, {e[:v] + (e[v] + k,) + e[v + 1:]: c
-                                              for e, c in self.terms.items()})
+                                              for e, c in self._terms.items()})
 
     def vars_used(self):
-        return {i for e in self.terms for i, k in enumerate(e) if k}
+        return {i for e in self._terms for i, k in enumerate(e) if k}
 
     def render(self, names):
         render = self.tower.render
-        terms = []
-        for e in sorted(self.terms, key=lambda t: (-sum(t), tuple(-x for x in t))):
-            mono = "*".join(
-                names[i] if k == 1 else f"{names[i]}^{k}" for i, k in enumerate(e) if k)
-            terms.append((render(self.terms[e]), mono))
-        return render_terms(terms)
+        return render_terms([
+            (render(self._terms[e]),
+             "*".join(names[i] if k == 1 else f"{names[i]}^{k}" for i, k in enumerate(e) if k))
+            for e in sorted(self._terms, key=_glex, reverse=True)])
 
     def __repr__(self):
         return self.render([f"x{i}" for i in range(self.nvars)])
@@ -256,7 +262,7 @@ def div_exact(f, g):
         low = Tower(tw.steps[:-k], tw.names[:-k])
         q = div_exact(_descend(f, low, k), _descend(g, low, k)).over(tw)
     else:
-        q = MPoly(tw, f.nvars, _divide(f.terms, g.terms, tw))
+        q = MPoly(tw, f.nvars, _divide(f._terms, g._terms, tw))
     return _scale(q, c)
 
 
@@ -272,13 +278,13 @@ def _content(f, v):
 
 def _lc(f):
     """The graded-lex leading coefficient of a nonzero f, as a raw value."""
-    return f.terms[max(f.terms, key=_glex)]
+    return f._terms[max(f._terms, key=_glex)]
 
 
 def _scale(f, c):
     """f times the nonzero raw value c."""
     mul = f.tower.mul
-    return MPoly(f.tower, f.nvars, {e: mul(cf, c) for e, cf in f.terms.items()})
+    return MPoly(f.tower, f.nvars, {e: mul(cf, c) for e, cf in f._terms.items()})
 
 
 def _normalize_lead(f):
@@ -299,8 +305,6 @@ def mp_gcd(f, g):
         return _normalize_lead(g)
     if g.is_zero():
         return _normalize_lead(f)
-    if f.is_constant() or g.is_constant():
-        return MPoly.const(f.tower, f.nvars, 1)
     if f.tower.steps:
         f, g = _normalize_lead(f), _normalize_lead(g)
     G = _gcd(f, g)[0]
@@ -308,11 +312,27 @@ def mp_gcd(f, g):
 
 
 def _cancel(f, g):
-    """(u f / G, u g / G) for G = mp_gcd(f, g), nonconstant f and g, and a
-    unit u of the tower: the cofactors of the gcd walk `_gcd`, or two exact
+    """(u f / G, u g / G) for G = mp_gcd(f, g), nonzero f and g, and a unit u
+    of the tower: the cofactors of the gcd walk `_gcd`, or two exact
     divisions by the gcd when the remainder sequence found it."""
     G, qf, qg = _gcd(f, g)
     return (div_exact(f, G), div_exact(g, G)) if qf is None else (qf, qg)
+
+
+def monic(num, den):
+    """The pair (num, den) times one unit of the tower, chosen so that num,
+    which is nonzero, has graded-lex leading coefficient 1."""
+    c = _lc(num)
+    if c == 1:
+        return num, den
+    c = num.tower.inv(c)
+    return _scale(num, c), _scale(den, c)
+
+
+def lowest_terms(num, den):
+    """The fraction num/den, both nonzero, with the gcd cancelled and made
+    `monic`: the canonical pair of a function-ring element."""
+    return monic(*_cancel(num, den))
 
 
 def _gcd(f, g):
@@ -327,8 +347,8 @@ def _gcd(f, g):
     of K.
     """
     tw = f.tower
-    if len(f.terms) == 1 or len(g.terms) == 1:
-        m = tuple(map(min, zip(*f.terms, *g.terms)))
+    if len(f._terms) == 1 or len(g._terms) == 1:
+        m = tuple(map(min, zip(*f._terms, *g._terms)))
         if not any(m):
             return None, f, g
         return (MPoly(tw, f.nvars, {m: 1}), _shift_down(f, m), _shift_down(g, m))
@@ -370,7 +390,7 @@ def _gcd(f, g):
 def _shift_down(f, m):
     """f divided by the monomial x^m, which divides every term of f."""
     return MPoly(f.tower, f.nvars, {tuple(a - b for a, b in zip(e, m)): c
-                                    for e, c in f.terms.items()})
+                                    for e, c in f._terms.items()})
 
 
 def _up(found, f, g, up):
@@ -408,7 +428,7 @@ def _prs_gcd(f, g):
 def _coeff_list(f, v):
     """The coefficient values of f, a polynomial in x_v alone, low degree first."""
     out = [0] * (f.degree_in(v) + 1)
-    for e, c in f.terms.items():
+    for e, c in f._terms.items():
         out[e[v]] = c
     return out
 
@@ -417,7 +437,7 @@ def _subfield_levels(f, g):
     """How many top levels of the tower no coefficient of f or g depends on."""
     tw = f.tower
     k = len(tw.steps)
-    for c in (*f.terms.values(), *g.terms.values()):
+    for c in (*f._terms.values(), *g._terms.values()):
         k = _constant_levels(tw, c, k)
         if not k:
             break
@@ -449,7 +469,7 @@ def _constant_levels(tw, v, m):
 def _descend(f, low, k):
     """f, whose coefficients are constant in the top k levels, over the tower low."""
     terms = {}
-    for e, v in f.terms.items():
+    for e, v in f._terms.items():
         for _ in range(k):
             if type(v) is not tuple:
                 break
@@ -461,7 +481,7 @@ def _descend(f, low, k):
 def _dens(f):
     """The distinct denominators of f's coefficients, fractions of
     polynomials in the top generator of f's tower."""
-    return {c[2] if type(c) is tuple else _ONE_T for c in f.terms.values()}
+    return {c[2] if type(c) is tuple else _ONE_T for c in f._terms.values()}
 
 
 def _flatten(f, low, dens):
@@ -472,7 +492,7 @@ def _flatten(f, low, dens):
     tw = f.tower
     lv = tw.num_levels
     terms = {}
-    for e, c in f.terms.items():
+    for e, c in f._terms.items():
         num, den = c[1:] if type(c) is tuple else ((c,), _ONE_T)
         for d in dens:
             if d != den:
@@ -488,7 +508,7 @@ def _unflatten(F, tw):
     last variable, as a polynomial over tw with polynomial-in-t coefficients."""
     n = F.nvars - 1
     coeffs = {}
-    for e, c in F.terms.items():
+    for e, c in F._terms.items():
         coeffs.setdefault(e[:n], {})[e[n]] = c
     return MPoly(tw, n, {e: _qval(tuple(p.get(i, 0) for i in range(max(p) + 1)))
                          for e, p in coeffs.items()})
@@ -507,9 +527,9 @@ def _glex(e):
 
 def _to_ints(f):
     """(s, F) with f = s * F and F a primitive integer polynomial; f over Q."""
-    vals = list(f.terms.values())
+    vals = list(f._terms.values())
     den = lcm(*(v.denominator for v in vals))
-    F = {e: v.numerator * (den // v.denominator) for e, v in zip(f.terms, vals)}
+    F = {e: v.numerator * (den // v.denominator) for e, v in zip(f._terms, vals)}
     cont = gcd(*F.values())
     if cont != 1:
         F = {e: a // cont for e, a in F.items()}

@@ -6,7 +6,9 @@ range over three scalar towers — the rationals, a quadratic extension, and
 a rational-function field — with instances split round-robin between them.
 Every runner returns a list of check dicts shaped like
 ``{"name", "status", "count", "witnesses"}`` that the report layer embeds
-directly.
+directly.  A runner given a weight at which every form it compares has
+degree above its ring's variable count, and so is zero, refuses it
+(``check_weight``) before building anything.
 """
 
 import random
@@ -18,9 +20,12 @@ from .milnor import (EpsSymbol, SymbolWord, beta, beta_via_truncation,
                      tilde_dlog, eps_to_absolute, check_codifferential,
                      relation_check)
 from .complexes import alpha_delta_diagram
+from .errors import VacuousCheck
 
 DEFAULT_SEED = 20260401
 _PS = (2, 3, 4)
+_SYMBOL_VARS = ("x", "y", "z", "v")
+_DIAGRAM_VARS = ("x", "y", "z")
 
 
 def standard_towers():
@@ -32,7 +37,7 @@ def standard_towers():
 
 def symbol_ring(tower):
     """Four variables: enough room for nonzero degree-4 forms over Q."""
-    return FunctionRing(tower, ("x", "y", "z", "v"))
+    return FunctionRing(tower, _SYMBOL_VARS)
 
 
 def unit_pool(ring):
@@ -90,6 +95,7 @@ def _symbol_suite(name, holds, p, seed, count):
 
 def codifferential_suite(p=None, seed=DEFAULT_SEED, count=51):
     """tilde_dlog(s) agrees with the signed derivative of beta(s)."""
+    check_weight(codifferential_suite, p)
     return _symbol_suite(
         "codifferential", lambda tw, s: check_codifferential(s)["status"] == "pass",
         p, seed, count)
@@ -97,6 +103,7 @@ def codifferential_suite(p=None, seed=DEFAULT_SEED, count=51):
 
 def beta_agreement_suite(p=None, seed=DEFAULT_SEED, count=51):
     """beta computed directly agrees with beta via dual-number truncation."""
+    check_weight(beta_agreement_suite, p)
     return _symbol_suite(
         "beta agreement", lambda tw, s: (beta_via_truncation(s) - beta(s)).is_zero(),
         p, seed, count)
@@ -104,6 +111,7 @@ def beta_agreement_suite(p=None, seed=DEFAULT_SEED, count=51):
 
 def absolute_square_suite(p=None, seed=DEFAULT_SEED, count=51):
     """beta over the absolute base, pushed up the tower, recovers beta."""
+    check_weight(absolute_square_suite, p)
     return _symbol_suite(
         "absolute square",
         lambda tw, s: (base_change(eps_to_absolute(s), base_top(tw)) - beta(s)).is_zero(),
@@ -161,7 +169,8 @@ def relations_suite(seed=DEFAULT_SEED, count=134):
 
 def diagram_suite(p=None):
     """The comparison diagram between the two complexes, on sample forms."""
-    ring = FunctionRing(make_tower([]), ("x", "y", "z"))
+    check_weight(diagram_suite, p)
+    ring = FunctionRing(make_tower([]), _DIAGRAM_VARS)
     checks = []
     for pp in _PS if p is None else (p,):
         rep = alpha_delta_diagram(pp, ring)
@@ -169,3 +178,27 @@ def diagram_suite(p=None):
         checks.append(_aggregate(f"comparison diagram p={pp}",
                                  len(rep["checks"]), bad))
     return checks
+
+
+# (variable count of the suite's ring, how far the degree of the forms a
+# weight-p instance compares falls below p): tilde_dlog and d(beta) are
+# p-forms, beta and the diagram's top samples (p - 1)-forms
+_COMPARED = {codifferential_suite: (len(_SYMBOL_VARS), 0),
+             beta_agreement_suite: (len(_SYMBOL_VARS), 1),
+             absolute_square_suite: (len(_SYMBOL_VARS), 1),
+             diagram_suite: (len(_DIAGRAM_VARS), 1)}
+
+
+def check_weight(suite, p):
+    """Raise VacuousCheck when ``suite`` at weight p would compare only forms
+    of degree above its ring's variable count: every such form is zero, so
+    each instance would pass without testing anything.  The default weights
+    (p None) all leave room."""
+    if p is None or suite not in _COMPARED:
+        return
+    nvars, drop = _COMPARED[suite]
+    if p - drop > nvars:
+        raise VacuousCheck(
+            f"weight p={p} leaves nothing to check: the suite compares "
+            f"{p - drop}-forms on {nvars} variables, and every one is zero "
+            f"(p must be at most {nvars + drop})")

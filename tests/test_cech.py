@@ -153,9 +153,12 @@ def test_embedded_cover_equals_the_rebuilt_cover(build):
     tw = complex_model(cover.tower)
     big = extend_cover(cover, tw)
     ref = _rebuilt(cover, tw)
-    assert isinstance(big, type(ref)) and (big.n, big.tower) == (ref.n, ref.tower)
+    assert isinstance(big, type(ref)) and big.tower == ref.tower
+    if isinstance(ref, ProjectiveCover):
+        assert big.n == ref.n
+    else:
+        assert big.gcoeffs == ref.gcoeffs
     assert big.charts == ref.charts
-    assert big.gcoeffs == ref.gcoeffs
     assert big.intersections.keys() == ref.intersections.keys()
     for S, mdl in big.intersections.items():
         want = ref.intersections[S]
@@ -432,7 +435,7 @@ def test_the_elimination_layer_holds_no_scalar(monkeypatch):
     vals = [c for r in reports for vecs in r.reps.values() for v in vecs
             for c in v.values()]
     assert vals and not any(isinstance(c, scalars.Scalar) for c in vals)
-    assert e * inv == 1 and e.num.terms[(1, 1)] == R2.value(1)
+    assert e * inv == 1 and dict(e.num.items())[(1, 1)] == R2.value(1)
 
 
 @pytest.mark.parametrize("run", [

@@ -60,6 +60,14 @@ def test_verify_codifferential(tmp_path):
     assert check["count"] >= 50
 
 
+def test_verify_beta_agreement_at_its_top_weight(tmp_path):
+    # beta of a weight-5 symbol is a 4-form, and the symbol ring has 4 variables
+    code, rep = run_json(tmp_path, ["verify", "beta-agreement", "--p", "5"])
+    assert code == 0
+    (check,) = rep["checks"]
+    assert check["status"] == "pass" and check["count"] == 51
+
+
 def test_verify_alpha_delta(tmp_path):
     code, rep = run_json(tmp_path, ["verify", "alpha-delta", "--p", "2"])
     assert code == 0
@@ -202,6 +210,14 @@ _CHECKS_OMEGA_NEG = "[cover]\nkind = projective-line\n\n[checks]\nsheaf = omega-
                  id="cech-omega-1"),
     pytest.param(["cech"], _CHECKS_OMEGA_NEG, id="cech-file-omega-1"),
     pytest.param(["cech", "--instance", "p1", "--sheaf", ""], None, id="cech-empty-sheaf"),
+    # weights at which every compared form has more degree than the ring has
+    # variables, so a pass would test nothing
+    pytest.param(["verify", "lemma2.6", "--p", "5", "--seed", "1"], None,
+                 id="lemma2.6-p5-vacuous"),
+    pytest.param(["verify", "beta-agreement", "--p", "6"], None,
+                 id="beta-agreement-p6-vacuous"),
+    pytest.param(["verify", "diagram2.7", "--p", "6"], None, id="diagram2.7-p6-vacuous"),
+    pytest.param(["verify", "alpha-delta", "--p", "5"], None, id="alpha-delta-p5-vacuous"),
 ])
 def test_bad_window_or_weight_is_usage_error(tmp_path, capsys, argv, instance):
     if instance is not None:

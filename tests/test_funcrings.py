@@ -15,11 +15,11 @@ from ktangent.errors import (
     TowerMismatch,
 )
 from ktangent import differentials, funcrings
-from ktangent.cech import cover_pn
+from ktangent.cech import cover_plane_curve, cover_pn, weierstrass_cubic
 from ktangent.differentials import DiffForm, absolute_on_dual, d, pullback, wedge
 from ktangent.funcrings import DualElem, FunctionRing, RingElem, transport
 from ktangent.mpoly import MPoly
-from ktangent.scalars import QQ, Algebraic, Transcendental, make_tower
+from ktangent.scalars import QQ, Algebraic, Scalar, Transcendental, make_tower
 
 
 def plain_xy():
@@ -43,6 +43,34 @@ def test_fraction_normal_form():
     assert b * y * 2 == x
     # numerator lead coefficient is 1 under graded-lex
     assert str(x * 3 + 3) == "(x + 1)/(1/3)"
+
+
+def _hash_rings():
+    """Free rings in x, y, z and Weierstrass charts (x, y), over Q, Q(sqrt 2)
+    and Q(t), each with a constant of its tower: (ring, constant, transition
+    into the chart, from the chart's second cover ring, or None)."""
+    for tw in (QQ, make_tower([Algebraic("r2", [-2, 0, 1])]),
+               make_tower([Transcendental("t")])):
+        k = tw.gen(tw.names[0]) if tw.names else Fraction(3)
+        yield FunctionRing(tw, ("x", "y", "z")), k, None
+        cover = cover_plane_curve(weierstrass_cubic(tw, 0, -1, 1), tw)
+        yield cover.charts[0], k, (cover.charts[1], cover.intersections[(0, 1)].subs[1])
+
+
+@pytest.mark.parametrize("ring, k, transition", list(_hash_rings()),
+                         ids=[f"{tw}-{kind}" for tw in ("Q", "Qsqrt2", "Qt")
+                              for kind in ("free", "weierstrass")])
+def test_equal_elements_hash_equal(ring, k, transition):
+    x, y = ring.var(ring.varnames[0]), ring.var(ring.varnames[1])
+    c = ring.var(ring.varnames[-1]) + k
+    u = (x + k) / (y - 1)
+    pairs = [(x / y, (x * c) / (y * c)), (u.inv().inv(), u)]
+    if transition is not None:
+        rb, subs = transition
+        zb = rb.var(rb.varnames[1])
+        pairs.append((transport(zb * k, subs, ring), y.inv() * k))
+    for a, b in pairs:
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
 
 
 def test_zero_and_units():
@@ -241,8 +269,8 @@ def reference_transport(elem, vals, target):
     """elem at vals, term by term in RingElem arithmetic: what transport means."""
     def at(f):
         acc = target.zero()
-        for e, c in f.scalar_terms():
-            term = target.const(c)
+        for e, c in f.items():
+            term = target.const(Scalar(f.tower, c))
             for val, k in zip(vals, e):
                 for _ in range(k):
                     term = term * val

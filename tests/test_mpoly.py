@@ -488,7 +488,7 @@ def test_the_polynomial_layer_holds_no_scalar(monkeypatch):
             results += [a + b, a - b, a * b, h ** 3, reduce_mod(a * a, rel, 1),
                         mp_gcd(a, b), div_exact(a, h), div_exact(b * 3, h)]
     assert made == []
-    assert all(not isinstance(c, scalars.Scalar) for r in results for c in r.terms.values())
+    assert all(not isinstance(c, scalars.Scalar) for r in results for _, c in r.items())
     assert all(seen[k] for k in ("_flatten", "_prs_gcd", "_descend", "_heu_cofactors")), seen
 
 
@@ -496,8 +496,8 @@ def test_over_is_the_per_term_embedding():
     for tw, triples in _raw_cases()[1:]:
         deep = tw.extend([Transcendental("u")])
         for p in (q for triple in triples for q in triple):
-            want = {e: deep.embed(c).val for e, c in p.scalar_terms()}
-            assert p.over(deep).terms == want
+            want = {e: deep.lift(p.tower, c) for e, c in p.items()}
+            assert dict(p.over(deep).items()) == want
             assert p.over(tw) == p
     with pytest.raises(TowerMismatch):
         MPoly.variable(make_tower([Transcendental("t")]), 1, 0).over(QQ)

@@ -1,4 +1,5 @@
-"""The package installs with no dependencies: it imports only the stdlib."""
+"""The package installs with no dependencies: it imports only the stdlib.
+Inside it, ``mpoly`` alone knows how a polynomial stores its terms."""
 
 import ast
 import pathlib
@@ -26,6 +27,21 @@ def test_sources_import_only_the_stdlib():
                for line, name in _absolute_imports(ast.parse(path.read_text("utf-8")))
                if name.split(".")[0] not in allowed]
     assert foreign == []
+
+
+def test_only_mpoly_touches_its_term_dict_and_private_helpers():
+    leaks = []
+    for path in SOURCES:
+        if path.name == "mpoly.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr == "_terms":
+                leaks.append(f"{path.name}:{node.lineno} reads _terms")
+            elif (isinstance(node, ast.ImportFrom) and node.level == 1
+                  and node.module == "mpoly"):
+                leaks += [f"{path.name}:{node.lineno} imports mpoly.{alias.name}"
+                          for alias in node.names if alias.name.startswith("_")]
+    assert leaks == []
 
 
 def test_pyproject_declares_no_dependencies():

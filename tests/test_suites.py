@@ -2,6 +2,10 @@
 
 import random
 
+import pytest
+
+from ktangent import suites
+from ktangent.errors import VacuousCheck
 from ktangent.suites import (standard_towers, symbol_ring, unit_pool,
                              random_symbol, codifferential_suite,
                              beta_agreement_suite, absolute_square_suite,
@@ -69,6 +73,19 @@ def test_relations_small():
     for kind in ("steinberg", "bilinear", "skew", "eps_additive"):
         assert kind in checks[0]["name"]
         assert checks[0]["kinds"][kind] == 3
+
+
+@pytest.mark.parametrize("runner, top", [
+    (codifferential_suite, 4), (beta_agreement_suite, 5),
+    (absolute_square_suite, 5), (diagram_suite, 4)])
+def test_vacuous_weight_is_refused_before_anything_runs(monkeypatch, runner, top):
+    built = []
+    monkeypatch.setattr(suites, "FunctionRing", lambda *a, **k: built.append(a))
+    with pytest.raises(VacuousCheck, match=f"at most {top}"):
+        runner(p=top + 1)
+    assert built == []
+    suites.check_weight(runner, top)
+    suites.check_weight(runner, None)
 
 
 def test_diagram_suite_single_p():
