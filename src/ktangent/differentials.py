@@ -11,12 +11,17 @@ letter, with eps * d(eps) = 0 because eps squares to zero.
 
 Forms are dicts from sorted letter tuples to coefficients; structural
 equality is semantic equality.
+
+The letters of a base, and the d and dlog of a ring element over it, are
+computed once per ring and kept in the ring's ``memo``; a dual element's
+d and dlog are assembled from the entries of its body and slope.  Memo
+entries are shared, so nothing here changes a coefficient dict or a
+form's ``terms`` in place.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import (
     BaseIncompatible,
@@ -85,8 +90,17 @@ def dual_relative(tower):
 
 # letters: ("v", var_index) | ("t", tower_level) | ("e",)
 
-@lru_cache(maxsize=256)
 def letters_of(ring, base):
+    """The letters of (ring, base), in the order that sorts letter tuples."""
+    return ring.remember(("letters", base), _letters, ring, base)[0]
+
+
+def _letter_sort_key(ring, base):
+    """{letter: its position in letters_of(ring, base)}."""
+    return ring.remember(("letters", base), _letters, ring, base)[1]
+
+
+def _letters(ring, base):
     letters = []
     for i in range(len(ring.varnames)):
         if i != ring.elim:
@@ -96,7 +110,7 @@ def letters_of(ring, base):
             letters.append(("t", lv))
     if base.eps == "free":
         letters.append(("e",))
-    return letters
+    return tuple(letters), {l: i for i, l in enumerate(letters)}
 
 
 def letter_name(ring, letter):
@@ -200,8 +214,7 @@ class DiffForm:
     def __str__(self):
         if not self.terms:
             return "0"
-        letters = letters_of(self.ring, self.base)
-        order = {l: i for i, l in enumerate(letters)}
+        order = _letter_sort_key(self.ring, self.base)
         bits = []
         for key in sorted(self.terms, key=lambda k: tuple(order[l] for l in k)):
             c = self.terms[key]
@@ -214,11 +227,6 @@ class DiffForm:
 
     def __repr__(self):
         return f"DiffForm<{self.degree}>({self})"
-
-
-def _letter_sort_key(ring, base):
-    letters = letters_of(ring, base)
-    return {l: i for i, l in enumerate(letters)}
 
 
 def _merge_letters(order, k1, k2):
@@ -267,7 +275,6 @@ def wedge(a, b):
 
 # -- exterior derivative ----------------------------------------------------
 
-@lru_cache(maxsize=256)
 def _delim_parts(ring, base):
     """Expansion of d(eliminated var) as {letter: RingElem} via implicit diff."""
     rel, v = ring.relation, ring.elim
@@ -292,7 +299,8 @@ def _d_mpoly(ring, base, P):
     into the pair."""
     out = {}
     one = MPoly.const(ring.tower, len(ring.varnames), 1)
-    delim = _delim_parts(ring, base) if ring.relation is not None else None
+    delim = (ring.remember(("delim", base), _delim_parts, ring, base)
+             if ring.relation is not None else None)
     p_elim = P.deriv(ring.elim) if ring.elim is not None else None
     for letter in letters_of(ring, base):
         if letter[0] == "v":
@@ -332,6 +340,16 @@ def _quotient_terms(f, base):
 
 
 def _d_ringelem(f, base):
+    """d(f) as {letter: RingElem}, computed once per ring (``_d_coeffs``)."""
+    return f.ring.remember(("d", f, base), _d_coeffs, f, base)
+
+
+def _dlog_ringelem(f, base):
+    """dlog(f) as {letter: RingElem}, computed once per ring (``_dlog_coeffs``)."""
+    return f.ring.remember(("dlog", f, base), _dlog_coeffs, f, base)
+
+
+def _d_coeffs(f, base):
     """Quotient rule; returns {letter: RingElem}, each canonicalised once."""
     ring = f.ring
     DD = f.den * f.den
@@ -343,7 +361,7 @@ def _d_ringelem(f, base):
     return out
 
 
-def _dlog_ringelem(f, base):
+def _dlog_coeffs(f, base):
     """dlog of a unit N/D as {letter: RingElem}: (N'D - ND')/(DN), each
     coefficient canonicalised once."""
     ring, N, D = f.ring, f.num, f.den

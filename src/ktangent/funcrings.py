@@ -34,9 +34,17 @@ _PROBE = [Fraction(v) for v in (0, 1, -1, 2, -2, 3)] + [Fraction(1, 2), Fraction
 
 
 class FunctionRing:
-    """Chart coordinate ring (optionally with one monic relation)."""
+    """Chart coordinate ring (optionally with one monic relation).
 
-    __slots__ = ("tower", "varnames", "relation", "elim")
+    ``memo`` holds data derived from the ring and its elements, computed
+    once per ring by ``remember``: ``differentials`` keeps the letters of
+    each base and the d and dlog of elements there, and ``milnor`` the
+    wedge of dlogs of a tail tuple.  Each entry is handed to every caller
+    that asks for it, so no caller may change one in place.  The memo lives
+    and dies with its ring.
+    """
+
+    __slots__ = ("tower", "varnames", "relation", "elim", "memo")
 
     # the field arithmetic ``linalg`` eliminates with, on elements
     add, sub, mul, neg, is_zero = (operator.add, operator.sub, operator.mul,
@@ -54,6 +62,7 @@ class FunctionRing:
         self.varnames = varnames
         self.relation = relation
         self.elim = None
+        self.memo = {}
         if relation is not None:
             if relation.tower != tower or relation.nvars != len(varnames):
                 raise RingMismatch("relation polynomial belongs to a different ring")
@@ -85,6 +94,14 @@ class FunctionRing:
                 walk(vals + [f])
 
         walk([])
+
+    def remember(self, key, compute, *args):
+        """``memo[key]``, set to ``compute(*args)`` on first use."""
+        try:
+            return self.memo[key]
+        except KeyError:
+            val = self.memo[key] = compute(*args)
+            return val
 
     # -- element constructors
 

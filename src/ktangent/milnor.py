@@ -84,12 +84,8 @@ class SymbolWord:
         """Sum over factors of exp * dlog(a_1) ^ .. ^ dlog(a_p)."""
         out = DiffForm.zero(self.ring, base, self.p)
         for entries, e in self.factors:
-            if e == 0:
-                continue
-            w = _dlog_elem(entries[0], base)
-            for a in entries[1:]:
-                w = wedge(w, _dlog_elem(a, base))
-            out = out + w * e
+            if e:
+                out = out + _dlog_tails(self.ring, base, entries) * e
         return out
 
     def __str__(self):
@@ -191,11 +187,19 @@ def eps_split(word):
 
 
 def _dlog_tails(ring, base, tails):
-    w = None
-    for f in tails:
-        df = _dlog_elem(f, base)
-        w = df if w is None else wedge(w, df)
-    return w
+    """dlog(tails[0]) ^ .. ^ dlog(tails[-1]), None for no tails; computed
+    once per ring (``_wedge_dlogs``)."""
+    return ring.remember(("tails", tails, base), _wedge_dlogs, ring, base, tails)
+
+
+def _wedge_dlogs(ring, base, tails):
+    """dlog(tails[0]) wedged onto the memoised form of the rest, so tuples
+    that end alike share their last factors' wedge."""
+    if not tails:
+        return None
+    w = _dlog_elem(tails[0], base)
+    rest = _dlog_tails(ring, base, tails[1:])
+    return w if rest is None else wedge(w, rest)
 
 
 def tilde_dlog(s, base=None):

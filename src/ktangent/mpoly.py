@@ -341,14 +341,19 @@ def _gcd(f, g):
     for both. A constant gcd is G = None, with the cofactors f and g. When f
     or g is a monomial, so is every divisor of it: G is x^m for the
     componentwise least exponent m of f and g, and the cofactors (u = 1) are
-    exponent shifts. The shared product of t-denominators that flattening
-    multiplies both sides by is a unit of K = L(t), and a gcd in
+    exponent shifts; a constant side gives G = None without reading the
+    other side's exponents. The shared product of t-denominators that
+    flattening multiplies both sides by is a unit of K = L(t), and a gcd in
     L[x_0..x_{n-1}, t] is the K[x]-gcd up to pure-t factors, which are units
     of K.
     """
     tw = f.tower
-    if len(f._terms) == 1 or len(g._terms) == 1:
-        m = tuple(map(min, zip(*f._terms, *g._terms)))
+    ft, gt = f._terms, g._terms
+    if len(ft) == 1 or len(gt) == 1:
+        zero = (0,) * f.nvars
+        if (len(ft) == 1 and zero in ft) or (len(gt) == 1 and zero in gt):
+            return None, f, g
+        m = tuple(map(min, zip(*ft, *gt)))
         if not any(m):
             return None, f, g
         return (MPoly(tw, f.nvars, {m: 1}), _shift_down(f, m), _shift_down(g, m))

@@ -1,5 +1,6 @@
 """Exterior derivative, wedge, bases, contraction, pullback."""
 
+import gc
 import random
 
 import pytest
@@ -33,6 +34,7 @@ from ktangent.errors import (
 from ktangent.funcrings import DualElem, FunctionRing, RingElem, transport
 from ktangent.mpoly import MPoly
 from ktangent.scalars import QQ, Algebraic, Transcendental, make_tower
+from ktangent.suites import standard_towers, symbol_ring, unit_pool
 
 
 def ring_xy():
@@ -229,10 +231,21 @@ def test_pullback_chain_rule_on_curve():
     assert pullback(d(f, base_q()), subst, rb) == d(transport(f, subst, rb), base_q())
 
 
-def test_letter_cache_is_bounded():
+def test_dropped_rings_are_freed_with_their_memos():
+    # derived data lives on the ring, so no cache keeps a dead ring alive
+    def alive():
+        return sum(1 for o in gc.get_objects()
+                   if isinstance(o, FunctionRing) and o.varnames[0].startswith("leak"))
+
     for i in range(300):
-        letters_of(FunctionRing(QQ, (f"x{i}",)), base_q())
-    assert letters_of.cache_info().currsize <= 256
+        r = FunctionRing(QQ, (f"leak{i}", "y"))
+        x = r.var(f"leak{i}")
+        letters_of(r, base_q())
+        dlog((x + 1) / r.var("y"), base_q())
+    assert alive() >= 1  # the last ring is still referenced here
+    del r, x
+    gc.collect()
+    assert alive() == 0
 
 
 # -- the fused quotient rule and dlog against a reference composition ---------
@@ -377,3 +390,40 @@ def test_d_of_a_form_adds_no_forms(monkeypatch):
         got = d(w)
         monkeypatch.undo()
         assert got == want and not got.is_zero()
+
+
+# -- the ring's memo of d, dlog and letters -----------------------------------
+
+def _memo_cases():
+    """(ring, elements) for every unit_pool ring and a Weierstrass chart."""
+    cases = []
+    for _, tw in standard_towers():
+        r = symbol_ring(tw)
+        cases.append((r, unit_pool(r)))
+    r = ring_elliptic()
+    x, y = r.var("x"), r.var("y")
+    cases.append((r, [x, y, x + 1, y - 2, x * y + 1, (x + 2) / y, y / (x - 3)]))
+    return cases
+
+
+def _fresh(ring, f):
+    """f rebuilt in a new ring structurally equal to its own."""
+    if isinstance(f, DualElem):
+        return DualElem(ring, _fresh(ring, f.body), _fresh(ring, f.slope))
+    return RingElem(ring, f.num, f.den)
+
+
+def test_memoised_d_and_dlog_equal_a_fresh_ring():
+    for ring, pool in _memo_cases():
+        elems = pool + [DualElem(ring, u, h) for u, h in zip(pool, pool[1:] + pool[:1])]
+        tw = ring.tower
+        for base in (base_q(), base_top(tw), absolute_on_dual(), dual_relative(tw)):
+            fresh = FunctionRing(tw, ring.varnames, ring.relation)
+            for f in elems:
+                if isinstance(f, DualElem) and not base.is_dual():
+                    continue
+                g = _fresh(fresh, f)
+                for op in (d, dlog):
+                    first, second = op(f, base), op(f, base)
+                    assert first == second == op(g, base), (op.__name__, f, base)
+        assert ring.memo

@@ -4,12 +4,13 @@ import random
 
 import pytest
 
-from ktangent import suites
+from ktangent import differentials, milnor, suites
 from ktangent.errors import VacuousCheck
 from ktangent.suites import (standard_towers, symbol_ring, unit_pool,
                              random_symbol, codifferential_suite,
                              beta_agreement_suite, absolute_square_suite,
                              relations_suite, diagram_suite)
+from ktangent.funcrings import FunctionRing
 from ktangent.milnor import EpsSymbol
 
 
@@ -91,3 +92,50 @@ def test_vacuous_weight_is_refused_before_anything_runs(monkeypatch, runner, top
 def test_diagram_suite_single_p():
     checks = diagram_suite(p=2)
     assert len(checks) == 1 and checks[0]["status"] == "pass"
+
+
+def test_each_form_is_computed_once_per_ring(monkeypatch):
+    # the computations under the ring's memo: d and dlog of one element,
+    # and the wedge of the dlogs of one tail tuple, per ring and base
+    seen = {}
+    rings = []  # kept alive, so that no ring id is reused during the run
+
+    def spy(module, name, kind, split):
+        real = getattr(module, name)
+
+        def counted(*args):
+            ring, what, base = split(*args)
+            rings.append(ring)
+            key = (id(ring), kind, what, base)
+            seen[key] = seen.get(key, 0) + 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    spy(differentials, "_d_coeffs", "d", lambda f, base: (f.ring, f, base))
+    spy(differentials, "_dlog_coeffs", "dlog", lambda f, base: (f.ring, f, base))
+    spy(milnor, "_wedge_dlogs", "tails", lambda ring, base, tails: (ring, tails, base))
+    checks = (codifferential_suite(p=3) + beta_agreement_suite(p=4)
+              + relations_suite(count=30))
+    assert all(c["status"] == "pass" for c in checks)
+    assert {key[1] for key in seen} == {"d", "dlog", "tails"}
+    repeated = [key[1:] for key, n in seen.items() if n > 1]
+    assert repeated == []
+
+
+def test_no_memo_entry_changes_after_it_is_stored(monkeypatch):
+    stored = []
+    real = FunctionRing.remember
+
+    def remember(ring, key, compute, *args):
+        new = key not in ring.memo
+        val = real(ring, key, compute, *args)
+        if new:
+            stored.append((ring, key, repr(val)))
+        return val
+
+    monkeypatch.setattr(FunctionRing, "remember", remember)
+    assert all(c["status"] == "pass" for c in codifferential_suite())
+    assert {key[0] for _, key, _ in stored} >= {"letters", "d", "dlog", "tails"}
+    changed = [key for ring, key, snap in stored if repr(ring.memo[key]) != snap]
+    assert changed == []
