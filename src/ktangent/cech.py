@@ -311,9 +311,7 @@ class ProjectiveCover(Cover):
         for j in J:
             form = wedge(form, d(ring.var(_pn_varname(self.n, m, j)), base))
         for lv in Tset:
-            one = DiffForm.of_elem(ring.one(), base)
-            tletter = DiffForm(ring, base, 1, {(("t", lv),): one.terms[()]})
-            form = wedge(form, tletter)
+            form = wedge(form, DiffForm(ring, base, 1, {(("t", lv),): ring.one()}))
         return form
 
     def form_labels(self, S, w):

@@ -220,11 +220,7 @@ def deformed_deligne_split(p, ring):
 
 
 def _recombine(ring, dbase, body, slope):
-    terms = {}
-    for k, c in body.terms.items():
-        terms[k] = DualElem(ring, c)
-    for k, c in slope.terms.items():
-        prev = terms.get(k)
-        extra = DualElem(ring, ring.zero(), c)
-        terms[k] = extra if prev is None else prev + extra
-    return DiffForm(ring, dbase, body.degree, terms)
+    """body + eps*slope, both plain forms read over the dual base."""
+    eps = DualElem(ring, ring.zero(), ring.one())
+    return (DiffForm(ring, dbase, body.degree, body.terms)
+            + DiffForm(ring, dbase, slope.degree, slope.terms) * eps)

@@ -127,18 +127,24 @@ class DiffForm:
     __slots__ = ("ring", "base", "degree", "terms")
 
     def __init__(self, ring, base, degree, terms):
+        """Coefficients follow the base: a RingElem is lifted to a DualElem
+        over a dual base, a DualElem over a plain base is refused, zeros are
+        dropped, and eps * d(eps) = 0 keeps only the body under d(eps)."""
         self.ring = ring
         self.base = base
         self.degree = degree
+        dual, free = base.is_dual(), base.eps == "free"
         clean = {}
         for key, c in terms.items():
-            if base.eps == "free" and any(l[0] == "e" for l in key):
-                # eps * d(eps) = 0: the d(eps) component lives in A, not A[eps]
-                if isinstance(c, DualElem) and not c.slope.is_zero():
+            if isinstance(c, DualElem):
+                if not dual:
+                    raise NoDualBase("dual coefficient over a plain base")
+                if free and ("e",) in key and not c.slope.is_zero():
                     c = DualElem(ring, c.body)
-            if isinstance(c, (RingElem, DualElem)) and c.is_zero():
-                continue
-            clean[key] = c
+            elif dual:
+                c = DualElem(ring, c)
+            if not c.is_zero():
+                clean[key] = c
         self.terms = clean
 
     # -- constructors
@@ -150,12 +156,7 @@ class DiffForm:
     @classmethod
     def of_elem(cls, elem, base):
         """Wrap a ring element (degree-0 form)."""
-        ring = elem.ring
-        if base.is_dual() and isinstance(elem, RingElem):
-            elem = DualElem(ring, elem)
-        if not base.is_dual() and isinstance(elem, DualElem):
-            raise NoDualBase("dual coefficient over a plain base")
-        return cls(ring, base, 0, {(): elem})
+        return cls(elem.ring, base, 0, {(): elem})
 
     def _check(self, other):
         if self.ring != other.ring:
@@ -184,8 +185,6 @@ class DiffForm:
     def __mul__(self, c):
         if isinstance(c, (int, Fraction, Scalar)):
             c = self.ring.const(c)
-        if isinstance(c, RingElem) and self.base.is_dual():
-            c = DualElem(self.ring, c)
         if isinstance(c, DualElem) and not self.base.is_dual():
             raise NoDualBase("dual scalar on a plain-base form")
         return DiffForm(self.ring, self.base, self.degree,
@@ -457,45 +456,28 @@ def contract_deps(w):
     """
     if w.base.eps != "free":
         raise NoDualBase("contract_deps needs a free-eps base")
-    ring = w.ring
-    tgt = BaseTag(w.base.level, "none")
-    out = {}
-    for key, c in w.terms.items():
-        if key and key[-1] == ("e",):
-            out[key[:-1]] = c.body if isinstance(c, DualElem) else c
-    return DiffForm(ring, tgt, max(w.degree - 1, 0), out)
+    out = {key[:-1]: c.body for key, c in w.terms.items() if key and key[-1] == ("e",)}
+    return DiffForm(w.ring, BaseTag(w.base.level), max(w.degree - 1, 0), out)
 
 
 def specialize_eps(w):
     """Set eps = 0 (and drop d(eps) terms): lands over the plain base."""
     if not w.base.is_dual():
         return w
-    ring = w.ring
-    tgt = BaseTag(w.base.level, "none")
-    out = {}
-    for key, c in w.terms.items():
-        if any(l[0] == "e" for l in key):
-            continue
-        body = c.body if isinstance(c, DualElem) else c
-        if not body.is_zero():
-            out[key] = body
-    return DiffForm(ring, tgt, w.degree, out)
+    return _plain_part(w, "body")
 
 
 def eps_part(w):
     """The slope component: w = specialize(w) + eps * eps_part(w) (no d(eps) terms)."""
     if not w.base.is_dual():
         raise NoDualBase("eps_part of a plain form")
-    ring = w.ring
-    tgt = BaseTag(w.base.level, "none")
-    out = {}
-    for key, c in w.terms.items():
-        if any(l[0] == "e" for l in key):
-            continue
-        slope = c.slope if isinstance(c, DualElem) else ring.zero()
-        if not slope.is_zero():
-            out[key] = slope
-    return DiffForm(ring, tgt, w.degree, out)
+    return _plain_part(w, "slope")
+
+
+def _plain_part(w, part):
+    """The body or slope of each coefficient off d(eps), over the plain base."""
+    out = {key: getattr(c, part) for key, c in w.terms.items() if ("e",) not in key}
+    return DiffForm(w.ring, BaseTag(w.base.level), w.degree, out)
 
 
 def base_change(w, to):
@@ -536,8 +518,7 @@ def pullback(w, subst, target_ring):
         if letter[0] == "v":
             letter_imgs[letter] = d(subst[letter[1]], base)
         else:
-            letter_imgs[letter] = DiffForm(target_ring, base, 1,
-                                           {(letter,): _one_coeff(target_ring, base)})
+            letter_imgs[letter] = DiffForm(target_ring, base, 1, {(letter,): target_ring.one()})
     out = DiffForm.zero(target_ring, base, w.degree)
     for key, c in w.terms.items():
         if isinstance(c, DualElem):
@@ -551,8 +532,3 @@ def pullback(w, subst, target_ring):
             term = wedge(term, letter_imgs[letter])
         out = out + term
     return out
-
-
-def _one_coeff(ring, base):
-    one = ring.one()
-    return DualElem(ring, one) if base.is_dual() else one

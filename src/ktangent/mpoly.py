@@ -36,7 +36,7 @@ from .scalars import QQ, Scalar, Tower, _ONE_T, _pgcd, _pmul, _qval, power, rend
 class MPoly:
     """A polynomial in nvars variables over a tower field."""
 
-    __slots__ = ("tower", "nvars", "_terms")
+    __slots__ = ("tower", "nvars", "_terms", "_hash")
 
     def __init__(self, tower, nvars, terms):
         self.tower = tower
@@ -137,7 +137,13 @@ class MPoly:
         return self._terms == o._terms
 
     def __hash__(self):
-        return hash((self.nvars, frozenset(self._terms.items())))
+        # no code changes a term dict after construction, so the hash is
+        # computed once, on first use (the _hash slot stays unset until then)
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash((self.nvars, frozenset(self._terms.items())))
+            return self._hash
 
     def is_zero(self):
         return not self._terms

@@ -107,7 +107,9 @@ def _render(e):
 
 # -- tokenizer ---------------------------------------------------------------
 
-_PUNCT = "+-*/^(){},"
+# one-character operators; the typeset wedge sign, product dot and minus
+# read as their ASCII spellings
+_OPS = {**{ch: ch for ch in "+-*/^(){},"}, "∧": "/\\", "·": "*", "−": "-"}
 
 
 def _lex(text):
@@ -125,9 +127,9 @@ def _lex(text):
             col += 1
             continue
         at = (line, col)
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             toks.append(("num", int(text[i:j]), at))
             col += j - i
@@ -146,23 +148,8 @@ def _lex(text):
             i += 2
             col += 2
             continue
-        if ch == "∧":  # the wedge sign
-            toks.append(("op", "/\\", at))
-            i += 1
-            col += 1
-            continue
-        if ch == "·":  # typeset product dot
-            toks.append(("op", "*", at))
-            i += 1
-            col += 1
-            continue
-        if ch == "−":  # typeset minus
-            toks.append(("op", "-", at))
-            i += 1
-            col += 1
-            continue
-        if ch in _PUNCT:
-            toks.append(("op", ch, at))
+        if ch in _OPS:
+            toks.append(("op", _OPS[ch], at))
             i += 1
             col += 1
             continue

@@ -231,6 +231,55 @@ def test_pullback_chain_rule_on_curve():
     assert pullback(d(f, base_q()), subst, rb) == d(transport(f, subst, rb), base_q())
 
 
+def _qt_charts():
+    """Two planes over Q(t) glued by x = t*u + v, y = 1/u."""
+    ra = ring_qt()
+    rb = FunctionRing(ra.tower, ("u", "v"))
+    u, v = rb.var("u"), rb.var("v")
+    return ra, rb, [rb.const(rb.tower.gen("t")) * u + v, u.inv()]
+
+
+@pytest.mark.parametrize("make_base", [lambda tw: base_q(), lambda tw: absolute_on_dual(),
+                                       dual_relative],
+                         ids=["base_q", "absolute_on_dual", "dual_relative"])
+def test_pullback_over_qt_is_d_of_the_transported_element(make_base):
+    # base_q and absolute_on_dual carry a dt letter, absolute_on_dual a d(eps)
+    ra, rb, subst = _qt_charts()
+    base = make_base(ra.tower)
+    x, y = ra.var("x"), ra.var("y")
+    t = ra.const(ra.tower.gen("t"))
+    f, g = (x + t * y) / (x - t), x * y + t
+    if base.is_dual():
+        f, g = DualElem(ra, f, t * x), DualElem(ra, g, y * y)
+
+    def moved(e):
+        if isinstance(e, DualElem):
+            return DualElem(rb, transport(e.body, subst, rb), transport(e.slope, subst, rb))
+        return transport(e, subst, rb)
+
+    assert pullback(d(f, base), subst, rb) == d(moved(f), base)
+    w = wedge(d(f, base), d(g, base))
+    if base.eps == "free":
+        assert any(("e",) in key for key in w.terms)
+    assert any(("t", 1) in key for key in w.terms) == (base.level == 0)
+    assert pullback(w, subst, rb) == wedge(d(moved(f), base), d(moved(g), base))
+
+
+def test_coefficients_follow_the_base():
+    r = ring_xy()
+    x, y = r.var("x"), r.var("y")
+    with pytest.raises(NoDualBase):
+        DiffForm(r, base_q(), 1, {(("v", 0),): DualElem(r, x, y)})
+    w = DiffForm(r, dual_relative(QQ), 1, {(("v", 0),): x})
+    c = w.terms[(("v", 0),)]
+    assert isinstance(c, DualElem) and c == DualElem(r, x)
+    with pytest.raises(NoDualBase):
+        d(x, base_q()) * DualElem(r, y)
+    # eps * d(eps) = 0 keeps only the body under d(eps)
+    v = DiffForm(r, absolute_on_dual(), 1, {(("e",),): DualElem(r, x, y)})
+    assert v.terms == {(("e",),): DualElem(r, x)}
+
+
 def test_dropped_rings_are_freed_with_their_memos():
     # derived data lives on the ring, so no cache keeps a dead ring alive
     def alive():

@@ -28,6 +28,21 @@ def test_arith_and_degrees():
     assert (f - f).is_zero()
 
 
+def test_hash_is_computed_once_per_polynomial(monkeypatch):
+    x, y = xy()
+    f, g = (x + y) ** 2, x**2 + 2 * x * y + y**2
+    h = hash(f)
+    calls = []
+
+    def counting_frozenset(items):
+        calls.append(1)
+        return frozenset(items)
+
+    monkeypatch.setattr(mpoly, "frozenset", counting_frozenset, raising=False)
+    assert hash(f) == h and hash(g) == h and hash(g) == h
+    assert len(calls) == 1
+
+
 def test_multiplying_by_one_returns_the_other_factor():
     tq = make_tower([Transcendental("t")])
     for tw in (QQ, tq):

@@ -135,6 +135,17 @@ def test_derivative_requires_parens():
         parse("d_C x")
 
 
+@pytest.mark.parametrize("text,col", [("x^²", 3), ("x + ²", 5)])
+def test_superscript_digit_is_an_unexpected_character(text, col):
+    with pytest.raises(InstanceSyntaxError, match="unexpected character") as err:
+        parse(text)
+    assert (err.value.line, err.value.col) == (1, col)
+
+
+def test_decimal_digits_of_any_script_read_as_numbers():
+    assert parse("x^٣") == parse("x^3")
+
+
 def test_non_integer_exponent():
     with pytest.raises(InstanceSyntaxError, match="integer"):
         parse("x^y")
