@@ -8,13 +8,15 @@ pseudo-remainder in one variable (the remainder, for a relation monic in
 it), exact division and gcd. Over Q both run on a small integer kernel
 (dicts from exponent tuple to int). One walk down the tower (`_gcd`) serves
 the gcd and the cancellation of a fraction. A gcd with a monomial is read
-from the exponents, at any level; else the walk takes one of four branches:
-over Q the heuristic gcd GCDHEU, whose trial division gives the cofactors,
-or the primitive remainder sequence where GCDHEU gives up; top levels that
-no coefficient depends on are dropped; a top transcendental generator moves
-into the polynomial; a top algebraic level divides both sides by their
-leading coefficients, which may free a level, and else runs the remainder
-sequence.
+from the exponents, at any level, and so is a gcd with a side linear in a
+variable, c x_v + r for a constant c and an r free of x_v: such a side is
+irreducible, so one exact division decides between it and 1. Else the walk
+takes one of four branches: over Q the heuristic gcd GCDHEU, whose trial
+division gives the cofactors, or the primitive remainder sequence where
+GCDHEU gives up; top levels that no coefficient depends on are dropped; a
+top transcendental generator moves into the polynomial; a top algebraic
+level divides both sides by their leading coefficients, which may free a
+level, and else runs the remainder sequence.
 
 The term dict is private to this module, which alone orders terms (by
 graded lex, ``_glex``).  Other modules read terms through ``items`` and
@@ -342,14 +344,17 @@ def lowest_terms(num, den):
 
 
 def _gcd(f, g):
-    """(G, qf, qg) for nonzero f and g: a gcd G and, when GCDHEU found them,
-    the cofactors u f / G and u g / G for one unit u of the tower, else None
-    for both. A constant gcd is G = None, with the cofactors f and g. When f
-    or g is a monomial, so is every divisor of it: G is x^m for the
-    componentwise least exponent m of f and g, and the cofactors (u = 1) are
-    exponent shifts; a constant side gives G = None without reading the
-    other side's exponents. The shared product of t-denominators that
-    flattening multiplies both sides by is a unit of K = L(t), and a gcd in
+    """(G, qf, qg) for nonzero f and g: a gcd G and, unless the remainder
+    sequence found G, the cofactors u f / G and u g / G for one unit u of
+    the tower, else None for both. A constant gcd is G = None, with the
+    cofactors f and g. When f or g is a monomial, so is every divisor of it:
+    G is x^m for the componentwise least exponent m of f and g, and the
+    cofactors (u = 1) are exponent shifts; a constant side gives G = None
+    without reading the other side's exponents. Else a side p = c x_v + r,
+    with c a constant and r free of x_v, is irreducible: G is p, with the
+    cofactors 1 and q / p (u = 1), when p divides the other side q, and
+    else G = None. The shared product of t-denominators that flattening
+    multiplies both sides by is a unit of K = L(t), and a gcd in
     L[x_0..x_{n-1}, t] is the K[x]-gcd up to pure-t factors, which are units
     of K.
     """
@@ -363,6 +368,15 @@ def _gcd(f, g):
         if not any(m):
             return None, f, g
         return (MPoly(tw, f.nvars, {m: 1}), _shift_down(f, m), _shift_down(g, m))
+    p = f if _is_linear(ft) else g if _is_linear(gt) else None
+    if p is not None:
+        # p is irreducible, so the gcd is p when p divides the other side, else 1
+        try:
+            q = div_exact(g if p is f else f, p)
+        except DivisionByZero:
+            return None, f, g
+        one = MPoly.const(tw, f.nvars, 1)
+        return (p, one, q) if p is f else (p, q, one)
     a, b = f, g
     if not tw.steps:
         (sf, F), (sg, G) = _to_ints(f), _to_ints(g)
@@ -396,6 +410,17 @@ def _gcd(f, g):
             return (G, None, None) if qa is None else (G, _scale(qa, _lc(f)), _scale(qb, _lc(g)))
     G = _prs_gcd(a, b)
     return (None, f, g) if G.is_constant() else (G, None, None)
+
+
+def _is_linear(terms):
+    """Whether the term dict is c x_v + r for a constant c and an r free of
+    x_v: such a polynomial is irreducible, as a factor free of x_v divides c."""
+    for e in terms:
+        if sum(e) == 1:
+            v = e.index(1)
+            if all(not k[v] for k in terms if k is not e):
+                return True
+    return False
 
 
 def _shift_down(f, m):

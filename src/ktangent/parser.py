@@ -137,7 +137,8 @@ def _lex(text):
             continue
         if ch.isalpha() or ch == "_":
             j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
+            # isalnum() would admit superscript and other non-decimal digits
+            while j < n and (text[j].isalpha() or text[j].isdecimal() or text[j] == "_"):
                 j += 1
             toks.append(("name", text[i:j], at))
             col += j - i

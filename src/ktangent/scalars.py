@@ -23,6 +23,12 @@ is rational exactly when it is not a tuple, and rational work runs on the
 int and Fraction operators whatever the tower.  ``int / int`` is a float,
 so it is never applied to raw values: ``_inv`` builds a Fraction, or an
 int when the inverse is integral.
+
+Sums of reduced fractions at a transcendental level skip the gcds whose
+answer is known, by Henrici's rule (J. ACM 3, 1956; Knuth, TAOCP vol. 2,
+4.5.1): over one denominator d a sum cancels only gcd(n1 + n2, d), and a
+value plus a polynomial is already reduced.  Other sums, and products
+unless both sides are polynomials, are cross-multiplied and reduced.
 """
 
 from __future__ import annotations
@@ -105,26 +111,33 @@ def _add(tw, lv, a, b):
         if type(b) is not tuple:
             return a + b
         a, b = b, a
-    elif type(b) is tuple:
-        if a[0] == "q":
+    if type(b) is not tuple:  # a is a tuple and b a rational
+        if not b:
+            return a
+        if a[0] == "a":
+            cs = a[1]
+            return ("a", (_add(tw, lv - 1, cs[0], b),) + cs[1:])
+        p = (b,)
+    elif a[0] == "a":
+        return _aval(tuple(_add(tw, lv - 1, x, y) for x, y in zip(a[1], b[1])))
+    elif a[2] == b[2]:
+        # over one denominator d only gcd(n1 + n2, d) can cancel; a monic
+        # constant d is one, and then the sum is canonical
+        num = _padd(tw, lv - 1, a[1], b[1])
+        return _qval(tuple(num)) if len(a[2]) == 1 else _mkq(tw, lv, num, a[2])
+    else:
+        if len(a[2]) == 1:
+            a, b = b, a
+        if len(b[2]) != 1:
             n1, d1 = a[1], a[2]
             n2, d2 = b[1], b[2]
-            if len(d1) == 1 and len(d2) == 1:
-                # both polynomials (a monic constant denominator is one): the
-                # sum is already canonical
-                return _qval(tuple(_padd(tw, lv - 1, n1, n2)))
             num = _padd(tw, lv - 1, _pmul(tw, lv - 1, n1, d2), _pmul(tw, lv - 1, n2, d1))
             return _mkq(tw, lv, num, _pmul(tw, lv - 1, d1, d2))
-        return _aval(tuple(_add(tw, lv - 1, x, y) for x, y in zip(a[1], b[1])))
-    # a is a tuple and b a rational
-    if not b:
-        return a
-    if a[0] == "q":
-        # num/den + b = (num + b den)/den, still in lowest terms
-        den = a[2]
-        return ("q", tuple(_padd(tw, lv - 1, a[1], _pscale(tw, lv - 1, b, den))), den)
-    cs = a[1]
-    return ("a", (_add(tw, lv - 1, cs[0], b),) + cs[1:])
+        p = b[1]
+    # num/den plus a polynomial p (a rational b among them) is
+    # (num + p den)/den, still in lowest terms
+    den = a[2]
+    return ("q", tuple(_padd(tw, lv - 1, a[1], _pmul(tw, lv - 1, p, den))), den)
 
 
 def _neg(tw, lv, a):

@@ -329,7 +329,8 @@ def test_cancel_over_function_fields_runs_on_the_integer_kernel(monkeypatch):
     # over Q(t) and Q(t1)(t2) both sides are flattened with one shared
     # product of their t-denominators: the quotients are f / G and g / G
     # times one unit of the tower, coprime, and found by GCDHEU alone, with
-    # no remainder sequence and no exact division
+    # no remainder sequence and no exact division (no side is linear in a
+    # variable, t included once flattened, which the linear branch would take)
     cases = []
     for tw in (make_tower([Transcendental("t")]),
                make_tower([Transcendental("t1"), Transcendental("t2")])):
@@ -338,7 +339,7 @@ def test_cancel_over_function_fields_runs_on_the_integer_kernel(monkeypatch):
         h = (x - t) * (y + s / (t + 1))
         cases += [(h * (x + y * t.inv()), h * (x * y - s) * (t - 2).inv()),
                   (x * (y - s), (y - s) * (x + 1) * s.inv()),
-                  (x + t, y * y - t / 3)]
+                  (x * y + t * t, y * y - t * t / 3)]
     seen = _spy_kernel(monkeypatch, "_heu_cofactors")
     divisions = []
     monkeypatch.setattr(mpoly, "div_exact",
@@ -575,3 +576,53 @@ def test_monomial_gcd_agrees_with_the_kernel_over_q():
             assert want[0].is_constant() and got[0] is None
             got = (MPoly.const(QQ, 2, 1), *got[1:])
         assert [norm(p) for p in got] == [norm(p) for p in want]
+
+
+def _linear_cases(tower, c):
+    """(f, g, p): pairs with no monomial side and a side p = c' x_v + r,
+    with c' a nonzero constant and r free of x_v."""
+    x, y = xy(tower)
+    p, q = c * x + y * y + 1, y - c * x**2  # linear in x, linear in y
+    return [
+        (p, p * (x * y - c), p),  # p divides the other side
+        (p * (y + c) * (x - 1), p, p),  # the linear side second
+        (p, x * y - c, p),  # coprime
+        (x**2 + c, q, q),  # coprime, linear in y
+        # the first side linear in x; the other is y (x + 2), which it
+        # divides only when c = 1
+        (x + c + 1, -x * y - 2 * y, None),
+    ]
+
+
+@pytest.mark.parametrize("tower, c", _monomial_towers())
+def test_a_side_linear_in_a_variable_takes_one_division(monkeypatch, tower, c):
+    # p = c' x_v + r is irreducible, so gcd(p, q) is p when p divides q and
+    # 1 otherwise: one exact division decides it, with no GCDHEU run and no
+    # remainder sequence, at every level of the tower
+    norm = mpoly._normalize_lead
+    cases, want = _linear_cases(tower, c), []
+    for f, g, p in cases:
+        p = f if p is None else p
+        try:
+            quo = div_exact(g if p is f else f, p)
+        except DivisionByZero:
+            quo = None
+        want.append((p, quo))
+    assert sum(quo is None for _, quo in want) >= 2
+    assert sum(quo is not None for _, quo in want) >= 2
+    seen = _spy_kernel(monkeypatch)
+    for (f, g, _), (p, quo) in zip(cases, want):
+        qf, qg = mpoly._cancel(f, g)
+        if quo is None:
+            assert mp_gcd(f, g) == 1 and (qf, qg) == (f, g)
+            continue
+        assert mp_gcd(f, g) == norm(p)
+        qp, qo = (qf, qg) if p is f else (qg, qf)
+        assert qp.is_constant() and norm(qo) == norm(quo)
+        assert qf * g == qg * f
+    assert seen == {"heu": [], "prs": []}
+    # x y + 1 has no variable of degree 1 alone in one term: the old branches
+    x, y = xy(tower)
+    h = x * y + 1
+    assert mp_gcd(h, h * (x * y - c)) == h
+    assert seen["heu"] or seen["prs"]

@@ -142,6 +142,18 @@ def test_superscript_digit_is_an_unexpected_character(text, col):
     assert (err.value.line, err.value.col) == (1, col)
 
 
+@pytest.mark.parametrize("text,col", [("x²", 2), ("y_1³ + 1", 4), ("ab¹", 3)])
+def test_a_name_ends_before_a_superscript_digit(text, col):
+    with pytest.raises(InstanceSyntaxError, match="unexpected character") as err:
+        parse(text)
+    assert (err.value.line, err.value.col) == (1, col)
+
+
+def test_a_name_continues_with_letters_decimal_digits_and_underscores():
+    e = parse("x_1y2٣ * é")
+    assert [(a.kind, a.args) for a in e.args] == [("name", ("x_1y2٣",)), ("name", ("é",))]
+
+
 def test_decimal_digits_of_any_script_read_as_numbers():
     assert parse("x^٣") == parse("x^3")
 

@@ -2,6 +2,7 @@
 
 import operator
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -337,6 +338,60 @@ def test_fast_paths_agree_with_the_reducing_path():
             while k and x is not None and y is not None:
                 _check_fast_paths(tw, k, x, y)
                 x, y, k = _one_level_down(x), _one_level_down(y), k - 1
+
+
+@pytest.mark.parametrize("specs", [
+    [Transcendental("t")],
+    [Transcendental("t1"), Transcendental("t2")],
+    [Algebraic("r2", [-2, 0, 1]), Transcendental("t")],
+], ids=["Q(t)", "Q(t1)(t2)", "Q(r2)(t)"])
+def test_henrici_rules_agree_with_the_reducing_path(specs):
+    # Henrici's rule: a sum over one denominator d cancels only
+    # gcd(n1 + n2, d), and a value plus a polynomial is already reduced;
+    # each sum, and each product on the same pairs, must give exactly what
+    # _mkq gives on the cross-multiplied sum or product, at every level
+    tw = make_tower(specs)
+    lv = tw.num_levels
+    gens = [tw.gen(n) for n in tw.names]
+    s, t = gens[0], gens[-1]
+    rng = random.Random(24)
+    dens = [t + 1, (t + 1) * (t - 2), t * t + s + 1, s + 3]
+    nums = [_random_scalar(rng, tw, gens) for _ in range(5)] + [t + 1, t - 2, tw.one()]
+    values = [n / d for n in nums for d in dens if not n.is_zero()] + nums
+    for d in dens:
+        n = rng.choice(nums)
+        # sums over d with a constant numerator, a zero sum, and a sum that
+        # cancels a factor of d
+        values += [(n + 2) / d, -n / d, (1 - n) / d, (t + 1) * (t - 2) / d - n / d]
+    vals = [v.val for v in values]
+    kinds = Counter()
+    den = lambda v: _expanded(tw, lv, v)[2]
+    for a in vals:
+        for b in rng.sample(vals, 8) + [b for b in vals if den(b) == den(a)]:
+            x, y, k = a, b, lv
+            while k and x is not None and y is not None:
+                if tw.steps[k - 1][0] == "tr":
+                    (_, n1, d1), (_, n2, d2) = _expanded(tw, k, x), _expanded(tw, k, y)
+                    if d1 == d2 and len(d1) > 1:
+                        total = len(scalars._padd(tw, k - 1, n1, n2))
+                        kinds[("zero sum", "constant sum", "one den")[min(total, 2)]] += 1
+                    elif (len(d1) == 1) != (len(d2) == 1):
+                        kinds["a polynomial side"] += 1
+                    _check_fast_paths(tw, k, x, y)
+                x, y, k = _one_level_down(x), _one_level_down(y), k - 1
+    assert min(kinds.values()) >= 10 and len(kinds) == 4
+
+
+def test_a_sum_over_one_denominator_with_a_constant_numerator_runs_no_gcd(monkeypatch):
+    tw = make_tower([Transcendental("t")])
+    t = tw.gen("t")
+    d = (t + 1) * (t - 2)
+    a, b, want = (t + 3) / d, (1 - t) / d, 4 / d
+    calls = []
+    real = scalars._pgcd
+    monkeypatch.setattr(scalars, "_pgcd", lambda *args: calls.append(args) or real(*args))
+    assert a + b == want and a - a == 0
+    assert calls == []
 
 
 def _assert_canonical(tw, lv, v):
