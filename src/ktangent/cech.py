@@ -19,6 +19,7 @@ from .errors import (
     NotStabilized,
     SingularRelation,
     Unsupported,
+    VacuousCheck,
     WindowOverflow,
     WindowTooLarge,
 )
@@ -50,10 +51,16 @@ MAX_WINDOW_LABELS = 100_000  # labels of O(d) at D + delta that a run may enumer
 
 
 def check_window(cover, twist, policy):
-    """Refuse a policy whose D + delta window would hold more than
-    MAX_WINDOW_LABELS labels of O(twist), before any label is enumerated."""
+    """Refuse a policy whose D + delta window would hold no label of
+    O(twist), or more than MAX_WINDOW_LABELS, before any label is
+    enumerated: two empty windows agree whatever the cohomology is, so their
+    agreement certifies nothing."""
     D = policy.D + policy.delta
     count = cover.window_labels(twist, D)
+    if not count:
+        raise VacuousCheck(
+            f"empty window: O({twist}) at D + delta = {D} has no Čech label, so "
+            f"both windows are empty and their agreement shows nothing")
     if count > MAX_WINDOW_LABELS:
         raise WindowTooLarge(
             f"window too large: O({twist}) at D + delta = {D} has {count} Čech labels, "

@@ -21,6 +21,10 @@ class DivisionByZero(KTangentError, ZeroDivisionError):
     """Exact division by a zero element."""
 
 
+class DegreeTooLarge(KTangentError):
+    """A polynomial exponent would pass the 16-bit field that holds it."""
+
+
 class TowerMismatch(KTangentError):
     """Two scalars (or objects) built over different towers were combined."""
 

@@ -1,12 +1,12 @@
 """Multivariate polynomials with tower-field coefficients.
 
 Internal support layer for function rings: sparse dict representation
-(exponent tuple -> nonzero raw value of the tower's top level, worked on by
-the tower's bound arithmetic; a rational value is an int when it is
+(packed exponent key -> nonzero raw value of the tower's top level, worked
+on by the tower's bound arithmetic; a rational value is an int when it is
 integral, else a Fraction, and ``Tower.value`` makes every constant), the
 pseudo-remainder in one variable (the remainder, for a relation monic in
 it), exact division and gcd. Over Q both run on a small integer kernel
-(dicts from exponent tuple to int). One walk down the tower (`_gcd`) serves
+(dicts from packed key to int). One walk down the tower (`_gcd`) serves
 the gcd and the cancellation of a fraction. A gcd with a monomial is read
 from the exponents, at any level, and so is a gcd with a side linear in a
 variable, c x_v + r for a constant c and an r free of x_v: such a side is
@@ -18,12 +18,17 @@ top transcendental generator moves into the polynomial; a top algebraic
 level divides both sides by their leading coefficients, which may free a
 level, and else runs the remainder sequence.
 
-The term dict is private to this module, which alone orders terms (by
-graded lex, ``_glex``).  Other modules read terms through ``items`` and
-``monomial``, as (exponent tuple, raw value) pairs, and put a fraction in
-canonical form with ``lowest_terms`` and ``monic``.  Coefficients become
-Scalars only at the boundary: ``const`` and arithmetic with a Scalar take
-one in.
+A monomial x^e in n variables is one int, its packed key: a 16-bit field
+per exponent, e_0 highest and e_{n-1} lowest, under a field holding the
+total degree (Monagan and Pearce, CASC 2007).  Int order is then graded
+lex, so a leading term is ``max`` of the keys, and a monomial product is
+the sum of the keys.  A product, shift or power whose exponent would pass
+the field raises DegreeTooLarge, checked once per operation, never per
+term.  The term dict is private to this module.  Other modules read terms
+through ``items`` and ``monomial``, as (exponent tuple, raw value) pairs,
+and put a fraction in canonical form with ``lowest_terms`` and ``monic``.
+Coefficients become Scalars only at the boundary: ``const`` and
+arithmetic with a Scalar take one in.
 """
 
 from __future__ import annotations
@@ -31,8 +36,62 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
-from .errors import DivisionByZero, TowerMismatch
+from .errors import DegreeTooLarge, DivisionByZero, TowerMismatch
 from .scalars import QQ, Scalar, Tower, _ONE_T, _pgcd, _pmul, _qval, power, render_terms
+
+_BITS = 16  # width of one exponent field
+_FIELD = (1 << _BITS) - 1  # the largest exponent, and the mask of one field
+
+
+def _shifts(n):
+    """The bit offsets of the exponent fields of x_0, ..., x_{n-1}."""
+    return range(_BITS * (n - 1), -1, -_BITS)
+
+
+def _pack(e):
+    """The key of the exponent vector e, whose entries fit their fields."""
+    k = sum(e)
+    for a in e:
+        k = (k << _BITS) | a
+    return k
+
+
+def _unpack(k, n):
+    """The exponent tuple of the key k of a monomial in n variables."""
+    return tuple((k >> s) & _FIELD for s in _shifts(n))
+
+
+def _offset(n, v):
+    """The bit offset of the exponent field of x_v in a key of n variables."""
+    return _BITS * (n - 1 - v)
+
+
+def _step(n, v, k=1):
+    """What adding k to the exponent of x_v adds to a key: its field and the total."""
+    return (k << _offset(n, v)) + (k << _BITS * n)
+
+
+def _degrees(keys, n):
+    """The largest exponent of each variable over the keys (0 for none)."""
+    out = [0] * n
+    order = range(n - 1, -1, -1)  # the fields from the lowest up
+    for e in keys:
+        for i in order:
+            a = e & _FIELD
+            if a > out[i]:
+                out[i] = a
+            e >>= _BITS
+    return out
+
+
+def _check_product(ft, gt, n):
+    """Raise DegreeTooLarge when an exponent of the product of the term dicts
+    ft and gt would pass its field; a product calls it only when its total
+    degree passes one field, which would otherwise bound every exponent."""
+    for i, (a, b) in enumerate(zip(_degrees(ft, n), _degrees(gt, n))):
+        if a + b > _FIELD:
+            raise DegreeTooLarge(f"a product has degree {a + b} in x{i}; "
+                                 f"an exponent is at most {_FIELD}")
 
 
 class MPoly:
@@ -43,7 +102,7 @@ class MPoly:
     def __init__(self, tower, nvars, terms):
         self.tower = tower
         self.nvars = nvars
-        self._terms = terms  # dict[tuple[int, ...] -> raw value], no zero values
+        self._terms = terms  # dict[packed key -> raw value], no zero values
 
     # -- constructors
 
@@ -53,13 +112,11 @@ class MPoly:
         v = tower.lift(c.tower, c.val) if isinstance(c, Scalar) else tower.value(c)
         if not v:
             return cls(tower, nvars, {})
-        return cls(tower, nvars, {(0,) * nvars: v})
+        return cls(tower, nvars, {0: v})
 
     @classmethod
     def variable(cls, tower, nvars, i):
-        e = [0] * nvars
-        e[i] = 1
-        return cls(tower, nvars, {tuple(e): 1})
+        return cls(tower, nvars, {_step(nvars, i): 1})
 
     def over(self, tower):
         """This polynomial with its coefficients embedded into tower, which
@@ -68,7 +125,9 @@ class MPoly:
         return MPoly(tower, self.nvars, {e: lift(src, c) for e, c in self._terms.items()})
 
     def _mk(self, terms):
-        return MPoly(self.tower, self.nvars, {e: c for e, c in terms.items() if c})
+        if not all(terms.values()):
+            terms = {e: c for e, c in terms.items() if c}
+        return MPoly(self.tower, self.nvars, terms)
 
     def _coerce(self, other):
         if isinstance(other, MPoly):
@@ -111,15 +170,20 @@ class MPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if o._is_one():
+        ft, gt = self._terms, o._terms
+        if len(gt) == 1 and gt.get(0) == 1:
             return self
-        if self._is_one():
+        if len(ft) == 1 and ft.get(0) == 1:
             return o
+        # the sum of the leading keys holds deg f + deg g in its total field
+        # (a carry into that field needs the sum past one field already)
+        if (max(ft, default=0) + max(gt, default=0)) >> _BITS * self.nvars > _FIELD:
+            _check_product(ft, gt, self.nvars)
         add, mul = self.tower.add, self.tower.mul
         out = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in o._terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+        for e1, c1 in ft.items():
+            for e2, c2 in gt.items():
+                e = e1 + e2
                 p = mul(c1, c2)
                 s = out.get(e)
                 out[e] = p if s is None else add(s, p)
@@ -156,30 +220,33 @@ class MPoly:
     # -- structure
 
     def degree_in(self, v):
-        return max((e[v] for e in self._terms), default=-1)
+        s = _offset(self.nvars, v)
+        return max(map((_FIELD << s).__and__, self._terms), default=-1) >> s
 
     def items(self):
         """The (exponent tuple, raw value) pairs of the nonzero terms."""
-        return self._terms.items()
+        n = self.nvars
+        return [(_unpack(e, n), c) for e, c in self._terms.items()]
 
     def monomial(self):
         """(exponent tuple, raw value) of a one-term polynomial, else None."""
         if len(self._terms) != 1:
             return None
-        (term,) = self._terms.items()
-        return term
-
-    def _is_one(self):
-        term = self.monomial()
-        return term is not None and not any(term[0]) and term[1] == 1
+        ((e, c),) = self._terms.items()
+        return _unpack(e, self.nvars), c
 
     def is_constant(self):
-        return all(sum(e) == 0 for e in self._terms)
+        return not any(self._terms)
 
     def deriv(self, v):
-        tw = self.tower
-        return self._mk({e[:v] + (e[v] - 1,) + e[v + 1:]: tw.mul(c, e[v])
-                         for e, c in self._terms.items() if e[v]})
+        mul = self.tower.mul
+        s, step = _offset(self.nvars, v), _step(self.nvars, v)
+        out = {}
+        for e, c in self._terms.items():
+            k = (e >> s) & _FIELD
+            if k:
+                out[e - step] = mul(c, k)
+        return self._mk(out)
 
     def coeff_deriv(self, level):
         """Apply the tower derivation d/d(gen at level) to every coefficient."""
@@ -192,7 +259,7 @@ class MPoly:
         add, mul = tw.add, tw.mul
         xs = [tw.value(x) for x in point]
         acc = 0
-        for e, c in self._terms.items():
+        for e, c in self.items():
             for x, k in zip(xs, e):
                 for _ in range(k):
                     c = mul(c, x)
@@ -201,28 +268,42 @@ class MPoly:
 
     def split_by(self, v):
         """Return dict[deg -> MPoly] of v-coefficients (v zeroed out in keys)."""
+        n = self.nvars
+        s, unit = _offset(n, v), _step(n, v)
         out = {}
         for e, c in self._terms.items():
-            out.setdefault(e[v], {})[e[:v] + (0,) + e[v + 1:]] = c
-        return {k: MPoly(self.tower, self.nvars, d) for k, d in out.items()}
+            k = (e >> s) & _FIELD
+            out.setdefault(k, {})[e - k * unit] = c
+        return {k: MPoly(self.tower, n, d) for k, d in out.items()}
 
     def coeff_of(self, v, k):
-        return MPoly(self.tower, self.nvars, {e[:v] + (0,) + e[v + 1:]: c
-                                              for e, c in self._terms.items() if e[v] == k})
+        n = self.nvars
+        s, drop = _offset(n, v), _step(n, v, k)
+        return MPoly(self.tower, n, {e - drop: c for e, c in self._terms.items()
+                                     if (e >> s) & _FIELD == k})
 
     def shift(self, v, k):
-        return MPoly(self.tower, self.nvars, {e[:v] + (e[v] + k,) + e[v + 1:]: c
-                                              for e, c in self._terms.items()})
+        """This polynomial times x_v^k, for k >= 0."""
+        top = self.degree_in(v) + k
+        if top > _FIELD:
+            raise DegreeTooLarge(f"a shift reaches degree {top} in x{v}; "
+                                 f"an exponent is at most {_FIELD}")
+        step = _step(self.nvars, v, k)
+        return MPoly(self.tower, self.nvars, {e + step: c for e, c in self._terms.items()})
 
     def vars_used(self):
-        return {i for e in self._terms for i, k in enumerate(e) if k}
+        acc = 0
+        for e in self._terms:
+            acc |= e
+        return {i for i, s in enumerate(_shifts(self.nvars)) if (acc >> s) & _FIELD}
 
     def render(self, names):
-        render = self.tower.render
+        render, n = self.tower.render, self.nvars
         return render_terms([
-            (render(self._terms[e]),
-             "*".join(names[i] if k == 1 else f"{names[i]}^{k}" for i, k in enumerate(e) if k))
-            for e in sorted(self._terms, key=_glex, reverse=True)])
+            (render(self._terms[k]),
+             "*".join(names[i] if a == 1 else f"{names[i]}^{a}"
+                      for i, a in enumerate(_unpack(k, n)) if a))
+            for k in sorted(self._terms, reverse=True)])
 
     def __repr__(self):
         return self.render([f"x{i}" for i in range(self.nvars)])
@@ -262,7 +343,7 @@ def div_exact(f, g):
         # integer form over Z (Gauss's lemma)
         sf, F = _to_ints(f)
         sg, G = _to_ints(g)
-        return _from_ints(tw, f.nvars, _divide(F, G, QQ), sf / sg)
+        return _from_ints(tw, f.nvars, _divide(F, G, QQ, f.nvars), sf / sg)
     c = tw.mul(_lc(f), tw.inv(_lc(g)))
     f, g = _normalize_lead(f), _normalize_lead(g)
     k = _subfield_levels(f, g)
@@ -270,7 +351,7 @@ def div_exact(f, g):
         low = Tower(tw.steps[:-k], tw.names[:-k])
         q = div_exact(_descend(f, low, k), _descend(g, low, k)).over(tw)
     else:
-        q = MPoly(tw, f.nvars, _divide(f._terms, g._terms, tw))
+        q = MPoly(tw, f.nvars, _divide(f._terms, g._terms, tw, f.nvars))
     return _scale(q, c)
 
 
@@ -286,7 +367,7 @@ def _content(f, v):
 
 def _lc(f):
     """The graded-lex leading coefficient of a nonzero f, as a raw value."""
-    return f._terms[max(f._terms, key=_glex)]
+    return f._terms[max(f._terms)]
 
 
 def _scale(f, c):
@@ -358,35 +439,35 @@ def _gcd(f, g):
     L[x_0..x_{n-1}, t] is the K[x]-gcd up to pure-t factors, which are units
     of K.
     """
-    tw = f.tower
+    tw, n = f.tower, f.nvars
     ft, gt = f._terms, g._terms
     if len(ft) == 1 or len(gt) == 1:
-        zero = (0,) * f.nvars
-        if (len(ft) == 1 and zero in ft) or (len(gt) == 1 and zero in gt):
+        if (len(ft) == 1 and 0 in ft) or (len(gt) == 1 and 0 in gt):
             return None, f, g
-        m = tuple(map(min, zip(*ft, *gt)))
-        if not any(m):
+        keys = (*ft, *gt)
+        m = _pack([min(map((_FIELD << s).__and__, keys)) >> s for s in _shifts(n)])
+        if not m:
             return None, f, g
-        return (MPoly(tw, f.nvars, {m: 1}), _shift_down(f, m), _shift_down(g, m))
-    p = f if _is_linear(ft) else g if _is_linear(gt) else None
+        return (MPoly(tw, n, {m: 1}), _shift_down(f, m), _shift_down(g, m))
+    p = f if _is_linear(ft, n) else g if _is_linear(gt, n) else None
     if p is not None:
         # p is irreducible, so the gcd is p when p divides the other side, else 1
         try:
             q = div_exact(g if p is f else f, p)
         except DivisionByZero:
             return None, f, g
-        one = MPoly.const(tw, f.nvars, 1)
+        one = MPoly.const(tw, n, 1)
         return (p, one, q) if p is f else (p, q, one)
     a, b = f, g
     if not tw.steps:
         (sf, F), (sg, G) = _to_ints(f), _to_ints(g)
-        found = _heu_cofactors(F, G)
+        found = _heu_cofactors(F, G, n)
         if found is not None:
             H, QF, QG = found
-            lead = max(H, key=_glex)
-            if not any(lead):
+            lead = max(H)
+            if not lead:
                 return None, f, g
-            c, n = H[lead], f.nvars
+            c = H[lead]
             return (_from_ints(tw, n, H, Fraction(1, c)), _from_ints(tw, n, QF, sf * c),
                     _from_ints(tw, n, QG, sg * c))
     else:
@@ -412,21 +493,22 @@ def _gcd(f, g):
     return (None, f, g) if G.is_constant() else (G, None, None)
 
 
-def _is_linear(terms):
-    """Whether the term dict is c x_v + r for a constant c and an r free of
-    x_v: such a polynomial is irreducible, as a factor free of x_v divides c."""
+def _is_linear(terms, n):
+    """Whether the term dict, in n variables, is c x_v + r for a constant c
+    and an r free of x_v: such a polynomial is irreducible, as a factor free
+    of x_v divides c."""
+    top = _BITS * n
     for e in terms:
-        if sum(e) == 1:
-            v = e.index(1)
-            if all(not k[v] for k in terms if k is not e):
+        if e >> top == 1:
+            field = (e - (1 << top)) * _FIELD  # the mask of x_v's field
+            if all(not k & field for k in terms if k != e):
                 return True
     return False
 
 
 def _shift_down(f, m):
-    """f divided by the monomial x^m, which divides every term of f."""
-    return MPoly(f.tower, f.nvars, {tuple(a - b for a, b in zip(e, m)): c
-                                    for e, c in f._terms.items()})
+    """f divided by the monomial of key m, which divides every term of f."""
+    return MPoly(f.tower, f.nvars, {e - m: c for e, c in f._terms.items()})
 
 
 def _up(found, f, g, up):
@@ -444,8 +526,8 @@ def _prs_gcd(f, g):
         # one variable: the field Euclid on coefficient lists in v
         tw, n = f.tower, f.nvars
         h = _pgcd(tw, tw.num_levels, _coeff_list(f, v), _coeff_list(g, v))
-        return MPoly(tw, n, {(0,) * v + (k,) + (0,) * (n - v - 1): c
-                             for k, c in enumerate(h) if c})
+        step = _step(n, v)
+        return MPoly(tw, n, {k * step: c for k, c in enumerate(h) if c})
     cf, cg = _content(f, v), _content(g, v)
     c = mp_gcd(cf, cg)
     a = div_exact(f, cf)
@@ -463,9 +545,10 @@ def _prs_gcd(f, g):
 
 def _coeff_list(f, v):
     """The coefficient values of f, a polynomial in x_v alone, low degree first."""
+    s = _offset(f.nvars, v)
     out = [0] * (f.degree_in(v) + 1)
     for e, c in f._terms.items():
-        out[e[v]] = c
+        out[(e >> s) & _FIELD] = c
     return out
 
 
@@ -527,15 +610,20 @@ def _flatten(f, low, dens):
     fractions of polynomials in t over low)."""
     tw = f.tower
     lv = tw.num_levels
+    step = _step(f.nvars + 1, f.nvars)
     terms = {}
     for e, c in f._terms.items():
         num, den = c[1:] if type(c) is tuple else ((c,), _ONE_T)
         for d in dens:
             if d != den:
                 num = _pmul(tw, lv - 1, num, d)
+        if len(num) > _FIELD + 1:
+            raise DegreeTooLarge(f"a coefficient has degree {len(num) - 1} in "
+                                 f"{tw.names[-1]}; an exponent is at most {_FIELD}")
+        e <<= _BITS  # the key with a last exponent 0
         for i, a in enumerate(num):
             if a:
-                terms[e + (i,)] = a
+                terms[e + i * step] = a
     return MPoly(low, f.nvars + 1, terms)
 
 
@@ -543,22 +631,21 @@ def _unflatten(F, tw):
     """F, a polynomial over a prefix of tw with tw's top generator t as its
     last variable, as a polynomial over tw with polynomial-in-t coefficients."""
     n = F.nvars - 1
+    step = _step(F.nvars, n)
     coeffs = {}
     for e, c in F._terms.items():
-        coeffs.setdefault(e[:n], {})[e[n]] = c
+        i = e & _FIELD
+        coeffs.setdefault((e - i * step) >> _BITS, {})[i] = c
     return MPoly(tw, n, {e: _qval(tuple(p.get(i, 0) for i in range(max(p) + 1)))
                          for e, p in coeffs.items()})
 
 
-# -- the integer kernel: polynomials over Z as dicts from exponent tuple to
-# nonzero int
+# -- the integer kernel: polynomials over Z as dicts from packed key to
+# nonzero int; a key does not carry its variable count n, so each function
+# that reads a field takes n
 
 _HEU_TRIES = 6  # values of xi tried before GCDHEU gives up
 _HEU_BITS = 8000  # cap on bit_length(xi) * degree of the evaluated variable
-
-
-def _glex(e):
-    return sum(e), e
 
 
 def _to_ints(f):
@@ -580,8 +667,8 @@ def _from_ints(tw, nvars, F, s):
     return MPoly(tw, nvars, {e: Fraction(a * p, q) for e, a in F.items()})
 
 
-def _divide(f, g, ring):
-    """f / g by cancelling graded-lex leading terms; f, g are dicts.
+def _divide(f, g, ring, n):
+    """f / g by cancelling leading terms; f, g are dicts keyed in n variables.
 
     The coefficients are raw values of the tower ``ring`` with lc(g) = 1,
     or ints with ``ring`` QQ, whose operator bindings serve ints as well.
@@ -589,17 +676,24 @@ def _divide(f, g, ring):
     quotient has degree deg f - deg g in each variable, which bounds the steps.
     """
     sub, mul, neg, is_zero = ring.sub, ring.mul, ring.neg, ring.is_zero
-    top = [a - b for a, b in zip(map(max, zip(*f)), map(max, zip(*g)))]
-    lg = max(g, key=_glex)
+    top = [a - b for a, b in zip(_degrees(f, n), _degrees(g, n))]
+    if min(top, default=0) < 0:
+        raise DivisionByZero("inexact polynomial division")
+    top = _pack(top)
+    # bit b of x ^ y ^ (x - y) is the borrow into bit b, and x - y borrows
+    # into the lowest bit of a field exactly when an exponent of y passes
+    # that of x: the first test below asks lg | lr, the second d | x^top
+    low = sum(1 << s for s in range(_BITS, _BITS * n + 1, _BITS))
+    lg = max(g)
     cg = g[lg]
     unit = cg == 1
     r = dict(f)
     q = {}
     while r:
-        lr = max(r, key=_glex)
-        d = tuple(a - b for a, b in zip(lr, lg))
+        lr = max(r)
+        d = lr - lg
         c = r[lr]
-        if any(not 0 <= a <= b for a, b in zip(d, top)):
+        if (d ^ lr ^ lg) & low or ((top - d) ^ top ^ d) & low:
             raise DivisionByZero("inexact polynomial division")
         if not unit:
             c, m = divmod(c, cg)
@@ -607,7 +701,7 @@ def _divide(f, g, ring):
                 raise DivisionByZero("inexact polynomial division")
         q[d] = c
         for e, a in g.items():
-            k = tuple(x + y for x, y in zip(d, e))
+            k = d + e
             w = r.get(k)
             if w is None:
                 r[k] = neg(mul(c, a))
@@ -620,17 +714,17 @@ def _divide(f, g, ring):
     return q
 
 
-def _quotient(f, h):
+def _quotient(f, h, n):
     """f / h over Z, or None when h does not divide f."""
     try:
-        return _divide(f, h, QQ)
+        return _divide(f, h, QQ, n)
     except DivisionByZero:
         return None
 
 
-def _heu_cofactors(f, g):
-    """(h, f/h, g/h) for h the gcd in Z[x] of nonzero integer polynomials f
-    and g, by GCDHEU; None when it gives up.
+def _heu_cofactors(f, g, n):
+    """(h, f/h, g/h) for h the gcd in Z[x_0..x_{n-1}] of nonzero integer
+    polynomials f and g, by GCDHEU; None when it gives up.
 
     Evaluate one variable at xi, take the gcd of the images recursively, and
     rebuild xi-adically with coefficients in (-xi/2, xi/2] (Char, Geddes and
@@ -639,7 +733,9 @@ def _heu_cofactors(f, g):
     the primitive part of the rebuilt gcd is gcd(f, g) once it divides both,
     provided the recursive gcd is the whole gcd of the images, integer
     content included; so each level multiplies the gcd of the contents back.
-    The trial divisions that accept h give the cofactors.
+    The trial divisions that accept h give the cofactors. The cap _HEU_BITS
+    keeps the degree of a rebuilt gcd in x_v, at most deg + 2 digits of xi,
+    far inside an exponent field.
     """
     cf, cg = gcd(*f.values()), gcd(*g.values())
     c = gcd(cf, cg)
@@ -647,26 +743,25 @@ def _heu_cofactors(f, g):
         f = {e: a // cf for e, a in f.items()}
     if cg != 1:
         g = {e: a // cg for e, a in g.items()}
-    n = len(next(iter(f)))
-    df, dg = list(map(max, zip(*f))), list(map(max, zip(*g)))
-    if not any(df) or not any(dg):
-        return {(0,) * n: c}, _times(f, cf // c), _times(g, cg // c)
+    if not any(f) or not any(g):
+        return {0: c}, _times(f, cf // c), _times(g, cg // c)
+    df, dg = _degrees(f, n), _degrees(g, n)
     v = min((i for i in range(n) if df[i] or dg[i]), key=lambda i: max(df[i], dg[i]))
     deg = max(df[v], dg[v])
     xi = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 2
     for _ in range(_HEU_TRIES):
         if xi.bit_length() * deg > _HEU_BITS:
             return None
-        fx, gx = _eval_at(f, v, xi), _eval_at(g, v, xi)
+        fx, gx = _eval_at(f, v, xi, n), _eval_at(g, v, xi, n)
         if fx and gx:
-            h = _heu_cofactors(fx, gx)
+            h = _heu_cofactors(fx, gx, n)
             if h is None:
                 return None
-            h = _interpolate(h[0], v, xi)
+            h = _interpolate(h[0], v, xi, n)
             ch = gcd(*h.values())
             h = {e: a // ch for e, a in h.items()}
-            qf = _quotient(f, h)
-            qg = None if qf is None else _quotient(g, h)
+            qf = _quotient(f, h, n)
+            qg = None if qf is None else _quotient(g, h, n)
             if qg is not None:
                 return _times(h, c), _times(qf, cf // c), _times(qg, cg // c)
         xi = 73794 * xi * isqrt(isqrt(xi)) // 27011  # about (1 + sqrt 3) xi^(5/4)
@@ -678,23 +773,26 @@ def _times(F, k):
     return F if k == 1 else {e: a * k for e, a in F.items()}
 
 
-def _eval_at(f, v, xi):
-    """f at x_v = xi; the exponent of x_v becomes 0."""
+def _eval_at(f, v, xi, n):
+    """f, keyed in n variables, at x_v = xi; the exponent of x_v becomes 0."""
+    s, unit = _offset(n, v), _step(n, v)
     out = {}
     pw = [1]
     for e, a in f.items():
-        k = e[v]
+        k = (e >> s) & _FIELD
         if k:
             while len(pw) <= k:
                 pw.append(pw[-1] * xi)
-            e = e[:v] + (0,) + e[v + 1:]
+            e -= k * unit
             a *= pw[k]
         out[e] = out.get(e, 0) + a
     return {e: a for e, a in out.items() if a}
 
 
-def _interpolate(h, v, xi):
-    """The polynomial with coefficients in (-xi/2, xi/2] that is h at x_v = xi."""
+def _interpolate(h, v, xi, n):
+    """The polynomial in n variables with coefficients in (-xi/2, xi/2] that
+    is h, free of x_v, at x_v = xi."""
+    step = _step(n, v)
     out = {}
     half = xi // 2
     k = 0
@@ -705,7 +803,7 @@ def _interpolate(h, v, xi):
             if r > half:
                 r -= xi
             if r:
-                out[e[:v] + (k,) + e[v + 1:]] = r
+                out[e + k * step] = r
             if a != r:
                 rest[e] = (a - r) // xi
         h = rest

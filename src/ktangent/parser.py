@@ -32,7 +32,7 @@ import operator
 from fractions import Fraction
 
 from .errors import (InstanceSyntaxError, UnknownIdentifier, Unsupported,
-                     Mismatch, DivisionByZero)
+                     Mismatch, DivisionByZero, DegreeTooLarge)
 from .scalars import Scalar
 from .funcrings import RingElem, DualElem
 from .differentials import DiffForm, d, wedge
@@ -294,6 +294,8 @@ def _arith(e, fn, *args):
         return fn(*args)
     except ZeroDivisionError:
         raise DivisionByZero(f"division by zero in '{e}' {_located(e)}") from None
+    except DegreeTooLarge as exc:
+        raise DegreeTooLarge(f"{exc}, in '{e}' {_located(e)}") from None
     except TypeError:
         raise Mismatch(f"cannot combine operands in '{e}' {_located(e)}") from None
 

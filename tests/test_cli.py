@@ -9,11 +9,11 @@ import sys
 
 import pytest
 
-from ktangent.cech import CechEngine, Sheaf
+from ktangent.cech import CechEngine, Sheaf, TruncationPolicy, check_window
 from ktangent.cli import (main, BUILTIN_INSTANCES, build_arg_parser, make_report,
                           render_json)
 from ktangent.parser import load_instance
-from ktangent.errors import Unsupported
+from ktangent.errors import Unsupported, VacuousCheck
 
 
 def run_json(tmp_path, argv, name="r.json"):
@@ -176,6 +176,21 @@ def test_unstable_witness_lists_both_windows_alike(tmp_path):
     (check,) = rep["checks"]
     assert check["dims"] == [0, 0]
     assert check["witnesses"] == ["dims [0, 0] moved to [0, 3] at the larger window"]
+
+
+@pytest.mark.parametrize("instance, sheaf", [("p1", "O(-9)"), ("p2", "O(-13)")])
+def test_empty_windows_are_refused_before_any_label(monkeypatch, capsys, instance, sheaf):
+    # no label of either window exists at D + delta = 4 (H^top has
+    # dimension 8 and 66), so two empty windows would "stabilize" at 0
+    built = []
+    monkeypatch.setattr(CechEngine, "__init__", lambda *a, **k: built.append(a))
+    assert main(["cech", "--instance", instance, "--sheaf", sheaf, "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: empty window: {sheaf} at D + delta = 4 has no Čech label")
+    assert built == []
+    cover = load_instance(BUILTIN_INSTANCES[instance]).cover
+    with pytest.raises(VacuousCheck):
+        check_window(cover, Sheaf.parse(sheaf).twist, TruncationPolicy(2, 2))
 
 
 def test_transcendental_refusal_is_structured(tmp_path):

@@ -9,7 +9,7 @@ import pytest
 from ktangent import mpoly, scalars
 from ktangent.cech import TruncationPolicy, cover_plane_curve, weierstrass_cubic
 from ktangent.cycletangent import composed_infinitesimal
-from ktangent.errors import DivisionByZero, TowerMismatch
+from ktangent.errors import DegreeTooLarge, DivisionByZero, TowerMismatch
 from ktangent.funcrings import FunctionRing, transport
 from ktangent.mpoly import MPoly, div_exact, mp_gcd, reduce_mod
 from ktangent.scalars import QQ, Algebraic, Transcendental, make_tower
@@ -51,6 +51,99 @@ def test_multiplying_by_one_returns_the_other_factor():
         one = MPoly.const(tw, 2, 1)
         assert f * one is f and one * f is f and f * 1 is f
         assert f * 2 == 2 * x**2 + 4 * x * y + 2 * y**2 - 6 * x
+
+
+# -- packed exponent keys ------------------------------------------------------
+
+
+def _monomial(xs, e):
+    m = MPoly.const(xs[0].tower, len(xs), 1)
+    for x, k in zip(xs, e):
+        m = m * x ** k
+    return m
+
+
+@pytest.mark.parametrize("nvars", range(1, 7))
+def test_key_order_is_the_graded_lex_order(nvars):
+    # keys built by the public constructors order as (sum(e), e), and
+    # items() and monomial() give the exponent tuples back
+    rng = random.Random(700 + nvars)
+    xs = [MPoly.variable(QQ, nvars, i) for i in range(nvars)]
+    vecs = {tuple(rng.choice((0, 0, 1, 2, 3, 40, 1000, 65535)) for _ in range(nvars))
+            for _ in range(60)}
+    keys = {}
+    for e in vecs:
+        m = _monomial(xs, e)
+        ((key, c),) = m._terms.items()
+        assert m.monomial() == (e, 1) and m.items() == [(e, 1)] and c == 1
+        assert key == mpoly._pack(e) and mpoly._unpack(key, nvars) == e
+        keys[e] = key
+    assert sorted(vecs, key=keys.get) == sorted(vecs, key=lambda e: (sum(e), e))
+    p = sum((i + 1) * _monomial(xs, e) for i, e in enumerate(sorted(vecs)))
+    assert dict(p.items()) == {e: i + 1 for i, e in enumerate(sorted(vecs))}
+    assert mpoly._lc(p) == dict(p.items())[max(vecs, key=lambda e: (sum(e), e))]
+
+
+def _flatten_round_trip(f):
+    """_unflatten(_flatten(f)) and the product of f's coefficient denominators."""
+    tw = f.tower
+    low = scalars.Tower(tw.steps[:-1], tw.names[:-1])
+    dens = mpoly._dens(f)
+    flat = mpoly._flatten(f, low, dens)
+    assert flat.tower == low and flat.nvars == f.nvars + 1
+    scale = MPoly.const(tw, f.nvars, 1)
+    for d in dens:
+        scale = scale * scalars.Scalar(tw, scalars._qval(d))
+    return mpoly._unflatten(flat, tw), scale
+
+
+def test_flatten_then_unflatten_returns_the_input():
+    qt = make_tower([Transcendental("t")])
+    deep = make_tower([Algebraic("r2", [-2, 0, 1]), Transcendental("t1"),
+                       Transcendental("t2")])
+    for tw in (qt, deep):
+        s, t = tw.gen(tw.names[0]), tw.gen(tw.names[-1])
+        x, y = xy(tw)
+        f = (x - t) * (y ** 3 + s) + t ** 4 / 3 * x * y + 5 * t + x ** 7
+        back, scale = _flatten_round_trip(f)
+        assert scale == 1 and back == f
+        g = f * (t + 2).inv() + y * (t ** 2 - s).inv()
+        back, scale = _flatten_round_trip(g)
+        assert back == g * scale
+    # over Q(t) the generator becomes the last variable
+    t = qt.gen("t")
+    x, y = xy(qt)
+    flat = mpoly._flatten(t ** 3 * x * y - t + 2, QQ, {(1,)})
+    assert dict(flat.items()) == {(1, 1, 3): 1, (0, 0, 1): -1, (0, 0, 0): 2}
+
+
+def test_exponents_past_the_field_raise_degree_too_large():
+    x, y = xy()
+    big = x ** 65535  # the largest exponent still fits
+    assert big.monomial() == ((65535, 0), 1) and big.degree_in(0) == 65535
+    assert big.deriv(0) == 65535 * x ** 65534
+    # a total degree past the field is checked variable by variable
+    both = big * y ** 65535
+    assert both.monomial() == ((65535, 65535), 1) and both.vars_used() == {0, 1}
+    assert big.shift(1, 65535) == both
+    assert repr(both - x) == "x0^65535*x1^65535 - x0"
+    with pytest.raises(DegreeTooLarge):
+        big * x
+    with pytest.raises(DegreeTooLarge):
+        (x + y) * (both - 1)
+    with pytest.raises(DegreeTooLarge):
+        (x * y) ** 65536
+    with pytest.raises(DegreeTooLarge):
+        both.shift(0, 1)
+    with pytest.raises(DegreeTooLarge):
+        (y + 1).shift(1, 65535)
+    # flattening makes the degree of a coefficient in t an exponent
+    qt = make_tower([Transcendental("t")])
+    t, (x, _) = qt.gen("t"), xy(qt)
+    flat = mpoly._flatten(x * t ** 65535 + 1, QQ, {(1,)})
+    assert dict(flat.items()) == {(1, 0, 65535): 1, (0, 0, 0): 1}
+    with pytest.raises(DegreeTooLarge):
+        mpoly._flatten(x * t ** 65536 + 1, QQ, {(1,)})
 
 
 def test_reduce_mod_relation():
@@ -192,8 +285,8 @@ def test_gcd_of_rational_inputs_over_a_number_field_runs_over_q(monkeypatch):
     cases = _rational_pairs(12, 10)
     kernel, prs = [], []
     real_heu, real_prs = mpoly._heu_cofactors, mpoly._prs_gcd
-    monkeypatch.setattr(mpoly, "_heu_cofactors", lambda f, g: kernel.append(
-        all(type(c) is int for c in (*f.values(), *g.values()))) or real_heu(f, g))
+    monkeypatch.setattr(mpoly, "_heu_cofactors", lambda f, g, n: kernel.append(
+        all(type(c) is int for c in (*f.values(), *g.values()))) or real_heu(f, g, n))
     monkeypatch.setattr(mpoly, "_prs_gcd",
                         lambda f, g: prs.append(f.tower) or real_prs(f, g))
     for a, b in cases:
@@ -238,8 +331,8 @@ def _spy_kernel(monkeypatch, entry="_heu_cofactors"):
     seen = {"heu": [], "prs": []}
     real_heu, real_prs = getattr(mpoly, entry), mpoly._prs_gcd
 
-    def heu(f, g):
-        out = real_heu(f, g)
+    def heu(f, g, n):
+        out = real_heu(f, g, n)
         seen["heu"].append(out)
         return out
 
@@ -285,7 +378,7 @@ def test_kernel_gcd_matches_the_remainder_sequence(monkeypatch, nvars):
     seen = _spy_kernel(monkeypatch)
     got = [mp_gcd(a, b) for a, b in cases]
     assert seen["heu"] and all(h is not None for h in seen["heu"]) and not seen["prs"]
-    monkeypatch.setattr(mpoly, "_heu_cofactors", lambda f, g: None)
+    monkeypatch.setattr(mpoly, "_heu_cofactors", lambda f, g, n: None)
     assert got == [mp_gcd(a, b) for a, b in cases]
 
 
@@ -363,7 +456,8 @@ def test_kernel_carries_the_integer_contents():
     assert mp_gcd(a, b) == want
     F, G = mpoly._to_ints(a)[1], mpoly._to_ints(b)[1]
     H = mpoly._heu_cofactors({e: 6 * c for e, c in F.items()},
-                             {e: 4 * c for e, c in G.items()})[0]
+                             {e: 4 * c for e, c in G.items()}, 2)[0]
+    H = mpoly._from_ints(QQ, 2, H, 1)
     assert {e: abs(c) for e, c in H.items()} == {(2, 1): 2, (1, 2): 2}
 
 
@@ -376,7 +470,7 @@ def test_kernel_gives_up_on_huge_coefficients_and_falls_back(monkeypatch):
     seen = _spy_kernel(monkeypatch)
     assert mp_gcd(a, b) == h
     assert None in seen["heu"] and seen["prs"]
-    monkeypatch.setattr(mpoly, "_heu_cofactors", lambda f, g: None)
+    monkeypatch.setattr(mpoly, "_heu_cofactors", lambda f, g, n: None)
     assert mp_gcd(a, b) == h
 
 
@@ -389,12 +483,12 @@ def test_cancel_runs_the_kernel_once_per_input_pair(monkeypatch):
     a, b = (big * x**4 + y) * h, (big * y**4 + x) * h
     real, depth, top = mpoly._heu_cofactors, [0], []
 
-    def heu(f, g):
+    def heu(f, g, n):
         if not depth[0]:
             top.append((frozenset(f.items()), frozenset(g.items())))
         depth[0] += 1
         try:
-            return real(f, g)
+            return real(f, g, n)
         finally:
             depth[0] -= 1
 
@@ -555,7 +649,8 @@ def test_gcd_with_a_monomial_comes_from_the_exponents(monkeypatch, tower, c):
             assert G is None and qf is f and qg is g
             assert mp_gcd(f, g) == 1 and mpoly._cancel(f, g) == (f, g)
             continue
-        assert G == MPoly(tower, 2, {m: 1})
+        x, y = xy(tower)
+        assert G == x ** m[0] * y ** m[1]
         assert qf * G == f and qg * G == g
         assert qf * g == qg * f and mp_gcd(qf, qg) == 1
         assert mp_gcd(f, g) == G and mpoly._cancel(f, g) == (qf, qg)
@@ -568,7 +663,7 @@ def test_monomial_gcd_agrees_with_the_kernel_over_q():
     norm = mpoly._normalize_lead
     for f, g, m in _monomial_cases(QQ, Fraction(-3, 5)):
         (_, F), (_, G) = mpoly._to_ints(f), mpoly._to_ints(g)
-        H, QF, QG = mpoly._heu_cofactors(F, G)
+        H, QF, QG = mpoly._heu_cofactors(F, G, 2)
         f, g = mpoly._from_ints(QQ, 2, F, 1), mpoly._from_ints(QQ, 2, G, 1)
         got = mpoly._gcd(f, g)
         want = [mpoly._from_ints(QQ, 2, P, 1) for P in (H, QF, QG)]

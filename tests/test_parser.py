@@ -9,7 +9,8 @@ import pytest
 
 from ktangent.cech import CubicCover, ProjectiveCover
 from ktangent.errors import (InstanceSyntaxError, UnknownIdentifier,
-                             Unsupported, Mismatch, DivisionByZero)
+                             Unsupported, Mismatch, DivisionByZero,
+                             DegreeTooLarge)
 from ktangent.scalars import make_tower, Algebraic, Transcendental
 from ktangent.funcrings import FunctionRing, DualElem
 from ktangent.differentials import (base_q, base_top, absolute_on_dual,
@@ -298,6 +299,7 @@ def test_division_by_zero():
     ("{x}*2", Mismatch, "(line 1, col 1)"),
     ("(x - x)^-1", DivisionByZero, "(line 1, col 1)"),
     ("1 + (x - x)^-1", DivisionByZero, "(line 1, col 5)"),
+    ("1 + y*x^70000", DegreeTooLarge, "(line 1, col 7)"),
 ])
 def test_evaluation_errors_are_located_package_errors(text, error, where):
     with pytest.raises(error) as err:

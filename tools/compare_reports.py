@@ -17,9 +17,10 @@ The runs are:
 * every cover command on the built-in instances, at p = 1, 2 for the
   commands that read a weight, and ``cech`` at two sheaves;
 * a few cover commands at wider windows (``WIDE``), whose eliminations
-  meet pivots other than +-1, a few whose delta exceeds D, so that most
-  labels of the larger window are new to it, and a few twisted sheaves O(d),
-  one of them unstable (exit 1);
+  meet pivots other than +-1 (among them the cubic at D = 20, whose
+  partial fractions g^(-e) reach the largest exponents of any run), a few
+  whose delta exceeds D, so that most labels of the larger window are new
+  to it, and a few twisted sheaves O(d), one of them unstable (exit 1);
 * the commands of the benchmark's ``commands`` workload at seeds 1-3;
 * the four ``verify`` suites and ``relations`` at their default seed, and
   the three seeded ``verify`` suites and ``relations`` again at seeds 7 and
@@ -27,6 +28,8 @@ The runs are:
   its values through the sums and products of Q(t) values with equal or
   polynomial denominators and the gcds with a side linear in a variable
   over Q(sqrt 2) (``verify alpha-delta`` reads no seed).
+
+That is 130 runs in all.
 
 Prints one line per difference and a summary; exits 1 on any difference.
 """
@@ -44,6 +47,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WEIGHTED = ("verify lemma2.4", "hypercoh", "tangent-chow", "delta-r", "composed")
 WIDE = ("cech --instance p2 --sheaf omega1 --D 8",
         "cech --instance elliptic --D 10",
+        "cech --instance elliptic --D 20",
         "hypercoh --instance p2 --p 2 --D 6",
         "composed --instance elliptic --D 6",
         "cech --instance elliptic --D 2 --delta 7",
