@@ -10,7 +10,12 @@ over the dual base (d(eps) = 0) and ``eps="free"`` keeps d(eps) as an extra
 letter, with eps * d(eps) = 0 because eps squares to zero.
 
 Forms are dicts from sorted letter tuples to coefficients; structural
-equality is semantic equality.
+equality is semantic equality.  A form drops its zero coefficients, and
+every coefficient is a canonical RingElem or DualElem, so two forms over
+the same ring, base and degree are equal exactly when their difference is
+the zero form: ``==`` decides it without building the difference, which
+the package builds only to report it.  Scaling by the int 1 or -1 returns
+the form or its negation and multiplies no coefficient.
 
 The letters of a base, and the d and dlog of a ring element over it, are
 computed once per ring and kept in the ring's ``memo``; a dual element's
@@ -159,9 +164,9 @@ class DiffForm:
         return cls(elem.ring, base, 0, {(): elem})
 
     def _check(self, other):
-        if self.ring != other.ring:
+        if other.ring is not self.ring and other.ring != self.ring:
             raise RingMismatch("forms over different rings")
-        if self.base != other.base:
+        if other.base is not self.base and other.base != self.base:
             raise BaseIncompatible(f"forms over {self.base!r} and {other.base!r}")
 
     def __add__(self, other):
@@ -183,6 +188,8 @@ class DiffForm:
                         {k: -c for k, c in self.terms.items()})
 
     def __mul__(self, c):
+        if type(c) is int and (c == 1 or c == -1):
+            return self if c == 1 else -self
         if isinstance(c, (int, Fraction, Scalar)):
             c = self.ring.const(c)
         if isinstance(c, DualElem) and not self.base.is_dual():

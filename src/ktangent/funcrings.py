@@ -6,7 +6,11 @@ canonical fractions num/den: num reduced modulo the relation, den free of
 the eliminated variable (denominators are rationalized), the pair in
 lowest terms with num's graded-lex leading coefficient equal to 1
 (``mpoly.lowest_terms``).  Elements compare and hash through their two
-``MPoly``s and never read a term dict.
+``MPoly``s and never read a term dict.  Since the pair is unique, two
+elements are equal exactly when their difference is zero, and ``==``
+decides it without building the difference.  The element of an int
+constant is built once per ring and kept in ``FunctionRing.memo``, which
+is safe because no element changes after construction.
 
 DualElem adjoins a square-zero infinitesimal: body + eps * slope.
 """
@@ -38,10 +42,11 @@ class FunctionRing:
 
     ``memo`` holds data derived from the ring and its elements, computed
     once per ring by ``remember``: ``differentials`` keeps the letters of
-    each base and the d and dlog of elements there, and ``milnor`` the
-    wedge of dlogs of a tail tuple.  Each entry is handed to every caller
-    that asks for it, so no caller may change one in place.  The memo lives
-    and dies with its ring.
+    each base and the d and dlog of elements there, ``milnor`` the wedge
+    of dlogs of a tail tuple, and ``const`` the element of each int
+    constant.  Each entry is handed to every caller that asks for it, so
+    no caller may change one in place.  The memo lives and dies with its
+    ring.
     """
 
     __slots__ = ("tower", "varnames", "relation", "elim", "memo")
@@ -106,6 +111,12 @@ class FunctionRing:
     # -- element constructors
 
     def const(self, c):
+        """The constant c; an int's element is built once and kept in ``memo``."""
+        if type(c) is int:
+            return self.remember(("const", c), self._const, c)
+        return self._const(c)
+
+    def _const(self, c):
         return RingElem(self, MPoly.const(self.tower, len(self.varnames), c), None)
 
     value = const
@@ -150,8 +161,9 @@ class FunctionRing:
         return P, q
 
     def __eq__(self, other):
-        return (isinstance(other, FunctionRing) and self.tower == other.tower
-                and self.varnames == other.varnames and self.relation == other.relation)
+        return self is other or (
+            isinstance(other, FunctionRing) and self.tower == other.tower
+            and self.varnames == other.varnames and self.relation == other.relation)
 
     def __hash__(self):
         return hash((self.tower, self.varnames))
@@ -191,7 +203,7 @@ class RingElem:
 
     def _coerce(self, other):
         if isinstance(other, RingElem):
-            if other.ring != self.ring:
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise RingMismatch("elements of different function rings")
             return other
         if isinstance(other, (int, Fraction, Scalar)):
@@ -239,6 +251,8 @@ class RingElem:
         return self.num.is_constant() and self.den.is_constant()
 
     def __mul__(self, other):
+        if type(other) is int and (other == 1 or other == -1):
+            return self if other == 1 else -self
         o = self._coerce(other)
         if o is None:
             return NotImplemented

@@ -131,7 +131,8 @@ class MPoly:
 
     def _coerce(self, other):
         if isinstance(other, MPoly):
-            if other.tower != self.tower or other.nvars != self.nvars:
+            if ((other.tower is not self.tower and other.tower != self.tower)
+                    or other.nvars != self.nvars):
                 raise TowerMismatch("polynomials over different rings")
             return other
         if isinstance(other, (int, Fraction, Scalar)):
@@ -389,13 +390,18 @@ def mp_gcd(f, g):
     """Monic gcd in K[x_0..x_{n-1}] (graded-lex leading coefficient 1) by the
     gcd walk `_gcd`, after dividing each input over a tower by its leading
     coefficient: a unit does not change the monic gcd, and the quotients
-    often have their coefficients in a subfield."""
+    often have their coefficients in a subfield. When they do not and the
+    top level is transcendental, the inputs go to the walk as given: 1/lc
+    would put the t-powers of lc into the denominators that flattening
+    multiplies through, past the degrees of the inputs."""
     if f.is_zero():
         return _normalize_lead(g)
     if g.is_zero():
         return _normalize_lead(f)
     if f.tower.steps:
-        f, g = _normalize_lead(f), _normalize_lead(g)
+        a, b = _normalize_lead(f), _normalize_lead(g)
+        if f.tower.steps[-1][0] != "tr" or _subfield_levels(a, b):
+            f, g = a, b
     G = _gcd(f, g)[0]
     return MPoly.const(f.tower, f.nvars, 1) if G is None else _normalize_lead(G)
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from ktangent import complexes
 from ktangent.complexes import (
     alpha,
     alpha_delta_diagram,
@@ -78,3 +79,22 @@ def test_deformed_split():
     assert rep["status"] == "pass", [c for c in rep["checks"] if c["status"] != "pass"]
     rep = deformed_deligne_split(2, ring3_t())
     assert rep["status"] == "pass"
+
+
+@pytest.mark.parametrize("p, witness", [(2, "y dx"), (3, "y dx ^ dz")])
+def test_a_broken_structure_map_names_its_square(monkeypatch, p, witness):
+    # delta_p(x, y) = (-d(x), d(y) + x) breaks only the square at p, and the
+    # report names the first sample form on which it fails
+    real = complexes.delta
+
+    def broken(p, ring, i, v):
+        if i == p:
+            x, y = v
+            return (-d(x), d(y) + x)
+        return real(p, ring, i, v)
+
+    monkeypatch.setattr(complexes, "delta", broken)
+    rep = alpha_delta_diagram(p, ring3())
+    assert rep["status"] == "fail"
+    assert [c for c in rep["checks"] if c["status"] != "pass"] == [
+        {"name": f"square at {p}", "status": "fail", "witnesses": [witness]}]

@@ -476,3 +476,24 @@ def test_memoised_d_and_dlog_equal_a_fresh_ring():
                     first, second = op(f, base), op(f, base)
                     assert first == second == op(g, base), (op.__name__, f, base)
         assert ring.memo
+
+
+def test_scaling_a_form_by_plus_or_minus_one_makes_no_product(monkeypatch):
+    r = ring_qt()
+    x, y = r.var("x"), r.var("y")
+    t = r.const(r.tower.gen("t"))
+    u = DualElem(r, x * y + t, y)
+    forms = [wedge(d(x * t, base_q()), dlog(y + 1, base_q())),
+             d(u, absolute_on_dual()), dlog(u, dual_relative(r.tower)),
+             DiffForm.zero(r, base_top(r.tower), 1)]
+    negs = [-w for w in forms]
+    calls = []
+    for cls in (RingElem, DualElem):
+        for name in ("__mul__", "__rmul__"):
+            real = getattr(cls, name)
+            monkeypatch.setattr(cls, name, lambda a, b, real=real:
+                                calls.append(1) or real(a, b))
+    for w, nw in zip(forms, negs):
+        assert w * 1 is w and 1 * w is w
+        assert w * -1 == nw and -1 * w == nw
+    assert calls == []

@@ -470,3 +470,29 @@ def test_adding_zero_returns_the_other_operand(monkeypatch):
     monkeypatch.setattr(RingElem, "__init__", counted)
     assert f + z is f and z + f is f and (z + z).is_zero()
     assert not calls
+
+
+def test_integer_constants_are_built_once_per_ring():
+    r, s = plain_xy(), plain_xy()
+    assert r == s
+    assert r.const(3) is r.const(3) and r.one() is r.const(1) and r.zero() is r.const(0)
+    assert r.const(3) is not s.const(3) and r.const(3) == s.const(3)
+    assert r.const(3).ring is r and s.const(3).ring is s
+    assert r.const(-5) is r.memo[("const", -5)]
+    # other constants are built afresh, each equal to its int twin
+    assert r.const(Fraction(6, 2)) == r.const(3)
+
+
+def test_scaling_by_plus_or_minus_one_makes_no_product(monkeypatch):
+    r = plain_xy()
+    x, y = r.var("x"), r.var("y")
+    elems = [x, (x + 2) / (y - 1), r.const(Fraction(-3, 4)), r.zero()]
+    negs = [-f for f in elems]
+    calls = []
+    for cls, name in ((MPoly, "__mul__"), (MPoly, "__rmul__"), (RingElem, "_coerce")):
+        real = getattr(cls, name)
+        monkeypatch.setattr(cls, name, lambda a, b, real=real: calls.append(1) or real(a, b))
+    for f, nf in zip(elems, negs):
+        assert f * 1 is f and 1 * f is f
+        assert f * -1 == nf and -1 * f == nf
+    assert calls == []

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from ktangent import milnor
 from ktangent.differentials import (
     base_change,
     base_q,
@@ -189,3 +190,24 @@ def test_codifferential_of_a_function_field_symbol_with_heavy_gcds():
     assert str(s) == ("{1 + eps*(1/(1/(t + 1))), x, y - 2, z + 3}^-2"
                       " * {1 + eps*(x + t + 1), x*y + 1, x + t, z}^2")
     assert check_codifferential(s)["status"] == "pass"
+
+
+@pytest.mark.parametrize("make_base, witness", [
+    (lambda tw: None, "(y/((1/2)*y + 1/2)) dx ^ dy"),
+    (lambda tw: base_q(),
+     "(y/((1/2)*y + 1/2)) dx ^ dy  +  (1/((-1/2)*y - 1/2)) dy ^ dt"),
+])
+def test_a_failing_codifferential_reports_the_difference(monkeypatch, make_base, witness):
+    # a sign flip in beta breaks the identity; the witness is str(lhs - rhs),
+    # the difference of the two sides, byte for byte
+    r = ring_t()
+    x, y = r.var("x"), r.var("y")
+    s = EpsSymbol.of(x * y + r.const(r.tower.gen("t")), (y + 1,))
+    base = make_base(r.tower)
+    real = milnor.beta
+    monkeypatch.setattr(milnor, "beta", lambda s, base=None: -real(s, base))
+    lhs = tilde_dlog(s, base)
+    rhs = d(-real(s, base)) * (-1) ** (s.p - 1)
+    rep = check_codifferential(s, base)
+    assert rep == {"name": "codifferential", "status": "fail", "witnesses": [witness]}
+    assert witness == str(lhs - rhs)

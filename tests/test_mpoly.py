@@ -314,6 +314,37 @@ def test_univariate_gcd_over_a_number_field_runs_the_field_euclid(monkeypatch):
         levels.clear()
 
 
+def test_gcd_over_qt_flattens_inputs_that_fit_the_exponent_field():
+    # dividing the first side by t^65535 would give the second a t-degree of
+    # 65536 once flattening multiplies that denominator through
+    tw = make_tower([Transcendental("t")])
+    t = tw.gen("t")
+    x = MPoly.variable(tw, 1, 0)
+    assert mp_gcd(x**2 * t**65535 + 1, x**2 + t) == 1
+
+
+@pytest.mark.parametrize("steps", [
+    pytest.param([Transcendental("t")], id="Q(t)"),
+    pytest.param([Algebraic("r2", [-2, 0, 1]), Transcendental("t")], id="Q(r2)(t)"),
+])
+def test_gcd_agrees_with_the_gcd_cancel_finds(steps):
+    tw = make_tower(steps)
+    t = tw.gen("t")
+    c = tw.gen("r2") if "r2" in tw.names else Fraction(1, 3)
+    x, y = xy(tw)
+    rng = random.Random(17)
+    factors = [x - t, y + c, x * y + t, t * x - 1, x + y * t**2, (t + 1) * y - c]
+    units = [1, t, t.inv(), (t + 1).inv() * c, t**3 - 2]
+    for _ in range(12):
+        h = rng.choice(factors) * rng.choice(factors)
+        f = h * rng.choice(factors) * rng.choice(units)
+        g = h * rng.choice(factors) * rng.choice(units)
+        G = mp_gcd(f, g)
+        qf, qg = mpoly._cancel(f, g)
+        assert G == mpoly._normalize_lead(div_exact(f, qf))
+        assert G == mpoly._normalize_lead(div_exact(g, qg))
+
+
 def test_composed_on_the_elliptic_curve_never_flattens(monkeypatch):
     calls = _count_flattens(monkeypatch)
     cover = cover_plane_curve(weierstrass_cubic(QQ, 0, -1, 1), QQ)

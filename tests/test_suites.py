@@ -139,3 +139,37 @@ def test_no_memo_entry_changes_after_it_is_stored(monkeypatch):
     assert {key[0] for _, key, _ in stored} >= {"letters", "d", "dlog", "tails"}
     changed = [key for ring, key, snap in stored if repr(ring.memo[key]) != snap]
     assert changed == []
+
+
+def _compared_forms(p, seed, count):
+    """The forms the seeded identity suites build for weight p, grouped by
+    (tower, base, degree), so that any two in a group can be subtracted:
+    beta both ways, beta pushed up from the absolute base, tilde_dlog and
+    the signed d(beta), the embedded word's dlog over both dual bases, and
+    the double of each, which differs from every nonzero form."""
+    groups = {}
+    for label, tw, s in suites._symbol_family(p, seed, count):
+        top, word = differentials.base_top(tw), s.embed()
+        for w in (milnor.beta(s), milnor.beta_via_truncation(s),
+                  differentials.base_change(milnor.eps_to_absolute(s), top),
+                  milnor.tilde_dlog(s),
+                  differentials.d(milnor.beta(s)) * (-1) ** (p - 1),
+                  word.dlog(differentials.absolute_on_dual(tw.num_levels)),
+                  word.dlog(differentials.dual_relative(tw))):
+            groups.setdefault((label, w.base, w.degree), []).extend((w, w + w))
+    return groups
+
+
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_form_equality_agrees_with_subtraction(p):
+    # the identity suites decide equality with ==, which must hold exactly
+    # when the difference is the zero form
+    seen = set()
+    for (label, base, degree), forms in _compared_forms(p, 40 + p, 9).items():
+        for i, a in enumerate(forms):
+            for b in forms[i:]:
+                eq = a == b
+                assert eq == (a - b).is_zero() and eq == (b == a), (label, base, a, b)
+                seen.add((label, base.is_dual(), eq))
+    assert seen == {(label, dual, eq) for label, _ in standard_towers()
+                    for dual in (False, True) for eq in (False, True)}
