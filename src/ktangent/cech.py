@@ -13,7 +13,7 @@ from __future__ import annotations
 from itertools import combinations
 from math import comb
 
-from .differentials import DiffForm, base_top, d, pullback, wedge
+from .differentials import base_top
 from .errors import (
     Mismatch,
     NotStabilized,
@@ -121,11 +121,13 @@ class Cover:
     model, which is all the engine reads of a label ``lab`` over U_S: the
     window's labels in column order (``labels``), the restriction to U_T and
     the exterior derivative as sparse vectors of raw tower values
-    (``restrict``, ``d_label``), the label's text and form (``render_label``,
-    ``label_form`` and its inverse ``form_labels``), and the window's size
-    in closed form (``window_labels``).  A subclass keeps the data its model
-    needs (``n`` on P^n, the cubic's ``gcoeffs``), and ``_like`` starts the
-    same kind of cover over a larger tower, for ``extend_cover`` to fill.
+    (``restrict``, ``d_label``), the label's text (``render_label``), and the
+    window's size in closed form (``window_labels``).  Outside the engine,
+    ``delta_r`` drops the labels ``has_base_letters`` names, and the symbol
+    cochains place a form in the window with ``form_labels``.  A subclass
+    keeps the data its model needs (``n`` on P^n, the cubic's ``gcoeffs``),
+    and ``_like`` starts the same kind of cover over a larger tower, for
+    ``extend_cover`` to fill.
     """
 
     __slots__ = ("tower", "charts", "intersections")
@@ -285,7 +287,7 @@ class ProjectiveCover(Cover):
             out[(a2, J2, Tset)] = sign * a[j]
         return out
 
-    # -- labels as text and as forms
+    # -- labels as text, and forms as labels
 
     def render_label(self, S, lab):
         n = self.n
@@ -305,26 +307,10 @@ class ProjectiveCover(Cover):
             body += "*" + "/\\".join(dparts)
         return f"{where} {body}"
 
-    def label_form(self, S, lab, base):
-        """One basis label as a DiffForm over the intersection's model ring."""
-        ring = self.model(S).ring
-        m = min(S)
-        a, J, Tset = lab
-        coeff = ring.one()
-        for j in range(len(a)):
-            if j != m and a[j]:
-                coeff = coeff * _ratio(self, m, j) ** a[j]
-        form = DiffForm.of_elem(coeff, base)
-        for j in J:
-            form = wedge(form, d(ring.var(_pn_varname(self.n, m, j)), base))
-        for lv in Tset:
-            form = wedge(form, DiffForm(ring, base, 1, {(("t", lv),): ring.one()}))
-        return form
-
     def form_labels(self, S, w):
         """Window coordinates of a form over the smallest chart of ``S``, as
-        raw values of the form's tower: the inverse of ``label_form`` on
-        forms without base letters."""
+        raw values of the form's tower, for forms without base letters: each
+        monomial coefficient is the label (a, J, ()) of its exponents."""
         F = w.ring.tower
         n = self.n
         m = min(S)
@@ -436,19 +422,6 @@ class CubicCover(Cover):
         if e:
             body += f"/g^{e}" if e > 1 else "/g"
         return where + " " + body
-
-    def label_form(self, S, lab, base):
-        """One basis label as a function over the intersection's model ring."""
-        ring = self.model(S).ring
-        if S == (1,):  # chart B: xb^i * zb^j
-            i, j = lab
-            return DiffForm.of_elem(ring.var("xb") ** i * ring.var("zb") ** j, base)
-        i, dl, e = lab
-        x, y = ring.var("x"), ring.var("y")
-        g0, g1, g2 = self.gcoeffs
-        g = x ** 3 + x * x * g2 + x * g1 + g0
-        val = x ** i * (y if dl else ring.one()) * g ** (-e)
-        return DiffForm.of_elem(val, base)
 
     def form_labels(self, S, w):
         raise Unsupported("window coordinates of a form are modeled on the "
@@ -915,40 +888,3 @@ def verify_splitting(p, cover, policy):
     return {"name": f"splitting p={p}", "status": status, "checks": checks,
             "stabilized": hyper.stabilized and all(x.stabilized for x in parts)}
 
-
-# ---------------------------------------------------------------------------
-# symbolic cross-checks: engine vectors as honest differential forms
-
-
-def cochain_forms(engine, k, vec, base):
-    """An engine vector at total degree k as per-subset differential forms."""
-    basis = engine.total_basis(k)
-    tower = engine.cover.tower
-    out = {}
-    for idx, c in vec.items():
-        q, j, S, lab = basis[idx]
-        f = engine.cover.label_form(S, lab, base) * Scalar(tower, c)
-        cur = out.get(S)
-        out[S] = f if cur is None else cur + f
-    return out
-
-
-def cech_cocycle_check(cover, base, q, comp_forms):
-    """Alternating pullback sum over every (q+2)-subset; True iff all vanish."""
-    for T in cover.subsets(q + 2):
-        mdl_t = cover.model(T)
-        total = None
-        for pos in range(len(T)):
-            S = T[:pos] + T[pos + 1:]
-            f = comp_forms.get(S)
-            if f is None:
-                continue
-            if min(S) == min(T):
-                img = f
-            else:
-                img = pullback(f, mdl_t.subs[min(S)], mdl_t.ring)
-            img = img if pos % 2 == 0 else -img
-            total = img if total is None else total + img
-        if total is not None and not total.is_zero():
-            return False
-    return True

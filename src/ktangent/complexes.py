@@ -11,10 +11,8 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .differentials import (DiffForm, base_top, d, dual_relative, eps_part, letters_of,
-                            specialize_eps, wedge)
+from .differentials import DiffForm, base_top, d, letters_of
 from .errors import Mismatch
-from .funcrings import DualElem
 
 
 class Complex:
@@ -183,44 +181,3 @@ def alpha_delta_diagram(p, ring):
     status = "pass" if all(c["status"] == "pass" for c in checks) else "fail"
     return {"name": f"alpha_delta_diagram(p={p})", "status": status, "checks": checks}
 
-
-def deformed_deligne_split(p, ring):
-    """The dual-number tangent complex splits as body + eps * slope.
-
-    Checks on the sample family that the two projections commute with d and
-    jointly reconstruct the form; returns a report.
-    """
-    dbase = dual_relative(ring.tower)
-    pbase = base_top(ring.tower)
-    checks = []
-
-    def record(name, ok, witness=""):
-        checks.append({"name": name, "status": "pass" if ok else "fail",
-                       "witnesses": [] if ok else [witness]})
-
-    gens = list(ring.gens().values())
-    x = gens[0]
-    y = gens[1] if len(gens) > 1 else x + 1
-    duals = [DualElem(ring, x * y + 1, x),
-             DualElem(ring, x.inv(), y),
-             DualElem(ring, y - 2, x * y)]
-    for q in range(0, p):
-        for u in duals:
-            w = d(u, dbase) if q else DiffForm(ring, dbase, 0, {(): u})
-            for _ in range(q - 1 if q else 0):
-                w = wedge(w, d(duals[0], dbase))
-            body, slope = specialize_eps(w), eps_part(w)
-            dw = d(w)
-            ok = (specialize_eps(dw) == d(body)) and (eps_part(dw) == d(slope))
-            record(f"projections are chain maps (q={q}, {u.body})", ok, str(w))
-            recon = _recombine(ring, dbase, body, slope)
-            record(f"body + eps*slope reconstructs (q={q}, {u.body})", recon == w)
-    status = "pass" if all(c["status"] == "pass" for c in checks) else "fail"
-    return {"name": f"deformed_deligne_split(p={p})", "status": status, "checks": checks}
-
-
-def _recombine(ring, dbase, body, slope):
-    """body + eps*slope, both plain forms read over the dual base."""
-    eps = DualElem(ring, ring.zero(), ring.one())
-    return (DiffForm(ring, dbase, body.degree, body.terms)
-            + DiffForm(ring, dbase, slope.degree, slope.terms) * eps)

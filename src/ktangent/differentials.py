@@ -467,26 +467,6 @@ def contract_deps(w):
     return DiffForm(w.ring, BaseTag(w.base.level), max(w.degree - 1, 0), out)
 
 
-def specialize_eps(w):
-    """Set eps = 0 (and drop d(eps) terms): lands over the plain base."""
-    if not w.base.is_dual():
-        return w
-    return _plain_part(w, "body")
-
-
-def eps_part(w):
-    """The slope component: w = specialize(w) + eps * eps_part(w) (no d(eps) terms)."""
-    if not w.base.is_dual():
-        raise NoDualBase("eps_part of a plain form")
-    return _plain_part(w, "slope")
-
-
-def _plain_part(w, part):
-    """The body or slope of each coefficient off d(eps), over the plain base."""
-    out = {key: getattr(c, part) for key, c in w.terms.items() if ("e",) not in key}
-    return DiffForm(w.ring, BaseTag(w.base.level), w.degree, out)
-
-
 def base_change(w, to):
     """Enlarge the base: letters d(g) with g now in the base are killed."""
     frm = w.base

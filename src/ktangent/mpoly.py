@@ -37,7 +37,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 from .errors import DegreeTooLarge, DivisionByZero, TowerMismatch
-from .scalars import QQ, Scalar, Tower, _ONE_T, _pgcd, _pmul, _qval, power, render_terms
+from .scalars import QQ, Scalar, Tower, _ONE_T, _pdivmod, _pgcd, _pmul, _qval, power, render_terms
 
 _BITS = 16  # width of one exponent field
 _FIELD = (1 << _BITS) - 1  # the largest exponent, and the mask of one field
@@ -440,7 +440,7 @@ def _gcd(f, g):
     without reading the other side's exponents. Else a side p = c x_v + r,
     with c a constant and r free of x_v, is irreducible: G is p, with the
     cofactors 1 and q / p (u = 1), when p divides the other side q, and
-    else G = None. The shared product of t-denominators that flattening
+    else G = None. The lcm of the t-denominators that flattening
     multiplies both sides by is a unit of K = L(t), and a gcd in
     L[x_0..x_{n-1}, t] is the K[x]-gcd up to pure-t factors, which are units
     of K.
@@ -486,8 +486,8 @@ def _gcd(f, g):
             # rational-function coefficients swell badly in the remainder
             # sequence, so the generator moves into the polynomial
             low = Tower(tw.steps[:-1], tw.names[:-1])
-            dens = _dens(f) | _dens(g)
-            return _up(_gcd(_flatten(f, low, dens), _flatten(g, low, dens)), f, g,
+            cof = _lcm_cofactors(f, g)
+            return _up(_gcd(_flatten(f, low, cof), _flatten(g, low, cof)), f, g,
                        lambda p: _unflatten(p, tw))
         a, b = _normalize_lead(f), _normalize_lead(g)
         if _subfield_levels(a, b):
@@ -603,26 +603,33 @@ def _descend(f, low, k):
     return MPoly(low, f.nvars, terms)
 
 
-def _dens(f):
-    """The distinct denominators of f's coefficients, fractions of
-    polynomials in the top generator of f's tower."""
-    return {c[2] if type(c) is tuple else _ONE_T for c in f._terms.values()}
+def _lcm_cofactors(f, g):
+    """{den: L / den} for each distinct denominator den of the coefficients
+    of f and g, fractions of polynomials in the top generator t of their
+    tower, and L the lcm of those denominators. Each den is monic, so L and
+    each L / den are monic too."""
+    tw = f.tower
+    lv = tw.num_levels - 1
+    dens = {c[2] if type(c) is tuple else _ONE_T
+            for c in (*f._terms.values(), *g._terms.values())}
+    L = _ONE_T
+    for den in dens:
+        L = _pmul(tw, lv, L, _pdivmod(tw, lv, den, _pgcd(tw, lv, L, den))[0])
+    return {den: _pdivmod(tw, lv, L, den)[0] for den in dens}
 
 
-def _flatten(f, low, dens):
-    """f times the product of dens, a set of distinct denominators holding
-    those of f's coefficients, as a polynomial over low with the top
-    generator t of f's tower as its last variable (f's coefficients are
-    fractions of polynomials in t over low)."""
+def _flatten(f, low, cof):
+    """f times L, as a polynomial over low with the top generator t of f's
+    tower as its last variable (f's coefficients are fractions of
+    polynomials in t over low); ``cof`` maps each denominator den of f's
+    coefficients to L / den, as ``_lcm_cofactors`` gives it."""
     tw = f.tower
     lv = tw.num_levels
     step = _step(f.nvars + 1, f.nvars)
     terms = {}
     for e, c in f._terms.items():
         num, den = c[1:] if type(c) is tuple else ((c,), _ONE_T)
-        for d in dens:
-            if d != den:
-                num = _pmul(tw, lv - 1, num, d)
+        num = _pmul(tw, lv - 1, num, cof[den])
         if len(num) > _FIELD + 1:
             raise DegreeTooLarge(f"a coefficient has degree {len(num) - 1} in "
                                  f"{tw.names[-1]}; an exponent is at most {_FIELD}")

@@ -482,9 +482,6 @@ class Tower:
             return r.numerator if r.denominator == 1 else r
         raise TypeError(f"not a rational: {r!r}")
 
-    def from_fraction(self, fr):
-        return Scalar(self, self.value(fr))
-
     def gen(self, name):
         lv = self.level_of(name)
         top = self.num_levels

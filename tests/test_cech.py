@@ -12,8 +12,6 @@ from ktangent.cech import (
     ProjectiveCover,
     Sheaf,
     TruncationPolicy,
-    cech_cocycle_check,
-    cochain_forms,
     cover_plane_curve,
     cover_pn,
     extend_cover,
@@ -37,6 +35,8 @@ from ktangent.funcrings import FunctionRing, RingElem
 from ktangent.linalg import vec_sub_scaled
 from ktangent.mpoly import MPoly
 from ktangent.scalars import QQ, Algebraic, Transcendental, make_tower
+
+from oracles import cech_cocycle_check, cochain_forms
 
 POL = TruncationPolicy(2, 2)
 ABS0 = BaseTag(0, "none")

@@ -7,15 +7,16 @@ from ktangent.complexes import (
     alpha,
     alpha_delta_diagram,
     cone_partner,
-    deformed_deligne_split,
     sample_forms,
     tangent_deligne,
     unique_preimage,
 )
-from ktangent.differentials import base_top, d
+from ktangent.differentials import DiffForm, base_top, d, dual_relative, wedge
 from ktangent.errors import Mismatch
-from ktangent.funcrings import FunctionRing
+from ktangent.funcrings import DualElem, FunctionRing
 from ktangent.scalars import QQ, Transcendental, make_tower
+
+from oracles import eps_part, specialize_eps
 
 
 def ring3():
@@ -74,11 +75,33 @@ def test_sample_family_size():
     assert len(fam) == 15
 
 
-def test_deformed_split():
-    rep = deformed_deligne_split(3, ring3())
-    assert rep["status"] == "pass", [c for c in rep["checks"] if c["status"] != "pass"]
-    rep = deformed_deligne_split(2, ring3_t())
-    assert rep["status"] == "pass"
+@pytest.mark.parametrize("make_ring, q", [
+    pytest.param(ring3, 0, id="Q-q0"),
+    pytest.param(ring3, 1, id="Q-q1"),
+    pytest.param(ring3, 2, id="Q-q2"),
+    pytest.param(ring3_t, 0, id="Q(t)-q0"),
+    pytest.param(ring3_t, 1, id="Q(t)-q1"),
+])
+def test_dual_split_projections(make_ring, q):
+    # a q-form w over the dual base is body + eps * slope: both projections
+    # commute with d, and together they rebuild w
+    ring = make_ring()
+    dbase = dual_relative(ring.tower)
+    x, y = ring.var("x"), ring.var("y")
+    duals = [DualElem(ring, x * y + 1, x),
+             DualElem(ring, x.inv(), y),
+             DualElem(ring, y - 2, x * y)]
+    eps = DualElem(ring, ring.zero(), ring.one())
+    for u in duals:
+        w = d(u, dbase) if q else DiffForm(ring, dbase, 0, {(): u})
+        for _ in range(q - 1):
+            w = wedge(w, d(duals[0], dbase))
+        body, slope = specialize_eps(w), eps_part(w)
+        dw = d(w)
+        assert specialize_eps(dw) == d(body), str(w)
+        assert eps_part(dw) == d(slope), str(w)
+        assert (DiffForm(ring, dbase, body.degree, body.terms)
+                + DiffForm(ring, dbase, slope.degree, slope.terms) * eps) == w
 
 
 @pytest.mark.parametrize("p, witness", [(2, "y dx"), (3, "y dx ^ dz")])

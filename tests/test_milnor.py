@@ -12,8 +12,6 @@ from ktangent.differentials import (
     base_top,
     d,
     dual_relative,
-    eps_part,
-    specialize_eps,
 )
 from ktangent.errors import Mismatch, NonUnitEntry
 from ktangent.funcrings import DualElem, FunctionRing
@@ -30,6 +28,8 @@ from ktangent.milnor import (
 )
 from ktangent.scalars import QQ, Algebraic, Transcendental, make_tower
 from ktangent.suites import symbol_ring
+
+from oracles import eps_part, specialize_eps
 
 
 def ring_plain():

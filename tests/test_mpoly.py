@@ -85,15 +85,15 @@ def test_key_order_is_the_graded_lex_order(nvars):
 
 
 def _flatten_round_trip(f):
-    """_unflatten(_flatten(f)) and the product of f's coefficient denominators."""
+    """_unflatten(_flatten(f)) and the lcm L of f's coefficient denominators."""
     tw = f.tower
     low = scalars.Tower(tw.steps[:-1], tw.names[:-1])
-    dens = mpoly._dens(f)
-    flat = mpoly._flatten(f, low, dens)
+    cof = mpoly._lcm_cofactors(f, f)
+    flat = mpoly._flatten(f, low, cof)
     assert flat.tower == low and flat.nvars == f.nvars + 1
-    scale = MPoly.const(tw, f.nvars, 1)
-    for d in dens:
-        scale = scale * scalars.Scalar(tw, scalars._qval(d))
+    den, m = next(iter(cof.items()))  # L = den * (L / den)
+    scale = (MPoly.const(tw, f.nvars, 1) * scalars.Scalar(tw, scalars._qval(tuple(den)))
+             * scalars.Scalar(tw, scalars._qval(tuple(m))))
     return mpoly._unflatten(flat, tw), scale
 
 
@@ -113,7 +113,7 @@ def test_flatten_then_unflatten_returns_the_input():
     # over Q(t) the generator becomes the last variable
     t = qt.gen("t")
     x, y = xy(qt)
-    flat = mpoly._flatten(t ** 3 * x * y - t + 2, QQ, {(1,)})
+    flat = mpoly._flatten(t ** 3 * x * y - t + 2, QQ, {(1,): [1]})
     assert dict(flat.items()) == {(1, 1, 3): 1, (0, 0, 1): -1, (0, 0, 0): 2}
 
 
@@ -140,10 +140,10 @@ def test_exponents_past_the_field_raise_degree_too_large():
     # flattening makes the degree of a coefficient in t an exponent
     qt = make_tower([Transcendental("t")])
     t, (x, _) = qt.gen("t"), xy(qt)
-    flat = mpoly._flatten(x * t ** 65535 + 1, QQ, {(1,)})
+    flat = mpoly._flatten(x * t ** 65535 + 1, QQ, {(1,): [1]})
     assert dict(flat.items()) == {(1, 0, 65535): 1, (0, 0, 0): 1}
     with pytest.raises(DegreeTooLarge):
-        mpoly._flatten(x * t ** 65536 + 1, QQ, {(1,)})
+        mpoly._flatten(x * t ** 65536 + 1, QQ, {(1,): [1]})
 
 
 def test_reduce_mod_relation():
@@ -321,6 +321,18 @@ def test_gcd_over_qt_flattens_inputs_that_fit_the_exponent_field():
     t = tw.gen("t")
     x = MPoly.variable(tw, 1, 0)
     assert mp_gcd(x**2 * t**65535 + 1, x**2 + t) == 1
+
+
+def test_gcd_over_qt_flattens_by_the_lcm_of_the_denominators():
+    # the product of the denominators, t^70000, would pass the exponent
+    # field; their lcm, t^40000, fits it
+    tw = make_tower([Transcendental("t")])
+    t = tw.gen("t")
+    x = MPoly.variable(tw, 1, 0)
+    assert mp_gcd(x**2 + t**-40000, x**2 + t**-30000) == 1
+    # denominators sharing a factor, and a common factor that survives
+    u = x - 1
+    assert mp_gcd(u * (x + 1 / (t * (t + 1))), u * (x + 1 / (t * (t + 2)))) == u
 
 
 @pytest.mark.parametrize("steps", [

@@ -16,7 +16,12 @@ from ktangent.errors import (
 )
 from ktangent import mpoly, scalars
 from ktangent.mpoly import MPoly
-from ktangent.scalars import QQ, Algebraic, Transcendental, make_tower
+from ktangent.scalars import QQ, Algebraic, Scalar, Transcendental, make_tower
+
+
+def rational(tower, r):
+    """The Scalar of the rational r (an int or a Fraction) in tower."""
+    return Scalar(tower, tower.value(r))
 
 
 def tower_sqrt2():
@@ -41,8 +46,8 @@ def tower_lifted_root():
 
 
 def test_rationals_embed():
-    x = QQ.from_fraction(Fraction(3, 4))
-    y = QQ.from_fraction(Fraction(1, 4))
+    x = rational(QQ, Fraction(3, 4))
+    y = rational(QQ, Fraction(1, 4))
     assert x + y == 1
     assert str(x) == "3/4"
 
@@ -118,7 +123,7 @@ def test_cubic_with_a_rational_root_is_refused():
 def test_constant_inverse_at_an_algebraic_level_skips_euclid(monkeypatch):
     tw = make_tower([Algebraic("r2", [-2, 0, 1]), Transcendental("t1")])
     r2, t1 = tw.gen("r2"), tw.gen("t1")
-    vals = [tw.from_fraction(c) for c in (3, Fraction(-2, 7), Fraction(5, 4))]
+    vals = [rational(tw, c) for c in (3, Fraction(-2, 7), Fraction(5, 4))]
     vals += [t1 + 2, 3 * t1**2 - Fraction(1, 2), (t1 - 1) / (t1 + 5)]
     calls = []
     real = scalars._pxgcd_first
@@ -218,7 +223,7 @@ def test_extend_embeds_minpoly_coefficients_from_prefix_towers():
 
 def _random_scalar(rng, tower, gens, depth=2):
     if depth == 0 or rng.random() < 0.4:
-        return tower.from_fraction(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+        return rational(tower, Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
     op = rng.choice("+-*g")
     if op == "g" and gens:
         return rng.choice(gens)
@@ -326,7 +331,7 @@ def test_fast_paths_agree_with_the_reducing_path():
     rng = random.Random(31)
     consts = [_random_scalar(rng, tw, [r2]) for _ in range(6)]
     polys = [_random_scalar(rng, tw, [r2, t1, t2]) for _ in range(6)]
-    values = consts + polys + [tw.from_fraction(c) for c in (0, 1, Fraction(-3, 2))]
+    values = consts + polys + [rational(tw, c) for c in (0, 1, Fraction(-3, 2))]
     values += [p / (t1 + r2 + k) for k, p in enumerate(consts + polys)]
     values += [p / (t1 - t2 + k) for k, p in enumerate(consts + polys)]
     vals = [v.val for v in values]
@@ -519,4 +524,4 @@ def test_floats_are_refused():
     with pytest.raises(TypeError):
         MPoly.const(QQ, 1, 1.0)
     with pytest.raises(TypeError):
-        tower_sqrt2().from_fraction(0.25)
+        rational(tower_sqrt2(), 0.25)

@@ -10,9 +10,11 @@ docstring (the string statement that opens a module, class or function):
 blank lines, comment lines and docstrings are not counted.
 
 Prints, for every module of either tree, its code lines on both sides and the
-change, then the totals.  The count is informational: the script exits 0
-whatever the change, and 2 when OLD or NEW is neither a directory nor a
-revision.
+change, then the code lines of the ``tests`` directory beside each ``src``
+(so that code moved from the package into the tests reads as a move, not as
+a reduction; "-" for a side without one), then the package totals.  The
+count is informational: the script exits 0 whatever the change, and 2 when
+OLD or NEW is neither a directory nor a revision.
 """
 
 import ast
@@ -57,13 +59,17 @@ def tree_counts(src):
     return out
 
 
-def table(old, new):
-    """The printed rows: one per module of either side, then the total."""
+_TESTS = "tests (not in total)"
+
+
+def table(old, new, tests):
+    """The printed rows: one per module of either side, the code lines of
+    each side's tests (None for a side without them), then the total."""
     modules = sorted(old.keys() | new.keys())
-    width = max(len(m) for m in modules + ["module", "total"])
+    width = max(len(m) for m in modules + ["module", _TESTS])
     rows = [f"{'module':<{width}}  {'old':>6}  {'new':>6}  {'change':>6}"]
     for name, a, b in ([(m, old.get(m), new.get(m)) for m in modules]
-                       + [("total", sum(old.values()), sum(new.values()))]):
+                       + [(_TESTS, *tests), ("total", sum(old.values()), sum(new.values()))]):
         cells = ["-" if n is None else n for n in (a, b)]
         rows.append(f"{name:<{width}}  {cells[0]:>6}  {cells[1]:>6}  {(b or 0) - (a or 0):>+6}")
     return rows
@@ -75,17 +81,19 @@ def main(argv):
         return 2
     scratch = tempfile.mkdtemp(prefix="code-lines-")
     try:
-        counts = []
+        counts, tests = [], []
         for spec in argv:
-            tree = source_tree(spec, scratch)
+            tree = source_tree(spec, scratch, ("tests",))
             if tree is None:
                 print(f"error: {spec!r} is neither a directory nor a git revision",
                       file=sys.stderr)
                 return 2
             counts.append(tree_counts(tree))
+            beside = os.path.join(os.path.dirname(os.path.abspath(tree)), "tests")
+            tests.append(sum(tree_counts(beside).values()) if os.path.isdir(beside) else None)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
-    for line in table(*counts):
+    for line in table(*counts, tests):
         print(line)
     return 0
 

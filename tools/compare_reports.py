@@ -108,12 +108,13 @@ def worker(src, work, dest):
         json.dump(results, fh)
 
 
-def source_tree(spec, scratch):
+def source_tree(spec, scratch, beside=()):
     """The ``src`` directory spec, or the ``src`` of the git revision spec
-    extracted under scratch; None when spec is neither."""
+    extracted under scratch, with the revision's directories ``beside``
+    extracted next to it; None when spec is neither."""
     if os.path.isdir(spec):
         return spec
-    archive = subprocess.run(["git", "-C", ROOT, "archive", spec, "src"],
+    archive = subprocess.run(["git", "-C", ROOT, "archive", spec, "src", *beside],
                              stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
     if archive.returncode:
         return None
