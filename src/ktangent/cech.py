@@ -18,14 +18,15 @@ from .errors import (
     Mismatch,
     NotStabilized,
     SingularRelation,
+    TowerMismatch,
     Unsupported,
     VacuousCheck,
     WindowOverflow,
     WindowTooLarge,
 )
-from .funcrings import FunctionRing, RingElem, eval_fraction, transport
+from .funcrings import FunctionRing
 from .linalg import RowSpan, accumulate, kernel_basis
-from .mpoly import MPoly, mp_gcd, reduce_mod
+from .mpoly import MPoly, mp_gcd
 from .scalars import Scalar
 
 
@@ -106,18 +107,9 @@ class Sheaf:
         return f"Omega^{self.r}"
 
 
-class _Model:
-    """An intersection: the smallest chart's ring and each chart's coordinates in it."""
-
-    __slots__ = ("ring", "subs")
-
-    def __init__(self, ring, subs):
-        self.ring = ring
-        self.subs = subs
-
-
 class Cover:
-    """Charts and their intersections.  Each subclass owns its section
+    """Charts and a section model.  A form over U_S lives in the ring of
+    the smallest chart in S (``ring``).  Each subclass owns its section
     model, which is all the engine reads of a label ``lab`` over U_S: the
     window's labels in column order (``labels``), the restriction to U_T and
     the exterior derivative as sparse vectors of raw tower values
@@ -126,22 +118,24 @@ class Cover:
     ``delta_r`` drops the labels ``has_base_letters`` names, and the symbol
     cochains place a form in the window with ``form_labels``.  A subclass
     keeps the data its model needs (``n`` on P^n, the cubic's ``gcoeffs``),
-    and ``_like`` starts the same kind of cover over a larger tower, for
-    ``extend_cover`` to fill.
+    and ``_like`` builds the same kind of cover over a larger tower from
+    the charts ``extend_cover`` lifts.  The chart changes live in
+    ``restrict`` as exact rewriting of labels; no cover keeps them as ring
+    elements.
     """
 
-    __slots__ = ("tower", "charts", "intersections")
+    __slots__ = ("tower", "charts")
 
-    def __init__(self, tower, charts, intersections):
+    def __init__(self, tower, charts):
         self.tower = tower
         self.charts = charts
-        self.intersections = intersections
 
     def subsets(self, size):
         return [tuple(c) for c in combinations(range(len(self.charts)), size)]
 
-    def model(self, S):
-        return self.intersections[tuple(sorted(S))]
+    def ring(self, S):
+        """The ring a form over U_S lives in: the smallest chart's."""
+        return self.charts[min(S)]
 
     @property
     def qmax(self):
@@ -176,12 +170,12 @@ class ProjectiveCover(Cover):
 
     __slots__ = ("n",)
 
-    def __init__(self, tower, charts, intersections, n):
-        super().__init__(tower, charts, intersections)
+    def __init__(self, tower, charts, n):
+        super().__init__(tower, charts)
         self.n = n
 
     def _like(self, tower, charts):
-        return ProjectiveCover(tower, charts, {}, self.n)
+        return ProjectiveCover(tower, charts, self.n)
 
     def window_labels(self, twist, D):
         """A chart subset S of size s holds the exponent vectors summing to
@@ -342,20 +336,22 @@ class CubicCover(Cover):
     Only sections of regular functions (0-forms) are modeled.  Chart A's
     sections are spanned by x^i y^dl, labelled (i, dl, 0); chart B's by
     xb^i zb^j, labelled (i, j); the overlap's by the partial-fraction family
-    x^i y^dl g^{-e}, labelled (i, dl, e).  The partial fractions of
-    x^i g^{-e} are memoised on the cover, so every window over it shares
-    them.
+    x^i y^dl g^{-e}, labelled (i, dl, e).  Restriction from B applies the
+    transition xb = x/y, zb = 1/y label by label; the relation of B pulls
+    back to a multiple of A's whenever g(0) != 0, which ``cover_plane_curve``
+    demands.  The partial fractions of x^i g^{-e} are memoised on the cover,
+    so every window over it shares them.
     """
 
     __slots__ = ("gcoeffs", "_pf_memo")
 
-    def __init__(self, tower, charts, intersections, gcoeffs):
-        super().__init__(tower, charts, intersections)
+    def __init__(self, tower, charts, gcoeffs):
+        super().__init__(tower, charts)
         self.gcoeffs = gcoeffs
         self._pf_memo = {}
 
     def _like(self, tower, charts):
-        return CubicCover(tower, charts, {}, tuple(tower.embed(c) for c in self.gcoeffs))
+        return CubicCover(tower, charts, tuple(tower.embed(c) for c in self.gcoeffs))
 
     def window_labels(self, twist, D):
         """The two charts and the overlap hold 20D + 4 labels."""
@@ -435,14 +431,6 @@ def _pn_varname(n, i, j):
     return {0: "u", 1: "v", 2: "w"}[i] + str(j)
 
 
-def _ratio(cover, m, j):
-    """X_j / X_m as an element of chart m's ring (= 1 when j == m)."""
-    ring = cover.charts[m]
-    if j == m:
-        return ring.one()
-    return ring.var(_pn_varname(cover.n, m, j))
-
-
 def cover_pn(n, tower):
     """The standard (n+1)-chart affine cover of P^n, n in {1, 2}."""
     if n not in (1, 2):
@@ -451,15 +439,7 @@ def cover_pn(n, tower):
     for i in range(n + 1):
         names = tuple(_pn_varname(n, i, j) for j in range(n + 1) if j != i)
         charts.append(FunctionRing(tower, names))
-    cover = ProjectiveCover(tower, charts, {}, n)
-    for size in range(1, n + 2):
-        for S in cover.subsets(size):
-            m = min(S)
-            subs = {i: [_ratio(cover, m, j) / _ratio(cover, m, i)
-                        for j in range(n + 1) if j != i] for i in S}
-            cover.intersections[S] = _Model(charts[m], subs)
-    verify_cover(cover)
-    return cover
+    return ProjectiveCover(tower, charts, n)
 
 
 def cover_plane_curve(F, tower):
@@ -513,18 +493,7 @@ def cover_plane_curve(F, tower):
                       smooth_check=False)
     rb = FunctionRing(tower, ("xb", "zb"), _chart_b_relation(tower, g0, g1, g2),
                       smooth_check=False)
-    x, y = ra.var("x"), ra.var("y")
-    cover = CubicCover(tower, [ra, rb], {}, (g0, g1, g2))
-    cover.intersections[(0,)] = _Model(ra, {0: [x, y]})
-    cover.intersections[(1,)] = _Model(rb, {1: [rb.var("xb"), rb.var("zb")]})
-    cover.intersections[(0, 1)] = _Model(ra, {0: [x, y], 1: [x / y, y.inv()]})
-    # the second chart's relation must vanish under the transition map
-    imgs = cover.intersections[(0, 1)].subs[1]
-    pulled, _ = eval_fraction(_chart_b_relation(tower, g0, g1, g2), imgs, ra)
-    if not reduce_mod(pulled, ra.relation, ra.elim).is_zero():
-        raise Mismatch("chart transition does not carry the relation to zero")
-    verify_cover(cover)
-    return cover
+    return CubicCover(tower, [ra, rb], (g0, g1, g2))
 
 
 def _chart_a_relation(tower, g0, g1, g2):
@@ -545,46 +514,20 @@ def _chart_b_relation(tower, g0, g1, g2):
             - c(inv) * zb + c(inv) * xb ** 3)
 
 
-def verify_cover(cover):
-    """Check that restriction substitutions compose along every inclusion."""
-    nch = len(cover.charts)
-    for size in range(1, nch):
-        for S in cover.subsets(size):
-            mdl_s = cover.model(S)
-            for k in range(nch):
-                if k in S:
-                    continue
-                T = tuple(sorted(S + (k,)))
-                mdl_t = cover.model(T)
-                bridge = mdl_t.subs[min(S)]
-                for i in S:
-                    got = [transport(e, bridge, mdl_t.ring) for e in mdl_s.subs[i]]
-                    if got != mdl_t.subs[i]:
-                        raise Mismatch(
-                            f"substitutions for chart {i} disagree along {S} in {T}")
-
-
 def extend_cover(cover, tower):
     """The same cover with its scalars embedded into a tower that extends its own.
 
-    Embedding scalars is an injective ring map, so every identity that
-    ``verify_cover``, the chart-transition check and gcd(g, g') = 1 proved
-    over ``cover.tower`` still holds over ``tower``: the cover is carried
-    over, not rebuilt or checked again.  A tower that does not extend the
-    cover's raises TowerMismatch.
+    Embedding scalars is an injective ring map, so the gcd(g, g') = 1
+    certificate proved over ``cover.tower`` still holds over ``tower``: the
+    chart rings and their relations are lifted, not rebuilt or checked again.
+    A tower that does not extend the cover's raises TowerMismatch.
     """
-    def elem(e, ring):
-        return RingElem(ring, e.num.over(tower), e.den.over(tower))
-
+    if not cover.tower.is_prefix_of(tower):
+        raise TowerMismatch("extend_cover: the tower does not extend the cover's")
     charts = [FunctionRing(tower, r.varnames,
                            None if r.relation is None else r.relation.over(tower),
                            smooth_check=False) for r in cover.charts]
-    big = cover._like(tower, charts)
-    for S, mdl in cover.intersections.items():
-        ring = charts[min(S)]
-        big.intersections[S] = _Model(
-            ring, {i: [elem(e, ring) for e in imgs] for i, imgs in mdl.subs.items()})
-    return big
+    return cover._like(tower, charts)
 
 
 def weierstrass_cubic(tower, a, b, c):

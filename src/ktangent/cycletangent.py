@@ -182,7 +182,7 @@ def symbol_cochain(engine, s):
     p = s.p
     cover = engine.cover
     full = tuple(range(len(cover.charts)))
-    ring = cover.model(full).ring
+    ring = cover.ring(full)
     if s.ring.varnames != ring.varnames:
         raise Unsupported("symbol entries must use the coordinates of the "
                           "smallest chart")

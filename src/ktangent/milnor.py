@@ -18,7 +18,6 @@ eps-parts, and the maps here send them to differential forms:
 from __future__ import annotations
 
 from .differentials import (
-    BaseTag,
     DiffForm,
     absolute_on_dual,
     base_q,
@@ -29,7 +28,7 @@ from .differentials import (
     wedge,
 )
 from .errors import Mismatch, NonUnitEntry, RingMismatch
-from .funcrings import DualElem, RingElem
+from .funcrings import DualElem
 
 
 class SymbolWord:

@@ -16,9 +16,8 @@ import random
 from .scalars import make_tower, Algebraic, Transcendental
 from .funcrings import FunctionRing
 from .differentials import base_top, base_change
-from .milnor import (EpsSymbol, SymbolWord, beta, beta_via_truncation,
-                     tilde_dlog, eps_to_absolute, check_codifferential,
-                     relation_check)
+from .milnor import (EpsSymbol, beta, beta_via_truncation, eps_to_absolute,
+                     check_codifferential, relation_check)
 from .complexes import alpha_delta_diagram
 from .errors import VacuousCheck
 

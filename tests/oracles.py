@@ -1,8 +1,12 @@
 """Independent oracles the tests check the library against.
 
-None of this runs in a command.  The Čech oracle reads an engine vector as
+None of this runs in a command.  A cover keeps no chart substitutions;
+``substitutions`` builds them here as ring elements, each chart's
+coordinates over every U_S, and ``verify_substitutions`` checks that they
+compose along every inclusion and that the cubic's transition carries the
+second chart's relation to zero.  The Čech oracle reads an engine vector as
 honest differential forms, one per chart subset, and checks the cocycle
-condition by pulling the forms back along the chart substitutions: form
+condition by pulling the forms back along those substitutions: form
 arithmetic the engine never does, so it is a second opinion on the engine's
 sparse differential.  The dual-number projections split a form over the
 dual base into its body and its ε-slope.
@@ -10,27 +14,80 @@ dual base into its body and its ε-slope.
 
 from ktangent.cech import CubicCover, ProjectiveCover
 from ktangent.differentials import BaseTag, DiffForm, d, pullback, wedge
-from ktangent.errors import NoDualBase
+from ktangent.errors import Mismatch, NoDualBase
+from ktangent.funcrings import eval_fraction, transport
+from ktangent.mpoly import reduce_mod
 from ktangent.scalars import Scalar
+
+
+# -- chart substitutions
+
+
+def _coordinates(cover, S):
+    """X_j / X_min(S) for every j, as elements of ``cover.ring(S)``."""
+    ring, m = cover.ring(S), min(S)
+    coord = dict(zip([j for j in range(cover.n + 1) if j != m],
+                     map(ring.var, ring.varnames)))
+    coord[m] = ring.one()
+    return coord
+
+
+def substitutions(cover):
+    """{S: {i: chart i's coordinates as elements of ``cover.ring(S)``}}
+    for every chart subset S and every chart i in S."""
+    if isinstance(cover, ProjectiveCover):
+        out = {}
+        for size in range(1, len(cover.charts) + 1):
+            for S in cover.subsets(size):
+                coord = _coordinates(cover, S)
+                out[S] = {i: [coord[j] / coord[i] for j in sorted(coord) if j != i]
+                          for i in S}
+        return out
+    assert isinstance(cover, CubicCover)
+    ra, rb = cover.charts
+    x, y = ra.var("x"), ra.var("y")
+    return {(0,): {0: [x, y]}, (1,): {1: [rb.var("xb"), rb.var("zb")]},
+            (0, 1): {0: [x, y], 1: [x / y, y.inv()]}}
+
+
+def verify_substitutions(cover, subs):
+    """Mismatch unless the substitutions compose along every inclusion S in
+    T and, on the cubic, the transition carries chart B's relation to
+    zero in chart A."""
+    nch = len(cover.charts)
+    for size in range(1, nch):
+        for S in cover.subsets(size):
+            for k in range(nch):
+                if k in S:
+                    continue
+                T = tuple(sorted(S + (k,)))
+                bridge, ring = subs[T][min(S)], cover.ring(T)
+                for i in S:
+                    got = [transport(e, bridge, ring) for e in subs[S][i]]
+                    if got != subs[T][i]:
+                        raise Mismatch(
+                            f"substitutions for chart {i} disagree along {S} in {T}")
+    if isinstance(cover, CubicCover):
+        ra, rb = cover.charts
+        pulled, _ = eval_fraction(rb.relation, subs[(0, 1)][1], ra)
+        if not reduce_mod(pulled, ra.relation, ra.elim).is_zero():
+            raise Mismatch("chart transition does not carry the relation to zero")
 
 
 # -- Čech cochains as differential forms
 
 
 def label_form(cover, S, lab, base):
-    """One basis label of ``cover`` over U_S as a DiffForm over the
-    intersection's model ring."""
-    ring = cover.model(S).ring
+    """One basis label of ``cover`` over U_S as a DiffForm over
+    ``cover.ring(S)``."""
+    ring = cover.ring(S)
     if isinstance(cover, ProjectiveCover):
-        # the model ring is chart min(S)'s, whose variables are X_j / X_m for
-        # j != m in order: lab = (a, J, T) is prod (X_j/X_m)^a_j dy_J dt_T
-        m = min(S)
+        # lab = (a, J, T) is prod (X_j/X_m)^a_j dy_J dt_T, m = min(S)
         a, J, Tset = lab
-        coord = dict(zip([j for j in range(cover.n + 1) if j != m],
-                         map(ring.var, ring.varnames)))
+        coord = _coordinates(cover, S)
         coeff = ring.one()
         for j, y in coord.items():
-            if a[j]:
+            if a[j] and j != min(S):
                 coeff = coeff * y ** a[j]
         form = DiffForm.of_elem(coeff, base)
         for j in J:
@@ -64,8 +121,8 @@ def cochain_forms(engine, k, vec, base):
 
 def cech_cocycle_check(cover, base, q, comp_forms):
     """Alternating pullback sum over every (q+2)-subset; True iff all vanish."""
+    subs = substitutions(cover)
     for T in cover.subsets(q + 2):
-        mdl_t = cover.model(T)
         total = None
         for pos in range(len(T)):
             S = T[:pos] + T[pos + 1:]
@@ -75,7 +132,7 @@ def cech_cocycle_check(cover, base, q, comp_forms):
             if min(S) == min(T):
                 img = f
             else:
-                img = pullback(f, mdl_t.subs[min(S)], mdl_t.ring)
+                img = pullback(f, subs[T][min(S)], cover.ring(T))
             img = img if pos % 2 == 0 else -img
             total = img if total is None else total + img
         if total is not None and not total.is_zero():

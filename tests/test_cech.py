@@ -17,7 +17,6 @@ from ktangent.cech import (
     extend_cover,
     hypercohomology,
     sheaf_cohomology,
-    verify_cover,
     verify_splitting,
     weierstrass_cubic,
 )
@@ -36,7 +35,7 @@ from ktangent.linalg import vec_sub_scaled
 from ktangent.mpoly import MPoly
 from ktangent.scalars import QQ, Algebraic, Transcendental, make_tower
 
-from oracles import cech_cocycle_check, cochain_forms
+from oracles import cech_cocycle_check, cochain_forms, substitutions, verify_substitutions
 
 POL = TruncationPolicy(2, 2)
 ABS0 = BaseTag(0, "none")
@@ -110,20 +109,91 @@ def test_extend_cover_keeps_kind():
 
 
 @pytest.mark.parametrize("S, i, k", [((0, 1), 1, 0), ((0, 2), 2, 1), ((0, 1, 2), 2, 0)])
-def test_verify_cover_catches_a_corrupted_substitution(S, i, k):
+def test_verify_substitutions_catches_a_corrupted_substitution(S, i, k):
     cover = cover_pn(2, QQ)
-    verify_cover(cover)
-    imgs = cover.intersections[S].subs[i]
+    subs = substitutions(cover)
+    verify_substitutions(cover, subs)
+    imgs = subs[S][i]
     imgs[k] = imgs[k] + 1
     with pytest.raises(Mismatch):
-        verify_cover(cover)
+        verify_substitutions(cover, subs)
 
 
-def test_extend_cover_refuses_a_tower_that_does_not_extend_it():
+def test_verify_substitutions_catches_a_transition_off_the_curve():
+    # zb = 1/y + 1 still composes along (1,) in (0, 1); only the relation sees it
+    cover = elliptic()
+    subs = substitutions(cover)
+    imgs = subs[(0, 1)][1]
+    imgs[1] = imgs[1] + 1
+    with pytest.raises(Mismatch, match="relation"):
+        verify_substitutions(cover, subs)
+
+
+@pytest.mark.parametrize("build", [lambda tw: cover_pn(1, tw), lambda tw: cover_pn(2, tw),
+                                   elliptic], ids=["p1", "p2", "elliptic"])
+def test_extend_cover_refuses_a_tower_that_does_not_extend_it(build):
+    # the message is extend_cover's own; lifting a chart would refuse in other words
     r2 = make_tower([Algebraic("r2", [-2, 0, 1])])
     r3 = make_tower([Algebraic("r3", [-3, 0, 1])])
-    with pytest.raises(TowerMismatch):
-        extend_cover(cover_pn(1, r2), r3)
+    with pytest.raises(TowerMismatch, match="does not extend the cover's"):
+        extend_cover(build(r2), r3)
+
+
+_TOWERS = {"Q": QQ, "Qsqrt2": R2, "Qs": make_tower([Transcendental("s")])}
+
+
+def _covers():
+    """Every kind of cover over Q, Q(sqrt 2) and Q(s), each beside an
+    extension of it by a new transcendental."""
+    for name, tw in _TOWERS.items():
+        big = tw.extend([Transcendental("u")])
+        for kind, build in (("p1", lambda tw=tw: cover_pn(1, tw)),
+                            ("p2", lambda tw=tw: cover_pn(2, tw)),
+                            ("elliptic", lambda tw=tw: elliptic(tw))):
+            yield f"{kind}-{name}", build, big
+
+
+def test_covers_build_and_extend_without_ring_elements(monkeypatch):
+    # a cover is its charts and its section model: no chart coordinate is
+    # built as a ring element, here or when its scalars are extended
+    made = []
+    real_init, real_canonical = RingElem.__init__, RingElem._canonical.__func__
+
+    def init(self, *args):
+        made.append("__init__")
+        real_init(self, *args)
+
+    def canonical(cls, *args):
+        made.append("_canonical")
+        return real_canonical(cls, *args)
+
+    monkeypatch.setattr(RingElem, "__init__", init)
+    monkeypatch.setattr(RingElem, "_canonical", classmethod(canonical))
+    for name, build, big in _covers():
+        extend_cover(build(), big)
+        assert made == [], name
+
+
+def _cubics():
+    """The other cubic covers the tests build, over their towers."""
+    for name, tw in _TOWERS.items():
+        yield f"y2=x3-x+1-{name}", lambda tw=tw: cover_plane_curve(
+            weierstrass_cubic(tw, 0, -1, 1), tw)
+    yield "y2=x3-4x+4", lambda: cover_plane_curve(weierstrass_cubic(QQ, 0, -4, 4), QQ)
+    yield "cubic-sqrt2", lambda: _cubic_over_sqrt2()
+    yield "seeded", lambda: _seeded_cubic()
+
+
+_SUBSTITUTION_COVERS = [(name, build) for name, build, _ in _covers()] + list(_cubics())
+
+
+@pytest.mark.parametrize("build", [b for _, b in _SUBSTITUTION_COVERS],
+                         ids=[n for n, _ in _SUBSTITUTION_COVERS])
+def test_substitutions_compose_and_carry_the_relation(build):
+    cover = build()
+    verify_substitutions(cover, substitutions(cover))
+    big = extend_cover(cover, cover.tower.extend([Transcendental("u")]))
+    verify_substitutions(big, substitutions(big))
 
 
 def _cubic_over_sqrt2():
@@ -159,12 +229,7 @@ def test_embedded_cover_equals_the_rebuilt_cover(build):
     else:
         assert big.gcoeffs == ref.gcoeffs
     assert big.charts == ref.charts
-    assert big.intersections.keys() == ref.intersections.keys()
-    for S, mdl in big.intersections.items():
-        want = ref.intersections[S]
-        assert mdl.ring == want.ring
-        assert mdl.subs == want.subs
-    verify_cover(big)
+    verify_substitutions(big, substitutions(big))
 
 
 @pytest.mark.parametrize("build", [lambda: cover_pn(1, make_tower([Algebraic("r2", [-2, 0, 1])])),
@@ -172,7 +237,7 @@ def test_embedded_cover_equals_the_rebuilt_cover(build):
 def test_scalar_extension_builds_and_verifies_no_cover(monkeypatch, build):
     cover = build()
     calls = []
-    for name in ("verify_cover", "cover_pn", "cover_plane_curve"):
+    for name in ("cover_pn", "cover_plane_curve"):
         real = getattr(cech, name)
 
         def counted(*args, _name=name, _real=real):
@@ -348,7 +413,7 @@ def _square_is_zero(eng):
 @pytest.mark.parametrize("p", [1, 2])
 def test_total_differential_squares_to_zero(p):
     for cover in (cover_pn(1, QQ), cover_pn(2, QQ)):
-        cx = tangent_deligne(p, cover.model((0,)).ring)
+        cx = tangent_deligne(p, cover.ring((0,)))
         rows = {i: cx.terms[i][0] for i in cx.degrees()}
         assert _square_is_zero(CechEngine(cover, rows, cx.base, 0, 2))
 
@@ -368,7 +433,7 @@ def _seeded_cubic(seed=20261018):
 
 
 def _deligne_rows(p, cover):
-    cx = tangent_deligne(p, cover.model((0,)).ring)
+    cx = tangent_deligne(p, cover.ring((0,)))
     return CechEngine(cover, {i: cx.terms[i][0] for i in cx.degrees()}, cx.base, 0, 2)
 
 
@@ -457,7 +522,7 @@ def test_representatives_exist_exactly_where_the_dimension_is_positive(run):
 
 def test_one_term_complex_matches_shifted_sheaf():
     c = cover_pn(2, QQ)
-    cx = tangent_deligne(1, c.model((0,)).ring)
+    cx = tangent_deligne(1, c.ring((0,)))
     hyper = hypercohomology(c, cx, POL, require_stable=True)
     plain = sheaf_cohomology(c, Sheaf.forms(0), POL, require_stable=True)
     assert all(hyper.dim(k + 1) == plain.dim(k) for k in (0, 1, 2))
@@ -472,14 +537,14 @@ def test_hypercohomology_of_tangent_complex():
     }
     for (n, p), want in expected.items():
         c = cover_pn(n, QQ)
-        cx = tangent_deligne(p, c.model((0,)).ring)
+        cx = tangent_deligne(p, c.ring((0,)))
         rep = hypercohomology(c, cx, POL, require_stable=True)
         assert rep.dims == want, (n, p)
 
 
 def test_curve_hypercohomology_sees_the_genus():
     c = elliptic()
-    cx = tangent_deligne(1, c.model((0,)).ring)
+    cx = tangent_deligne(1, c.ring((0,)))
     rep = hypercohomology(c, cx, POL, require_stable=True)
     assert rep.dims == {1: 1, 2: 1}
 
@@ -489,7 +554,7 @@ def test_hypercohomology_wants_the_top_base():
     c = cover_pn(1, tw)
     from ktangent.complexes import Complex
 
-    cx = Complex(c.model((0,)).ring, ABS0, 1, 2, {1: (0,), 2: (1,)}, {})
+    cx = Complex(c.ring((0,)), ABS0, 1, 2, {1: (0,), 2: (1,)}, {})
     with pytest.raises(Unsupported):
         hypercohomology(c, cx, POL)
 
@@ -639,7 +704,7 @@ def _window_runs():
             for r in (0, 1, 2)]
     out.append(pytest.param(_seeded_cubic(), {0: 0}, ABS0, 0, POL, id="cubic"))
     for p in (1, 2):
-        cx = tangent_deligne(p, p2.model((0,)).ring)
+        cx = tangent_deligne(p, p2.ring((0,)))
         out.append(pytest.param(p2, {i: cx.terms[i][0] for i in cx.degrees()}, cx.base,
                                 0, POL, id=f"plane-hyper-p{p}"))
     # base letters dt1, dt2 over Q(r2)(t1)(t2)

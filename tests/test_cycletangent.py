@@ -167,7 +167,7 @@ def test_extension_model_rejected_when_not_an_extension():
 
 def overlap_ring(n=1):
     cov = cover_pn(n, QQ)
-    return cov.model(tuple(range(n + 1))).ring
+    return cov.ring(tuple(range(n + 1)))
 
 
 def test_symbol_images_factor_on_the_line():
@@ -204,7 +204,7 @@ def test_line_symbol_vector_reads_off_the_coefficients():
     # beta({1 + eps h}^e) = e*h, so the window vector is the Laurent expansion
     rng = random.Random(20260816)
     cov = cover_pn(1, QQ)
-    ring = cov.model((0, 1)).ring
+    ring = cov.ring((0, 1))
     z = ring.var("z")
     from ktangent.cech import CechEngine
     from ktangent.complexes import tangent_deligne
@@ -238,7 +238,7 @@ def test_symbols_on_the_cubic_are_refused_by_name():
     # the cubic's window holds partial fractions, not Laurent monomials, so
     # placing a form there is refused rather than read as a projective label
     cov = curve()
-    ring = cov.model((0, 1)).ring
+    ring = cov.ring((0, 1))
     x = ring.var("x")
     with pytest.raises(Unsupported, match="projective covers only"):
         lambda_factorization_check([EpsSymbol(ring, 1, [(x + ring.const(2), (), 1)])],

@@ -21,6 +21,8 @@ from ktangent.funcrings import DualElem, FunctionRing, RingElem, transport
 from ktangent.mpoly import MPoly
 from ktangent.scalars import QQ, Algebraic, Scalar, Transcendental, make_tower
 
+from oracles import substitutions
+
 
 def plain_xy():
     return FunctionRing(QQ, ("x", "y"))
@@ -54,7 +56,7 @@ def _hash_rings():
         k = tw.gen(tw.names[0]) if tw.names else Fraction(3)
         yield FunctionRing(tw, ("x", "y", "z")), k, None
         cover = cover_plane_curve(weierstrass_cubic(tw, 0, -1, 1), tw)
-        yield cover.charts[0], k, (cover.charts[1], cover.intersections[(0, 1)].subs[1])
+        yield cover.charts[0], k, (cover.charts[1], substitutions(cover)[(0, 1)][1])
 
 
 @pytest.mark.parametrize("ring, k, transition", list(_hash_rings()),
@@ -294,9 +296,9 @@ def random_elements(ring, rng, count, consts):
 
 def _p2_transitions():
     cover = cover_pn(2, QQ)
-    for S, mdl in cover.intersections.items():
-        for i, imgs in mdl.subs.items():
-            yield cover.charts[i], imgs, mdl.ring
+    for S, table in substitutions(cover).items():
+        for i, imgs in table.items():
+            yield cover.charts[i], imgs, cover.ring(S)
 
 
 def _cubic_transition():

@@ -2,7 +2,10 @@
 named somewhere else in the package, or it is library API, exported
 through ``ktangent.__all__`` (a method of an exported class counts as
 exported).  Dunders are exempt, since Python calls them.  A name that only
-its own body mentions, as a recursive call does, is not reached."""
+its own body mentions, as a recursive call does, is not reached.
+
+Every name a module imports is used in that module; ``__init__``, which
+imports to export, is exempt."""
 
 import ast
 import pathlib
@@ -126,3 +129,48 @@ def caller(h: Hidden):
 def test_the_guard_flags_unnamed_definitions_only():
     assert unreached(SAMPLE, {"used", "Exported", "caller"}) == [
         "a:used.dead", "a:orphan", "a:Hidden.dropped"]
+
+
+def unused_imports(sources):
+    """The ``module:name`` of each name that a module of sources ({module
+    name: source text}) binds by an import and never reads; ``from
+    __future__`` imports bind nothing."""
+    out = []
+    for module, text in sources.items():
+        tree = ast.parse(text)
+        bound = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound += [a.asname or a.name.partition(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound += [a.asname or a.name for a in node.names]
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        out += [f"{module}:{name}" for name in bound if name not in read]
+    return out
+
+
+def test_every_package_import_is_used():
+    sources = {path.stem: path.read_text("utf-8") for path in sorted(PACKAGE.glob("*.py"))
+               if path.stem != "__init__"}
+    assert sources
+    assert unused_imports(sources) == []
+
+
+IMPORTS = {
+    "c": '''
+from __future__ import annotations
+
+import os.path
+import sys
+from json import dumps, loads as parse
+from .d import Payload, helper
+
+
+def main(text: Payload) -> None:  # an annotation reads its name
+    return helper(parse(text), os.path.sep)
+''',
+}
+
+
+def test_the_import_guard_flags_unread_names_only():
+    assert unused_imports(IMPORTS) == ["c:sys", "c:dumps"]
