@@ -604,37 +604,42 @@ def _descend(f, low, k):
 
 
 def _lcm_cofactors(f, g):
-    """{den: L / den} for each distinct denominator den of the coefficients
-    of f and g, fractions of polynomials in the top generator t of their
-    tower, and L the lcm of those denominators. Each den is monic, so L and
-    each L / den are monic too."""
+    """{den: (k, c)} for each distinct denominator den of the coefficients of
+    f and g, fractions of polynomials in the top generator t of their tower:
+    L / den = t^k c for L the lcm of those denominators. The power of t in
+    each den is split off first, so a pure power costs no polynomial
+    arithmetic. Each den is monic, so L and each c are monic too."""
     tw = f.tower
     lv = tw.num_levels - 1
     dens = {c[2] if type(c) is tuple else _ONE_T
             for c in (*f._terms.values(), *g._terms.values())}
+    val = {den: next(i for i, a in enumerate(den) if a) for den in dens}
+    top = max(val.values())
     L = _ONE_T
-    for den in dens:
-        L = _pmul(tw, lv, L, _pdivmod(tw, lv, den, _pgcd(tw, lv, L, den))[0])
-    return {den: _pdivmod(tw, lv, L, den)[0] for den in dens}
+    for den, k in val.items():
+        L = _pmul(tw, lv, L, _pdivmod(tw, lv, den[k:], _pgcd(tw, lv, L, den[k:]))[0])
+    return {den: (top - k, _pdivmod(tw, lv, L, den[k:])[0]) for den, k in val.items()}
 
 
 def _flatten(f, low, cof):
     """f times L, as a polynomial over low with the top generator t of f's
     tower as its last variable (f's coefficients are fractions of
     polynomials in t over low); ``cof`` maps each denominator den of f's
-    coefficients to L / den, as ``_lcm_cofactors`` gives it."""
+    coefficients to (k, c) with L / den = t^k c, as ``_lcm_cofactors``
+    gives it."""
     tw = f.tower
     lv = tw.num_levels
     step = _step(f.nvars + 1, f.nvars)
     terms = {}
     for e, c in f._terms.items():
         num, den = c[1:] if type(c) is tuple else ((c,), _ONE_T)
-        num = _pmul(tw, lv - 1, num, cof[den])
-        if len(num) > _FIELD + 1:
-            raise DegreeTooLarge(f"a coefficient has degree {len(num) - 1} in "
+        k, m = cof[den]
+        num = _pmul(tw, lv - 1, num, m)
+        if len(num) + k > _FIELD + 1:
+            raise DegreeTooLarge(f"a coefficient has degree {len(num) - 1 + k} in "
                                  f"{tw.names[-1]}; an exponent is at most {_FIELD}")
         e <<= _BITS  # the key with a last exponent 0
-        for i, a in enumerate(num):
+        for i, a in enumerate(num, k):
             if a:
                 terms[e + i * step] = a
     return MPoly(low, f.nvars + 1, terms)

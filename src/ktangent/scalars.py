@@ -530,7 +530,7 @@ class Tower:
 
         The existing steps were validated when this tower was built and are
         kept as they are; each new step is checked in full (name, monic
-        minimal polynomial, root candidates, separability).
+        minimal polynomial, root candidates, squarefreeness).
         """
         steps = list(self.steps)
         names = list(self.names)
@@ -556,31 +556,14 @@ class Tower:
                 raise NonMonic(f"minimal polynomial of {name} must have degree >= 2")
             if coeffs[-1] != 1:
                 raise NonMonic(f"minimal polynomial of {name} is not monic")
-            for cand in _root_candidates(tw, lv):
+            for cand in _root_candidates(tw, lv, coeffs):
                 if not _peval(tw, lv, coeffs, cand):
                     raise ReducibleMinpoly(
                         f"minimal polynomial of {name} vanishes at {_render(tw, lv, cand)}")
-            if lv == 0 and len(coeffs) == 3:
-                # a quadratic over Q splits exactly when its discriminant is a
-                # rational square, so this certifies what the sample missed
-                disc = coeffs[1] * coeffs[1] - 4 * coeffs[0]
-                if disc >= 0 and all(math.isqrt(n) ** 2 == n
-                                     for n in (disc.numerator, disc.denominator)):
-                    raise ReducibleMinpoly(
-                        f"minimal polynomial of {name} has rational roots "
-                        f"(its discriminant {disc} is a square)")
-            if lv == 0 and len(coeffs) == 4:
-                # a cubic over Q splits exactly when it has a rational root
-                root = _cubic_rational_root(coeffs)
-                if root is not None:
-                    raise ReducibleMinpoly(
-                        f"minimal polynomial of {name} vanishes at {root}")
+            if len(_pgcd(tw, lv, coeffs, _pformal_deriv(tw, lv, coeffs))) > 1:
+                raise ReducibleMinpoly(f"minimal polynomial of {name} has a repeated factor")
             steps.append(("alg", name, tuple(coeffs)))
             names.append(name)
-            # separability probe: m'(g) must be invertible in the new tower
-            tw2 = Tower(tuple(steps), tuple(names))
-            mprime = _pformal_deriv(tw2, lv, list(coeffs))
-            _inv(tw2, lv + 1, _aval(_amod(tw2, lv + 1, mprime)))
         return Tower(tuple(steps), tuple(names))
 
     def __repr__(self):
@@ -595,14 +578,16 @@ class Tower:
         return hash(("Tower", self.names))
 
 
-def _root_candidates(tw, lv):
-    """Small rationals plus prior generators, shifted a little."""
-    cands = []
-    for n in range(-8, 9):
-        for d in (1, 2, 3, 4):
-            fr = Fraction(n, d)
-            if fr.denominator == d:
-                cands.append(Tower.value(fr))
+def _root_candidates(tw, lv, m):
+    """The values at which the minimal polynomial m over level lv must not
+    vanish: its rational roots, found exactly, when every coefficient is
+    rational, else a sample of small rationals n/d (|n| <= 8, d <= 4); then
+    the prior generators g as +-g and +-g +- 1."""
+    if all(type(c) is not tuple for c in m):
+        cands = _rational_roots(m)
+    else:
+        cands = [Tower.value(Fraction(n, d))
+                 for n in range(-8, 9) for d in (1, 2, 3, 4) if math.gcd(n, d) == 1]
     for name in tw.names:
         g = tw.gen(name).val
         for shift in (_ZERO, _ONE, -_ONE):
@@ -611,53 +596,45 @@ def _root_candidates(tw, lv):
     return cands
 
 
-def _cubic_rational_root(coeffs):
-    """A rational root of the monic cubic c0 + c1 T + c2 T^2 + T^3 over Q, or None.
+def _rational_roots(m):
+    """The rational roots of the monic polynomial m over Q.
 
-    T = y/L with L the lcm of the denominators turns it into the monic
-    integer cubic y^3 + a y^2 + b y + c (a = c2 L, b = c1 L^2, c = c0 L^3),
-    whose rational roots are integers in [-B, B], B = 1 + max(|a|, |b|, |c|).
-    The cubic is monotone between its critical points
-    (-a -+ sqrt(a^2 - 3b))/3; the integers next to them are tried directly
-    and each monotone piece is bisected, so no divisor is enumerated.
+    T = y/L, for L the lcm of the denominators, turns m into a monic integer
+    polynomial f in y, whose rational roots are integers (Gauss), all in
+    [-B, B] for B = 1 + max |f_k| (Cauchy), and each a bracket of f.
     """
-    L = math.lcm(*(c.denominator for c in coeffs[:3]))
-    a, b, c = (int(coeffs[k] * L ** (3 - k)) for k in (2, 1, 0))
+    n = len(m) - 1
+    L = math.lcm(*(c.denominator for c in m))
+    f = [int(c * L ** (n - k)) for k, c in enumerate(m)]
+    return [Tower.value(Fraction(b, L))
+            for b in _brackets(f, 1 + max(map(abs, f))) if not _peval(QQ, 0, f, b)]
 
-    def f(y):
-        return ((y + a) * y + b) * y + c
 
-    B = 1 + max(abs(a), abs(b), abs(c))
-    disc = a * a - 3 * b
-    if disc < 0:
-        pieces, near = [(-B, B)], []
-    else:
-        # the critical points c1 <= c2 lie in (m1, m1 + 2) and [m2, m2 + 2)
-        s = math.isqrt(disc)
-        m1, m2 = (-a - s - 1) // 3, (-a + s) // 3
-        pieces = [(-B, m1), (m1 + 2, m2), (m2 + 2, B)]
-        near = [m1 + 1, m2 + 1]
-    for y in near:
-        if f(y) == 0:
-            return Fraction(y, L)
-    for lo, hi in pieces:
-        if lo > hi:
-            continue
-        flo, fhi = f(lo), f(hi)
-        if flo == 0 or fhi == 0:
-            return Fraction(lo if flo == 0 else hi, L)
-        if (flo > 0) == (fhi > 0):
-            continue
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            fm = f(mid)
-            if fm == 0:
-                return Fraction(mid, L)
-            if (fm > 0) == (flo > 0):
-                lo = mid
-            else:
-                hi = mid
-    return None
+def _brackets(f, B):
+    """Sorted integers b such that each real root of the integer polynomial f
+    (of degree >= 1, with every root in (-B, B)) lies in [b, b + 1] for one
+    of them, and each integer root is one of them.
+
+    The roots of the derivative lie in (-B, B) too (Gauss-Lucas). For its
+    brackets c_1 < .. < c_k, f is monotone on each of the pieces [-B, c_1],
+    [c_1 + 1, c_2], .., [c_k + 1, B], which hold every integer of [-B, B];
+    a root in a piece is bisected down to a bracket, and a root between
+    c_i and c_i + 1 is covered by keeping c_i.
+    """
+    crit = _brackets(_pformal_deriv(QQ, 0, f), B) if len(f) > 2 else []
+    out = set(crit)
+    for a, b in zip([-B] + [c + 1 for c in crit], crit + [B]):
+        fa, fb = _peval(QQ, 0, f, a), _peval(QQ, 0, f, b)
+        if fa * fb <= 0:  # a root in [a, b]: bisect to a zero or a unit interval
+            while b - a > 1 and fa and fb:
+                mid = (a + b) // 2
+                fm = _peval(QQ, 0, f, mid)
+                if fm * fa > 0:
+                    a, fa = mid, fm
+                else:
+                    b, fb = mid, fm
+            out.add(b if not fb else a)
+    return sorted(out)
 
 
 def make_tower(specs):

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 import re
 import resource
 import subprocess
@@ -10,7 +11,7 @@ import sys
 import pytest
 
 from ktangent.cech import CechEngine, Sheaf, TruncationPolicy, check_window
-from ktangent.cli import (main, BUILTIN_INSTANCES, build_arg_parser, make_report,
+from ktangent.cli import (main, BUILTIN_INSTANCES, _COMMANDS, build_arg_parser, make_report,
                           render_json)
 from ktangent.parser import load_instance
 from ktangent.errors import Unsupported, VacuousCheck
@@ -477,6 +478,91 @@ def test_undeclared_flag_is_usage_error(cmd, flag):
     with pytest.raises(SystemExit) as exc:
         main(cmd.split() + [flag, _FLAG_VALUES[flag], "--quiet"])
     assert exc.value.code == 2
+
+
+# -- the exit-code contract at random ------------------------------------------
+
+# (a - 10)(a^3 + 2) has the rational root 10, so its ring has zero divisors
+_QUARTIC = "[tower]\ngen a = algebraic -20, 2, 0, -10, 1\n\n[cover]\nkind = projective-line\n"
+_TRANSCENDENTAL = "[tower]\ngen s = transcendental\n\n[cover]\nkind = projective-plane\n"
+_VALID_FILES = [*BUILTIN_INSTANCES.values(), _TRANSCENDENTAL,
+                "[tower]\ngen r = algebraic -2, 0, 1\n\n[cover]\nkind = projective-line\n"
+                "\n[checks]\np = 2\nsheaf = O(-3)\n",
+                "[tower]\ngen a = algebraic -2, 0, 0, 1\n\n[cover]\nkind = projective-plane\n"]
+_EDIT_CHARS = "0123456789 -,=/#[]\nOpaDx()"
+_SHEAVES = ("omega0", "omega1", "omega2", "O(2)", "O(-3)", "omega-1", "sheaf")
+
+
+def _one_edit(rng, text):
+    """text with one character deleted, replaced or inserted, most often in
+    the value of a ``key = value`` line."""
+    i = rng.randrange(len(text))
+    if rng.random() < 0.7:
+        i = rng.choice([j for m in re.finditer(r"(?<== ).+", text) for j in range(*m.span())])
+    c = rng.choice(_EDIT_CHARS)
+    return rng.choice((text[:i] + text[i + 1:], text[:i] + c + text[i + 1:],
+                       text[:i] + c + text[i:]))
+
+
+def _random_argv(rng, commands, path):
+    """One of the commands with a value for each flag it declares (D and
+    delta at most 3), the instance a built-in, a valid instance file or a
+    one-edit mutation of one, written to path; now and then an undeclared
+    flag."""
+    cmd = rng.choice(commands)
+    argv = cmd.split()
+    for key in _COMMANDS[cmd][1]:
+        if key == "instance":
+            value = rng.choice(sorted(BUILTIN_INSTANCES))
+            if rng.random() < 0.75:
+                text = rng.choice(_VALID_FILES)
+                path.write_text(_one_edit(rng, text) if rng.random() < 0.8 else text)
+                value = str(path)
+        elif key == "sheaf":
+            value = rng.choice(_SHEAVES)
+        else:
+            # 0, a usage error for p, D and delta, one time in ten
+            value = str(rng.choice((0,) + (1, 2, 3) * 3) if key != "seed"
+                        else rng.randint(1, 99))
+        argv += [f"--{key}", value]
+    return argv + (["--bogus"] if rng.random() < 0.05 else [])
+
+
+def _exit_code(argv):
+    """main's exit code, an argparse ``SystemExit`` counted as its code."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def test_exit_code_contract_holds_at_random(tmp_path, capsys):
+    # every run ends in 0, 1 or 2 with no other exception and no traceback;
+    # a report exists exactly for 0 and 1, and a second run writes the same
+    # bytes
+    (tmp_path / "quartic.inst").write_text(_QUARTIC)
+    (tmp_path / "qs.inst").write_text(_TRANSCENDENTAL)
+    runs = [(["composed", "--instance", str(tmp_path / "quartic.inst")], 2),
+            (["composed", "--instance", str(tmp_path / "qs.inst")], 1)]
+    rng = random.Random(31)
+    # every command, then more runs of the cheap ones that read an instance
+    on_files = [cmd for cmd, (_, keys, _) in _COMMANDS.items() if "instance" in keys]
+    runs += [(_random_argv(rng, sorted(_COMMANDS) if i < 40 else on_files,
+                           tmp_path / f"{i}.inst"), None) for i in range(120)]
+    seen = set()
+    for i, (argv, want) in enumerate(runs):
+        outcomes = []
+        for again in (0, 1):
+            report = tmp_path / f"{i}-{again}.json"
+            code = _exit_code(argv + ["--json", str(report), "--quiet"])
+            assert code in (0, 1, 2), argv
+            assert "Traceback" not in capsys.readouterr().err, argv
+            assert report.exists() == (code != 2), argv
+            outcomes.append((code, report.read_bytes() if report.exists() else None))
+        assert outcomes[0] == outcomes[1], argv
+        assert want in (None, code), argv
+        seen.add(code)
+    assert seen == {0, 1, 2}
 
 
 # -- instance files through the command line ------------------------------------

@@ -91,9 +91,9 @@ def _flatten_round_trip(f):
     cof = mpoly._lcm_cofactors(f, f)
     flat = mpoly._flatten(f, low, cof)
     assert flat.tower == low and flat.nvars == f.nvars + 1
-    den, m = next(iter(cof.items()))  # L = den * (L / den)
+    den, (k, m) = next(iter(cof.items()))  # L = den * t^k * m
     scale = (MPoly.const(tw, f.nvars, 1) * scalars.Scalar(tw, scalars._qval(tuple(den)))
-             * scalars.Scalar(tw, scalars._qval(tuple(m))))
+             * tw.gen(tw.names[-1]) ** k * scalars.Scalar(tw, scalars._qval(tuple(m))))
     return mpoly._unflatten(flat, tw), scale
 
 
@@ -113,7 +113,7 @@ def test_flatten_then_unflatten_returns_the_input():
     # over Q(t) the generator becomes the last variable
     t = qt.gen("t")
     x, y = xy(qt)
-    flat = mpoly._flatten(t ** 3 * x * y - t + 2, QQ, {(1,): [1]})
+    flat = mpoly._flatten(t ** 3 * x * y - t + 2, QQ, {(1,): (0, [1])})
     assert dict(flat.items()) == {(1, 1, 3): 1, (0, 0, 1): -1, (0, 0, 0): 2}
 
 
@@ -140,10 +140,10 @@ def test_exponents_past_the_field_raise_degree_too_large():
     # flattening makes the degree of a coefficient in t an exponent
     qt = make_tower([Transcendental("t")])
     t, (x, _) = qt.gen("t"), xy(qt)
-    flat = mpoly._flatten(x * t ** 65535 + 1, QQ, {(1,): [1]})
+    flat = mpoly._flatten(x * t ** 65535 + 1, QQ, {(1,): (0, [1])})
     assert dict(flat.items()) == {(1, 0, 65535): 1, (0, 0, 0): 1}
     with pytest.raises(DegreeTooLarge):
-        mpoly._flatten(x * t ** 65536 + 1, QQ, {(1,): [1]})
+        mpoly._flatten(x * t ** 65536 + 1, QQ, {(1,): (0, [1])})
 
 
 def test_reduce_mod_relation():
@@ -333,6 +333,29 @@ def test_gcd_over_qt_flattens_by_the_lcm_of_the_denominators():
     # denominators sharing a factor, and a common factor that survives
     u = x - 1
     assert mp_gcd(u * (x + 1 / (t * (t + 1))), u * (x + 1 / (t * (t + 2)))) == u
+    assert mp_gcd(u * (x + 1 / (t**3 * (t + 1))), u * (x + t / (t + 1) ** 2)) == u
+
+
+def test_gcd_over_qt_splits_the_power_of_t_off_each_denominator(monkeypatch):
+    # the lcm of t^40000 and t^30000 is a maximum of exponents; no dense
+    # polynomial of length 40000 is divided or multiplied
+    tw = make_tower([Transcendental("t")])
+    t = tw.gen("t")
+    x = MPoly.variable(tw, 1, 0)
+    f, g = x**2 + t**-40000, x**2 + t**-30000
+    calls = []
+    real = scalars._mul
+    monkeypatch.setattr(scalars, "_mul", lambda *a: calls.append(1) or real(*a))
+    assert mp_gcd(f, g) == 1
+    assert len(calls) < 100
+    # the split power still counts towards the exponent field
+    with pytest.raises(DegreeTooLarge):
+        mp_gcd(x**2 * t + t**-65535, x**2 + 1)
+    x, _ = xy(tw)
+    flat = mpoly._flatten(x + 1, QQ, {(1,): (65535, [1])})
+    assert dict(flat.items()) == {(1, 0, 65535): 1, (0, 0, 65535): 1}
+    with pytest.raises(DegreeTooLarge):
+        mpoly._flatten(x * t + 1, QQ, {(1,): (65535, [1])})
 
 
 @pytest.mark.parametrize("steps", [

@@ -120,6 +120,66 @@ def test_cubic_with_a_rational_root_is_refused():
         assert make_tower([Algebraic("a", mp)]).num_levels == 1
 
 
+def _times(p, q):
+    """The product of two coefficient lists, constant term first."""
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+@pytest.mark.parametrize("minpoly, root", [
+    # roots outside the old sample (n/d with |n| <= 8, d <= 4), at a degree
+    # no rule special-cased
+    pytest.param(_times([-10, 1], [2, 0, 0, 1]), "10", id="(a-10)(a^3+2)"),
+    pytest.param(_times([Fraction(-9, 5), 1], [-3, 0, 0, 1]), "9/5", id="(a-9/5)(a^3-3)"),
+    # the root's piece is monotone only because the derivative's brackets
+    # keep those of the second derivative
+    pytest.param(_times([-1, 1], [-1, 1, 1]), "1", id="(a-1)(a^2+a-1)"),
+])
+def test_minimal_polynomial_with_a_rational_root_is_refused_naming_it(minpoly, root):
+    with pytest.raises(ReducibleMinpoly, match=f"vanishes at {root}$"):
+        make_tower([Algebraic("a", minpoly)])
+
+
+@pytest.mark.parametrize("prefix, minpoly", [
+    pytest.param([], _times([-2, 0, 1], [-2, 0, 1]), id="(x^2-2)^2"),
+    pytest.param([], _times([1, 0, 1], [1, 0, 1]), id="(x^2+1)^2"),
+    pytest.param([Algebraic("r2", [-2, 0, 1])], _times([-3, 0, 1], [-3, 0, 1]),
+                 id="(u^2-3)^2-over-Q(sqrt2)"),
+])
+def test_square_minimal_polynomial_is_refused_as_a_repeated_factor(prefix, minpoly):
+    # no rational root, so only the squarefree check sees these
+    with pytest.raises(ReducibleMinpoly, match="has a repeated factor$"):
+        make_tower(prefix + [Algebraic("u", minpoly)])
+
+
+def test_irreducible_minimal_polynomials_without_rational_roots_are_accepted():
+    # x^4 + 1 and x^4 - 10x^2 + 1 are reducible modulo every prime
+    for mp in ([1, 0, 0, 0, 1], [1, 0, -10, 0, 1], [-1, -1, 0, 0, 0, 1]):
+        assert make_tower([Algebraic("a", mp)]).num_levels == 1
+    tw = tower_sqrt2().extend([Algebraic("u", [-3, 0, 1])])
+    assert tw.gen("u") ** 2 == 3 and (tw.gen("u") * tw.gen("r2")) ** 2 == 6
+
+
+def test_rational_minimal_polynomial_is_checked_without_a_sample(monkeypatch):
+    points = []
+    real = scalars._peval
+    monkeypatch.setattr(scalars, "_peval", lambda tw, lv, p, at: points.append(at)
+                        or real(tw, lv, p, at))
+    make_tower([Algebraic("r", [-2, 0, 1])])
+    # r^2 - 2 and its derivative meet only integers inside Cauchy's bound 3,
+    # where the sample evaluated 45 rationals out to -8
+    assert points and all(type(at) is int and abs(at) <= 3 for at in points)
+    assert len(points) < 20
+    points.clear()
+    # a library step with a coefficient outside Q still meets the sample
+    t = tower_qt().gen("t")
+    tower_qt().extend([Algebraic("w", [-(t**3 - t), 0, 1])])
+    assert Fraction(-8) in points and Fraction(1, 4) in points
+
+
 def test_constant_inverse_at_an_algebraic_level_skips_euclid(monkeypatch):
     tw = make_tower([Algebraic("r2", [-2, 0, 1]), Transcendental("t1")])
     r2, t1 = tw.gen("r2"), tw.gen("t1")

@@ -21,6 +21,9 @@ The runs are:
   partial fractions g^(-e) reach the largest exponents of any run), a few
   whose delta exceeds D, so that most labels of the larger window are new
   to it, and a few twisted sheaves O(d), one of them unstable (exit 1);
+* ``cech``, ``composed`` and ``verify lemma2.4`` on two instance files
+  whose towers are of degree 3 and 4 (``TOWERS``), where every other run
+  meets a quadratic or transcendental tower or none;
 * the commands of the benchmark's ``commands`` workload at seeds 1-3;
 * the four ``verify`` suites and ``relations`` at their default seed, and
   the three seeded ``verify`` suites and ``relations`` again at seeds 7 and
@@ -29,7 +32,7 @@ The runs are:
   polynomial denominators and the gcds with a side linear in a variable
   over Q(sqrt 2) (``verify alpha-delta`` reads no seed).
 
-That is 130 runs in all.
+That is 136 runs in all.
 
 Prints one line per difference and a summary; exits 1 on any difference.
 """
@@ -57,6 +60,10 @@ WIDE = ("cech --instance p2 --sheaf omega1 --D 8",
         "cech --instance p2 --sheaf O(2)",
         "cech --instance p2 --sheaf O(-4) --D 2",
         "cech --instance p1 --sheaf O(-4) --D 1 --delta 6")
+TOWERS = {"cube-root-2.inst": "[tower]\ngen a = algebraic -2, 0, 0, 1\n\n"
+                              "[cover]\nkind = projective-plane\n",
+          "fourth-root-of-minus-1.inst": "[tower]\ngen a = algebraic 1, 0, 0, 0, 1\n\n"
+                                         "[cover]\nkind = projective-line\n"}
 SEEDED = ("verify lemma2.6", "verify beta-agreement", "verify diagram2.7", "relations")
 SUITES = SEEDED + ("verify alpha-delta",)
 
@@ -73,6 +80,12 @@ def rows(kt, work):
             out.append((f"cech {inst} {sheaf}",
                         ["cech", "--instance", inst, "--sheaf", sheaf]))
     out += [(cmd, cmd.split()) for cmd in WIDE]
+    for name, text in TOWERS.items():
+        path = os.path.join(work, name)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        for cmd in ("cech", "composed", "verify lemma2.4"):
+            out.append((f"{cmd} {name}", cmd.split() + ["--instance", path]))
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     import workloads
     for seed in (1, 2, 3):
