@@ -1,31 +1,34 @@
 """Plain-text expression language for symbols, forms, and derivatives.
 
-The grammar, from loosest to tightest binding::
+The grammar::
 
-    sum      :=  wedgeprod (('+' | '-') wedgeprod)*
-    wedgeprod:=  product (('/\\' | '∧') product)*
-    product  :=  signed (('*' | '/') signed)*
-    signed   :=  '-' signed | power
-    power    :=  atom ['^' exponent]          exponent: optional '-', digits,
-                                              optionally parenthesized
+    expr     :=  expr OP expr  |  '-' expr  |  atom ['^' exponent]
+    OP       :=  '+' | '-' | '/\\' | '∧' | '*' | '/'
+    exponent :=  optional '-', digits, optionally parenthesized
     atom     :=  integer | name | 'eps'
-              |  '(' sum ')'
-              |  '{' sum (',' sum)* '}'
-              |  ('d_Q' | 'd_k' | 'd_C' | 'd_Ceps') '(' sum ')'
+              |  '(' expr ')'
+              |  '{' expr (',' expr)* '}'
+              |  ('d_Q' | 'd_k' | 'd_C' | 'd_Ceps') '(' expr ')'
 
-so ``^`` binds tighter than unary minus, which binds tighter than ``*`` and
-``/``, which bind tighter than the wedge, which binds tighter than ``+`` and
-``-``.  Rationals are spelled as quotients of integers.  Braces build a
-Milnor symbol from their entries.  ``d_Q``/``d_k``/``d_C``/``d_Ceps`` apply
-the exterior derivative over whichever base the evaluation context assigns
-to that keyword; dlog is deliberately not a primitive (spell it
-``d_C(f)/f``).  The wedge accepts the unicode sign and the two-character
-ASCII fallback interchangeably.  For convenience when pasting typeset text,
-``·`` is read as ``*`` and ``−`` as ``-``.
+One table, ``_PREC``, says how tightly each operator binds, and both the
+parser (by precedence climbing) and the printer read it: ``^`` binds
+tighter than unary minus, which binds tighter than ``*`` and ``/``, which
+bind tighter than the wedge, which binds tighter than ``+`` and ``-``.  The
+binary operators associate to the left, and ``^`` attaches once, to an
+atom, so ``2^3^2`` is refused.  Rationals are spelled as quotients of
+integers.  Braces build a Milnor symbol from their entries.
+``d_Q``/``d_k``/``d_C``/``d_Ceps`` apply the exterior derivative over
+whichever base the evaluation context assigns to that keyword; dlog is
+deliberately not a primitive (spell it ``d_C(f)/f``).  The wedge accepts
+the unicode sign and the two-character ASCII fallback interchangeably.  For
+convenience when pasting typeset text, ``·`` is read as ``*`` and ``−`` as
+``-``.
 
 ``parse`` produces an `Expr` tree whose printed form (`str`) parses back to
-an equal tree.  ``evaluate`` interprets a tree against a function ring and
-optional named bindings; it is where unknown identifiers are reported.
+an equal tree, since the parser and the printer read the one table.
+Nesting deeper than the stack allows is refused with InstanceSyntaxError at
+the token reached.  ``evaluate`` interprets a tree against a function ring
+and optional named bindings; it is where unknown identifiers are reported.
 """
 
 import operator
@@ -114,52 +117,38 @@ _OPS = {**{ch: ch for ch in "+-*/^(){},"}, "∧": "/\\", "·": "*", "−": "-"}
 
 def _lex(text):
     toks = []
-    line, col, i, n = 1, 1, 0, len(text)
+    line, start, i, n = 1, 0, 0, len(text)  # start: offset where the line begins
     while i < n:
-        ch = text[i]
+        ch, j = text[i], i + 1
+        at = (line, i - start + 1)
         if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        at = (line, col)
-        if ch.isdecimal():
-            j = i
+            line, start = line + 1, j
+        elif ch.isdecimal():
             while j < n and text[j].isdecimal():
                 j += 1
             toks.append(("num", int(text[i:j]), at))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
+        elif ch.isalpha() or ch == "_":
             # isalnum() would admit superscript and other non-decimal digits
             while j < n and (text[j].isalpha() or text[j].isdecimal() or text[j] == "_"):
                 j += 1
             toks.append(("name", text[i:j], at))
-            col += j - i
-            i = j
-            continue
-        if ch == "/" and i + 1 < n and text[i + 1] == "\\":
+        elif text.startswith("/\\", i):
+            j += 1
             toks.append(("op", "/\\", at))
-            i += 2
-            col += 2
-            continue
-        if ch in _OPS:
+        elif ch in _OPS:
             toks.append(("op", _OPS[ch], at))
-            i += 1
-            col += 1
-            continue
-        raise InstanceSyntaxError(f"unexpected character {ch!r}", line, col)
-    toks.append(("end", "", (line, col)))
+        elif ch not in " \t\r":
+            raise InstanceSyntaxError(f"unexpected character {ch!r}", *at)
+        i = j
+    toks.append(("end", "", (line, n - start + 1)))
     return toks
 
 
-# -- recursive-descent parser ------------------------------------------------
+# -- precedence-climbing parser ----------------------------------------------
+
+# the binary operators by their token, read off the printer's table
+_INFIX = {s.strip(): k for k, s in _BINARY.items()}
+
 
 class _Parser:
     __slots__ = ("toks", "i")
@@ -189,44 +178,25 @@ class _Parser:
             found = "end of input" if kind == "end" else repr(val)
             raise InstanceSyntaxError(f"expected {what}, found {found}", ln, c)
 
-    def sum(self):
-        e = self.wedgeprod()
+    def expr(self, floor=1):
+        """The longest expression at the cursor whose binary operators all
+        bind at least as tightly as floor (a `_PREC` value); each operand of
+        a binary operator binds one step tighter, so the operators associate
+        to the left."""
+        at = self.peek()[2]
+        if self.take("-"):
+            e = Expr("neg", (self.expr(_PREC["neg"]),), at)
+        else:
+            e = self.atom()
+            if self.take("^"):
+                e = Expr("pow", (e, self.exponent()), e.pos)
         while True:
-            if self.take("+"):
-                e = Expr("add", (e, self.wedgeprod()), e.pos)
-            elif self.take("-"):
-                e = Expr("sub", (e, self.wedgeprod()), e.pos)
-            else:
+            kind, val, _ = self.peek()
+            op = _INFIX.get(val) if kind == "op" else None
+            if op is None or _PREC[op] < floor:
                 return e
-
-    def wedgeprod(self):
-        e = self.product()
-        while self.take("/\\"):
-            e = Expr("wedge", (e, self.product()), e.pos)
-        return e
-
-    def product(self):
-        e = self.signed()
-        while True:
-            if self.take("*"):
-                e = Expr("mul", (e, self.signed()), e.pos)
-            elif self.take("/"):
-                e = Expr("div", (e, self.signed()), e.pos)
-            else:
-                return e
-
-    def signed(self):
-        kind, val, at = self.peek()
-        if kind == "op" and val == "-":
             self.i += 1
-            return Expr("neg", (self.signed(),), at)
-        return self.power()
-
-    def power(self):
-        e = self.atom()
-        if self.take("^"):
-            return Expr("pow", (e, self.exponent()), e.pos)
-        return e
+            e = Expr(op, (e, self.expr(_PREC[op] + 1)), e.pos)
 
     def exponent(self):
         paren = self.take("(")
@@ -245,20 +215,20 @@ class _Parser:
         if kind == "name":
             if val in DIFF_KEYWORDS:
                 self.expect("(", f"'(' after {val}")
-                inner = self.sum()
+                inner = self.expr()
                 self.expect(")", f"')' closing {val}(...)")
                 return Expr("diff", (val, inner), at)
             if val == "eps":
                 return Expr("eps", (), at)
             return Expr("name", (val,), at)
         if kind == "op" and val == "(":
-            inner = self.sum()
+            inner = self.expr()
             self.expect(")", "')'")
             return Expr(inner.kind, inner.args, at)  # placed at its '('
         if kind == "op" and val == "{":
-            entries = [self.sum()]
+            entries = [self.expr()]
             while self.take(","):
-                entries.append(self.sum())
+                entries.append(self.expr())
             self.expect("}", "'}' closing the symbol")
             return Expr("symbol", tuple(entries), at)
         found = "end of input" if kind == "end" else repr(val)
@@ -269,7 +239,11 @@ class _Parser:
 def parse(text):
     """Parse an expression; raise InstanceSyntaxError with line/column."""
     p = _Parser(_lex(text))
-    e = p.sum()
+    try:
+        e = p.expr()
+    except RecursionError:
+        # brackets nested past the stack; refuse at the token reached
+        raise InstanceSyntaxError("expression nested too deeply", *p.peek()[2]) from None
     kind, val, (ln, c) = p.peek()
     if kind != "end":
         raise InstanceSyntaxError(f"unexpected {val!r} after the expression",
@@ -467,12 +441,26 @@ def _tower_steps(tower):
             for i, nm in enumerate(tower.names)]
 
 
-def _rat(text, ln):
+# Python reads and prints no int of more than 4300 digits, so an instance
+# holds none; an exponent past 4300 is refused before Fraction builds its
+# power of ten, which for 1e999999999 does not finish
+_MAX_DIGITS = 4300
+_TOO_LONG = 10 ** _MAX_DIGITS
+
+
+def _rat(text, ln=1):
+    """The exact rational spelled by text, such as '-3/4', '1.25' or
+    '5e-3', at line ln of an instance; every rational that an instance
+    spells, in text or in JSON, is read here."""
+    text = text.strip()
     try:
-        return Fraction(text.strip())
+        exponent = text.lower().partition("e")[2]
+        q = None if exponent and abs(int(exponent)) > _MAX_DIGITS else Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise InstanceSyntaxError(f"expected a rational number, got {text.strip()!r}",
-                                  ln, 1)
+        raise InstanceSyntaxError(f"expected a rational number, got {text!r}", ln, 1) from None
+    if q is None or max(abs(q.numerator), q.denominator) >= _TOO_LONG:
+        raise InstanceSyntaxError(f"{text!r} has more than {_MAX_DIGITS} digits", ln, 1)
+    return q
 
 
 def _int(text, ln):
@@ -539,8 +527,8 @@ def _spec_from_json(obj):
     """Check a JSON instance's shape once, in the spec shape of a text instance.
 
     Rationals are Fractions (JSON decimals arrive as Fractions, read exactly
-    from their text), and every section value is a ``(line, value)`` pair at
-    line 1.  A malformed object raises InstanceSyntaxError, as a malformed
+    from their text by `_rat`), and every section value is a ``(line,
+    value)`` pair at line 1.  A malformed object raises InstanceSyntaxError, as a malformed
     text instance does.
     """
     def bad(msg):
@@ -549,10 +537,7 @@ def _spec_from_json(obj):
     def rats(v, what):
         if isinstance(v, list) and all(isinstance(c, (int, Fraction, str))
                                        and not isinstance(c, bool) for c in v):
-            try:
-                return [Fraction(c) for c in v]
-            except (ValueError, ZeroDivisionError):
-                pass
+            return [_rat(c) if isinstance(c, str) else Fraction(c) for c in v]
         raise bad(f"{what} must be a list of rationals, got {v!r}")
 
     for key, val in obj.items():
@@ -650,8 +635,10 @@ def load_instance(text):
     """Read an instance from sectioned text or its JSON mirror."""
     if text.lstrip().startswith("{"):
         try:
-            obj = _json.loads(text, parse_float=Fraction)
+            obj = _json.loads(text, parse_float=_rat)
         except ValueError as exc:
             raise InstanceSyntaxError(f"bad JSON instance: {exc}", 1, 1)
+        except RecursionError:
+            raise InstanceSyntaxError("bad JSON instance: nested too deeply", 1, 1) from None
         return _build_config(_spec_from_json(obj))
     return _build_config(_spec_from_text(text))

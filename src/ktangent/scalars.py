@@ -621,20 +621,25 @@ def _brackets(f, B):
     a root in a piece is bisected down to a bracket, and a root between
     c_i and c_i + 1 is covered by keeping c_i.
     """
-    crit = _brackets(_pformal_deriv(QQ, 0, f), B) if len(f) > 2 else []
-    out = set(crit)
-    for a, b in zip([-B] + [c + 1 for c in crit], crit + [B]):
-        fa, fb = _peval(QQ, 0, f, a), _peval(QQ, 0, f, b)
-        if fa * fb <= 0:  # a root in [a, b]: bisect to a zero or a unit interval
-            while b - a > 1 and fa and fb:
-                mid = (a + b) // 2
-                fm = _peval(QQ, 0, f, mid)
-                if fm * fa > 0:
-                    a, fa = mid, fm
-                else:
-                    b, fb = mid, fm
-            out.add(b if not fb else a)
-    return sorted(out)
+    chain = [f]  # f and its derivatives down to degree 1
+    while len(chain[-1]) > 2:
+        chain.append(_pformal_deriv(QQ, 0, chain[-1]))
+    crit = []
+    for f in reversed(chain):  # each f's brackets from its derivative's
+        out = set(crit)
+        for a, b in zip([-B] + [c + 1 for c in crit], crit + [B]):
+            fa, fb = _peval(QQ, 0, f, a), _peval(QQ, 0, f, b)
+            if fa * fb <= 0:  # a root in [a, b]: bisect to a zero or a unit interval
+                while b - a > 1 and fa and fb:
+                    mid = (a + b) // 2
+                    fm = _peval(QQ, 0, f, mid)
+                    if fm * fa > 0:
+                        a, fa = mid, fm
+                    else:
+                        b, fb = mid, fm
+                out.add(b if not fb else a)
+        crit = sorted(out)
+    return crit
 
 
 def make_tower(specs):

@@ -303,6 +303,41 @@ def test_malformed_json_instance_is_usage_error(tmp_path, capsys, obj):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_json_instance_nested_past_the_stack_is_usage_error(tmp_path, capsys):
+    inst = tmp_path / "deep.json"
+    inst.write_text('{"tower": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    assert main(["cech", "--instance", str(inst), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: bad JSON instance: nested too deeply (line 1, col 1)\n"
+
+
+_HUGE = "[tower]\ngen a = algebraic -2, 0, {}\n\n[cover]\nkind = projective-line\n"
+_HUGE_JSON = ('{{"tower": [{{"name": "a", "kind": "algebraic", "minpoly": [-2, 0, {}]}}], '
+              '"cover": {{"kind": "projective-line"}}}}')
+
+
+@pytest.mark.parametrize("name, text, spelled, line", [
+    pytest.param("huge.inst", _HUGE.format("1e999999999"), "1e999999999", 2, id="text"),
+    pytest.param("huge.inst", _HUGE.format("1E-999999999"), "1E-999999999", 2,
+                 id="text-negative"),
+    pytest.param("huge.json", _HUGE_JSON.format("1e999999999"), "1e999999999", 1,
+                 id="json-number"),
+    pytest.param("huge.json", _HUGE_JSON.format('"1e999999999"'), "1e999999999", 1,
+                 id="json-string"),
+    # read in no time, but 10**4300 has one digit too many to print
+    pytest.param("huge.inst", "[cover]\nkind = plane-curve\nweierstrass = 0, -1, 1e4300\n",
+                 "1e4300", 3, id="text-weierstrass"),
+])
+def test_rational_past_the_digit_cap_is_usage_error(tmp_path, capsys, name, text,
+                                                    spelled, line):
+    # 10**999999999 would take minutes to build; the reader refuses it unbuilt
+    inst = tmp_path / name
+    inst.write_text(text)
+    assert main(["cech", "--instance", str(inst), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {spelled!r} has more than 4300 digits (line {line}, col 1)\n"
+
+
 _CHECKS_LINE = "[cover]\nkind = projective-line\n\n[checks]\np = 1\n"
 
 

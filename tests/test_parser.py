@@ -16,6 +16,7 @@ from ktangent.funcrings import FunctionRing, DualElem
 from ktangent.differentials import (base_q, base_top, absolute_on_dual,
                                     d, wedge)
 from ktangent.milnor import SymbolWord
+from ktangent import parser
 from ktangent.parser import (Expr, parse, evaluate, load_instance,
                              SuiteConfig, DIFF_KEYWORDS)
 
@@ -100,6 +101,47 @@ def test_parenthesized_negative_exponent():
 def test_power_does_not_chain():
     with pytest.raises(InstanceSyntaxError):
         parse("2^3^2")
+
+
+def test_parser_and_printer_read_one_binding_table(monkeypatch):
+    # bind the wedge tighter than the product: the parser and the printer
+    # both follow, so printing still round-trips
+    monkeypatch.setitem(parser._PREC, "wedge", 3)
+    for k in ("mul", "div"):
+        monkeypatch.setitem(parser._PREC, k, 2)
+    a, b, c = (Expr("name", (v,)) for v in "abc")
+    assert parse("a*b /\\ c") == Expr("mul", (a, Expr("wedge", (b, c))))
+    e = Expr("wedge", (Expr("mul", (a, b)), c))
+    assert str(e) == "(a*b) /\\ c" and parse(str(e)) == e
+
+
+def test_every_node_is_placed_at_its_first_character():
+    # a tab and a carriage return are one column each; a line starts at col 1
+    e = parse("x +\r\n\t-{y, 2}^3 /\\\n (d_C(x)) * eps")
+    assert e.kind == "add" and e.pos == (1, 1)
+    w = e.args[1]
+    assert w.kind == "wedge" and w.pos == (2, 2)
+    neg, mul = w.args
+    assert neg.pos == (2, 2) and neg.args[0].pos == (2, 3)  # the pow, at its '{'
+    assert [a.pos for a in neg.args[0].args[0].args] == [(2, 4), (2, 7)]
+    assert mul.kind == "mul" and mul.pos == (3, 2)  # the diff, at its '('
+    assert mul.args[0].args[1].pos == (3, 7) and mul.args[1].pos == (3, 13)
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param("(" * 5000 + "x" + ")" * 5000, id="parentheses"),
+    pytest.param("-" * 5000 + "x", id="minus-signs"),
+    pytest.param("{" * 5000 + "x" + "}" * 5000, id="braces"),
+])
+def test_nesting_past_the_stack_is_refused_at_the_token_reached(text):
+    with pytest.raises(InstanceSyntaxError, match="nested too deeply") as err:
+        parse(text)
+    assert err.value.line == 1 and text[err.value.col - 1] in "({-"
+
+
+def test_nesting_within_the_stack_parses():
+    assert parse("(" * 150 + "x" + ")" * 150) == parse("x")
+    assert parse("-" * 150 + "x").kind == "neg"
 
 
 # -- syntax diagnostics ------------------------------------------------------
@@ -453,6 +495,25 @@ def test_json_numbers_are_read_exactly():
     cfg = load_instance('{"cover": {"kind": "plane-curve", '
                         '"weierstrass": [0, -0.5, 1]}}')
     assert cfg.cover_desc == "plane-curve 0,-1/2,1"
+
+
+@pytest.mark.parametrize("text, c", [
+    pytest.param("[cover]\nkind = plane-curve\nweierstrass = 0, -1, 3e-4299\n",
+                 Fraction(3, 10**4299), id="text"),
+    pytest.param('{"cover": {"kind": "plane-curve", "weierstrass": [0, -1, 3e4299]}}',
+                 3 * 10**4299, id="json-number"),
+    pytest.param('{"cover": {"kind": "plane-curve", "weierstrass": [0, -1, "3E+4299"]}}',
+                 3 * 10**4299, id="json-string"),
+])
+def test_rational_of_4300_digits_is_read_exactly(text, c):
+    assert load_instance(text).cover_desc == f"plane-curve 0,-1,{c}"
+
+
+@pytest.mark.parametrize("value", ["1e-4300", "10e4299", "1" * 4301, "1e" + "9" * 5000],
+                         ids=["denominator", "numerator", "integer", "exponent"])
+def test_rational_past_the_digit_cap_is_refused(value):
+    with pytest.raises(InstanceSyntaxError, match="rational number|more than 4300 digits"):
+        load_instance(f"[cover]\nkind = plane-curve\nweierstrass = 0, -1, {value}\n")
 
 
 def test_instance_bad_json():

@@ -163,6 +163,14 @@ def test_irreducible_minimal_polynomials_without_rational_roots_are_accepted():
     assert tw.gen("u") ** 2 == 3 and (tw.gen("u") * tw.gen("r2")) ** 2 == 6
 
 
+def test_minimal_polynomial_past_the_recursion_limit_in_degree_is_built():
+    # a^1200 - 3 (irreducible by Eisenstein at 3): its root search brackets a
+    # chain of 1199 derivatives, which took one stack frame each when it
+    # recursed
+    tw = make_tower([Algebraic("a", [-3] + [0] * 1199 + [1])])
+    assert tw.steps == (("alg", "a", (-3,) + (0,) * 1199 + (1,)),)
+
+
 def test_rational_minimal_polynomial_is_checked_without_a_sample(monkeypatch):
     points = []
     real = scalars._peval

@@ -21,9 +21,11 @@ The runs are:
   partial fractions g^(-e) reach the largest exponents of any run), a few
   whose delta exceeds D, so that most labels of the larger window are new
   to it, and a few twisted sheaves O(d), one of them unstable (exit 1);
-* ``cech``, ``composed`` and ``verify lemma2.4`` on two instance files
-  whose towers are of degree 3 and 4 (``TOWERS``), where every other run
-  meets a quadratic or transcendental tower or none;
+* ``cech``, ``composed`` and ``verify lemma2.4`` on three instance files
+  (``TOWERS``): towers of degree 3 and 4, where every other run meets a
+  quadratic or transcendental tower or none, and a tower of two quadratic
+  generators, the one run whose tower checks shift an earlier generator
+  and whose values are lifted past an irrational level;
 * the commands of the benchmark's ``commands`` workload at seeds 1-3;
 * the four ``verify`` suites and ``relations`` at their default seed, and
   the three seeded ``verify`` suites and ``relations`` again at seeds 7 and
@@ -32,7 +34,7 @@ The runs are:
   polynomial denominators and the gcds with a side linear in a variable
   over Q(sqrt 2) (``verify alpha-delta`` reads no seed).
 
-That is 136 runs in all.
+That is 139 runs in all.
 
 Prints one line per difference and a summary; exits 1 on any difference.
 """
@@ -63,7 +65,10 @@ WIDE = ("cech --instance p2 --sheaf omega1 --D 8",
 TOWERS = {"cube-root-2.inst": "[tower]\ngen a = algebraic -2, 0, 0, 1\n\n"
                               "[cover]\nkind = projective-plane\n",
           "fourth-root-of-minus-1.inst": "[tower]\ngen a = algebraic 1, 0, 0, 0, 1\n\n"
-                                         "[cover]\nkind = projective-line\n"}
+                                         "[cover]\nkind = projective-line\n",
+          "two-generators.inst": "[tower]\ngen r = algebraic -2, 0, 1\n"
+                                 "gen s = algebraic -3, 0, 1\n\n"
+                                 "[cover]\nkind = projective-line\n"}
 SEEDED = ("verify lemma2.6", "verify beta-agreement", "verify diagram2.7", "relations")
 SUITES = SEEDED + ("verify alpha-delta",)
 
