@@ -101,10 +101,24 @@ class Sheaf:
             pass
         raise Unsupported(f"unknown sheaf {text!r}; use omegaR or O(d)")
 
+    def same_complex(self, other, tower):
+        """Whether this sheaf and ``other`` give one cochain complex on a
+        cover over ``tower``: the same form degree and twist, with labels
+        that may carry the same base letters (no base is the top)."""
+        key = lambda s: (s.r, s.twist, letter_levels(tower, s.base or base_top(tower), s.r))
+        return key(self) == key(other)
+
     def describe(self):
         if self.twist:
             return f"O({self.twist})"
         return f"Omega^{self.r}"
+
+
+def letter_levels(tower, base, r):
+    """The tower levels whose base letter dt a label of form degree r over
+    ``base`` may carry: the transcendental levels above the base, and none
+    in form degree 0, where a label carries no differential."""
+    return tuple(lv for lv in tower.transcendental_levels() if lv > base.level) if r else ()
 
 
 class Cover:
@@ -113,8 +127,9 @@ class Cover:
     model, which is all the engine reads of a label ``lab`` over U_S: the
     window's labels in column order (``labels``), the restriction to U_T and
     the exterior derivative as sparse vectors of raw tower values
-    (``restrict``, ``d_label``), the label's text (``render_label``), and the
-    window's size in closed form (``window_labels``).  Outside the engine,
+    (``restrict``, ``d_label``), the label's text (``render_label``), the
+    least window that holds the label (``window_of``), and the window's size
+    in closed form (``window_labels``).  Outside the engine,
     ``delta_r`` drops the labels ``has_base_letters`` names, and the symbol
     cochains place a form in the window with ``form_labels``.  A subclass
     keeps the data its model needs (``n`` on P^n, the cubic's ``gcoeffs``),
@@ -211,6 +226,16 @@ class ProjectiveCover(Cover):
                         out.append((a, J, T))
         out.sort()
         return out
+
+    def window_of(self, S, lab):
+        """The least D whose window holds ``lab``: max(0, -min over S of its
+        multidegree v), where v is a plus one at each j in J, and a minus
+        len(J) at min(S) = S[0]."""
+        a, J, _ = lab
+        low = a[S[0]] - len(J)
+        for i in S[1:]:
+            low = min(low, a[i] + (i in J))
+        return max(0, -low)
 
     def _enum(self, lows, total):
         """The integer vectors v >= lows with sum(v) = total."""
@@ -368,6 +393,13 @@ class CubicCover(Cover):
             return labs
         return sorted(labs + [(i, dl, e) for e in range(1, D + 1)
                               for i in (0, 1, 2) for dl in (0, 1)])
+
+    def window_of(self, S, lab):
+        """The least D whose window holds ``lab``: x^i y^dl g^-e needs
+        D >= e, or D >= i/2 when e = 0; xb^i zb^j needs 2D >= i + j."""
+        if S == (1,):
+            return (lab[0] + lab[1] + 1) // 2
+        return lab[2] or (lab[0] + 1) // 2
 
     def restrict(self, S, T, lab):
         if S == (0,):
@@ -552,13 +584,16 @@ class CechEngine:
     (q = k - j, j); the total differential is the Čech differential plus
     (-1)^q times the exterior derivative.
 
-    ``inner`` is an engine of the same complex at a smaller window, whose
-    echelon forms this engine's extend (see ``_span``).
+    ``inner`` is a smaller window D' of the same complex: the engine then
+    enumerates its own window once and builds the D' engine ``self.inner``
+    from the labels with ``window_of`` at most D', in the same order (given
+    as ``labels``).  In every degree its basis is the inner basis followed
+    by the new labels, so the inner echelon forms are the head of its own
+    (see ``_span``).
     """
 
-    def __init__(self, cover, rows, base, twist, D, inner=None):
+    def __init__(self, cover, rows, base, twist, D, inner=None, labels=None):
         self.cover = cover
-        self.inner = inner
         self.rows = dict(sorted(rows.items()))
         self.D = D
         tower = cover.tower
@@ -571,16 +606,23 @@ class CechEngine:
                                   "rising by one")
         if twist and (len(js) > 1 or self.rows[js[0]] != 0):
             raise Unsupported("twists are modeled for function sheaves only")
-        self.tlevels = tuple(lv for lv in tower.transcendental_levels()
-                             if lv > base.level)
+        self.tlevels = letter_levels(tower, base, self.rows[js[-1]])
         if len(js) > 1 and self.tlevels:
             raise Unsupported("hypercohomology is modeled at the full base only")
+        if labels is None:
+            labels = [(q, j, S, lab) for j, r in self.rows.items()
+                      for q in range(cover.qmax + 1) for S in cover.subsets(q + 1)
+                      for lab in cover.labels(S, r, twist, D, self.tlevels)]
+        self.inner = None
+        if inner is not None:
+            near, far = [], []
+            for b in labels:
+                (near if cover.window_of(b[2], b[3]) <= inner else far).append(b)
+            self.inner = CechEngine(cover, rows, base, twist, inner, labels=near)
+            labels = near + far
         self._total = {}
-        for j, r in self.rows.items():
-            for q in range(cover.qmax + 1):
-                self._total.setdefault(q + j, []).extend(
-                    (q, j, S, lab) for S in cover.subsets(q + 1)
-                    for lab in cover.labels(S, r, twist, D, self.tlevels))
+        for b in labels:
+            self._total.setdefault(b[0] + b[1], []).append(b)
         self._index = {}
         self._spans = {}
         self._reps = {}
@@ -641,41 +683,27 @@ class CechEngine:
         """Echelon form of d_k's columns, eliminated once per degree.
 
         ``express_span(k)`` keeps the tracked span of its kernel computation
-        here; a degree it has not reached is eliminated untracked.  Over an
-        ``inner`` engine the span starts from the inner echelon form, its
-        rows carried to this engine's labels, and only the columns of labels
-        the inner window lacks are built and eliminated: each inner column
-        lands in the inner window (else the inner engine raised
-        WindowOverflow), so it is this engine's column of the same label, and
-        an increasing label map keeps every carried pivot the least key of
-        its row, with coefficient 1.
+        here; a degree it has not reached is eliminated untracked, without
+        the zero columns: those of labels at q = qmax in a row with no d.
+        Over an ``inner`` engine the span starts from the inner echelon
+        rows, unchanged, and only the columns of the new labels are built
+        and eliminated: the inner basis is the head of this one in degrees
+        k and k + 1, and each inner column lands in the inner window (else
+        the inner engine raised WindowOverflow), so it is this engine's
+        column of the same label, at the same indices.
         """
         span = self._spans.get(k)
         if span is None:
             span = self._spans[k] = RowSpan(self.cover.tower)
-            basis, old = self.total_basis(k), {}
+            basis = self.total_basis(k)
             if self.inner is not None:
-                old = self.inner.index(k)
-                pos = self._carry(k + 1)
-                span.rows = {pos[p]: {pos[i]: c for i, c in row.items()}
-                             for p, row in self.inner._span(k).rows.items()}
-            new = [b for b in basis if b not in old]
-            if len(basis) - len(new) != len(old):
-                raise Mismatch(f"the smaller window has labels of degree {k} "
-                               "that the larger one lacks")
-            for b in new:
-                span.add(self.column(k, *b))
+                span.rows = dict(self.inner._span(k).rows)
+                basis = basis[len(self.inner.total_basis(k)):]
+            qmax = self.cover.qmax
+            for b in basis:
+                if b[0] < qmax or b[1] + 1 in self.rows:
+                    span.add(self.column(k, *b))
         return span
-
-    def _carry(self, k):
-        """The position in ``total_basis(k)`` of each inner label of degree
-        k, in inner order; Mismatch unless each is present and they rise."""
-        index = self.index(k)
-        pos = [index.get(b) for b in self.inner.total_basis(k)]
-        if None in pos or any(a >= b for a, b in zip(pos, pos[1:])):
-            raise Mismatch(f"the smaller window's labels of degree {k} are not "
-                           "an ordered part of the larger window's")
-        return pos
 
     def degree_range(self):
         js = list(self.rows)
@@ -760,11 +788,12 @@ class CohomologyReport:
 
 
 def _run(cover, rows, base, twist, policy, require_stable, with_reps, kind):
-    """Dimensions at D and D + delta, and representatives at D.  The D + delta
+    """Dimensions at D and D + delta, and representatives at D.  One
+    enumeration of the D + delta window serves both engines, and the D + delta
     engine starts each degree from the D engine's echelon form and
     eliminates only the columns of labels outside the D window."""
-    lo = CechEngine(cover, rows, base, twist, policy.D)
-    hi = CechEngine(cover, rows, base, twist, policy.D + policy.delta, inner=lo)
+    hi = CechEngine(cover, rows, base, twist, policy.D + policy.delta, inner=policy.D)
+    lo = hi.inner
     # in ascending degree, so each of lo's degrees is eliminated once
     found = {k: lo.representatives(k) for k in lo.degree_range()} if with_reps else {}
     dims = {k: lo.dim_at(k) for k in lo.degree_range()}

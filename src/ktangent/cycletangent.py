@@ -108,11 +108,13 @@ def delta_r(cover, p, policy):
 
     The map forgets the differentials of transcendental tower generators
     and keeps everything else; over a number field it is the identity on
-    window labels.
+    window labels.  Where the two sheaves give one complex on the cover (at
+    p = 1, or over a number field) the source report is the target.
     """
-    src = formal_tangent_chow(cover, p, policy)
-    tgt = sheaf_cohomology(cover, Sheaf.forms(p - 1), policy,
-                           require_stable=True)
+    rel_q, over = Sheaf.forms(p - 1, base=base_q()), Sheaf.forms(p - 1)
+    src = sheaf_cohomology(cover, rel_q, policy, require_stable=True)
+    tgt = src if rel_q.same_complex(over, cover.tower) else sheaf_cohomology(
+        cover, over, policy, require_stable=True)
     letters = base_change_kernel_letters(cover.charts[0], base_q(),
                                          base_top(cover.tower))
     return _induced_map("delta_r", src, tgt, p, letters)

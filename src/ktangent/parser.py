@@ -126,6 +126,8 @@ def _lex(text):
         elif ch.isdecimal():
             while j < n and text[j].isdecimal():
                 j += 1
+            if j - i > _MAX_DIGITS:
+                raise InstanceSyntaxError(f"integer has more than {_MAX_DIGITS} digits", *at)
             toks.append(("num", int(text[i:j]), at))
         elif ch.isalpha() or ch == "_":
             # isalnum() would admit superscript and other non-decimal digits

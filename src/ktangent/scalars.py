@@ -628,18 +628,24 @@ def _brackets(f, B):
     for f in reversed(chain):  # each f's brackets from its derivative's
         out = set(crit)
         for a, b in zip([-B] + [c + 1 for c in crit], crit + [B]):
-            fa, fb = _peval(QQ, 0, f, a), _peval(QQ, 0, f, b)
-            if fa * fb <= 0:  # a root in [a, b]: bisect to a zero or a unit interval
-                while b - a > 1 and fa and fb:
+            sa, sb = _sign(_peval(QQ, 0, f, a)), _sign(_peval(QQ, 0, f, b))
+            if sa != sb or not sa:  # a root in [a, b]: bisect to a zero or a unit interval
+                while b - a > 1 and sa and sb:
                     mid = (a + b) // 2
-                    fm = _peval(QQ, 0, f, mid)
-                    if fm * fa > 0:
-                        a, fa = mid, fm
+                    sm = _sign(_peval(QQ, 0, f, mid))
+                    if sm == sa:
+                        a, sa = mid, sm
                     else:
-                        b, fb = mid, fm
-                out.add(b if not fb else a)
+                        b, sb = mid, sm
+                out.add(b if not sb else a)
         crit = sorted(out)
     return crit
+
+
+def _sign(v):
+    """-1, 0 or 1: the bisection compares the signs of two values of a
+    polynomial rather than multiplying them."""
+    return (v > 0) - (v < 0)
 
 
 def make_tower(specs):

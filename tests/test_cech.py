@@ -734,37 +734,46 @@ def test_the_larger_window_eliminates_only_its_new_labels(monkeypatch, cover, ro
     rep = cech._run(cover, rows, base, twist, policy, False, len(rows) == 1, "sheaf")
     lo, hi = engines
     assert hi.inner is lo and hi.D == lo.D + policy.delta
+    monkeypatch.undo()
+    fresh_lo = CechEngine(cover, rows, base, twist, lo.D)
+    fresh = CechEngine(cover, rows, base, twist, hi.D)
     ks = list(hi.degree_range())
     for k in range(ks[0], ks[-1] + 2):
-        # (a) the smaller window's labels sit in the larger basis, in order
-        pos = [hi.index(k)[b] for b in lo.total_basis(k)]
-        assert pos == sorted(set(pos))
-        # (c) the larger window builds only the columns of its new labels
-        new = len(hi.total_basis(k)) - len(lo.total_basis(k))
-        assert built.get((hi.D, k), 0) == new
-    monkeypatch.undo()
+        # (a) the smaller window's labels come first, in a fresh engine's order
+        cut = len(lo.total_basis(k))
+        head, new = hi.total_basis(k)[:cut], hi.total_basis(k)[cut:]
+        assert head == lo.total_basis(k) == fresh_lo.total_basis(k)
+        assert sorted(hi.total_basis(k)) == sorted(fresh.total_basis(k))
+        # (c) the larger window builds only the nonzero columns of its new labels
+        assert built.get((hi.D, k), 0) == sum(1 for b in new if fresh.column(k, *b))
     # (b) the same dimensions as a fresh engine eliminated from scratch
-    fresh = CechEngine(cover, rows, base, twist, hi.D)
     assert rep.dims_again == {k: fresh.dim_at(k) for k in fresh.degree_range()}
     if policy.delta == 6:
         assert not rep.stabilized and rep.dims_again == {0: 0, 1: 3}
 
 
-def test_an_inner_window_must_be_an_ordered_part_of_the_outer_one():
-    c = cover_pn(1, QQ)
-    args = (c, {0: 1}, base_top(QQ), 0)
-    outer = CechEngine(*args, 4)
-    # degree-1 labels of the inner window missing from the outer one, as
-    # d_1's columns and as the indices of d_0's rows
-    with pytest.raises(Mismatch):
-        CechEngine(*args, 2, inner=outer)._span(1)
-    inner = CechEngine(*args, 2)
-    inner._total[1].append((1, 0, (0, 1), ((99, -99), (), ())))
-    with pytest.raises(Mismatch):
-        CechEngine(*args, 4, inner=inner)._span(0)
-    # the same labels in another order
-    inner = CechEngine(*args, 2)
-    inner._total[1].reverse()
-    with pytest.raises(Mismatch):
-        CechEngine(*args, 4, inner=inner)._span(0)
-    assert CechEngine(*args, 4, inner=CechEngine(*args, 2)).dim_at(0) == outer.dim_at(0)
+def _sections(cover):
+    """(S, r, twist, tlevels): every chart subset of the cover, with the
+    sheaves, twists and letter levels it enumerates."""
+    if isinstance(cover, CubicCover):
+        return [(S, 0, 0, ()) for S in ((0,), (1,), (0, 1))]
+    n, out = cover.n, []
+    for S in (S for size in range(1, n + 2) for S in cover.subsets(size)):
+        out += [(S, 0, d, ()) for d in range(-5, 6)]
+        out += [(S, r, 0, tl) for r in range(1, n + 3) for tl in ((), (1,), (1, 2))]
+    return out
+
+
+@pytest.mark.parametrize("make", [lambda: cover_pn(1, QQ), lambda: cover_pn(2, QQ),
+                                  _seeded_cubic], ids=["p1", "p2", "cubic"])
+def test_window_of_picks_each_window_out_of_a_larger_one(make):
+    cover = make()
+    for S, r, twist, tl in _sections(cover):
+        windows = [cover.labels(S, r, twist, D, tl) for D in range(8)]
+        for D, delta in ((1, 1), (1, 6), (2, 2), (3, 1), (4, 3), (0, 5)):
+            outer = windows[D + delta]
+            assert windows[D] == [lab for lab in outer if cover.window_of(S, lab) <= D]
+        # and it is the least such window
+        for lab in windows[-1]:
+            w = cover.window_of(S, lab)
+            assert lab in windows[w] and (w == 0 or lab not in windows[w - 1])

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from ktangent import cech
+from ktangent import cech, cycletangent
 from ktangent.cech import TruncationPolicy, cover_pn, cover_plane_curve, weierstrass_cubic
 from ktangent.cycletangent import (
     complex_model,
@@ -77,6 +77,48 @@ def test_comparison_names_the_killed_letters():
     rep2 = delta_r(curve(tw), 1, POL)
     assert rep2.kernel_letters == ["ds"]
     assert rep2.verdict == "injective"  # functions carry no ds component
+
+
+def _runs(monkeypatch):
+    """The sheaf_cohomology calls that delta_r makes, counted."""
+    runs = []
+    real = cycletangent.sheaf_cohomology
+    monkeypatch.setattr(cycletangent, "sheaf_cohomology",
+                        lambda *a, **kw: runs.append(a[1]) or real(*a, **kw))
+    return runs
+
+
+@pytest.mark.parametrize("build, p", [
+    pytest.param(lambda: cover_pn(1, QQ), 1, id="line-p1"),
+    pytest.param(lambda: cover_pn(1, QQ), 2, id="line-p2"),
+    pytest.param(lambda: cover_pn(2, QQ), 1, id="plane-p1"),
+    pytest.param(lambda: cover_pn(2, QQ), 2, id="plane-p2"),
+    pytest.param(curve, 1, id="curve"),
+    pytest.param(lambda: cover_pn(2, make_tower([Algebraic("r5", [-5, 0, 1])])), 2,
+                 id="plane-sqrt5-p2"),
+    pytest.param(lambda: curve(make_tower([Algebraic("r5", [-5, 0, 1])])), 1,
+                 id="curve-sqrt5"),
+    pytest.param(lambda: cover_pn(1, make_tower([Transcendental("s")])), 1, id="line-Qs-p1"),
+    pytest.param(lambda: cover_pn(2, make_tower([Transcendental("s")])), 1,
+                 id="plane-Qs-p1")])
+def test_comparison_reuses_its_source_when_the_complexes_coincide(monkeypatch, build, p):
+    runs = _runs(monkeypatch)
+    reused = delta_r(build(), p, POL)
+    assert len(runs) == 1 and reused.target is reused.source
+    # the same report with the target computed on its own
+    monkeypatch.setattr(cech.Sheaf, "same_complex", lambda *a: False)
+    apart = delta_r(build(), p, POL)
+    assert len(runs) == 3 and apart.target is not apart.source
+    assert reused.to_dict() == apart.to_dict()
+    assert reused.target.reps_rendered == apart.target.reps_rendered
+
+
+def test_comparison_computes_its_target_where_base_letters_differ(monkeypatch):
+    runs = _runs(monkeypatch)
+    rep = delta_r(cover_pn(2, make_tower([Transcendental("s")])), 2, POL)
+    assert len(runs) == 2 and rep.target is not rep.source
+    assert rep.source.dims == {0: 1, 1: 1, 2: 0}
+    assert rep.target.dims == {0: 0, 1: 1, 2: 0}
 
 
 @pytest.mark.parametrize("induced", [delta_r, composed_infinitesimal])

@@ -139,6 +139,20 @@ def test_nesting_past_the_stack_is_refused_at_the_token_reached(text):
     assert err.value.line == 1 and text[err.value.col - 1] in "({-"
 
 
+@pytest.mark.parametrize("text, col", [
+    pytest.param("1" * 4301, 1, id="alone"),
+    pytest.param("x +\n  2 * " + "7" * 5000 + " - y", 7, id="second-line"),
+])
+def test_integer_literal_past_the_digit_cap_is_refused_where_it_starts(text, col):
+    with pytest.raises(InstanceSyntaxError, match="more than 4300 digits") as err:
+        parse(text)
+    assert (err.value.line, err.value.col) == (text.count("\n") + 1, col)
+
+
+def test_integer_literal_of_4300_digits_parses():
+    assert parse("9" * 4300).args[0] == 10 ** 4300 - 1
+
+
 def test_nesting_within_the_stack_parses():
     assert parse("(" * 150 + "x" + ")" * 150) == parse("x")
     assert parse("-" * 150 + "x").kind == "neg"

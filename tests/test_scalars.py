@@ -143,6 +143,27 @@ def test_minimal_polynomial_with_a_rational_root_is_refused_naming_it(minpoly, r
         make_tower([Algebraic("a", minpoly)])
 
 
+@pytest.mark.parametrize("minpoly, root", [
+    # values of f near its roots have hundreds of digits, and the bisection
+    # over Cauchy's bound takes about 3.3 steps per digit of a coefficient
+    pytest.param(_times([-10 ** 300, 1], [1, 0, 1]), str(10 ** 300), id="(a-10^300)(a^2+1)"),
+    pytest.param([-4 * 10 ** 600, 0, 1], None, id="a^2-4*10^600"),
+    pytest.param(_times([Fraction(7 * 10 ** 200, 3), 1], [-2, 0, 1]),
+                 f"-{7 * 10 ** 200}/3", id="(a+7*10^200/3)(a^2-2)"),
+    pytest.param(_times(_times([-10 ** 100, 1], [-10 ** 100 - 1, 1]), [10 ** 150, 1]),
+                 None, id="three-large-roots"),
+])
+def test_large_coefficients_keep_their_rational_roots(minpoly, root):
+    with pytest.raises(ReducibleMinpoly, match=f"vanishes at {root or '-?[0-9]+'}$"):
+        make_tower([Algebraic("a", minpoly)])
+
+
+def test_large_coefficients_without_rational_roots_are_accepted():
+    # sqrt(2) * 10^300 and the real cube root of 3 * 10^450 + 1 are irrational
+    for mp in ([-2 * 10 ** 600, 0, 1], [-3 * 10 ** 450 - 1, 0, 0, 1]):
+        assert make_tower([Algebraic("a", mp)]).num_levels == 1
+
+
 @pytest.mark.parametrize("prefix, minpoly", [
     pytest.param([], _times([-2, 0, 1], [-2, 0, 1]), id="(x^2-2)^2"),
     pytest.param([], _times([1, 0, 1], [1, 0, 1]), id="(x^2+1)^2"),

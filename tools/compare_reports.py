@@ -26,6 +26,10 @@ The runs are:
   quadratic or transcendental tower or none, and a tower of two quadratic
   generators, the one run whose tower checks shift an earlier generator
   and whose values are lifted past an irrational level;
+* ``delta-r`` at p = 1 and p = 2 on P^1 and P^2 over Q(s) (``OVER_QS``),
+  and on the tower of two quadratic generators: its source complex is
+  also its target except at p = 2 over Q(s), where the labels of the
+  source carry ds;
 * the commands of the benchmark's ``commands`` workload at seeds 1-3;
 * the four ``verify`` suites and ``relations`` at their default seed, and
   the three seeded ``verify`` suites and ``relations`` again at seeds 7 and
@@ -34,7 +38,7 @@ The runs are:
   polynomial denominators and the gcds with a side linear in a variable
   over Q(sqrt 2) (``verify alpha-delta`` reads no seed).
 
-That is 139 runs in all.
+That is 144 runs in all.
 
 Prints one line per difference and a summary; exits 1 on any difference.
 """
@@ -69,6 +73,14 @@ TOWERS = {"cube-root-2.inst": "[tower]\ngen a = algebraic -2, 0, 0, 1\n\n"
           "two-generators.inst": "[tower]\ngen r = algebraic -2, 0, 1\n"
                                  "gen s = algebraic -3, 0, 1\n\n"
                                  "[cover]\nkind = projective-line\n"}
+# delta-r where its source complex is also its target (p = 1, or no
+# transcendental generator) and where it is not (p = 2 over Q(s))
+OVER_QS = {"line-over-Qs.inst": "[tower]\ngen s = transcendental\n\n"
+                                "[cover]\nkind = projective-line\n",
+           "plane-over-Qs.inst": "[tower]\ngen s = transcendental\n\n"
+                                 "[cover]\nkind = projective-plane\n"}
+DELTA_R = [(name, ["--p", str(p)]) for name in OVER_QS for p in (1, 2)]
+DELTA_R.append(("two-generators.inst", []))
 SEEDED = ("verify lemma2.6", "verify beta-agreement", "verify diagram2.7", "relations")
 SUITES = SEEDED + ("verify alpha-delta",)
 
@@ -85,12 +97,16 @@ def rows(kt, work):
             out.append((f"cech {inst} {sheaf}",
                         ["cech", "--instance", inst, "--sheaf", sheaf]))
     out += [(cmd, cmd.split()) for cmd in WIDE]
-    for name, text in TOWERS.items():
-        path = os.path.join(work, name)
-        with open(path, "w", encoding="utf-8") as fh:
+    for name, text in {**TOWERS, **OVER_QS}.items():
+        with open(os.path.join(work, name), "w", encoding="utf-8") as fh:
             fh.write(text)
+    for name in TOWERS:
         for cmd in ("cech", "composed", "verify lemma2.4"):
-            out.append((f"{cmd} {name}", cmd.split() + ["--instance", path]))
+            out.append((f"{cmd} {name}",
+                        cmd.split() + ["--instance", os.path.join(work, name)]))
+    for name, extra in DELTA_R:
+        out.append((f"delta-r {name} {' '.join(extra)}".rstrip(),
+                    ["delta-r", "--instance", os.path.join(work, name)] + extra))
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     import workloads
     for seed in (1, 2, 3):
