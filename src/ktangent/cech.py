@@ -129,7 +129,8 @@ class Cover:
     the exterior derivative as sparse vectors of raw tower values
     (``restrict``, ``d_label``), the label's text (``render_label``), the
     least window that holds the label (``window_of``), and the window's size
-    in closed form (``window_labels``).  Outside the engine,
+    in closed form (``window_labels``); the cover itself gives the faces T of
+    each subset S with their signs (``faces``).  Outside the engine,
     ``delta_r`` drops the labels ``has_base_letters`` names, and the symbol
     cochains place a form in the window with ``form_labels``.  A subclass
     keeps the data its model needs (``n`` on P^n, the cubic's ``gcoeffs``),
@@ -139,14 +140,28 @@ class Cover:
     elements.
     """
 
-    __slots__ = ("tower", "charts")
+    __slots__ = ("tower", "charts", "_faces")
 
     def __init__(self, tower, charts):
         self.tower = tower
         self.charts = charts
+        self._faces = {}
 
     def subsets(self, size):
         return [tuple(c) for c in combinations(range(len(self.charts)), size)]
+
+    def faces(self, S):
+        """The subsets T = S + {k} for each chart k outside S, in the order
+        of k, each with whether its Čech sign (-1)^(position of k in T) is
+        odd; memoised on the cover."""
+        hit = self._faces.get(S)
+        if hit is None:
+            hit = self._faces[S] = []
+            for k in range(len(self.charts)):
+                if k not in S:
+                    pos = sum(i < k for i in S)
+                    hit.append((S[:pos] + (k,) + S[pos:], pos % 2 == 1))
+        return hit
 
     def ring(self, S):
         """The ring a form over U_S lives in: the smallest chart's."""
@@ -208,22 +223,17 @@ class ProjectiveCover(Cover):
             jsz = r - tsz
             if jsz < 0 or jsz > n:
                 continue
-            jchoices = [tuple(c) for c in combinations(
-                [j for j in range(n + 1) if j != m], jsz)]
-            tchoices = [tuple(c) for c in combinations(tlevels, tsz)]
-            for J in jchoices:
+            tchoices = list(combinations(tlevels, tsz))
+            for J in combinations([j for j in range(n + 1) if j != m], jsz):
                 # legality off S asks for a nonnegative monomial exponent,
                 # which in multidegree terms is v_j >= 1 when dy_j is present
                 lows = [-D if i in S else (1 if i in J else 0)
                         for i in range(n + 1)]
-                for v in self._enum(lows, twist):
-                    a = list(v)
-                    for j in J:
-                        a[j] -= 1
-                    a[m] += jsz
-                    a = tuple(a)
-                    for T in tchoices:
-                        out.append((a, J, T))
+                vs = self._enum(lows, twist)
+                if J:  # the exponents: v less one at each j in J, plus len(J) at m
+                    shift = {m: jsz, **dict.fromkeys(J, -1)}
+                    vs = [self._shift(v, shift) for v in vs]
+                out += [(a, J, T) for a in vs for T in tchoices]
         out.sort()
         return out
 
@@ -233,14 +243,17 @@ class ProjectiveCover(Cover):
         len(J) at min(S) = S[0]."""
         a, J, _ = lab
         low = a[S[0]] - len(J)
-        for i in S[1:]:
-            low = min(low, a[i] + (i in J))
-        return max(0, -low)
+        for i in S[1:]:  # compared inline: this runs once per label of a run
+            v = a[i] + (i in J)
+            if v < low:
+                low = v
+        return -low if low < 0 else 0
 
     def _enum(self, lows, total):
-        """The integer vectors v >= lows with sum(v) = total."""
-        if len(lows) == 1:
-            return [(total,)] if total >= lows[0] else []
+        """The integer vectors v >= lows with sum(v) = total, for at least
+        two coordinates."""
+        if len(lows) == 2:
+            return [(v, total - v) for v in range(lows[0], total - lows[1] + 1)]
         return [(v,) + rest for v in range(lows[0], total - sum(lows[1:]) + 1)
                 for rest in self._enum(lows[1:], total - v)]
 
@@ -250,10 +263,13 @@ class ProjectiveCover(Cover):
     # -- restriction of one basis element along S -> T (one new chart)
 
     def restrict(self, S, T, lab):
-        m, m2 = min(S), min(T)
-        if m2 == m:
-            return {lab: 1}
+        """Along S in T (sorted): a label is its own image when it has no
+        coordinate differential, since its multidegree does not depend on
+        the chart, or when min(T) = min(S)."""
         a, J, Tset = lab
+        m, m2 = S[0], T[0]
+        if not J or m2 == m:
+            return {lab: 1}
         out = {}
         self._pn_expand(a, J, m, m2, 0, tuple(), 1, out)
         return {(av, jv, Tset): c for (av, jv), c in out.items()}
@@ -616,8 +632,9 @@ class CechEngine:
         self.inner = None
         if inner is not None:
             near, far = [], []
+            window_of = cover.window_of
             for b in labels:
-                (near if cover.window_of(b[2], b[3]) <= inner else far).append(b)
+                (near if window_of(b[2], b[3]) <= inner else far).append(b)
             self.inner = CechEngine(cover, rows, base, twist, inner, labels=near)
             labels = near + far
         self._total = {}
@@ -641,29 +658,34 @@ class CechEngine:
         return hit
 
     def column(self, k, q, j, S, lab):
-        """The total differential of one basis element, as a sparse vector."""
+        """The total differential of one basis element, as a sparse vector.
+
+        No index is hit twice: each face T is its own block of labels, the
+        images along one face are distinct labels, and the derivative lands
+        in row j + 1.  So each nonzero coefficient is stored as it comes.
+        """
         index = self.index(k + 1)
-        F = self.cover.tower
+        cover = self.cover
+        F = cover.tower
+        neg, is_zero = F.neg, F.is_zero
         col = {}
-        for knew in range(len(self.cover.charts)):
-            if knew in S:
-                continue
-            T = tuple(sorted(S + (knew,)))
-            sgn = (-1) ** T.index(knew)
-            for lab2, c in self.cover.restrict(S, T, lab).items():
+        for T, odd in cover.faces(S):
+            for lab2, c in cover.restrict(S, T, lab).items():
                 idx = index.get((q + 1, j, T, lab2))
                 if idx is None:
                     raise WindowOverflow(
                         f"restriction image {lab2} missed the window of {T}")
-                accumulate(col, idx, c if sgn > 0 else F.neg(c), F)
+                if not is_zero(c):
+                    col[idx] = neg(c) if odd else c
         if j + 1 in self.rows:
-            dsgn = (-1) ** q
-            for lab2, c in self.cover.d_label(S, lab).items():
+            odd = q % 2
+            for lab2, c in cover.d_label(S, lab).items():
                 idx = index.get((q, j + 1, S, lab2))
                 if idx is None:
                     raise WindowOverflow(
                         f"derivative image {lab2} missed the window of {S}")
-                accumulate(col, idx, c if dsgn > 0 else F.neg(c), F)
+                if not is_zero(c):
+                    col[idx] = neg(c) if odd else c
         return col
 
     def columns(self, k):

@@ -25,20 +25,6 @@ def accumulate(vec, key, val, F):
         vec[key] = s
 
 
-def vec_sub_scaled(v, c, w, F):
-    """v - c*w, in place on a copy of v."""
-    sub, mul, neg, is_zero = F.sub, F.mul, F.neg, F.is_zero
-    out = dict(v)
-    for k, a in w.items():
-        b = out.get(k)
-        val = sub(b, mul(c, a)) if b is not None else neg(mul(c, a))
-        if is_zero(val):
-            out.pop(k, None)
-        else:
-            out[k] = val
-    return out
-
-
 class RowSpan:
     """Incremental row echelon form with optional combination tracking."""
 
@@ -61,19 +47,32 @@ class RowSpan:
         contributes nothing to the expansion.
         """
         F = self.field
+        sub, mul, neg, is_zero = F.sub, F.mul, F.neg, F.is_zero
+        rows = self.rows
         v = dict(vec)
         expansion = {}
         while v:
-            hits = [k for k in v if k in self.rows]
+            hits = [k for k in v if k in rows]
             if not hits:
                 break
             p = min(hits)
-            c = v[p]  # stored rows have pivot coefficient 1
-            v = vec_sub_scaled(v, c, self.rows[p], F)
-            v.pop(p, None)
+            c = v.pop(p)  # stored rows have pivot coefficient 1
+            # v -= c * row in place; the stored row itself is never written
+            for k, a in rows[p].items():
+                if k == p:
+                    continue
+                b = v.get(k)
+                if b is None:  # c and a are nonzero, and so is their product
+                    v[k] = neg(mul(c, a))
+                    continue
+                val = sub(b, mul(c, a))
+                if is_zero(val):
+                    del v[k]
+                else:
+                    v[k] = val
             if self.track:
                 for t, a in self.combos.get(p, {}).items():
-                    accumulate(expansion, t, F.mul(c, a), F)
+                    accumulate(expansion, t, mul(c, a), F)
         return v, expansion
 
     def add(self, vec, tag=None):
@@ -88,8 +87,12 @@ class RowSpan:
         F = self.field
         mul = F.mul
         p = min(res)
-        ic = F.inv(res[p])
-        self.rows[p] = {k: mul(a, ic) for k, a in res.items()}
+        if res[p] == 1:  # already scaled: store the residual as it stands
+            ic = F.value(1)
+            self.rows[p] = res
+        else:
+            ic = F.inv(res[p])
+            self.rows[p] = {k: mul(a, ic) for k, a in res.items()}
         if self.track:
             combo = {t: F.neg(mul(a, ic)) for t, a in expansion.items()}
             prev = combo.get(tag)

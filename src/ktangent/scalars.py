@@ -601,13 +601,37 @@ def _rational_roots(m):
 
     T = y/L, for L the lcm of the denominators, turns m into a monic integer
     polynomial f in y, whose rational roots are integers (Gauss), all in
-    [-B, B] for B = 1 + max |f_k| (Cauchy), and each a bracket of f.
+    (-B, B) for B = _root_bound(f), and each a bracket of f.
     """
     n = len(m) - 1
     L = math.lcm(*(c.denominator for c in m))
     f = [int(c * L ** (n - k)) for k, c in enumerate(m)]
     return [Tower.value(Fraction(b, L))
-            for b in _brackets(f, 1 + max(map(abs, f))) if not _peval(QQ, 0, f, b)]
+            for b in _brackets(f, _root_bound(f)) if not _peval(QQ, 0, f, b)]
+
+
+def _root_bound(f):
+    """An integer B with every complex root of the monic integer polynomial
+    f (constant term first) in |z| < B: the smaller of Cauchy's
+    1 + max |f_k| and Fujiwara's 1 + 2 max_k ceil(|f_(n-k)|^(1/k)), which
+    takes the k-th root of the coefficient k places below the top, so a
+    large constant term of a quadratic moves it by the square root only."""
+    n = len(f) - 1
+    fujiwara = 1 + 2 * max(_iroot_ceil(abs(f[n - k]), k) for k in range(1, n + 1))
+    return min(1 + max(map(abs, f)), fujiwara)
+
+
+def _iroot_ceil(x, k):
+    """The least integer r >= 0 with r^k >= x, for integers x >= 0 and k >= 1."""
+    if not x:  # Newton's step below would divide by 0^(k-1)
+        return 0
+    r = 1 << -(-x.bit_length() // k)  # r^k >= 2^bit_length > x
+    while True:  # Newton's step from above decreases to the floor of the root
+        s = ((k - 1) * r + x // r ** (k - 1)) // k
+        if s >= r:
+            break
+        r = s
+    return r if r ** k == x else r + 1
 
 
 def _brackets(f, B):

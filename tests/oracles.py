@@ -9,13 +9,16 @@ honest differential forms, one per chart subset, and checks the cocycle
 condition by pulling the forms back along those substitutions: form
 arithmetic the engine never does, so it is a second opinion on the engine's
 sparse differential.  The dual-number projections split a form over the
-dual base into its body and its ε-slope.
+dual base into its body and its ε-slope.  The reference elimination is a
+``RowSpan`` that subtracts on fresh copies (``vec_sub_scaled``), the
+second opinion on the library's in-place reduction.
 """
 
 from ktangent.cech import CubicCover, ProjectiveCover
 from ktangent.differentials import BaseTag, DiffForm, d, pullback, wedge
 from ktangent.errors import Mismatch, NoDualBase
 from ktangent.funcrings import eval_fraction, transport
+from ktangent.linalg import accumulate
 from ktangent.mpoly import reduce_mod
 from ktangent.scalars import Scalar
 
@@ -161,3 +164,78 @@ def _plain_part(w, part):
     """The body or slope of each coefficient off d(eps), over the plain base."""
     out = {key: getattr(c, part) for key, c in w.terms.items() if ("e",) not in key}
     return DiffForm(w.ring, BaseTag(w.base.level), w.degree, out)
+
+
+# -- a copy-based reference elimination
+
+
+def vec_sub_scaled(v, c, w, F):
+    """v - c*w, on a copy of v."""
+    sub, mul, neg, is_zero = F.sub, F.mul, F.neg, F.is_zero
+    out = dict(v)
+    for k, a in w.items():
+        b = out.get(k)
+        val = sub(b, mul(c, a)) if b is not None else neg(mul(c, a))
+        if is_zero(val):
+            out.pop(k, None)
+        else:
+            out[k] = val
+    return out
+
+
+class ReferenceSpan:
+    """A copy-based ``linalg.RowSpan``: every pivot step makes a new vector
+    with ``vec_sub_scaled``, and every stored row is rescaled by the
+    inverse of its pivot, 1 included.  The library must match its pivots,
+    rows, combinations, residuals and expansions exactly."""
+
+    def __init__(self, field, track=False):
+        self.field = field
+        self.rows = {}
+        self.combos = {}
+        self.track = track
+
+    @property
+    def rank(self):
+        return len(self.rows)
+
+    def reduce(self, vec):
+        F = self.field
+        v = dict(vec)
+        expansion = {}
+        while v:
+            hits = [k for k in v if k in self.rows]
+            if not hits:
+                break
+            p = min(hits)
+            c = v[p]
+            v = vec_sub_scaled(v, c, self.rows[p], F)
+            v.pop(p, None)
+            if self.track:
+                for t, a in self.combos.get(p, {}).items():
+                    accumulate(expansion, t, F.mul(c, a), F)
+        return v, expansion
+
+    def add(self, vec, tag=None):
+        res, expansion = self.reduce(vec)
+        if not res:
+            return None
+        return self._insert(res, expansion, tag)
+
+    def _insert(self, res, expansion, tag):
+        F = self.field
+        p = min(res)
+        ic = F.inv(res[p])
+        self.rows[p] = {k: F.mul(a, ic) for k, a in res.items()}
+        if self.track:
+            combo = {t: F.neg(F.mul(a, ic)) for t, a in expansion.items()}
+            prev = combo.get(tag)
+            combo[tag] = F.add(prev, ic) if prev is not None else ic
+            self.combos[p] = combo
+        return p
+
+    def solve(self, vec):
+        res, expansion = self.reduce(vec)
+        if res:
+            return None
+        return expansion

@@ -31,11 +31,16 @@ from ktangent.errors import (
     Unsupported,
 )
 from ktangent.funcrings import FunctionRing, RingElem
-from ktangent.linalg import vec_sub_scaled
 from ktangent.mpoly import MPoly
 from ktangent.scalars import QQ, Algebraic, Transcendental, make_tower
 
-from oracles import cech_cocycle_check, cochain_forms, substitutions, verify_substitutions
+from oracles import (
+    cech_cocycle_check,
+    cochain_forms,
+    substitutions,
+    vec_sub_scaled,
+    verify_substitutions,
+)
 
 POL = TruncationPolicy(2, 2)
 ABS0 = BaseTag(0, "none")
@@ -777,3 +782,50 @@ def test_window_of_picks_each_window_out_of_a_larger_one(make):
         for lab in windows[-1]:
             w = cover.window_of(S, lab)
             assert lab in windows[w] and (w == 0 or lab not in windows[w - 1])
+
+
+# -- faces from the cover, and labels that restrict to themselves ---------------
+
+
+def _rewritten(cover, S, T, lab):
+    """The restriction of a P^n label along S in T by the general rewriting
+    of its coordinate differentials into chart min(T)'s, with no shortcut
+    for a label that has none."""
+    a, J, Tset = lab
+    m, m2 = min(S), min(T)
+    if m2 == m:
+        return {lab: 1}
+    out = {}
+    cover._pn_expand(a, J, m, m2, 0, (), 1, out)
+    return {(av, jv, Tset): c for (av, jv), c in out.items()}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_restriction_shortcut_matches_the_general_rewriting(n):
+    cover = cover_pn(n, QQ)
+    shortcut = 0
+    for S in (S for size in range(1, n + 1) for S in cover.subsets(size)):
+        for r in range(n + 1):
+            for twist in range(-5, 6):
+                for tl in ((), (1,), (1, 2)):
+                    for lab in cover.labels(S, r, twist, 2, tl):
+                        for T, _ in cover.faces(S):
+                            assert cover.restrict(S, T, lab) == _rewritten(cover, S, T, lab)
+                            shortcut += min(T) != min(S) and not lab[1]
+    assert shortcut
+
+
+@pytest.mark.parametrize("make", [lambda: cover_pn(1, QQ), lambda: cover_pn(2, QQ),
+                                  _seeded_cubic], ids=["p1", "p2", "cubic"])
+def test_faces_are_the_supersets_and_signs_the_column_used(make):
+    cover = make()
+    nch = len(cover.charts)
+    for S in (S for size in range(1, nch + 1) for S in cover.subsets(size)):
+        want = []
+        for knew in range(nch):
+            if knew in S:
+                continue
+            T = tuple(sorted(S + (knew,)))
+            want.append((T, (-1) ** T.index(knew) < 0))
+        assert cover.faces(S) == want
+        assert cover.faces(S) is cover.faces(S)

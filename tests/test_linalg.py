@@ -1,10 +1,15 @@
 """Exact elimination over Fractions and raw tower values."""
 
+import copy
 import random
 from fractions import Fraction
 
+import pytest
+
 from ktangent.linalg import RowSpan, kernel_basis, rank_of
-from ktangent.scalars import QQ, Algebraic, Scalar, make_tower
+from ktangent.scalars import QQ, Algebraic, Scalar, Transcendental, make_tower
+
+from oracles import ReferenceSpan
 
 
 def test_rank_and_kernel_fractions():
@@ -87,3 +92,71 @@ def _untracked_rows(cols):
     for c in cols:
         span.add(c)
     return span.rows
+
+
+# -- the in-place reduction against a copy-based reference
+
+
+def _draw(tower, rng):
+    """A nonzero raw value of tower: a small rational, or at the top level of
+    Q(sqrt 2) or Q(t) also a small combination with the generator."""
+    q = Fraction(rng.choice([1, 1, 1, 2, -1, -3]), rng.choice([1, 1, 2, 3]))
+    if not tower.num_levels or rng.random() < 0.5:
+        return tower.value(q)
+    g = tower.gen(tower.names[-1])
+    b = rng.randint(-2, 2)
+    v = q + b * g if rng.random() < 0.8 else q / (g + b)
+    return v.val if not v.is_zero() else tower.value(1)
+
+
+def _vectors(tower, rng, count, width):
+    """count sparse vectors over indices < width; some repeat an earlier
+    vector's support, so that elimination meets dependent ones."""
+    out = []
+    for _ in range(count):
+        keys = rng.sample(range(width), rng.randint(1, min(4, width)))
+        if out and rng.random() < 0.3:
+            keys = list(rng.choice(out))
+        out.append({k: _draw(tower, rng) for k in keys})
+    return out
+
+
+def _state(span):
+    """A span's rows and combinations, with key order and value types."""
+    return repr((list((p, list(r.items())) for p, r in span.rows.items()),
+                 list((p, list(c.items())) for p, c in span.combos.items())))
+
+
+@pytest.mark.parametrize("tower", [QQ, make_tower([Algebraic("r2", [-2, 0, 1])]),
+                                   make_tower([Transcendental("t")])], ids=["Q", "Q(r2)", "Q(t)"])
+@pytest.mark.parametrize("track", [False, True])
+def test_in_place_reduction_matches_the_copy_based_reference(tower, track):
+    rng = random.Random(20261021 + track)
+    for _ in range(15):
+        width = rng.randint(2, 8)
+        vecs = _vectors(tower, rng, rng.randint(1, 10), width)
+        frozen = copy.deepcopy(vecs)
+        span, ref = RowSpan(tower, track), ReferenceSpan(tower, track)
+        for i, v in enumerate(vecs):
+            assert span.add(v, i) == ref.add(v, i)
+            assert _state(span) == _state(ref)
+        # a second span sharing the rows leaves them as they were
+        rows = copy.deepcopy(span.rows)
+        shared, shared_ref = RowSpan(tower, track), ReferenceSpan(tower, track)
+        shared.rows, shared_ref.rows = dict(span.rows), dict(ref.rows)
+        for v in _vectors(tower, rng, 6, width + 2):
+            got, want = span.reduce(v), ref.reduce(v)
+            assert repr(got) == repr(want)
+            assert repr(span.solve(v)) == repr(ref.solve(v))
+            assert shared.add(v, "x") == shared_ref.add(v, "x")
+            assert _state(shared) == _state(shared_ref)
+        assert span.rows == rows and vecs == frozen
+        # every inserted vector is solved for, exactly as the reference does
+        if track:
+            for i, v in enumerate(vecs):
+                assert repr(span.solve(v)) == repr(ref.solve(v))
+        # the kernel over the library's span and over the reference span
+        echelon, echelon_ref = RowSpan(tower, True), ReferenceSpan(tower, True)
+        ker = kernel_basis(vecs, tower, echelon)
+        assert repr(ker) == repr(kernel_basis(vecs, tower, echelon_ref))
+        assert _state(echelon) == _state(echelon_ref) and vecs == frozen

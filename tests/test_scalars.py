@@ -145,7 +145,7 @@ def test_minimal_polynomial_with_a_rational_root_is_refused_naming_it(minpoly, r
 
 @pytest.mark.parametrize("minpoly, root", [
     # values of f near its roots have hundreds of digits, and the bisection
-    # over Cauchy's bound takes about 3.3 steps per digit of a coefficient
+    # takes about 3.3 steps per digit of the root bound
     pytest.param(_times([-10 ** 300, 1], [1, 0, 1]), str(10 ** 300), id="(a-10^300)(a^2+1)"),
     pytest.param([-4 * 10 ** 600, 0, 1], None, id="a^2-4*10^600"),
     pytest.param(_times([Fraction(7 * 10 ** 200, 3), 1], [-2, 0, 1]),
@@ -192,13 +192,65 @@ def test_minimal_polynomial_past_the_recursion_limit_in_degree_is_built():
     assert tw.steps == (("alg", "a", (-3,) + (0,) * 1199 + (1,)),)
 
 
+def _cauchy_roots(f):
+    """The integer roots of the monic integer polynomial f, searched from
+    Cauchy's bound 1 + max |f_k|."""
+    return [b for b in scalars._brackets(f, 1 + max(map(abs, f)))
+            if not scalars._peval(QQ, 0, f, b)]
+
+
+def test_root_search_from_the_tighter_bound_finds_what_cauchys_finds():
+    # planted integer roots times a monic cofactor; a large constant term
+    # makes Fujiwara's bound the smaller, a large middle coefficient Cauchy's
+    rng = random.Random(20261021)
+    chosen = Counter()
+    for _ in range(60):
+        roots = [rng.choice([-1, 1]) * rng.randint(0, 10 ** rng.randint(0, 12))
+                 for _ in range(rng.randint(0, 3))]
+        cofactor = [rng.randint(-9, 9) * 10 ** rng.randint(0, 24)
+                    for _ in range(rng.randint(0, 3))] + [1]
+        f = cofactor
+        for r in roots:
+            f = _times(f, [-r, 1])
+        if len(f) < 3:
+            continue
+        bound, cauchy = scalars._root_bound(f), 1 + max(map(abs, f))
+        chosen[bound < cauchy] += 1
+        assert all(abs(r) < bound for r in roots)
+        want = _cauchy_roots(f)
+        assert set(roots) <= set(want)
+        assert scalars._rational_roots(f) == want
+        try:
+            make_tower([Algebraic("a", f)])
+        except ReducibleMinpoly as exc:
+            refusal = str(exc)
+        else:
+            refusal = None
+        if want:
+            assert refusal == f"minimal polynomial of a vanishes at {want[0]}"
+        else:
+            assert refusal in (None, "minimal polynomial of a has a repeated factor")
+    assert chosen[True] and chosen[False]
+
+
+def test_tighter_root_bound_at_zero_and_at_exact_powers():
+    assert [scalars._iroot_ceil(x, k) for x, k in
+            ((0, 1), (0, 3), (1, 4), (8, 3), (9, 3), (10 ** 40, 2), (10 ** 40 + 1, 2))] == [
+                0, 0, 1, 2, 3, 10 ** 20, 10 ** 20 + 1]
+    # a^3 has every coefficient below the top zero: the bound is 1, and 0 its root
+    assert scalars._root_bound([0, 0, 0, 1]) == 1
+    with pytest.raises(ReducibleMinpoly, match="vanishes at 0$"):
+        make_tower([Algebraic("a", [0, 0, 0, 1])])
+
+
 def test_rational_minimal_polynomial_is_checked_without_a_sample(monkeypatch):
     points = []
     real = scalars._peval
     monkeypatch.setattr(scalars, "_peval", lambda tw, lv, p, at: points.append(at)
                         or real(tw, lv, p, at))
     make_tower([Algebraic("r", [-2, 0, 1])])
-    # r^2 - 2 and its derivative meet only integers inside Cauchy's bound 3,
+    # r^2 - 2 and its derivative meet only integers inside Cauchy's bound 3
+    # (Fujiwara's is 5, so the smaller is Cauchy's),
     # where the sample evaluated 45 rationals out to -8
     assert points and all(type(at) is int and abs(at) <= 3 for at in points)
     assert len(points) < 20

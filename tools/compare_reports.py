@@ -30,6 +30,9 @@ The runs are:
   and on the tower of two quadratic generators: its source complex is
   also its target except at p = 2 over Q(s), where the labels of the
   source carry ds;
+* ``tangent-chow`` at p = 2 on P^1 and P^2 over Q(s), the reports whose
+  representatives sit on labels that carry ds and no coordinate
+  differential, which restrict to themselves;
 * the commands of the benchmark's ``commands`` workload at seeds 1-3;
 * the four ``verify`` suites and ``relations`` at their default seed, and
   the three seeded ``verify`` suites and ``relations`` again at seeds 7 and
@@ -38,7 +41,7 @@ The runs are:
   polynomial denominators and the gcds with a side linear in a variable
   over Q(sqrt 2) (``verify alpha-delta`` reads no seed).
 
-That is 144 runs in all.
+That is 146 runs in all.
 
 Prints one line per difference and a summary; exits 1 on any difference.
 """
@@ -107,6 +110,9 @@ def rows(kt, work):
     for name, extra in DELTA_R:
         out.append((f"delta-r {name} {' '.join(extra)}".rstrip(),
                     ["delta-r", "--instance", os.path.join(work, name)] + extra))
+    for name in OVER_QS:
+        out.append((f"tangent-chow {name} --p 2",
+                    ["tangent-chow", "--instance", os.path.join(work, name), "--p", "2"]))
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     import workloads
     for seed in (1, 2, 3):
