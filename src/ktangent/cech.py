@@ -90,15 +90,17 @@ class Sheaf:
 
     @classmethod
     def parse(cls, text):
-        """The sheaf named ``omegaR`` or ``O(d)``."""
+        """The sheaf named ``omegaR`` or ``O(d)``, its number in ASCII
+        digits (int also reads '1_0' and other scripts' digits)."""
         t = text.strip()
-        try:
-            if t.startswith("omega"):
-                return cls.forms(int(t[5:] or "0"))
-            if t.startswith("O(") and t.endswith(")"):
-                return cls.twisted(int(t[2:-1]))
-        except ValueError:
-            pass
+        if t.isascii() and "_" not in t:
+            try:
+                if t.startswith("omega"):
+                    return cls.forms(int(t[5:] or "0"))
+                if t.startswith("O(") and t.endswith(")"):
+                    return cls.twisted(int(t[2:-1]))
+            except ValueError:
+                pass
         raise Unsupported(f"unknown sheaf {text!r}; use omegaR or O(d)")
 
     def same_complex(self, other, tower):

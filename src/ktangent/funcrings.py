@@ -9,8 +9,9 @@ lowest terms with num's graded-lex leading coefficient equal to 1
 ``MPoly``s and never read a term dict.  Since the pair is unique, two
 elements are equal exactly when their difference is zero, and ``==``
 decides it without building the difference.  The element of an int
-constant is built once per ring and kept in ``FunctionRing.memo``, which
-is safe because no element changes after construction.
+constant, and each product and sum that needs a gcd, is built once per
+ring and kept in ``FunctionRing.memo``, which is safe because no element
+changes after construction.
 
 DualElem adjoins a square-zero infinitesimal: body + eps * slope.
 """
@@ -43,10 +44,12 @@ class FunctionRing:
     ``memo`` holds data derived from the ring and its elements, computed
     once per ring by ``remember``: ``differentials`` keeps the letters of
     each base and the d and dlog of elements there, ``milnor`` the wedge
-    of dlogs of a tail tuple, and ``const`` the element of each int
-    constant.  Each entry is handed to every caller that asks for it, so
-    no caller may change one in place.  The memo lives and dies with its
-    ring.
+    of dlogs of a tail tuple, ``const`` the element of each int
+    constant, and ``RingElem`` the product ``("*", a, b)`` of two
+    non-constant elements and the sum ``("+", a, b)`` of two nonzero ones,
+    so that each is reduced to lowest terms once per ring.  Each entry is
+    handed to every caller that asks for it, so no caller may change one
+    in place.  The memo lives and dies with its ring.
     """
 
     __slots__ = ("tower", "varnames", "relation", "elim", "memo")
@@ -216,11 +219,17 @@ class RingElem:
             return NotImplemented
         if o.num.is_zero() or self.num.is_zero():
             return self if o.num.is_zero() else o
+        return self.ring.remember(("+", self, o), RingElem._sum, self, o)
+
+    __radd__ = __add__
+
+    def _sum(self, o):
         if self.den == o.den:
             return RingElem(self.ring, self.num + o.num, self.den)
         return RingElem(self.ring, self.num * o.den + o.num * self.den, self.den * o.den)
 
-    __radd__ = __add__
+    def _product(self, o):
+        return RingElem(self.ring, self.num * o.num, self.den * o.den)
 
     @classmethod
     def _canonical(cls, ring, num, den):
@@ -261,7 +270,7 @@ class RingElem:
         elif self.is_constant():
             a, c = o, self
         else:
-            return RingElem(self.ring, self.num * o.num, self.den * o.den)
+            return self.ring.remember(("*", self, o), RingElem._product, self, o)
         # scaling by a nonzero constant moves only the denominator: the pair
         # stays coprime and num keeps its leading coefficient 1, so no gcd
         if a.num.is_zero() or c.num.is_zero():

@@ -450,12 +450,22 @@ _MAX_DIGITS = 4300
 _TOO_LONG = 10 ** _MAX_DIGITS
 
 
+def _ascii_digits(text):
+    """Raise ValueError unless text spells its digits in ASCII with no
+    underscore.  int and Fraction also read '1_0' (Fraction only from
+    Python 3.11) and other scripts' digits, which an instance refuses, so
+    that a number means the same on every supported Python."""
+    if "_" in text or not text.isascii():
+        raise ValueError(text)
+
+
 def _rat(text, ln=1):
     """The exact rational spelled by text, such as '-3/4', '1.25' or
     '5e-3', at line ln of an instance; every rational that an instance
     spells, in text or in JSON, is read here."""
     text = text.strip()
     try:
+        _ascii_digits(text)
         exponent = text.lower().partition("e")[2]
         q = None if exponent and abs(int(exponent)) > _MAX_DIGITS else Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -466,11 +476,12 @@ def _rat(text, ln=1):
 
 
 def _int(text, ln):
+    text = str(text).strip()
     try:
-        return int(str(text).strip())
+        _ascii_digits(text)
+        return int(text)
     except ValueError:
-        raise InstanceSyntaxError(f"expected an integer, got {str(text).strip()!r}",
-                                  ln, 1)
+        raise InstanceSyntaxError(f"expected an integer, got {text!r}", ln, 1) from None
 
 
 def _read_sections(text):

@@ -160,6 +160,20 @@ def test_bad_sheaf_is_usage_error(capsys):
     assert main(["cech", "--instance", "p1", "--sheaf", "bogus", "--quiet"]) == 2
 
 
+@pytest.mark.parametrize("sheaf", ["O(1_0)", "omega\u0661", "O(\u0662)"])
+def test_sheaf_number_in_other_than_ascii_digits_is_usage_error(capsys, sheaf):
+    assert main(["cech", "--instance", "p1", "--sheaf", sheaf, "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: unknown sheaf {sheaf!r}")
+
+
+def test_plane_curve_with_an_underscored_coefficient_is_usage_error(tmp_path, capsys):
+    inst = tmp_path / "cubic.inst"
+    inst.write_text("[cover]\nkind = plane-curve\nweierstrass = 0, -1_0, 1\n")
+    assert main(["cech", "--instance", str(inst), "--quiet"]) == 2
+    assert capsys.readouterr().err == (
+        "error: expected a rational number, got '-1_0' (line 3, col 1)\n")
+
+
 def test_unstabilized_window_fails(tmp_path):
     code, rep = run_json(
         tmp_path,

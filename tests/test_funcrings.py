@@ -1,6 +1,8 @@
 """Function rings: canonical fractions, relation quotients, dual numbers."""
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -14,7 +16,7 @@ from ktangent.errors import (
     SingularRelation,
     TowerMismatch,
 )
-from ktangent import differentials, funcrings
+from ktangent import differentials, funcrings, suites
 from ktangent.cech import cover_plane_curve, cover_pn, weierstrass_cubic
 from ktangent.differentials import DiffForm, absolute_on_dual, d, pullback, wedge
 from ktangent.funcrings import DualElem, FunctionRing, RingElem, transport
@@ -498,3 +500,98 @@ def test_scaling_by_plus_or_minus_one_makes_no_product(monkeypatch):
         assert f * 1 is f and 1 * f is f
         assert f * -1 == nf and -1 * f == nf
     assert calls == []
+
+
+# -- products and sums in the ring's memo -----------------------------------------
+
+
+def _memo_rings():
+    """Free rings over Q, Q(sqrt 2) and Q(t), and the cubic's chart A ring."""
+    for tw in (QQ, make_tower([Algebraic("r2", [-2, 0, 1])]),
+               make_tower([Transcendental("t")])):
+        yield FunctionRing(tw, ("x", "y"))
+    yield cover_plane_curve(weierstrass_cubic(QQ, 0, -1, 1), QQ).charts[0]
+
+
+def _memo_pairs(r, seed):
+    """Seeded operand pairs of non-constant elements, some drawn twice."""
+    rng = random.Random(seed)
+    x, y = r.var(r.varnames[0]), r.var(r.varnames[1])
+    k = r.const(r.tower.gen(r.tower.names[0])) if r.tower.names else r.const(Fraction(2, 3))
+    pool = [x, y, x + 1, y - 2, x * y + k, (x + k) / (y - 1), (y * y + x) / (x + 2), x / y]
+    return [(rng.choice(pool), rng.choice(pool)) for _ in range(30)]
+
+
+def _bypass(monkeypatch):
+    monkeypatch.setattr(FunctionRing, "remember", lambda self, key, compute, *args: compute(*args))
+
+
+@pytest.mark.parametrize("ring", list(_memo_rings()), ids=["Q", "Qsqrt2", "Qt", "cubic-A"])
+def test_memoised_products_and_sums_equal_the_computed_ones(monkeypatch, ring):
+    pairs = _memo_pairs(ring, 35)
+    ring.memo.clear()
+    with monkeypatch.context() as m:
+        _bypass(m)
+        want = [(a * b, a + b, a - b) for a, b in pairs]
+    assert not ring.memo
+    # the first round fills the memo, the second reads it
+    for _ in range(2):
+        for (a, b), results in zip(pairs, want):
+            for got, w in zip((a * b, a + b, a - b), results):
+                assert got == w and (got.num, got.den) == (w.num, w.den)
+                assert hash(got) == hash(w)
+    assert any(key[0] == "*" for key in ring.memo) and any(key[0] == "+" for key in ring.memo)
+
+
+def test_a_repeated_product_or_sum_returns_the_memos_element():
+    r = plain_xy()
+    a, b = (r.var("x") + 1) / r.var("y"), r.var("x") * r.var("y") - 3
+    prod, total = a * b, a + b
+    assert r.memo[("*", a, b)] is prod and r.memo[("+", a, b)] is total
+    # an equal operand built afresh finds the same entry
+    a2 = RingElem(r, a.num, a.den)
+    assert a2 is not a and a2 * b is prod and a2 + b is total
+
+
+def test_the_cheap_cases_return_before_the_memo():
+    r = plain_xy()
+    f, c, z = (r.var("x") + 2) / (r.var("y") - 1), r.const(Fraction(-3, 4)), r.zero()
+    arithmetic = lambda: {key for key in r.memo if key[0] in ("*", "+")}
+    before = arithmetic()
+    assert f * 1 is f and f * -1 == -f and f * c == c * f and f * 3 == 3 * f
+    assert f + 0 is f and z + f is f and (f * z).is_zero() and (z * f).is_zero()
+    assert arithmetic() == before
+
+
+def test_two_rings_share_no_memo_entry():
+    tw = make_tower([Transcendental("t")])
+    rings = [suites.symbol_ring(tw) for _ in range(2)]
+    for r in rings:
+        pool = suites.unit_pool(r)
+        for a, b in zip(pool, pool[1:]):
+            assert a * b == b * a and (a + b) * a == a * a + b * a
+    memos = [{id(v): v for v in r.memo.values() if isinstance(v, RingElem)} for r in rings]
+    assert memos[0] and memos[1] and memos[0].keys().isdisjoint(memos[1])
+    for r, memo in zip(rings, memos):
+        assert all(v.ring is r for v in memo.values())
+
+
+def test_a_suites_ring_dies_with_its_memo(monkeypatch):
+    refs, kinds = [], set()
+
+    class Tracked(FunctionRing):
+        # unlike FunctionRing, a subclass without slots takes a weakref
+        def remember(self, key, compute, *args):
+            kinds.add(key[0])
+            return super().remember(key, compute, *args)
+
+    def tracked_ring(tower):
+        r = Tracked(tower, ("x", "y", "z", "v"))
+        refs.append(weakref.ref(r))
+        return r
+
+    monkeypatch.setattr(suites, "symbol_ring", tracked_ring)
+    assert suites.codifferential_suite(p=2, count=6)[0]["status"] == "pass"
+    assert len(refs) == 3 and {"*", "+"} <= kinds
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * 3

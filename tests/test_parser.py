@@ -530,6 +530,23 @@ def test_rational_past_the_digit_cap_is_refused(value):
         load_instance(f"[cover]\nkind = plane-curve\nweierstrass = 0, -1, {value}\n")
 
 
+@pytest.mark.parametrize("text, what", [
+    ("[cover]\nkind = plane-curve\nweierstrass = 0, -1_0, 1\n", "a rational number, got '-1_0'"),
+    ("[cover]\nkind = plane-curve\nweierstrass = 0, -1, \u0661\n", "a rational number, got '\u0661'"),
+    ("[tower]\ngen a = algebraic -2, 0, 1_0\n", "a rational number, got '1_0'"),
+    ("[policy]\nD = 1_0\n", "an integer, got '1_0'"),
+    ("[checks]\np = \u0661\n", "an integer, got '\u0661'"),
+    ('{"policy": {"delta": "1_0"}}', "an integer, got '1_0'"),
+    ('{"cover": {"kind": "plane-curve", "weierstrass": [0, "-1_0", 1]}}',
+     "a rational number, got '-1_0'"),
+], ids=["underscore", "arabic-indic", "minpoly", "D", "p", "json-delta", "json-weierstrass"])
+def test_instance_numbers_are_ascii_digits(text, what):
+    # Fraction reads '1_0' from Python 3.11 on and int reads it everywhere,
+    # and both read other scripts' digits; an instance reads none of them
+    with pytest.raises(InstanceSyntaxError, match=f"expected {what}"):
+        load_instance(text)
+
+
 def test_instance_bad_json():
     with pytest.raises(InstanceSyntaxError, match="JSON"):
         load_instance("{not json")

@@ -39,9 +39,11 @@ The runs are:
   11, two symbol families drawn apart from the default one; seed 11 draws
   its values through the sums and products of Q(t) values with equal or
   polynomial denominators and the gcds with a side linear in a variable
-  over Q(sqrt 2) (``verify alpha-delta`` reads no seed).
+  over Q(sqrt 2) (``verify alpha-delta`` reads no seed);
+* ``verify beta-agreement`` and ``verify diagram2.7`` at p = 5, the
+  highest weight they accept, whose long tails repeat the most products.
 
-That is 146 runs in all.
+That is 148 runs in all.
 
 Prints one line per difference and a summary; exits 1 on any difference.
 """
@@ -86,6 +88,7 @@ DELTA_R = [(name, ["--p", str(p)]) for name in OVER_QS for p in (1, 2)]
 DELTA_R.append(("two-generators.inst", []))
 SEEDED = ("verify lemma2.6", "verify beta-agreement", "verify diagram2.7", "relations")
 SUITES = SEEDED + ("verify alpha-delta",)
+TOP_WEIGHT = ("verify beta-agreement --p 5", "verify diagram2.7 --p 5")
 
 
 def rows(kt, work):
@@ -126,6 +129,7 @@ def rows(kt, work):
     for seed in (7, 11):
         for cmd in SEEDED:
             out.append((f"{cmd} seed={seed}", cmd.split() + ["--seed", str(seed)]))
+    out += [(cmd, cmd.split()) for cmd in TOP_WEIGHT]
     return out
 
 
