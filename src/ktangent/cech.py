@@ -69,19 +69,24 @@ def check_window(cover, twist, policy):
 
 
 class Sheaf:
-    """What to take sections of: Omega^r at a base, or a twist O(d)."""
+    """What to take sections of: Omega^r at a base, or a twist O(d).  It
+    checks itself once, here, so the engine computes what it is given."""
 
     __slots__ = ("r", "twist", "base")
 
     def __init__(self, r, twist, base):
+        if r < 0:
+            raise Unsupported(f"form degree r must be at least 0, got {r}")
+        if twist and r:
+            raise Unsupported("twists are modeled for function sheaves only")
+        if base is not None and base.eps != "none":
+            raise Unsupported("cohomology over a dual-number base is not modeled")
         self.r = r
         self.twist = twist
         self.base = base
 
     @classmethod
     def forms(cls, r, base=None):
-        if r < 0:
-            raise Unsupported(f"form degree r must be at least 0, got {r}")
         return cls(r, 0, base)
 
     @classmethod
@@ -309,10 +314,8 @@ class ProjectiveCover(Cover):
     # -- exterior derivative of one basis element (within a subset)
 
     def d_label(self, S, lab):
+        """d of a label of the tangent rows, which carry no base letter."""
         a, J, Tset = lab
-        if Tset:
-            raise Unsupported("exterior derivative with explicit base letters "
-                              "is not part of the hypercohomology model")
         m = min(S)
         out = {}
         for j in range(len(a)):
@@ -597,10 +600,13 @@ def weierstrass_cubic(tower, a, b, c):
 class CechEngine:
     """Bases and exact differentials at one window size.
 
-    ``rows`` maps a complex degree j to the form degree of its term; a bare
-    sheaf is the single row {0: r}.  Total degree k holds the blocks
-    (q = k - j, j); the total differential is the Čech differential plus
-    (-1)^q times the exterior derivative.
+    ``rows`` maps a complex degree j to the form degree of its term: a bare
+    sheaf is the single row {0: r}, and the tangent complex at the top base
+    is ``tangent_rows(p)``.  Total degree k holds the blocks (q = k - j, j);
+    the total differential is the Čech differential plus (-1)^q times the
+    exterior derivative.  The engine checks nothing: ``Sheaf`` checks
+    itself, and ``sheaf_cohomology`` and ``hypercohomology`` pass it only
+    these rows.
 
     ``inner`` is a smaller window D' of the same complex: the engine then
     enumerates its own window once and builds the D' engine ``self.inner``
@@ -612,21 +618,9 @@ class CechEngine:
 
     def __init__(self, cover, rows, base, twist, D, inner=None, labels=None):
         self.cover = cover
-        self.rows = dict(sorted(rows.items()))
+        self.rows = rows
         self.D = D
-        tower = cover.tower
-        if base.eps != "none":
-            raise Unsupported("cohomology over a dual-number base is not modeled")
-        js = list(self.rows)
-        for a, b in zip(js, js[1:]):
-            if b != a + 1 or self.rows[b] != self.rows[a] + 1:
-                raise Unsupported("rows must be consecutive with form degree "
-                                  "rising by one")
-        if twist and (len(js) > 1 or self.rows[js[0]] != 0):
-            raise Unsupported("twists are modeled for function sheaves only")
-        self.tlevels = letter_levels(tower, base, self.rows[js[-1]])
-        if len(js) > 1 and self.tlevels:
-            raise Unsupported("hypercohomology is modeled at the full base only")
+        self.tlevels = letter_levels(cover.tower, base, rows[max(rows)])
         if labels is None:
             labels = [(q, j, S, lab) for j, r in self.rows.items()
                       for q in range(cover.qmax + 1) for S in cover.subsets(q + 1)
@@ -841,16 +835,19 @@ def sheaf_cohomology(cover, sheaf, policy, require_stable=False, with_reps=True)
                 require_stable, with_reps, "sheaf")
 
 
-def hypercohomology(cover, cx, policy, require_stable=False, with_reps=True):
-    rows = {}
-    for j in cx.degrees():
-        if len(cx.terms[j]) != 1:
-            raise Unsupported("hypercohomology is modeled for one-term rows only")
-        rows[j] = cx.terms[j][0]
-    if cx.base != base_top(cover.tower):
-        raise Unsupported("the sheaf-level complex differentiates over the "
-                          "full tower; its base must be the top base")
-    return _run(cover, rows, cx.base, 0, policy, require_stable, with_reps, "hyper")
+def tangent_rows(p):
+    """The Čech rows {j: form degree} of the tangent complex
+    O -> Omega^1 -> ... -> Omega^(p-1), in degrees 1..p."""
+    return {j: j - 1 for j in range(1, p + 1)}
+
+
+def hypercohomology(cover, p, policy, require_stable=False, with_reps=True):
+    """The hypercohomology of the weight-p tangent complex, whose d is taken
+    over the full tower."""
+    if p < 1:
+        raise Unsupported(f"weight p must be at least 1, got {p}")
+    return _run(cover, tangent_rows(p), base_top(cover.tower), 0, policy,
+                require_stable, with_reps, "hyper")
 
 
 def verify_splitting(p, cover, policy):
@@ -858,11 +855,7 @@ def verify_splitting(p, cover, policy):
 
     Also compares at total degree 2p-1.
     """
-    from .complexes import tangent_deligne
-
-    template = tangent_deligne(p, cover.charts[0])
-    hyper = hypercohomology(cover, template, policy, require_stable=True,
-                            with_reps=False)
+    hyper = hypercohomology(cover, p, policy, require_stable=True, with_reps=False)
     parts = []
     for i in range(1, p + 1):
         parts.append(sheaf_cohomology(cover, Sheaf.forms(i - 1), policy,

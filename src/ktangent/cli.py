@@ -15,10 +15,9 @@ import sys
 import time
 
 from .errors import KTangentError
-from .parser import load_instance
+from .parser import _ascii_digits, load_instance
 from .cech import (Sheaf, TruncationPolicy, check_window, sheaf_cohomology,
                    hypercohomology, verify_splitting)
-from .complexes import tangent_deligne
 from .cycletangent import formal_tangent_chow, delta_r, composed_infinitesimal
 from . import suites
 from .errors import Unsupported
@@ -146,8 +145,7 @@ def _cech(cfg, sheaf):
 
 
 def _hypercoh(cfg, _):
-    cx = tangent_deligne(cfg.p, cfg.cover.charts[0])
-    rep = hypercohomology(cfg.cover, cx, cfg.policy, with_reps=False)
+    rep = hypercohomology(cfg.cover, cfg.p, cfg.policy, with_reps=False)
     return {"status": "pass" if rep.stabilized else "fail",
             "dims": {str(k): v for k, v in sorted(rep.dims.items())},
             "stabilized": rep.stabilized}
@@ -233,12 +231,20 @@ def _print_human(report, out, seconds):
 
 # -- the commands and the settings each one reads ------------------------------
 
+def integer(text):
+    """An integer flag's value, read as an instance reads an integer: in
+    ASCII digits with no underscore.  argparse refuses any other value as
+    an ``invalid integer value``, after this function's name."""
+    _ascii_digits(text)
+    return int(text)
+
+
 _SETTINGS = {
     "instance": {"help": "built-in name (p1, p2, elliptic) or instance file"},
-    "p": {"type": int, "help": "weight / symbol length"},
-    "D": {"type": int, "help": "truncation window size"},
-    "delta": {"type": int, "help": "window growth for the stability check"},
-    "seed": {"type": int, "default": suites.DEFAULT_SEED,
+    "p": {"type": integer, "help": "weight / symbol length"},
+    "D": {"type": integer, "help": "truncation window size"},
+    "delta": {"type": integer, "help": "window growth for the stability check"},
+    "seed": {"type": integer, "default": suites.DEFAULT_SEED,
              "help": "seed for the randomized families"},
     "sheaf": {"help": "omegaR or O(d); default omega0"},
 }

@@ -8,8 +8,7 @@ computations on the window bases of the cochain engine.
 """
 
 from .cech import (CechEngine, Sheaf, TruncationPolicy, cover_pn, extend_cover,
-                   sheaf_cohomology)
-from .complexes import tangent_deligne
+                   sheaf_cohomology, tangent_rows)
 from .differentials import base_change_kernel_letters, base_q, base_top
 from .errors import Mismatch, NotNumberField, Unsupported, WindowOverflow
 from .linalg import accumulate, rank_of
@@ -217,9 +216,7 @@ def lambda_factorization_check(samples, p, policy=None, cover=None):
     if len(cover.charts) != p + 1:
         raise Unsupported("the symbol position is the top corner: the cover "
                           "needs exactly p+1 charts")
-    cx = tangent_deligne(p, cover.charts[0])
-    rows = {i: cx.terms[i][0] for i in cx.degrees()}
-    engine = CechEngine(cover, rows, cx.base, 0, policy.D)
+    engine = CechEngine(cover, tangent_rows(p), base_top(cover.tower), 0, policy.D)
     k = 2 * p
 
     vecs = []

@@ -17,12 +17,12 @@ from ktangent.cech import (
     extend_cover,
     hypercohomology,
     sheaf_cohomology,
+    tangent_rows,
     verify_splitting,
     weierstrass_cubic,
 )
-from ktangent.complexes import tangent_deligne
 from ktangent.cycletangent import complex_model, composed_infinitesimal
-from ktangent.differentials import BaseTag, base_top
+from ktangent.differentials import BaseTag, base_top, dual_relative
 from ktangent.errors import (
     Mismatch,
     NotStabilized,
@@ -369,9 +369,29 @@ def test_curve_refuses_form_sheaves():
 
 
 def test_twisted_forms_rejected():
-    c = cover_pn(1, QQ)
-    with pytest.raises(Unsupported):
-        CechEngine(c, {0: 1}, ABS0, 3, 2)
+    with pytest.raises(Unsupported, match="function sheaves only"):
+        Sheaf(1, 3, None)
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: Sheaf(-1, 0, None), "at least 0", id="negative-degree"),
+    pytest.param(lambda: Sheaf.forms(0, base=dual_relative(R2)), "dual-number base",
+                 id="dual-base"),
+])
+def test_a_sheaf_checks_itself_at_construction(build, message):
+    with pytest.raises(Unsupported, match=message):
+        build()
+
+
+def test_the_engine_trusts_its_two_callers():
+    # Sheaf and hypercohomology check what they pass, so the engine and d refuse nothing
+    import ast
+    import inspect
+    import textwrap
+
+    for fn in (CechEngine.__init__, ProjectiveCover.d_label):
+        tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+        assert not any(isinstance(node, ast.Raise) for node in ast.walk(tree)), fn
 
 
 def test_counts_identical_over_number_field():
@@ -418,9 +438,7 @@ def _square_is_zero(eng):
 @pytest.mark.parametrize("p", [1, 2])
 def test_total_differential_squares_to_zero(p):
     for cover in (cover_pn(1, QQ), cover_pn(2, QQ)):
-        cx = tangent_deligne(p, cover.ring((0,)))
-        rows = {i: cx.terms[i][0] for i in cx.degrees()}
-        assert _square_is_zero(CechEngine(cover, rows, cx.base, 0, 2))
+        assert _square_is_zero(CechEngine(cover, tangent_rows(p), base_top(QQ), 0, 2))
 
 
 def test_curve_total_differential_squares_to_zero():
@@ -438,8 +456,7 @@ def _seeded_cubic(seed=20261018):
 
 
 def _deligne_rows(p, cover):
-    cx = tangent_deligne(p, cover.ring((0,)))
-    return CechEngine(cover, {i: cx.terms[i][0] for i in cx.degrees()}, cx.base, 0, 2)
+    return CechEngine(cover, tangent_rows(p), base_top(cover.tower), 0, 2)
 
 
 _ENGINES = [
@@ -484,7 +501,6 @@ def test_the_elimination_layer_holds_no_scalar(monkeypatch):
     line_deep = cover_pn(1, deep)
     line_s = cover_pn(1, make_tower([Transcendental("s")]))
     line_r2 = cover_pn(1, R2)
-    cx = tangent_deligne(2, line_r2.charts[0])
     ring = FunctionRing(R2, ("x", "y"))
     x, y = (MPoly.variable(R2, 2, i) for i in (0, 1))
     r2 = MPoly.const(R2, 2, R2.gen("r2"))
@@ -496,7 +512,7 @@ def test_the_elimination_layer_holds_no_scalar(monkeypatch):
     reports = [sheaf_cohomology(line_deep, Sheaf.forms(0), POL),
                sheaf_cohomology(line_deep, Sheaf.twisted(-3), POL),
                sheaf_cohomology(line_s, Sheaf.forms(1, base=ABS0), POL),
-               hypercohomology(line_r2, cx, POL)]
+               hypercohomology(line_r2, 2, POL)]
     e = RingElem(ring, num, den)
     inv = e.inv()
     assert made == []
@@ -514,9 +530,7 @@ def test_the_elimination_layer_holds_no_scalar(monkeypatch):
     pytest.param(lambda: sheaf_cohomology(cover_pn(1, R2), Sheaf.twisted(-3), POL),
                  id="line-sqrt2-O(-3)"),
     pytest.param(lambda: sheaf_cohomology(_seeded_cubic(), Sheaf.forms(0), POL), id="cubic"),
-    pytest.param(lambda: hypercohomology(cover_pn(2, QQ),
-                                         tangent_deligne(2, cover_pn(2, QQ).charts[0]), POL),
-                 id="plane-hyper-p2"),
+    pytest.param(lambda: hypercohomology(cover_pn(2, QQ), 2, POL), id="plane-hyper-p2"),
 ])
 def test_representatives_exist_exactly_where_the_dimension_is_positive(run):
     rep = run()
@@ -527,8 +541,7 @@ def test_representatives_exist_exactly_where_the_dimension_is_positive(run):
 
 def test_one_term_complex_matches_shifted_sheaf():
     c = cover_pn(2, QQ)
-    cx = tangent_deligne(1, c.ring((0,)))
-    hyper = hypercohomology(c, cx, POL, require_stable=True)
+    hyper = hypercohomology(c, 1, POL, require_stable=True)
     plain = sheaf_cohomology(c, Sheaf.forms(0), POL, require_stable=True)
     assert all(hyper.dim(k + 1) == plain.dim(k) for k in (0, 1, 2))
 
@@ -539,29 +552,23 @@ def test_hypercohomology_of_tangent_complex():
         (1, 2): {1: 1, 2: 0, 3: 1},
         (2, 1): {1: 1, 2: 0, 3: 0},
         (2, 2): {1: 1, 2: 0, 3: 1, 4: 0},
+        (1, 3): {1: 1, 2: 0, 3: 1, 4: 0},
+        (2, 3): {1: 1, 2: 0, 3: 1, 4: 0, 5: 1},
     }
     for (n, p), want in expected.items():
-        c = cover_pn(n, QQ)
-        cx = tangent_deligne(p, c.ring((0,)))
-        rep = hypercohomology(c, cx, POL, require_stable=True)
+        rep = hypercohomology(cover_pn(n, QQ), p, POL, require_stable=True)
         assert rep.dims == want, (n, p)
 
 
 def test_curve_hypercohomology_sees_the_genus():
-    c = elliptic()
-    cx = tangent_deligne(1, c.ring((0,)))
-    rep = hypercohomology(c, cx, POL, require_stable=True)
+    rep = hypercohomology(elliptic(), 1, POL, require_stable=True)
     assert rep.dims == {1: 1, 2: 1}
 
 
-def test_hypercohomology_wants_the_top_base():
-    tw = make_tower([Transcendental("t")])
-    c = cover_pn(1, tw)
-    from ktangent.complexes import Complex
-
-    cx = Complex(c.ring((0,)), ABS0, 1, 2, {1: (0,), 2: (1,)}, {})
-    with pytest.raises(Unsupported):
-        hypercohomology(c, cx, POL)
+@pytest.mark.parametrize("p", [0, -1])
+def test_hypercohomology_refuses_a_weight_below_one(p):
+    with pytest.raises(Unsupported, match="at least 1"):
+        hypercohomology(cover_pn(1, QQ), p, POL)
 
 
 @pytest.mark.parametrize("p", [1, 2])
@@ -709,9 +716,8 @@ def _window_runs():
             for r in (0, 1, 2)]
     out.append(pytest.param(_seeded_cubic(), {0: 0}, ABS0, 0, POL, id="cubic"))
     for p in (1, 2):
-        cx = tangent_deligne(p, p2.ring((0,)))
-        out.append(pytest.param(p2, {i: cx.terms[i][0] for i in cx.degrees()}, cx.base,
-                                0, POL, id=f"plane-hyper-p{p}"))
+        out.append(pytest.param(p2, tangent_rows(p), base_top(QQ), 0, POL,
+                                id=f"plane-hyper-p{p}"))
     # base letters dt1, dt2 over Q(r2)(t1)(t2)
     out.append(pytest.param(cover_pn(1, big), {0: 1}, ABS0, 0, POL, id="line-deep-omega1"))
     # unstable: H^1 of O(-4) is 0 at D = 1 and 3 at D = 7

@@ -166,6 +166,26 @@ def test_sheaf_number_in_other_than_ascii_digits_is_usage_error(capsys, sheaf):
     assert capsys.readouterr().err.startswith(f"error: unknown sheaf {sheaf!r}")
 
 
+@pytest.mark.parametrize("argv", [
+    ["cech", "--instance", "p1", "--D", "\u0661"],
+    ["verify", "beta-agreement", "--p", "\u0662", "--seed", "1"],
+    ["verify", "beta-agreement", "--p", "2", "--seed", "1_0"],
+    ["cech", "--instance", "p1", "--delta", "2_0"],
+], ids=["D-arabic-indic", "p-arabic-indic", "seed-underscore", "delta-underscore"])
+def test_integer_flag_in_other_than_ascii_digits_is_usage_error(capsys, argv):
+    # an integer flag reads its value as an instance reads an integer
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--quiet"])
+    assert exc.value.code == 2
+    assert "invalid integer value: " in capsys.readouterr().err
+
+
+def test_a_negative_seed_is_an_integer(tmp_path):
+    code, rep = run_json(tmp_path, ["verify", "lemma2.6", "--p", "2", "--seed", "-5"])
+    assert code == 0
+    assert rep["config"]["seed"] == -5
+
+
 def test_plane_curve_with_an_underscored_coefficient_is_usage_error(tmp_path, capsys):
     inst = tmp_path / "cubic.inst"
     inst.write_text("[cover]\nkind = plane-curve\nweierstrass = 0, -1_0, 1\n")

@@ -3,6 +3,7 @@
 import pytest
 
 from ktangent import complexes
+from ktangent.cech import tangent_rows
 from ktangent.complexes import (
     alpha,
     alpha_delta_diagram,
@@ -36,6 +37,14 @@ def test_tangent_complex_shape():
     v = (d(x * x) if False else d(x, cx.base),)
     out = cx.apply(2, v)
     assert out[0].is_zero()  # d d x = 0
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_the_cech_rows_are_the_tangent_complex(p):
+    # the Čech layer computes tangent_deligne from its rows, without building it
+    cx = tangent_deligne(p, ring3())
+    assert tangent_rows(p) == {i: cx.terms[i][0] for i in cx.degrees()}
+    assert cx.base == base_top(cx.ring.tower)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])

@@ -248,11 +248,10 @@ def test_line_symbol_vector_reads_off_the_coefficients():
     cov = cover_pn(1, QQ)
     ring = cov.ring((0, 1))
     z = ring.var("z")
-    from ktangent.cech import CechEngine
-    from ktangent.complexes import tangent_deligne
+    from ktangent.cech import CechEngine, tangent_rows
+    from ktangent.differentials import base_top
 
-    cx = tangent_deligne(1, cov.charts[0])
-    eng = CechEngine(cov, {1: 0}, cx.base, 0, 2)
+    eng = CechEngine(cov, tangent_rows(1), base_top(QQ), 0, 2)
     index = eng.index(2)
     for _ in range(12):
         coeffs = {k: rng.randrange(-4, 5) for k in range(-2, 3)}

@@ -11,12 +11,14 @@ from ktangent.differentials import (
     absolute_on_dual,
     base_change,
     base_change_kernel_letters,
+    base_level,
     base_q,
     base_top,
     contract_deps,
     d,
     dlog,
     dual_relative,
+    letter_name,
     letters_of,
     pullback,
     wedge,
@@ -71,6 +73,19 @@ def test_d_through_relation():
     assert d(y * y, base_q()) == d(x**3 - x + 1, base_q())
 
 
+def test_d_through_a_relation_that_involves_the_base_parameter():
+    # F = y^2 - x^3 - t*x - 1 over Q(t): relative to Q, dy carries a dt term
+    tw = make_tower([Transcendental("t")])
+    xv, yv = MPoly.variable(tw, 2, 0), MPoly.variable(tw, 2, 1)
+    r = FunctionRing(tw, ("x", "y"), yv * yv - xv**3 - MPoly.const(tw, 2, tw.gen("t")) * xv - 1)
+    x, y, t = r.var("x"), r.var("y"), r.const(tw.gen("t"))
+    dx, dy, dt = (d(v, base_q()) for v in (x, y, t))
+    # F_y dy + F_x dx + F_t dt = 2y dy - (3x^2 + t) dx - x dt
+    assert (2 * y * dy - (3 * x * x + t) * dx - x * dt).is_zero()
+    assert not (2 * y * dy - (3 * x * x + t) * dx).is_zero()
+    assert d(dy).is_zero()
+
+
 def test_d_squared_zero():
     rng = random.Random(2026)
     for r in (ring_xy(), ring_elliptic(), ring_qt()):
@@ -83,6 +98,23 @@ def test_d_squared_zero():
                 g = rng.choice(gens) + 2
                 w = d(f / g, base)
                 assert d(w).is_zero()
+
+
+def test_base_level_holds_the_levels_up_to_it_constant():
+    tw = make_tower([Transcendental("t"), Transcendental("s")])
+    r = FunctionRing(tw, ("x",))
+    x, t, s = r.var("x"), r.const(tw.gen("t")), r.const(tw.gen("s"))
+    assert base_level(0) == base_q() and base_level(2) == base_top(tw)
+    b = base_level(1)  # over Q(t): dt is zero, ds is a letter
+    assert d(t, b).is_zero() and not d(s, b).is_zero()
+    assert d(x * t * s, b) == t * s * d(x, b) + t * x * d(s, b)
+
+
+def test_d_of_eps_is_named_deps():
+    r = ring_xy()
+    eps = DualElem(r, r.zero(), r.one())
+    assert letter_name(r, ("e",)) == "deps"
+    assert str(d(eps, absolute_on_dual())) == "1 deps"
 
 
 def test_wedge_signs():

@@ -73,6 +73,9 @@ def test_equal_elements_hash_equal(ring, k, transition):
         rb, subs = transition
         zb = rb.var(rb.varnames[1])
         pairs.append((transport(zb * k, subs, ring), y.inv() * k))
+    # dual numbers of equal elements, and the forms d gives them
+    duals = [(DualElem(ring, a, b), DualElem(ring, b, a)) for a, b in pairs]
+    pairs += duals + [(d(u, absolute_on_dual()), d(v, absolute_on_dual())) for u, v in duals]
     for a, b in pairs:
         assert a == b and hash(a) == hash(b) and len({a, b}) == 1
 
@@ -217,6 +220,17 @@ def test_dual_arithmetic():
     assert w == DualElem(r, x.inv(), -y / (x * x))
     assert u * w == DualElem(r, r.one())
     assert u.specialize() == x
+    assert u - v == DualElem(r, x - y, y - 1)
+    assert 1 / u == w
+    assert u and not DualElem(r, r.zero())
+    assert str(u) == "(x) + eps*(y)" and str(DualElem(r, x + 1)) == "x + 1"
+
+
+@pytest.mark.parametrize("make, text", [(plain_xy, "Q[x, y]"),
+                                        (elliptic_chart, "Q[x, y]/(-x^3 + y^2 + x - 1)")],
+                         ids=["free", "relation"])
+def test_ring_repr_names_tower_variables_and_relation(make, text):
+    assert repr(make()) == text
 
 
 def test_dual_nonunit_body():

@@ -159,6 +159,16 @@ def test_embed_roundtrip():
     assert body.dlog(base_top(QQ)).is_zero()
 
 
+def test_the_empty_words_are_one():
+    r = ring_plain()
+    x, y = r.var("x"), r.var("y")
+    assert str(SymbolWord.one(r, 2)) == "1"
+    one = EpsSymbol.one(r, 2)
+    assert str(one) == "1" and beta(one).is_zero()
+    s = EpsSymbol.of(x + y, (x,))
+    assert str(one * s) == str(s) and beta(one * s) == beta(s)
+
+
 def _unit_pool(r):
     x, y = r.var("x"), r.var("y")
     pool = [x, y, x + 1, y - 2, x + y, x * y + 1, (x + 2) / (y + 3)]

@@ -97,6 +97,15 @@ def test_reducible_minpoly_rejected():
         make_tower([Algebraic("r2", [-2, 0, 1]), Algebraic("s2", [-2, 0, 1])])
 
 
+def test_a_zero_divisor_is_refused_when_it_is_inverted():
+    # b^2 - 8 = (b - 2r)(b + 2r) over Q(r), r^2 = 2, a root that the tower
+    # check does not try; inverting the zero divisor b - 2r names the factor
+    tw = make_tower([Algebraic("r", [-2, 0, 1]), Algebraic("b", [-8, 0, 1])])
+    r, b = tw.gen("r"), tw.gen("b")
+    with pytest.raises(ReducibleMinpoly, match="minimal polynomial of b shares a factor"):
+        (b - 2 * r).inv()
+
+
 def test_quadratic_with_a_square_discriminant_is_refused():
     # roots outside the sampled candidates (n/d with |n| <= 8, d <= 4)
     for c in (-81, -100, Fraction(-81, 16)):

@@ -41,9 +41,11 @@ The runs are:
   polynomial denominators and the gcds with a side linear in a variable
   over Q(sqrt 2) (``verify alpha-delta`` reads no seed);
 * ``verify beta-agreement`` and ``verify diagram2.7`` at p = 5, the
-  highest weight they accept, whose long tails repeat the most products.
+  highest weight they accept, whose long tails repeat the most products;
+* ``hypercoh`` on P^1 and P^2 and ``verify lemma2.4`` on P^2 at p = 3
+  (``THREE_ROWS``), the runs whose tangent complex has three rows.
 
-That is 148 runs in all.
+That is 151 runs in all.
 
 Prints one line per difference and a summary; exits 1 on any difference.
 """
@@ -89,6 +91,8 @@ DELTA_R.append(("two-generators.inst", []))
 SEEDED = ("verify lemma2.6", "verify beta-agreement", "verify diagram2.7", "relations")
 SUITES = SEEDED + ("verify alpha-delta",)
 TOP_WEIGHT = ("verify beta-agreement --p 5", "verify diagram2.7 --p 5")
+THREE_ROWS = ("hypercoh --instance p1 --p 3", "hypercoh --instance p2 --p 3",
+              "verify lemma2.4 --instance p2 --p 3")
 
 
 def rows(kt, work):
@@ -129,7 +133,7 @@ def rows(kt, work):
     for seed in (7, 11):
         for cmd in SEEDED:
             out.append((f"{cmd} seed={seed}", cmd.split() + ["--seed", str(seed)]))
-    out += [(cmd, cmd.split()) for cmd in TOP_WEIGHT]
+    out += [(cmd, cmd.split()) for cmd in TOP_WEIGHT + THREE_ROWS]
     return out
 
 
