@@ -134,9 +134,10 @@ class Cover:
     model, which is all the engine reads of a label ``lab`` over U_S: the
     window's labels in column order (``labels``), the restriction to U_T and
     the exterior derivative as sparse vectors of raw tower values
-    (``restrict``, ``d_label``), the label's text (``render_label``), the
-    least window that holds the label (``window_of``), and the window's size
-    in closed form (``window_labels``); the cover itself gives the faces T of
+    (``restrict``, and ``d_label`` on a cover that models forms), the
+    label's text (``render_label``), the least window that holds the label
+    (``window_of``), and the window's size in closed form
+    (``window_labels``); the cover itself gives the faces T of
     each subset S with their signs (``faces``).  Outside the engine,
     ``delta_r`` drops the labels ``has_base_letters`` names, and the symbol
     cochains place a form in the window with ``form_labels``.  A subclass
@@ -379,7 +380,8 @@ class CubicCover(Cover):
     """The cover of a smooth Weierstrass cubic y^2 = g(x) (g monic of degree 3)
     by its charts A: z != 0 and B: y != 0, built by ``cover_plane_curve``.
 
-    Only sections of regular functions (0-forms) are modeled.  Chart A's
+    Only sections of regular functions (0-forms) are modeled, so the cover
+    has no ``d_label``: ``labels`` refuses a form row.  Chart A's
     sections are spanned by x^i y^dl, labelled (i, dl, 0); chart B's by
     xb^i zb^j, labelled (i, j); the overlap's by the partial-fraction family
     x^i y^dl g^{-e}, labelled (i, dl, e).  Restriction from B applies the
@@ -454,9 +456,6 @@ class CubicCover(Cover):
                     accumulate(res, k2, v if c is None else F.mul(c, v), F)
         self._pf_memo[key] = res
         return res
-
-    def d_label(self, S, lab):
-        raise Unsupported("no form modules on the curve cover")
 
     def render_label(self, S, lab):
         where = "{" + ",".join("AB"[i] for i in S) + "}"

@@ -33,7 +33,7 @@ from .errors import (
 )
 from .linalg import RowSpan
 from .mpoly import MPoly, div_exact, lowest_terms, monic, mp_gcd, reduce_mod
-from .scalars import Scalar, power
+from .scalars import FieldOps, Scalar, power
 
 _PROBE = [Fraction(v) for v in (0, 1, -1, 2, -2, 3)] + [Fraction(1, 2), Fraction(-1, 2)]
 
@@ -178,7 +178,7 @@ class FunctionRing:
         return f"{base}/({self.relation.render(self.varnames)})"
 
 
-class RingElem:
+class RingElem(FieldOps):
     """Canonical fraction in a function ring."""
 
     __slots__ = ("ring", "num", "den")
@@ -246,15 +246,6 @@ class RingElem:
             return self
         return RingElem._canonical(self.ring, self.num, -self.den)
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def is_constant(self):
         """True for a constant of K (stored as 1/(1/c), or 0)."""
         return self.num.is_constant() and self.den.is_constant()
@@ -278,18 +269,6 @@ class RingElem:
         return RingElem._canonical(self.ring, a.num, a.den * c.den)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inv()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inv()
 
     def inv(self):
         if self.num.is_zero():
@@ -319,9 +298,6 @@ class RingElem:
     def is_unit(self):
         return not self.num.is_zero()
 
-    def __bool__(self):
-        return not self.num.is_zero()
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
             other = self.ring.const(other)
@@ -343,11 +319,8 @@ class RingElem:
             ds = f"({ds})"
         return f"{ns}/{ds}"
 
-    def __repr__(self):
-        return f"RingElem({self})"
 
-
-class DualElem:
+class DualElem(FieldOps):
     """body + eps * slope over a function ring, with eps^2 = 0."""
 
     __slots__ = ("ring", "body", "slope")
@@ -383,15 +356,6 @@ class DualElem:
     def __neg__(self):
         return DualElem(self.ring, -self.body, -self.slope)
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -406,18 +370,6 @@ class DualElem:
             raise NonUnitBody("dual number with zero body has no inverse")
         b = self.body.inv()
         return DualElem(self.ring, b, -(b * b) * self.slope)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inv()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inv()
 
     def __pow__(self, n):
         if not isinstance(n, int):
@@ -434,9 +386,6 @@ class DualElem:
     def is_zero(self):
         return self.body.is_zero() and self.slope.is_zero()
 
-    def __bool__(self):
-        return not self.is_zero()
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, Scalar, RingElem)):
             other = self._coerce(other)
@@ -451,9 +400,6 @@ class DualElem:
         if self.slope.is_zero():
             return str(self.body)
         return f"({self.body}) + eps*({self.slope})"
-
-    def __repr__(self):
-        return f"DualElem({self})"
 
 
 def transport(elem, vals, target):

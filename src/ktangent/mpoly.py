@@ -37,7 +37,8 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 from .errors import DegreeTooLarge, DivisionByZero, TowerMismatch
-from .scalars import QQ, Scalar, Tower, _ONE_T, _pdivmod, _pgcd, _pmul, _qval, power, render_terms
+from .scalars import (QQ, RingOps, Scalar, Tower, _ONE_T, _pdivmod, _pgcd, _pmul, _qval, power,
+                      render_terms)
 
 _BITS = 16  # width of one exponent field
 _FIELD = (1 << _BITS) - 1  # the largest exponent, and the mask of one field
@@ -94,7 +95,7 @@ def _check_product(ft, gt, n):
                                  f"an exponent is at most {_FIELD}")
 
 
-class MPoly:
+class MPoly(RingOps):
     """A polynomial in nvars variables over a tower field."""
 
     __slots__ = ("tower", "nvars", "_terms", "_hash")
@@ -158,15 +159,6 @@ class MPoly:
         neg = self.tower.neg
         return MPoly(self.tower, self.nvars, {e: neg(c) for e, c in self._terms.items()})
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -214,9 +206,6 @@ class MPoly:
 
     def is_zero(self):
         return not self._terms
-
-    def __bool__(self):
-        return bool(self._terms)
 
     # -- structure
 

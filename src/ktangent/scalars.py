@@ -702,9 +702,47 @@ def power(x, n, one):
     return out
 
 
-class Scalar:
+class RingOps:
+    """The operators every ring element type derives from its own
+    ``_coerce``, ``+``, unary ``-``, ``is_zero`` and ``str``: ``Scalar``
+    and ``MPoly`` take them from here, ``RingElem`` and ``DualElem`` from
+    ``FieldOps``."""
+
+    __slots__ = ()
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else self + (-o)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else (-self) + o
+
+    def __bool__(self):
+        return not self.is_zero()
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self})"
+
+
+class FieldOps(RingOps):
+    """RingOps with division, derived from ``*`` and ``inv``."""
+
+    __slots__ = ()
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else self * o.inv()
+
+    def __rtruediv__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else o * self.inv()
+
+
+class Scalar(RingOps):
     """An element of a tower field, in canonical form: a raw top-level value
-    of its tower, with the tower's bound arithmetic."""
+    of its tower, with the tower's bound arithmetic.  Its ``-`` and ``/``
+    work on raw values, since ``_coerce`` returns one."""
 
     __slots__ = ("tower", "val")
 
@@ -768,9 +806,6 @@ class Scalar:
     def is_zero(self):
         return not self.val
 
-    def __bool__(self):
-        return not self.is_zero()
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.val == other  # a rational value is a bare int or Fraction
@@ -783,9 +818,6 @@ class Scalar:
 
     def __str__(self):
         return self.tower.render(self.val)
-
-    def __repr__(self):
-        return f"Scalar({self})"
 
 
 QQ = make_tower([])

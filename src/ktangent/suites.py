@@ -153,7 +153,7 @@ def relations_suite(seed=DEFAULT_SEED, count=134):
         rep = relation_check(kind, ring, p, data)
         per_kind[kind] += 1
         if rep["status"] != "pass":
-            bad.append(f"{label} {kind}: {rep['witnesses'][:1]}")
+            bad.append(f"{label} {kind}: {rep['witnesses'][0]}")
         if kind == "eps_additive":
             a, b, tails = data
             s = (EpsSymbol.of(a + b, tails) * EpsSymbol.of(a, tails).inv()

@@ -105,6 +105,21 @@ def test_non_weierstrass_cubic_rejected():
         cover_plane_curve(x ** 3 + y ** 3 + z ** 3, QQ)
 
 
+_X, _Y, _Z = (MPoly.variable(QQ, 3, i) for i in range(3))
+
+
+@pytest.mark.parametrize("F, message", [
+    pytest.param(MPoly.variable(QQ, 2, 0), "3-variable polynomial", id="two-vars"),
+    pytest.param(weierstrass_cubic(make_tower([Transcendental("t")]), 0, -1, 1),
+                 "3-variable polynomial", id="other-tower"),
+    pytest.param(_Y * _Y * _X - _X ** 3 - _Z ** 3, r"exactly Y\^2\*Z", id="y2x"),
+    pytest.param(_X ** 3 + _Z ** 3, r"needs a Y\^2\*Z term", id="no-y"),
+    pytest.param(_Y * _Y * _Z - 2 * _X ** 3 - _Z ** 3, "monic in X", id="not-monic")])
+def test_curve_cover_refuses_each_malformed_equation_by_name(F, message):
+    with pytest.raises(Unsupported, match=message):
+        cover_plane_curve(F, QQ)
+
+
 def test_extend_cover_keeps_kind():
     tw = make_tower([Transcendental("t")])
     assert isinstance(extend_cover(cover_pn(2, QQ), tw), ProjectiveCover)

@@ -16,6 +16,7 @@ from ktangent.cycletangent import (
     lambda_factorization_check,
     symbol_cochain,
 )
+from ktangent.differentials import base_q
 from ktangent.errors import NotNumberField, Unsupported
 from ktangent.milnor import EpsSymbol
 from ktangent.scalars import QQ, Algebraic, Transcendental, make_tower
@@ -119,6 +120,22 @@ def test_comparison_computes_its_target_where_base_letters_differ(monkeypatch):
     assert len(runs) == 2 and rep.target is not rep.source
     assert rep.source.dims == {0: 1, 1: 1, 2: 0}
     assert rep.target.dims == {0: 0, 1: 1, 2: 0}
+
+
+def test_induced_map_drops_the_base_letter_labels():
+    # on the line over Q(s), the degree-0 class of forms relative to Q is
+    # carried by ds alone, which forms over the tower kill
+    cover = cover_pn(1, make_tower([Transcendental("s")]))
+    src = cech.sheaf_cohomology(cover, cech.Sheaf.forms(1, base=base_q()), POL,
+                                require_stable=True)
+    tgt = cech.sheaf_cohomology(cover, cech.Sheaf.forms(1), POL, require_stable=True)
+    assert src.dims == {0: 1, 1: 1} and tgt.dims == {0: 0, 1: 1}
+    assert src.reps_rendered[0] == ["(1)*{0} 1*ds + (1)*{1} 1*ds"]
+    rep = cycletangent._induced_map("delta_r", src, tgt, 0, [])
+    assert (rep.kernel_dim, rep.verdict, rep.matrix) == (1, "not injective", [])
+    rep = cycletangent._induced_map("delta_r", src, tgt, 1, [])
+    assert rep.verdict == "injective"
+    assert [[str(c) for c in row] for row in rep.matrix] == [["1"]]
 
 
 @pytest.mark.parametrize("induced", [delta_r, composed_infinitesimal])

@@ -76,6 +76,23 @@ def test_relations_small():
         assert checks[0]["kinds"][kind] == 3
 
 
+def test_failing_relations_print_their_witnesses(monkeypatch):
+    monkeypatch.setattr(suites, "relation_check", lambda kind, ring, p, data: {
+        "status": "fail" if kind == "eps_additive" else "pass",
+        "witnesses": ["w1", "w2"]})
+    seen = []
+
+    def nonzero(s):
+        seen.append(s)
+        return differentials.d(s.ring.var("x"), differentials.base_q())
+
+    monkeypatch.setattr(suites, "eps_to_absolute", nonzero)
+    check, = relations_suite(seed=3, count=4)
+    assert check["status"] == "fail"
+    assert check["witnesses"] == ["rationals eps_additive: w1",
+                                  f"rationals eps_additive absolute: {seen[0]}"]
+
+
 @pytest.mark.parametrize("runner, top", [
     (codifferential_suite, 4), (beta_agreement_suite, 5),
     (absolute_square_suite, 5), (diagram_suite, 4)])
